@@ -221,8 +221,12 @@ def example_config(name: str, **overrides) -> RunConfig:
 
 @dataclass
 class RowResult:
+    """One (mu, nu) row: computed field values u_mN at the evaluation
+    points, their absolute errors against the exact solution, and cond."""
+
     mu: int
     nu: int
+    values: List[float]
     errors: List[float]
     cond: float
     error_message: Optional[str] = None
@@ -244,12 +248,13 @@ def _run_row(dec, datum, cfg: RunConfig, mu: int, nu: int) -> RowResult:
     system = build_system(dec, params, lambda i, s: rhs_approx(dec, datum, m_rhs, i, s))
     cond = cond_inf(system.matrix)
     fld = solve_field(system, datum, n_outer)
-    errors = []
+    values, errors = [], []
     for p in cfg.points:
         approx = eval_exterior(fld, p[0], p[1])
         exact = float(cfg.solution.u(np.asarray(p, float)))
+        values.append(approx)
         errors.append(abs(approx - exact))
-    return RowResult(mu, nu, errors, cond)
+    return RowResult(mu, nu, values, errors, cond)
 
 
 def run_example(cfg: RunConfig) -> List[RowResult]:
@@ -263,7 +268,8 @@ def run_example(cfg: RunConfig) -> List[RowResult]:
         try:
             rows.append(_run_row(dec, datum, cfg, mu, nu))
         except CornerBieError as exc:
-            rows.append(RowResult(mu, nu, [math.nan] * len(cfg.points), math.nan,
+            nan_cells = [math.nan] * len(cfg.points)
+            rows.append(RowResult(mu, nu, nan_cells, list(nan_cells), math.nan,
                                   error_message=f"{type(exc).__name__}: {exc}"))
     return rows
 

@@ -1,0 +1,48 @@
+"""Tight regression gate on the computed field values of the four tables.
+
+The reference tables and goldens check errors to a factor of 10 and
+condition numbers to a factor of 3, which cannot see a refactor that
+changes results.  This gate freezes the full-precision u_mN at every
+evaluation point, and cond, for all 20 table rows, and compares them at
+rtol 1e-10.  Values get an absolute floor of 1e-14 because the triangle's
+first point has exact u = 0, where u_mN is pure discretization error
+(about 3e-13).  Run as a script to regenerate the frozen file:
+
+    PYTHONPATH=src python tests/test_field_gate.py
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+FROZEN_PATH = Path(__file__).parent / "goldens" / "field_values.json"
+EXAMPLES = ("heart", "teardrop", "boomerang", "triangle")
+VALUE_RTOL, VALUE_ATOL = 1e-10, 1e-14
+COND_RTOL = 1e-10
+
+
+def _frozen_rows(rows):
+    return [dict(mu=r.mu, nu=r.nu, values=r.values, cond=r.cond) for r in rows]
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_field_values_match_frozen(name, example_tables):
+    frozen = json.loads(FROZEN_PATH.read_text())[name]
+    rows = example_tables[name]
+    assert [(r.mu, r.nu) for r in rows] == [(f["mu"], f["nu"]) for f in frozen]
+    for row, ref in zip(rows, frozen):
+        assert not row.failed, row.error_message
+        np.testing.assert_allclose(row.values, ref["values"], rtol=VALUE_RTOL,
+                                   atol=VALUE_ATOL, err_msg=f"{name} {row.mu},{row.nu}")
+        np.testing.assert_allclose(row.cond, ref["cond"], rtol=COND_RTOL, atol=0.0,
+                                   err_msg=f"{name} {row.mu},{row.nu}")
+
+
+if __name__ == "__main__":
+    from cornerbie.harness import example_config, run_example
+
+    frozen = {name: _frozen_rows(run_example(example_config(name))) for name in EXAMPLES}
+    FROZEN_PATH.write_text(json.dumps(frozen, indent=1) + "\n")
+    print(f"wrote {FROZEN_PATH}")

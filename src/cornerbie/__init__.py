@@ -1,13 +1,16 @@
 """Nystrom solver for the exterior Neumann Laplace problem on planar
 domains with corners: sub-arc boundary decomposition, modified wedge
 blocks near the corners, product integration of the logarithmic
-right-hand side, and exterior field recovery."""
+right-hand side, and exterior field recovery.
 
-from .assembly import DenseSystem, DiscretizationParams, UnknownMap, build_system, collocation_points
+The root exports the error types, the run entry points and point
+location; everything else is imported from its module."""
+
+from . import harness
 from .errors import (
     AssemblyError,
-    ConfigError,
     CoincidentPointError,
+    ConfigError,
     CornerBieError,
     ExteriorDomainError,
     GeometryError,
@@ -15,28 +18,8 @@ from .errors import (
     SingularMatrixError,
     SolveError,
 )
-from .geometry import (
-    Boundary,
-    Corner,
-    Decomposition,
-    MacroArc,
-    SubArc,
-    boundary_angle,
-    boundary_polyline,
-    circle_arc,
-    decompose,
-    line_arc,
-    macro_param_of,
-    make_boundary,
-    make_example_domain,
-    make_polygon,
-    make_smooth_boundary,
-    subarc_eval,
-    winding_number,
-)
+from .geometry import boundary_polyline, winding_number
 from .harness import (
-    ExactSolution,
-    RowResult,
     RunConfig,
     angle_sweep,
     example_config,
@@ -45,24 +28,27 @@ from .harness import (
     write_sweep_csv,
     write_table_csv,
 )
-from .kernels import (
-    KernelContext,
-    corner_remainder_limit,
-    corner_remainder_richardson,
-    double_layer_kernel,
-    field_kernel,
-    mellin_corner_coefficient,
-    mellin_kernel,
-    remainder_kernel,
-)
-from .quadrature import (
-    QuadratureRule,
-    gauss_legendre,
-    gauss_radau_left,
-    legendre_orthonormal,
-    log_moments,
-)
-from .rhs import NeumannDatum, log_chord_ratio, normal_derivative, rhs_approx
-from .solve_post import SolutionField, cond_inf, eval_exterior, solve_dense, solve_field
+
+__all__ = [
+    "AssemblyError",
+    "CoincidentPointError",
+    "ConfigError",
+    "CornerBieError",
+    "ExteriorDomainError",
+    "GeometryError",
+    "ParameterError",
+    "SingularMatrixError",
+    "SolveError",
+    "RunConfig",
+    "angle_sweep",
+    "example_config",
+    "make_exact_solution",
+    "run_example",
+    "write_sweep_csv",
+    "write_table_csv",
+    "boundary_polyline",
+    "winding_number",
+    "harness",
+]
 
 __version__ = "0.1.0"

@@ -39,7 +39,6 @@ __all__ = [
     "DiscretizationParams",
     "UnknownMap",
     "DenseSystem",
-    "collocation_points",
     "modified_wedge_rows",
     "build_system",
 ]
@@ -71,12 +70,6 @@ class DiscretizationParams:
     @property
     def tau(self) -> float:
         return min(1.0, self.c / self.nu ** (2.0 - 2.0 * self.eps))
-
-
-def collocation_points(dec: Decomposition, params: DiscretizationParams, i: int) -> np.ndarray:
-    """Collocation nodes of sub-arc i (identical to its quadrature nodes)."""
-    order = params.nu if dec.subarcs[i].kind == CENTRAL else params.mu
-    return gauss_radau_left(order).nodes
 
 
 def modified_wedge_rows(chi: float, t_nodes: np.ndarray, s_values: np.ndarray,
@@ -122,40 +115,25 @@ class UnknownMap:
         dec, params = self.dec, self.params
         if dec.n_corners > 0 and params.mu >= params.nu:
             raise ParameterError("corner runs require mu < nu")
-        self.nodes, self.weights = [], []
-        for i in range(dec.n_subarcs):
-            rule = gauss_radau_left(
-                params.nu if dec.subarcs[i].kind == CENTRAL else params.mu
-            )
-            self.nodes.append(rule.nodes)
-            self.weights.append(rule.weights)
+        rules = [gauss_radau_left(params.nu if sub.kind == CENTRAL else params.mu)
+                 for sub in dec.subarcs]
+        self.nodes = [rule.nodes for rule in rules]
+        self.weights = [rule.weights for rule in rules]
         self.full_size = sum(len(x) for x in self.nodes)
-        col_index: List[np.ndarray] = []
-        corner_col = np.full(dec.n_corners, -1, dtype=int)
+        # columns and rows run arc-major by node; the s = 0 node of an
+        # upsilon arc takes its gamma partner's column and drops its row
+        self.corner_col = np.full(dec.n_corners, -1, dtype=int)
+        self.col_index, self.row_index = [], []
         nxt = 0
-        for i in range(dec.n_subarcs):
-            kind = dec.subarcs[i].kind
-            idx = np.empty(len(self.nodes[i]), dtype=int)
-            for h in range(len(idx)):
-                if kind == UPSILON and h == 0:
-                    idx[h] = corner_col[i // 3]
-                    continue
-                idx[h] = nxt
-                if kind == GAMMA and h == 0:
-                    corner_col[i // 3] = nxt
-                nxt += 1
-            col_index.append(idx)
-        self.col_index = col_index
-        self.corner_col = corner_col
+        for i, sub in enumerate(dec.subarcs):
+            merged = sub.kind == UPSILON
+            own = np.arange(nxt, nxt + len(self.nodes[i]) - merged)
+            nxt += len(own)
+            if sub.kind == GAMMA:
+                self.corner_col[i // 3] = own[0]
+            self.col_index.append(np.r_[self.corner_col[i // 3], own] if merged else own)
+            self.row_index.append(np.r_[-1, own] if merged else own)
         self.reduced_size = nxt
-        # rows follow the column layout; the upsilon s=0 row is dropped
-        row_index: List[np.ndarray] = []
-        for i in range(dec.n_subarcs):
-            idx = self.col_index[i].copy()
-            if dec.subarcs[i].kind == UPSILON:
-                idx[0] = -1
-            row_index.append(idx)
-        self.row_index = row_index
 
     def split_solution(self, x: np.ndarray) -> List[np.ndarray]:
         """Per-arc nodal value arrays from the reduced solution vector."""
@@ -174,58 +152,45 @@ class DenseSystem:
     ctx: KernelContext
 
 
+def _arc_rows(ctx: KernelContext, umap: UnknownMap, i: int, h, tau: float) -> np.ndarray:
+    """Collocation rows of sub-arc i at its nodes h, over the reduced columns.
+
+    Each row is the -pi identity on the node's own column plus, per
+    source arc j, the kernel block times the Radau weights; on Mellin
+    pairs the block is the bounded remainder plus the modified wedge
+    rows, whose corner coefficient lands on the merged corner column.
+    """
+    s_nodes = umap.nodes[i][h]
+    rows = np.zeros((len(s_nodes), umap.reduced_size))
+    rows[np.arange(len(s_nodes)), umap.col_index[i][h]] += -math.pi
+    for j in range(ctx.dec.n_subarcs):
+        t_nodes, cols = umap.nodes[j], umap.col_index[j]
+        if not ctx.is_mellin_pair(i, j):
+            rows[:, cols] += double_layer_block(ctx, i, j, t_nodes, s_nodes) * umap.weights[j]
+            continue
+        wedge, corner_coeff = modified_wedge_rows(ctx.pair_chi(i, j), t_nodes, s_nodes, tau)
+        block = remainder_block(ctx, i, j, t_nodes, s_nodes) + wedge
+        rows[:, cols] += block * umap.weights[j]
+        rows[:, umap.corner_col[i // 3]] += corner_coeff
+    return rows
+
+
 def build_system(dec: Decomposition, params: DiscretizationParams,
-                 rhs_provider: Callable[[int, float], float],
-                 drop_duplicate_rows: bool = True) -> DenseSystem:
+                 rhs_provider: Callable[[int, float], float]) -> DenseSystem:
     """Assemble the collocated system A a = b on the reduced unknowns.
 
     rhs_provider(i, s) must return gbar_i(s) at any collocation point.
-    With drop_duplicate_rows=False the matrix keeps both (identical)
-    corner collocation rows and is rectangular; that form exists for
-    verification only.
     """
     umap = UnknownMap(dec, params)
     ctx = KernelContext(dec)
-    n_arcs = dec.n_subarcs
-    tau = params.tau
-
-    if drop_duplicate_rows:
-        row_index = umap.row_index
-        n_rows = umap.reduced_size
-    else:
-        row_index = []
-        nxt = 0
-        for i in range(n_arcs):
-            row_index.append(np.arange(nxt, nxt + len(umap.nodes[i])))
-            nxt += len(umap.nodes[i])
-        n_rows = nxt
-
-    A = np.zeros((n_rows, umap.reduced_size))
-    b = np.zeros(n_rows)
-
-    for i in range(n_arcs):
-        rows = row_index[i]
-        keep = rows >= 0
-        r = rows[keep]
-        s_nodes = umap.nodes[i]
-        # -pi identity on the own columns
-        A[r, umap.col_index[i][keep]] += -math.pi
-        for j in range(n_arcs):
-            cols = umap.col_index[j]
-            lam = umap.weights[j]
-            if not ctx.is_mellin_pair(i, j):
-                block = double_layer_block(ctx, i, j, umap.nodes[j], s_nodes)
-                A[r[:, None], cols[None, :]] += block[keep] * lam[None, :]
-                continue
-            chi = ctx.pair_chi(i, j)
-            t_nodes = umap.nodes[j]
-            block = remainder_block(ctx, i, j, t_nodes, s_nodes)
-            lt, corner_coeff = modified_wedge_rows(chi, t_nodes, s_nodes, tau)
-            block = block + lt
-            A[r[:, None], cols[None, :]] += block[keep] * lam[None, :]
-            A[r, umap.corner_col[i // 3]] += corner_coeff[keep]
-        for h in np.nonzero(keep)[0]:
-            b[rows[h]] = rhs_provider(i, float(s_nodes[h]))
+    A = np.zeros((umap.reduced_size, umap.reduced_size))
+    b = np.zeros(umap.reduced_size)
+    for i in range(dec.n_subarcs):
+        keep = umap.row_index[i] >= 0
+        rows = umap.row_index[i][keep]
+        A[rows] = _arc_rows(ctx, umap, i, keep, params.tau)
+        for r, s in zip(rows, umap.nodes[i][keep]):
+            b[r] = rhs_provider(i, float(s))
 
     if not np.all(np.isfinite(A)):
         bad = np.argwhere(~np.isfinite(A))[0]

@@ -29,35 +29,35 @@ __all__ = ["main"]
 def _parse_phi(text: str) -> float:
     """Angles accept plain floats or multiples of pi like '5pi/3' or '1.5pi'."""
     t = text.strip().lower().replace(" ", "")
-    if "pi" in t:
-        head, _, tail = t.partition("pi")
-        value = float(head) if head not in ("", "+", "-") else float(head + "1")
-        value *= math.pi
+    head, pi, tail = t.partition("pi")
+    try:
+        if not pi:
+            return float(t)
+        value = float(head + "1" if head in ("", "+", "-") else head) * math.pi
+        if not tail:
+            return value
         if tail.startswith("/"):
-            value /= float(tail[1:])
-        elif tail:
-            raise ConfigError(f"cannot parse angle {text!r}")
-        return value
-    return float(t)
+            return value / float(tail[1:])
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ConfigError(f"cannot parse angle {text!r}")
 
 
 def _load_points(path: str):
+    """Evaluation points from a JSON list of pairs or from 'x y' lines."""
     with open(path) as fh:
         text = fh.read()
     try:
         data = json.loads(text)
-        return tuple((float(p[0]), float(p[1])) for p in data)
     except json.JSONDecodeError:
-        pts = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            x, y = line.split()[:2]
-            pts.append((float(x), float(y)))
-        if not pts:
+        data = [line.split() for line in text.splitlines()
+                if line.strip() and not line.lstrip().startswith("#")]
+        if not data:
             raise ConfigError(f"no evaluation points found in {path}")
-        return tuple(pts)
+    try:
+        return tuple((float(p[0]), float(p[1])) for p in data)
+    except (TypeError, IndexError, ValueError) as exc:
+        raise ConfigError(f"malformed evaluation points in {path}: {exc}") from None
 
 
 def _config_from_json(path: str) -> RunConfig:
@@ -97,24 +97,16 @@ def _resolve_config(args) -> RunConfig:
         cfg = example_config(args.example)
     else:
         raise ConfigError("provide --example or --config")
-    overrides = {}
+    given = (("c", args.c), ("eps", args.epsilon), ("delta", args.delta),
+             ("M", args.rhs_M), ("N", args.outer_N))
+    overrides = {key: value for key, value in given if value is not None}
     if args.phi is not None:
         overrides["phi"] = _parse_phi(args.phi)
-    if args.c is not None:
-        overrides["c"] = args.c
-    if args.epsilon is not None:
-        overrides["eps"] = args.epsilon
-    if args.delta is not None:
-        overrides["delta"] = args.delta
-    if args.rhs_M is not None:
-        overrides["M"] = args.rhs_M
-    if args.outer_N is not None:
-        overrides["N"] = args.outer_N
     if args.points is not None:
         overrides["points"] = _load_points(args.points)
-    if getattr(args, "mu", None) is not None or getattr(args, "nu", None) is not None:
-        if args.mu is None or args.nu is None:
-            raise ConfigError("--mu and --nu must be given together")
+    if (args.mu is None) != (args.nu is None):
+        raise ConfigError("--mu and --nu must be given together")
+    if args.mu is not None:
         overrides["pairs"] = ((args.mu, args.nu),)
     return replace(cfg, **overrides) if overrides else cfg
 
@@ -155,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     cfg = _resolve_config(args)
     if len(cfg.pairs) != 1:
-        cfg = _replace_pairs(cfg, (cfg.pairs[-1],))
+        cfg = replace(cfg, pairs=(cfg.pairs[-1],))
     rows = run_example(cfg)
     row = rows[0]
     if row.failed:
@@ -167,10 +159,6 @@ def _cmd_solve(args) -> int:
     if args.out:
         write_table_csv(rows, args.out)
     return 0
-
-
-def _replace_pairs(cfg: RunConfig, pairs) -> RunConfig:
-    return replace(cfg, pairs=pairs)
 
 
 def _cmd_table(args) -> int:
@@ -196,12 +184,11 @@ def _cmd_angle_sweep(args) -> int:
     if not args.phi_grid:
         raise ConfigError("angle-sweep needs --phi-grid")
     phis = [_parse_phi(tok) for tok in args.phi_grid.split(",") if tok.strip()]
-    base = example_config(args.example) if args.example != "triangle" else None
-    if base is None:
+    if args.example == "triangle":
         raise ConfigError("angle sweeps need a parametric family, not the triangle")
     mu = args.mu if args.mu is not None else 16
     nu = args.nu if args.nu is not None else 64
-    eps = args.epsilon if args.epsilon is not None else base.eps
+    eps = args.epsilon if args.epsilon is not None else example_config(args.example).eps
     points = angle_sweep(args.example, phis, mu, nu, c=args.c, eps=eps, delta=args.delta)
     for pt in points:
         if pt.error_message:
@@ -218,13 +205,10 @@ def _cmd_angle_sweep(args) -> int:
 def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    np.seterr(divide="raise", invalid="raise", over="raise")
+    command = {"solve": _cmd_solve, "table": _cmd_table, "angle-sweep": _cmd_angle_sweep}
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        return _cmd_angle_sweep(args)
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            return command[args.command](args)
     except (ConfigError, ParameterError, GeometryError, OSError, KeyError,
             json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

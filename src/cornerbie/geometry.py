@@ -36,7 +36,6 @@ __all__ = [
     "make_example_domain",
     "decompose",
     "subarc_eval",
-    "boundary_angle",
     "macro_param_of",
     "boundary_polyline",
     "winding_number",
@@ -116,13 +115,6 @@ class Boundary:
     def n_corners(self) -> int:
         return len(self.corners)
 
-    def arc_endpoint(self, k: int, end: float) -> np.ndarray:
-        return np.asarray(self.arcs[k].position(float(end)), float)
-
-
-def _tangent_angle(v: np.ndarray) -> float:
-    return math.atan2(float(v[1]), float(v[0]))
-
 
 def _interior_angle_from_tangents(d_in: np.ndarray, d_out: np.ndarray) -> float:
     """Interior angle of a CCW boundary from the one-sided tangents.
@@ -132,7 +124,7 @@ def _interior_angle_from_tangents(d_in: np.ndarray, d_out: np.ndarray) -> float:
     ray going counterclockwise (through the interior, which lies left of
     the direction of travel).
     """
-    ang = _tangent_angle(-d_in) - _tangent_angle(d_out)
+    ang = math.atan2(-d_in[1], -d_in[0]) - math.atan2(d_out[1], d_out[0])
     return ang % (2.0 * math.pi)
 
 
@@ -227,12 +219,6 @@ class Decomposition:
     @property
     def n_corners(self) -> int:
         return self.boundary.n_corners
-
-    def corner_of(self, i: int) -> int:
-        """Corner index owning sub-arc i (gamma/upsilon kinds only)."""
-        if self.subarcs[i].kind == CENTRAL:
-            raise ParameterError(f"sub-arc {i} is central, not a corner arc")
-        return i // 3
 
 
 def _max_tangent_deviation(arc: MacroArc, t_lo: float, t_hi: float,
@@ -361,26 +347,9 @@ def subarc_eval(dec: Decomposition, i: int, s):
         d1 = length * np.asarray(arc.first_derivative(t), float)
     p = np.asarray(arc.position(t), float)
     d2 = length * length * np.asarray(arc.second_derivative(t), float)
-    if sub.kind != CENTRAL:
-        corner = dec.boundary.corners[i // 3].point
-        if s_arr.ndim == 0:
-            if s_arr == 0.0:
-                p = corner.copy()
-        elif np.any(s_arr == 0.0):
-            p = np.where((s_arr == 0.0)[..., None], corner, p)
+    if sub.kind != CENTRAL and np.any(s_arr == 0.0):
+        p = np.where((s_arr == 0.0)[..., None], dec.boundary.corners[i // 3].point, p)
     return p, d1, d2
-
-
-def boundary_angle(dec: Decomposition, i: int, s: float) -> float:
-    """Interior angle of the boundary at the point sigma_i(s).
-
-    Piecewise exact: (1 - chi_k) pi at the corner end (s = 0) of a corner
-    sub-arc, pi everywhere else.  No limits are taken.
-    """
-    sub = dec.subarcs[i]
-    if sub.kind != CENTRAL and s == 0.0:
-        return (1.0 - dec.boundary.corners[i // 3].chi) * math.pi
-    return math.pi
 
 
 def macro_param_of(dec: Decomposition, i: int, s: float):

@@ -20,7 +20,7 @@ one of the two corner blocks.
 
 M is evaluated at the corner node pair (0, 0) by its limit along the
 s = 0 edge, which is the curvature value of the source arc at the
-corner; a Richardson diagonal-limit estimate is kept as a diagnostic.
+corner.
 """
 
 from __future__ import annotations
@@ -35,20 +35,16 @@ from .geometry import CENTRAL, Decomposition, boundary_polyline, subarc_eval
 
 __all__ = [
     "KernelContext",
-    "double_layer_kernel",
     "double_layer_block",
     "mellin_kernel",
-    "remainder_kernel",
     "remainder_block",
     "corner_remainder_limit",
-    "corner_remainder_richardson",
     "mellin_corner_coefficient",
     "field_kernel",
 ]
 
 _COINCIDENCE_FACTOR = 1e-28
 _FIELD_DISTANCE_TOL = 1e-12
-_RICHARDSON_STEPS = (1e-4, 5e-5, 2.5e-5)
 
 
 def _check_chi(chi: float) -> None:
@@ -62,7 +58,6 @@ class KernelContext:
 
     dec: Decomposition
     scale: float = field(init=False)
-    _m00: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         pts = boundary_polyline(self.dec.boundary, 1024)
@@ -90,6 +85,29 @@ def _diagonal_values(ctx: KernelContext, j: int, t: np.ndarray) -> np.ndarray:
     return ctx.orientation(j) * 0.5 * num / (d1 * d1).sum(-1)
 
 
+def _numerator_and_distance(ctx: KernelContext, field_pts: np.ndarray, j: int,
+                            t: np.ndarray):
+    """Raw double-layer numerator and squared distance between field
+    points field_pts (shape (L, 2)) and sub-arc j at t; both (L, len(t)).
+
+    The numerator is taken with the sub-arc's own derivative, so on a
+    reversed arc it carries the opposite sign of the CCW kernel.
+    """
+    sp, sd, _ = subarc_eval(ctx.dec, j, t)
+    dx = field_pts[:, None, 0] - sp[None, :, 0]
+    dy = field_pts[:, None, 1] - sp[None, :, 1]
+    return sd[None, :, 1] * dx - sd[None, :, 0] * dy, dx * dx + dy * dy
+
+
+def _check_separated(ctx: KernelContext, i: int, j: int, t: np.ndarray,
+                     s: np.ndarray, den: np.ndarray) -> None:
+    if den.min() < _COINCIDENCE_FACTOR * ctx.scale**2:
+        l, h = np.unravel_index(int(den.argmin()), den.shape)
+        raise CoincidentPointError(
+            f"sub-arcs {i}, {j}: field s={s[l]} and source t={t[h]} coincide"
+        )
+
+
 def double_layer_block(ctx: KernelContext, i: int, j: int,
                        t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Kernel matrix K[l, h] = K^{i,j}(t[h], s[l]), vectorized.
@@ -101,30 +119,15 @@ def double_layer_block(ctx: KernelContext, i: int, j: int,
     t = np.atleast_1d(np.asarray(t, float))
     s = np.atleast_1d(np.asarray(s, float))
     fp, _, _ = subarc_eval(ctx.dec, i, s)
-    sp, sd, _ = subarc_eval(ctx.dec, j, t)
-    dx = fp[:, None, 0] - sp[None, :, 0]
-    dy = fp[:, None, 1] - sp[None, :, 1]
-    num = sd[None, :, 1] * dx - sd[None, :, 0] * dy
-    den = dx * dx + dy * dy
+    num, den = _numerator_and_distance(ctx, fp, j, t)
     if i == j:
         coincide = s[:, None] == t[None, :]
-        safe = np.where(coincide, 1.0, den)
-        out = ctx.orientation(j) * num / safe
+        out = ctx.orientation(j) * num / np.where(coincide, 1.0, den)
         if np.any(coincide):
-            diag = _diagonal_values(ctx, j, t)
-            out = np.where(coincide, diag[None, :], out)
+            out = np.where(coincide, _diagonal_values(ctx, j, t)[None, :], out)
         return out
-    if den.min() < _COINCIDENCE_FACTOR * ctx.scale**2:
-        l, h = np.unravel_index(int(den.argmin()), den.shape)
-        raise CoincidentPointError(
-            f"sub-arcs {i}, {j}: field s={s[l]} and source t={t[h]} coincide"
-        )
+    _check_separated(ctx, i, j, t, s, den)
     return ctx.orientation(j) * num / den
-
-
-def double_layer_kernel(ctx: KernelContext, i: int, j: int, t: float, s: float) -> float:
-    """Scalar double-layer kernel between sub-arcs j (source) and i (field)."""
-    return float(double_layer_block(ctx, i, j, np.array([t]), np.array([s]))[0, 0])
 
 
 def mellin_kernel(chi: float, t, s):
@@ -144,64 +147,32 @@ def corner_remainder_limit(ctx: KernelContext, i: int, j: int) -> float:
 
     Taken as the limit of M(t, 0) for t -> 0+, where the wedge kernel
     vanishes and the double-layer kernel tends to the curvature value of
-    the source arc at the corner.  Cached per pair.
+    the source arc at the corner.
     """
-    chi = ctx.pair_chi(i, j)  # also validates the pair
-    del chi
-    key = (i, j)
-    if key not in ctx._m00:
-        ctx._m00[key] = float(_diagonal_values(ctx, j, np.array([0.0]))[0])
-    return ctx._m00[key]
-
-
-def corner_remainder_richardson(ctx: KernelContext, i: int, j: int,
-                                steps=_RICHARDSON_STEPS):
-    """Diagonal-limit estimate of M(0, 0) with a step-halving tolerance.
-
-    Extrapolates K(h, h) - L(h, h) along t = s = h to h -> 0 (first and
-    second order); the difference of the two orders estimates the error.
-    Used as a diagnostic against corner_remainder_limit: the two agree
-    up to the extrapolation tolerance plus the roundoff floor of the
-    near-singular difference, which is why the closed form is what
-    enters the matrix.
-    """
-    chi = ctx.pair_chi(i, j)
-    h = np.asarray(steps, float)
-    kd = np.array([double_layer_kernel(ctx, i, j, hh, hh) for hh in h])
-    f = kd - mellin_kernel(chi, h, h)
-    first = 2.0 * f[1:] - f[:-1]
-    second = (4.0 * first[1] - first[0]) / 3.0
-    return float(second), float(abs(second - first[1]))
+    ctx.pair_chi(i, j)  # validates the pair
+    return float(_diagonal_values(ctx, j, np.array([0.0]))[0])
 
 
 def remainder_block(ctx: KernelContext, i: int, j: int,
                     t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Remainder matrix M[l, h] = (K - L)(t[h], s[l]) on a Mellin pair."""
+    """Remainder matrix M[l, h] = (K - L)(t[h], s[l]) on a Mellin pair.
+
+    The corner node pair t = s = 0, where K and L are both singular,
+    takes corner_remainder_limit; every other entry is checked for
+    coincident points as in double_layer_block.
+    """
     chi = ctx.pair_chi(i, j)
     t = np.atleast_1d(np.asarray(t, float))
     s = np.atleast_1d(np.asarray(s, float))
     corner_pair = (s[:, None] == 0.0) & (t[None, :] == 0.0)
-    if np.any(corner_pair):
-        fp, _, _ = subarc_eval(ctx.dec, i, s)
-        sp, sd, _ = subarc_eval(ctx.dec, j, t)
-        dx = fp[:, None, 0] - sp[None, :, 0]
-        dy = fp[:, None, 1] - sp[None, :, 1]
-        num = sd[None, :, 1] * dx - sd[None, :, 0] * dy
-        den = dx * dx + dy * dy
-        kb = ctx.orientation(j) * num / np.where(corner_pair, 1.0, den)
-        lden = (s[:, None] ** 2 + 2.0 * t[None, :] * s[:, None] * math.cos(chi * math.pi)
-                + t[None, :] ** 2)
-        lb = -s[:, None] * math.sin(chi * math.pi) / np.where(corner_pair, 1.0, lden)
-        out = kb - lb
-        out[corner_pair] = corner_remainder_limit(ctx, i, j)
-        return out
-    kb = double_layer_block(ctx, i, j, t, s)
-    return kb - mellin_kernel(chi, t[None, :], s[:, None])
-
-
-def remainder_kernel(ctx: KernelContext, i: int, j: int, t: float, s: float) -> float:
-    """Scalar bounded-remainder kernel M = K - L on a Mellin pair."""
-    return float(remainder_block(ctx, i, j, np.array([t]), np.array([s]))[0, 0])
+    fp, _, _ = subarc_eval(ctx.dec, i, s)
+    num, den = _numerator_and_distance(ctx, fp, j, t)
+    den = np.where(corner_pair, np.inf, den)
+    _check_separated(ctx, i, j, t, s, den)
+    wedge = mellin_kernel(chi, np.where(corner_pair, 1.0, t[None, :]), s[:, None])
+    out = ctx.orientation(j) * num / den - wedge
+    out[corner_pair] = corner_remainder_limit(ctx, i, j)
+    return out
 
 
 def mellin_corner_coefficient(chi: float) -> float:
@@ -216,21 +187,17 @@ def mellin_corner_coefficient(chi: float) -> float:
     return -chi * math.pi
 
 
-def field_kernel(ctx: KernelContext, i: int, x: float, y: float, t):
+def field_kernel(ctx: KernelContext, i: int, x: float, y: float, t) -> np.ndarray:
     """Exterior-field double-layer kernel H_i(x, y, t) on sub-arc i.
 
     Raw formula in the sub-arc derivatives: reversing the arc flips the
     sign.  The exterior evaluator applies the orientation factor when it
     sums over arcs.
     """
-    t = np.asarray(t, float)
-    sp, sd, _ = subarc_eval(ctx.dec, i, t)
-    dx = x - sp[..., 0]
-    dy = y - sp[..., 1]
-    den = dx * dx + dy * dy
+    t = np.atleast_1d(np.asarray(t, float))
+    num, den = _numerator_and_distance(ctx, np.array([[x, y]], float), i, t)
     if np.any(den < _FIELD_DISTANCE_TOL**2):
         raise ExteriorDomainError(
             f"field point ({x}, {y}) within {_FIELD_DISTANCE_TOL} of sub-arc {i}"
         )
-    out = (sd[..., 1] * dx - sd[..., 0] * dy) / den
-    return out if out.ndim else float(out)
+    return (num / den)[0]

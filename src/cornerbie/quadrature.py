@@ -6,8 +6,9 @@ fixed at 0 (exact to degree 2m, endpoint weight 1/(m+1)^2).  Both are
 built directly on [0, 1] via the symmetric tridiagonal Jacobi-matrix
 eigenproblem, so callers never rescale from [-1, 1].
 
-The module also evaluates the orthonormal shifted Legendre polynomials
-p_nu(x) = sqrt(2 nu + 1) P_nu(2x - 1) and their logarithmic moments
+The module also tabulates the orthonormal shifted Legendre polynomials
+p_nu(x) = sqrt(2 nu + 1) P_nu(2x - 1) at the nodes of a rule, and gives
+their logarithmic moments
 
     c_nu(s) = int_0^1 p_nu(z) log|z - s| dz,
 
@@ -29,7 +30,6 @@ __all__ = [
     "QuadratureRule",
     "gauss_legendre",
     "gauss_radau_left",
-    "legendre_orthonormal",
     "legendre_table",
     "log_moments",
 ]
@@ -72,9 +72,6 @@ class QuadratureRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    def integrate(self, f) -> float:
-        return float(self.weights @ f(self.nodes))
-
 
 def _check_order(m: int) -> None:
     if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_RULE_ORDER:
@@ -85,8 +82,6 @@ def _check_order(m: int) -> None:
 def gauss_legendre(m: int) -> QuadratureRule:
     """Gauss-Legendre rule with m nodes on [0, 1], exact to degree 2m-1."""
     _check_order(m)
-    if m == 1:
-        return QuadratureRule("legendre", 1, np.array([0.5]), np.array([1.0]))
     # monic Legendre recurrence mapped to [0, 1]: a_k = 1/2, b_k = k^2/(4(4k^2-1))
     k = np.arange(1, m)
     offdiag = np.sqrt(k * k / (4.0 * k * k - 1.0)) / 2.0
@@ -109,30 +104,11 @@ def gauss_radau_left(m: int) -> QuadratureRule:
     diag = (1.0 / ((2 * k + 1) * (2 * k + 3)) + 1.0) / 2.0
     kk = np.arange(1, m)
     offdiag = np.sqrt(kk * (kk + 1)) / (2.0 * (2 * kk + 1))
-    if m == 1:
-        interior = np.array([diag[0]])
-        omega = np.array([0.5])
-    else:
-        interior, vecs = eigh_tridiagonal(diag, offdiag)
-        omega = 0.5 * vecs[0] ** 2  # mu_0 = int_0^1 x dx = 1/2
+    interior, vecs = eigh_tridiagonal(diag, offdiag)
+    omega = 0.5 * vecs[0] ** 2  # mu_0 = int_0^1 x dx = 1/2
     nodes = np.concatenate(([0.0], interior))
     weights = np.concatenate(([1.0 / (m + 1) ** 2], omega / interior))
     return QuadratureRule("radau_left", m, nodes, weights)
-
-
-def legendre_orthonormal(nu: int, x):
-    """Orthonormal Legendre polynomial p_nu on [0, 1] at x (scalar or array)."""
-    if not 0 <= nu <= MAX_RULE_ORDER:
-        raise ParameterError(f"degree must be in [0, {MAX_RULE_ORDER}], got {nu}")
-    t = 2.0 * np.asarray(x, dtype=float) - 1.0
-    p_prev = np.ones_like(t)
-    if nu == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p_cur = t
-    for k in range(2, nu + 1):
-        p_prev, p_cur = p_cur, ((2 * k - 1) * t * p_cur - (k - 1) * p_prev) / k
-    out = np.sqrt(2 * nu + 1) * p_cur
-    return out if out.ndim else float(out)
 
 
 def legendre_table(nmax: int, x: np.ndarray) -> np.ndarray:

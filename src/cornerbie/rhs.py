@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import Boundary, Decomposition, macro_param_of
-from .quadrature import gauss_legendre, legendre_table, log_moments
+from .quadrature import MAX_MOMENTS, gauss_legendre, legendre_table, log_moments
 
 __all__ = [
     "NeumannDatum",
@@ -139,8 +139,8 @@ def rhs_approx(dec: Decomposition, datum: NeumannDatum, M: int, i: int, s: float
     other arcs contribute plain Gauss-Legendre sums of the log kernel,
     the self arc the moment product rule plus the chord-ratio term.
     """
-    if not 1 <= M <= 512:
-        raise ParameterError(f"rhs rule order must be in [1, 512], got {M}")
+    if not 1 <= M <= MAX_MOMENTS:
+        raise ParameterError(f"rhs rule order must be in [1, {MAX_MOMENTS}], got {M}")
     ell, sm = macro_param_of(dec, i, s)
     x, w, dens, pts, ptab = _tables(dec, datum, M)
     base = np.asarray(dec.boundary.arcs[ell].position(float(sm)), float)

@@ -7,7 +7,15 @@ import pytest
 from scipy.integrate import quad
 
 import cornerbie as cb
+from cornerbie.geometry import (
+    circle_arc,
+    decompose,
+    make_example_domain,
+    make_polygon,
+    make_smooth_boundary,
+)
 from cornerbie.quadrature import gauss_legendre
+from cornerbie.rhs import NeumannDatum
 
 # published reference values: per example, error cells for the evaluation
 # points (nearest ... farthest) and the matrix condition number per row
@@ -55,38 +63,38 @@ FARTHEST_POINT = {"heart": 3, "teardrop": 3, "boomerang": 3, "triangle": 3}
 
 @pytest.fixture(scope="session")
 def heart_boundary():
-    return cb.make_example_domain("heart", 5 * math.pi / 3)
+    return make_example_domain("heart", 5 * math.pi / 3)
 
 
 @pytest.fixture(scope="session")
 def heart_dec(heart_boundary):
-    return cb.decompose(heart_boundary, 3.87e-7)
+    return decompose(heart_boundary, 3.87e-7)
 
 
 @pytest.fixture(scope="session")
 def teardrop_dec():
-    return cb.decompose(cb.make_example_domain("teardrop", 2 * math.pi / 3), 5.37e-11)
+    return decompose(make_example_domain("teardrop", 2 * math.pi / 3), 5.37e-11)
 
 
 @pytest.fixture(scope="session")
 def boomerang_dec():
-    return cb.decompose(cb.make_example_domain("boomerang", 3 * math.pi / 2), 5.16e-8)
+    return decompose(make_example_domain("boomerang", 3 * math.pi / 2), 5.16e-8)
 
 
 @pytest.fixture(scope="session")
 def triangle_dec():
-    return cb.decompose(cb.make_example_domain("triangle"), 1e-6)
+    return decompose(make_example_domain("triangle"), 1e-6)
 
 
 @pytest.fixture(scope="session")
 def square_dec():
-    sq = cb.make_polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-    return cb.decompose(sq, 1e-7)
+    sq = make_polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    return decompose(sq, 1e-7)
 
 
 @pytest.fixture(scope="session")
 def circle_dec():
-    return cb.decompose(cb.make_smooth_boundary(cb.circle_arc()), 1e-6)
+    return decompose(make_smooth_boundary(circle_arc()), 1e-6)
 
 
 @pytest.fixture(scope="session")
@@ -98,7 +106,7 @@ def all_corner_decs(heart_dec, teardrop_dec, boomerang_dec, triangle_dec):
 @pytest.fixture(scope="session")
 def heart_datum(heart_dec):
     sol = cb.make_exact_solution("log_pair", q1=(0.5, 0.0), q2=(0.2, 0.0))
-    return cb.NeumannDatum(heart_dec.boundary, u_grad=sol.grad), sol
+    return NeumannDatum(heart_dec.boundary, u_grad=sol.grad), sol
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-import cornerbie as cb
-from cornerbie import AssemblyError, DiscretizationParams, ParameterError
-from cornerbie.assembly import UnknownMap, build_system, collocation_points, modified_wedge_rows
-from cornerbie.kernels import mellin_corner_coefficient
+from cornerbie import AssemblyError, ParameterError
+from cornerbie.assembly import (
+    DiscretizationParams,
+    UnknownMap,
+    _arc_rows,
+    build_system,
+    modified_wedge_rows,
+)
+from cornerbie.kernels import KernelContext, mellin_corner_coefficient
+from cornerbie.quadrature import gauss_radau_left
 
 
 def _zero_rhs(i, s):
@@ -37,8 +43,9 @@ def test_corner_runs_require_strict_order(heart_dec):
 
 def test_collocation_points(heart_dec):
     params = DiscretizationParams(mu=8, nu=32, c=300.0, eps=1e-3)
+    umap = UnknownMap(heart_dec, params)
     for i, count in ((0, 9), (1, 9), (2, 33)):
-        nodes = collocation_points(heart_dec, params, i)
+        nodes = umap.nodes[i]
         assert len(nodes) == count
         assert nodes[0] == 0.0
         assert nodes[-1] < 1.0  # the right endpoint is never a collocation point
@@ -80,24 +87,23 @@ def test_circle_sanity_matrix(circle_dec):
 
 
 def test_duplicate_corner_rows_identical(all_corner_decs):
+    # the upsilon corner row that assembly drops equals the gamma one it keeps
     for name, dec in all_corner_decs.items():
         params = DiscretizationParams(mu=4, nu=16,
                                       c=300.0 if name == "heart" else 100.0,
                                       eps=1e-3 if name != "triangle" else 1e-6)
-        system = build_system(dec, params, _zero_rhs, drop_duplicate_rows=False)
-        offset = 0
-        counts = [len(n) for n in system.unknown_map.nodes]
+        umap = UnknownMap(dec, params)
+        ctx = KernelContext(dec)
         for k in range(dec.n_corners):
-            row_gamma = offset
-            row_upsilon = offset + counts[3 * k]
-            diff = np.abs(system.matrix[row_gamma] - system.matrix[row_upsilon]).max()
+            row_gamma = _arc_rows(ctx, umap, 3 * k, [0], params.tau)[0]
+            row_upsilon = _arc_rows(ctx, umap, 3 * k + 1, [0], params.tau)[0]
+            diff = np.abs(row_gamma - row_upsilon).max()
             assert diff <= 1e-13, (name, k, diff)
-            offset += counts[3 * k] + counts[3 * k + 1] + counts[3 * k + 2]
 
 
 def test_wedge_rows_blend_continuity():
     chi = -2.0 / 3.0
-    t_nodes = cb.gauss_radau_left(8).nodes
+    t_nodes = gauss_radau_left(8).nodes
     tau = 0.31
     below = np.nextafter(tau, 0.0)
     rows, coeff = modified_wedge_rows(chi, t_nodes, np.array([tau, below]), tau)
@@ -108,7 +114,7 @@ def test_wedge_rows_blend_continuity():
 
 def test_wedge_rows_at_zero_reduce_to_corner_value():
     chi = 0.5
-    t_nodes = cb.gauss_radau_left(6).nodes
+    t_nodes = gauss_radau_left(6).nodes
     rows, coeff = modified_wedge_rows(chi, t_nodes, np.array([0.0]), 0.2)
     assert np.all(rows[0] == 0.0)
     assert coeff[0] == mellin_corner_coefficient(chi)
@@ -122,8 +128,8 @@ def test_wedge_block_row_norms(all_corner_decs):
             params = DiscretizationParams(mu=mu, nu=nu,
                                           c=300.0 if name == "heart" else 100.0,
                                           eps=1e-3 if name != "triangle" else 1e-6)
-            lam = cb.gauss_radau_left(mu).weights
-            s_vals = cb.gauss_radau_left(mu).nodes
+            lam = gauss_radau_left(mu).weights
+            s_vals = gauss_radau_left(mu).nodes
             for k in range(dec.n_corners):
                 chi = dec.boundary.corners[k].chi
                 rows, coeff = modified_wedge_rows(chi, s_vals, s_vals, params.tau)

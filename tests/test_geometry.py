@@ -3,13 +3,25 @@ import math
 import numpy as np
 import pytest
 
-import cornerbie as cb
 from cornerbie import GeometryError, ParameterError
-from cornerbie.geometry import CENTRAL, GAMMA, UPSILON, boundary_polyline, winding_number
+from cornerbie.geometry import (
+    CENTRAL,
+    GAMMA,
+    UPSILON,
+    boundary_polyline,
+    decompose,
+    line_arc,
+    macro_param_of,
+    make_boundary,
+    make_example_domain,
+    make_polygon,
+    subarc_eval,
+    winding_number,
+)
 
 
 def test_unit_square_corner_parameters():
-    sq = cb.make_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    sq = make_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     for corner in sq.corners:
         assert abs(corner.interior_angle - math.pi / 2) <= 1e-12
         assert abs(corner.chi - 0.5) <= 1e-12
@@ -17,7 +29,7 @@ def test_unit_square_corner_parameters():
 
 
 def test_triangle_corner_parameters():
-    tri = cb.make_example_domain("triangle")
+    tri = make_example_domain("triangle")
     expected = {(-1.25, -0.75): 0.75, (0.75, -0.75): 0.5, (0.75, 1.25): 0.75}
     for corner in tri.corners:
         chi = expected[tuple(corner.point)]
@@ -26,7 +38,7 @@ def test_triangle_corner_parameters():
 
 
 def test_heart_corner_and_closure():
-    b = cb.make_example_domain("heart", 5 * math.pi / 3)
+    b = make_example_domain("heart", 5 * math.pi / 3)
     assert np.linalg.norm(b.arcs[0].position(0.0)) <= 1e-14
     assert np.linalg.norm(b.arcs[0].position(1.0)) <= 1e-13
     assert abs(b.corners[0].chi - (-2.0 / 3.0)) <= 1e-12
@@ -35,7 +47,7 @@ def test_heart_corner_and_closure():
 
 def test_teardrop_parametrization_spot_values():
     phi = 2 * math.pi / 3
-    b = cb.make_example_domain("teardrop", phi)
+    b = make_example_domain("teardrop", phi)
     for t in (0.13, 0.5, 0.82):
         p = b.arcs[0].position(t)
         want = np.array([2 * math.sin(math.pi * t), -math.tan(phi / 2) * math.sin(2 * math.pi * t)])
@@ -43,16 +55,16 @@ def test_teardrop_parametrization_spot_values():
 
 
 def test_boomerang_inward_corner():
-    b = cb.make_example_domain("boomerang", 3 * math.pi / 2)
+    b = make_example_domain("boomerang", 3 * math.pi / 2)
     assert np.linalg.norm(b.corners[0].point) <= 1e-14
     assert abs(b.corners[0].chi - (-0.5)) <= 1e-12
 
 
 def test_example_domains_counterclockwise():
-    domains = [cb.make_example_domain("heart", 5 * math.pi / 3),
-               cb.make_example_domain("teardrop", 2 * math.pi / 3),
-               cb.make_example_domain("boomerang", 3 * math.pi / 2),
-               cb.make_example_domain("triangle")]
+    domains = [make_example_domain("heart", 5 * math.pi / 3),
+               make_example_domain("teardrop", 2 * math.pi / 3),
+               make_example_domain("boomerang", 3 * math.pi / 2),
+               make_example_domain("triangle")]
     for b in domains:
         pts = boundary_polyline(b, 4096)
         x, y = pts[:, 0], pts[:, 1]
@@ -61,7 +73,7 @@ def test_example_domains_counterclockwise():
 
 
 def test_corner_angle_matches_one_sided_tangents():
-    tri = cb.make_example_domain("triangle")
+    tri = make_example_domain("triangle")
     n = len(tri.arcs)
     for k, corner in enumerate(tri.corners):
         d_in = tri.arcs[(k - 1) % n].first_derivative(1.0)
@@ -71,38 +83,38 @@ def test_corner_angle_matches_one_sided_tangents():
 
 
 def test_make_boundary_rejects_open_curve():
-    arcs = [cb.line_arc((0, 0), (1, 0)), cb.line_arc((1, 0.5), (0, 0))]
+    arcs = [line_arc((0, 0), (1, 0)), line_arc((1, 0.5), (0, 0))]
     with pytest.raises(GeometryError):
-        cb.make_boundary(arcs, [math.pi / 2, math.pi / 2])
+        make_boundary(arcs, [math.pi / 2, math.pi / 2])
 
 
 def test_make_boundary_rejects_clockwise():
     with pytest.raises(GeometryError):
-        cb.make_polygon([(0, 0), (0, 1), (1, 1), (1, 0)])
+        make_polygon([(0, 0), (0, 1), (1, 1), (1, 0)])
 
 
 def test_make_boundary_rejects_angle_mismatch():
     sq = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    arcs = [cb.line_arc(sq[k], sq[(k + 1) % 4]) for k in range(4)]
+    arcs = [line_arc(sq[k], sq[(k + 1) % 4]) for k in range(4)]
     with pytest.raises(GeometryError):
-        cb.make_boundary(arcs, [math.pi / 2, math.pi / 2, math.pi / 2, math.pi / 3])
+        make_boundary(arcs, [math.pi / 2, math.pi / 2, math.pi / 2, math.pi / 3])
 
 
 def test_flat_corner_rejected():
     # three collinear points make a chi = 0 "corner"
     with pytest.raises(GeometryError):
-        cb.make_polygon([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
+        make_polygon([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
 
 
 def test_phi_range_errors():
     with pytest.raises(ParameterError):
-        cb.make_example_domain("heart", math.pi)
+        make_example_domain("heart", math.pi)
     with pytest.raises(ParameterError):
-        cb.make_example_domain("teardrop", 1.5 * math.pi)
+        make_example_domain("teardrop", 1.5 * math.pi)
     with pytest.raises(ParameterError):
-        cb.make_example_domain("boomerang", 0.5 * math.pi)
+        make_example_domain("boomerang", 0.5 * math.pi)
     with pytest.raises(ParameterError):
-        cb.make_example_domain("lens", 0.5 * math.pi)
+        make_example_domain("lens", 0.5 * math.pi)
 
 
 def test_polygon_decomposition_zero_deviation_and_cap(triangle_dec):
@@ -126,8 +138,8 @@ def test_corner_speed_matching(all_corner_decs):
     for dec in all_corner_decs.values():
         n = dec.n_corners
         for k in range(n):
-            _, d_gamma, _ = cb.subarc_eval(dec, 3 * k, 0.0)
-            _, d_upsilon, _ = cb.subarc_eval(dec, 3 * k + 1, 0.0)
+            _, d_gamma, _ = subarc_eval(dec, 3 * k, 0.0)
+            _, d_upsilon, _ = subarc_eval(dec, 3 * k + 1, 0.0)
             ratio = np.linalg.norm(d_gamma) / np.linalg.norm(d_upsilon)
             assert abs(ratio - 1.0) <= 1e-10
 
@@ -135,8 +147,8 @@ def test_corner_speed_matching(all_corner_decs):
 def test_corner_incidence(all_corner_decs):
     for dec in all_corner_decs.values():
         for k in range(dec.n_corners):
-            p_gamma, _, _ = cb.subarc_eval(dec, 3 * k, 0.0)
-            p_upsilon, _, _ = cb.subarc_eval(dec, 3 * k + 1, 0.0)
+            p_gamma, _, _ = subarc_eval(dec, 3 * k, 0.0)
+            p_upsilon, _, _ = subarc_eval(dec, 3 * k + 1, 0.0)
             corner = dec.boundary.corners[k].point
             assert np.abs(p_gamma - corner).max() <= 1e-12
             assert np.abs(p_upsilon - corner).max() <= 1e-12
@@ -157,7 +169,7 @@ def test_subarc_eval_chain_rule(heart_dec):
     dec = heart_dec
     gamma = dec.subarcs[0]
     length = gamma.b - gamma.a
-    _, d1, d2 = cb.subarc_eval(dec, 0, 0.0)
+    _, d1, d2 = subarc_eval(dec, 0, 0.0)
     macro_d1 = dec.boundary.arcs[0].first_derivative(1.0)
     macro_d2 = dec.boundary.arcs[0].second_derivative(1.0)
     np.testing.assert_allclose(d1, -length * macro_d1, rtol=1e-14)
@@ -165,50 +177,41 @@ def test_subarc_eval_chain_rule(heart_dec):
     # central arc point is the plain affine image
     central = dec.subarcs[2]
     s = 0.3
-    p, _, _ = cb.subarc_eval(dec, 2, s)
+    p, _, _ = subarc_eval(dec, 2, s)
     t = central.a + (central.b - central.a) * s
     np.testing.assert_allclose(p, dec.boundary.arcs[0].position(t), rtol=0, atol=0)
-
-
-def test_boundary_angle_piecewise(heart_dec):
-    chi = heart_dec.boundary.corners[0].chi
-    assert cb.boundary_angle(heart_dec, 0, 0.0) == (1.0 - chi) * math.pi
-    assert cb.boundary_angle(heart_dec, 1, 0.0) == (1.0 - chi) * math.pi
-    assert cb.boundary_angle(heart_dec, 0, 0.5) == math.pi
-    assert cb.boundary_angle(heart_dec, 2, 0.0) == math.pi
-    assert cb.boundary_angle(heart_dec, 2, 0.7) == math.pi
 
 
 def test_macro_param_of(triangle_dec):
     dec = triangle_dec
     e_up = dec.head_fraction[1]
-    ell, sm = cb.macro_param_of(dec, 3 * 1 + 1, 0.5)
+    ell, sm = macro_param_of(dec, 3 * 1 + 1, 0.5)
     assert ell == 1 and abs(sm - 0.5 * e_up) <= 1e-16
     e_gm = dec.tail_fraction[1]
-    ell, sm = cb.macro_param_of(dec, 3 * 1, 0.5)
+    ell, sm = macro_param_of(dec, 3 * 1, 0.5)
     assert ell == 0 and abs(sm - (1.0 - 0.5 * e_gm)) <= 1e-16
     central = dec.subarcs[5]
-    ell, sm = cb.macro_param_of(dec, 5, 0.25)
+    ell, sm = macro_param_of(dec, 5, 0.25)
     assert ell == central.macro_index
     assert abs(sm - (central.a + 0.25 * (central.b - central.a))) <= 1e-16
     # consistency: the mapped macro point equals the sub-arc point
     for i in (0, 1, 5):
         for s in (0.0, 0.21, 1.0):
-            ell, sm = cb.macro_param_of(dec, i, s)
-            p_sub, _, _ = cb.subarc_eval(dec, i, s)
+            ell, sm = macro_param_of(dec, i, s)
+            p_sub, _, _ = subarc_eval(dec, i, s)
             p_macro = dec.boundary.arcs[ell].position(sm)
             assert np.abs(p_sub - p_macro).max() <= 1e-12
 
 
 def test_decompose_errors(heart_boundary):
     with pytest.raises(ParameterError):
-        cb.decompose(heart_boundary, 0.0)
+        decompose(heart_boundary, 0.0)
     with pytest.raises(ParameterError):
-        cb.decompose(heart_boundary, 1e-7, cap=0.6)
+        decompose(heart_boundary, 1e-7, cap=0.6)
     # with the cap at exactly 1/2 a single-arc domain has no room for a
     # central section once the deviation allows full-cap corner arcs
     with pytest.raises(GeometryError):
-        cb.decompose(heart_boundary, 1e3, cap=0.5)
+        decompose(heart_boundary, 1e3, cap=0.5)
 
 
 def test_smooth_boundary_decomposition(circle_dec):
@@ -219,7 +222,7 @@ def test_smooth_boundary_decomposition(circle_dec):
 
 
 def test_winding_number():
-    b = cb.make_example_domain("heart", 5 * math.pi / 3)
+    b = make_example_domain("heart", 5 * math.pi / 3)
     pts = boundary_polyline(b, 4096)
     assert winding_number(pts, (0.5, 0.0)) == 1
     assert winding_number(pts, (-0.1, 0.0)) == 0

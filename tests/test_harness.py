@@ -206,3 +206,24 @@ def test_cli_numerical_failure_exit_3(tmp_path):
     code = cli_main(["solve", "--example", "heart", "--mu", "8", "--nu", "32",
                      "--points", str(pts)])
     assert code == 3
+
+
+def test_cli_restores_numpy_error_state(tmp_path):
+    before = np.geterr()
+    code = cli_main(["solve", "--example", "heart", "--mu", "8", "--nu", "32"])
+    assert code == 0
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("args,points_text", [
+    (["solve", "--example", "heart", "--phi", "abc"], None),
+    (["angle-sweep", "--example", "heart", "--phi-grid", "1.1pi,pi/"], None),
+    (["solve", "--example", "heart", "--mu", "8", "--nu", "32"], "1.0"),
+], ids=["phi", "phi-grid", "points"])
+def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
+    if points_text is not None:
+        pts = tmp_path / "pts.json"
+        pts.write_text(points_text)
+        args = args + ["--points", str(pts)]
+    assert cli_main(args) == 2
+    assert "configuration error" in capsys.readouterr().err

@@ -5,22 +5,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cornerbie as cb
 from cornerbie import CoincidentPointError, ExteriorDomainError, ParameterError
-from cornerbie.geometry import Decomposition, SubArc, GAMMA, UPSILON
+from cornerbie.geometry import (
+    GAMMA,
+    UPSILON,
+    Boundary,
+    Corner,
+    Decomposition,
+    MacroArc,
+    SubArc,
+    decompose,
+    line_arc,
+    make_polygon,
+    subarc_eval,
+)
 from cornerbie.kernels import (
     KernelContext,
     corner_remainder_limit,
-    corner_remainder_richardson,
     double_layer_block,
-    double_layer_kernel,
     field_kernel,
     mellin_corner_coefficient,
     mellin_kernel,
     remainder_block,
-    remainder_kernel,
 )
 from cornerbie.quadrature import gauss_radau_left
+
+
+def corner_remainder_richardson(ctx, i, j, steps=(1e-4, 5e-5, 2.5e-5)):
+    """Reference diagonal-limit estimate of M(0, 0) and its tolerance.
+
+    Extrapolates K(h, h) - L(h, h) along t = s = h to h -> 0 (first and
+    second order); the difference of the two orders estimates the error.
+    The closed form corner_remainder_limit is checked against it: the two
+    agree up to the extrapolation tolerance plus the roundoff floor of
+    the near-singular difference, which is why the closed form is what
+    enters the matrix.
+    """
+    chi = ctx.pair_chi(i, j)
+    h = np.asarray(steps, float)
+    f = np.diag(double_layer_block(ctx, i, j, h, h)) - mellin_kernel(chi, h, h)
+    first = 2.0 * f[1:] - f[:-1]
+    second = (4.0 * first[1] - first[0]) / 3.0
+    return float(second), float(abs(second - first[1]))
 
 
 @pytest.fixture(scope="module")
@@ -45,16 +71,16 @@ def test_circle_constant_row_sums(circle_ctx):
 def test_straight_segment_diagonal_is_zero(square_dec):
     ctx = KernelContext(square_dec)
     for i in (0, 1, 2):
-        assert double_layer_kernel(ctx, i, i, 0.3, 0.3) == 0.0
+        assert double_layer_block(ctx, i, i, [0.3], [0.3])[0, 0] == 0.0
 
 
 def test_far_field_kernel_bound(heart_dec):
     # |K| <= |sigma_j'(t)| / distance, from Cauchy-Schwarz on the numerator
     ctx = KernelContext(heart_dec)
     for t, s in ((0.2, 0.9), (0.5, 0.1), (0.77, 0.4)):
-        val = double_layer_kernel(ctx, 2, 2, t, s)
-        p_t, d_t, _ = cb.subarc_eval(heart_dec, 2, t)
-        p_s, _, _ = cb.subarc_eval(heart_dec, 2, s)
+        val = double_layer_block(ctx, 2, 2, [t], [s])[0, 0]
+        p_t, d_t, _ = subarc_eval(heart_dec, 2, t)
+        p_s, _, _ = subarc_eval(heart_dec, 2, s)
         bound = np.linalg.norm(d_t) / np.linalg.norm(p_s - p_t)
         assert abs(val) <= bound * (1 + 1e-12)
 
@@ -66,8 +92,8 @@ def test_diagonal_limit_consistency(circle_ctx, heart_dec):
     cases = [(circle_ctx, 0), (KernelContext(heart_dec), 2)]
     for ctx, arc in cases:
         t = 0.37
-        diag = double_layer_kernel(ctx, arc, arc, t, t)
-        f = [double_layer_kernel(ctx, arc, arc, t, t + h) for h in (4e-3, 2e-3, 1e-3)]
+        diag = double_layer_block(ctx, arc, arc, [t], [t])[0, 0]
+        f = double_layer_block(ctx, arc, arc, [t], t + np.array([4e-3, 2e-3, 1e-3]))[:, 0]
         first = [2 * f[1] - f[0], 2 * f[2] - f[1]]
         extrap = (4 * first[1] - first[0]) / 3
         assert abs(extrap - diag) <= 1e-6
@@ -96,11 +122,8 @@ def test_mellin_kernel_errors():
 def test_straight_corner_remainder_vanishes(square_dec):
     ctx = KernelContext(square_dec)
     grid = [0.0, 0.05, 0.3, 0.7, 0.99]
-    worst = 0.0
-    for i, j in ((0, 1), (1, 0)):
-        for t in grid:
-            for s in grid:
-                worst = max(worst, abs(remainder_kernel(ctx, i, j, t, s)))
+    worst = max(float(np.abs(remainder_block(ctx, i, j, grid, grid)).max())
+                for i, j in ((0, 1), (1, 0)))
     assert worst <= 1e-12
 
 
@@ -108,8 +131,8 @@ def test_remainder_equals_kernel_on_s_axis(teardrop_dec):
     # L(t, 0) = 0, so M(t, 0) = K(t, 0) for t > 0
     ctx = KernelContext(teardrop_dec)
     for t in (0.3, 0.8):
-        assert remainder_kernel(ctx, 0, 1, t, 0.0) == pytest.approx(
-            double_layer_kernel(ctx, 0, 1, t, 0.0), rel=1e-14)
+        assert remainder_block(ctx, 0, 1, [t], [0.0])[0, 0] == pytest.approx(
+            double_layer_block(ctx, 0, 1, [t], [0.0])[0, 0], rel=1e-14)
 
 
 def test_remainder_bounded_near_corner(all_corner_decs):
@@ -124,8 +147,8 @@ def test_remainder_bounded_near_corner(all_corner_decs):
         for k in range(dec.n_corners):
             for pair in ((3 * k, 3 * k + 1), (3 * k + 1, 3 * k)):
                 for h in (1e-2, 1e-3, 1e-4):
-                    m = abs(remainder_kernel(ctx, *pair, h, h))
-                    kk = abs(double_layer_kernel(ctx, *pair, h, h))
+                    m = abs(remainder_block(ctx, *pair, [h], [h])[0, 0])
+                    kk = abs(double_layer_block(ctx, *pair, [h], [h])[0, 0])
                     assert m <= 1e-4 * kk, (name, k, pair, h, m, kk)
                     assert m <= 1e-2, (name, k, pair, h, m)
 
@@ -134,17 +157,17 @@ def test_remainder_bounded_on_teardrop_grid(teardrop_dec):
     # no growth of the remainder as the corner is approached on a (t, s) grid
     ctx = KernelContext(teardrop_dec)
     grid = (1e-3, 1e-4, 1e-5)
-    worst = max(abs(remainder_kernel(ctx, i, j, t, s))
-                for i, j in ((0, 1), (1, 0)) for t in grid for s in grid)
+    worst = max(float(np.abs(remainder_block(ctx, i, j, grid, grid)).max())
+                for i, j in ((0, 1), (1, 0)))
     assert worst <= 1e-2
 
 
 def test_remainder_rejects_non_mellin_pairs(heart_dec):
     ctx = KernelContext(heart_dec)
     with pytest.raises(ParameterError):
-        remainder_kernel(ctx, 0, 2, 0.3, 0.4)
+        remainder_block(ctx, 0, 2, [0.3], [0.4])
     with pytest.raises(ParameterError):
-        remainder_kernel(ctx, 0, 0, 0.3, 0.4)
+        remainder_block(ctx, 0, 0, [0.3], [0.4])
 
 
 def test_corner_limit_square_is_zero(square_dec):
@@ -152,7 +175,7 @@ def test_corner_limit_square_is_zero(square_dec):
     assert corner_remainder_limit(ctx, 0, 1) == 0.0
     est, tol = corner_remainder_richardson(ctx, 0, 1)
     assert abs(est) <= 1e-10
-    assert remainder_kernel(ctx, 0, 1, 0.0, 0.0) == 0.0
+    assert remainder_block(ctx, 0, 1, [0.0], [0.0])[0, 0] == 0.0
 
 
 def _parabolic_corner(curvature_scale):
@@ -182,7 +205,7 @@ def _parabolic_corner(curvature_scale):
             t = np.asarray(t, float)
             return np.broadcast_to(wa, t.shape + (2,)).copy()
 
-        return cb.MacroArc(position, first, second)
+        return MacroArc(position, first, second)
 
     def upsilon_macro():
         def position(t):
@@ -197,10 +220,10 @@ def _parabolic_corner(curvature_scale):
             t = np.asarray(t, float)
             return np.broadcast_to(wb, t.shape + (2,)).copy()
 
-        return cb.MacroArc(position, first, second)
+        return MacroArc(position, first, second)
 
-    boundary = cb.Boundary((gamma_macro(), upsilon_macro()),
-                           (cb.Corner(0, np.zeros(2), omega),))
+    boundary = Boundary((gamma_macro(), upsilon_macro()),
+                           (Corner(0, np.zeros(2), omega),))
     subarcs = (SubArc(0, GAMMA, 0, 0.0, 1.0, True),
                SubArc(1, UPSILON, 1, 0.0, 1.0, False))
     return Decomposition(boundary, subarcs, np.array([1.0]), np.array([1.0]),
@@ -257,7 +280,7 @@ def test_corner_coefficient_matches_integral_limit(chi):
 
 def test_field_kernel_values_and_reversal(triangle_dec):
     # segment (t, 0) with field point (0, 1) at t = 0 gives -1
-    seg = cb.line_arc((0.0, 0.0), (1.0, 0.0))
+    seg = line_arc((0.0, 0.0), (1.0, 0.0))
     d = np.asarray(seg.first_derivative(0.0), float)
     p = np.asarray(seg.position(0.0), float)
     val = (d[1] * (0.0 - p[0]) - d[0] * (1.0 - p[1])) / ((0.0 - p[0]) ** 2 + (1.0 - p[1]) ** 2)
@@ -281,15 +304,15 @@ def test_field_kernel_far_bound(heart_dec):
     ctx = KernelContext(heart_dec)
     t = np.linspace(0.0, 0.99, 23)
     vals = field_kernel(ctx, 2, 30.0, 40.0, t)
-    _, d1, _ = cb.subarc_eval(heart_dec, 2, t)
-    pts, _, _ = cb.subarc_eval(heart_dec, 2, t)
+    _, d1, _ = subarc_eval(heart_dec, 2, t)
+    pts, _, _ = subarc_eval(heart_dec, 2, t)
     dist = np.hypot(30.0 - pts[:, 0], 40.0 - pts[:, 1])
     assert np.all(np.abs(vals) <= np.linalg.norm(d1, axis=-1) / dist * (1 + 1e-12))
 
 
 def test_field_kernel_near_singularity_error(heart_dec):
     ctx = KernelContext(heart_dec)
-    p, _, _ = cb.subarc_eval(heart_dec, 2, 0.5)
+    p, _, _ = subarc_eval(heart_dec, 2, 0.5)
     with pytest.raises(ExteriorDomainError):
         field_kernel(ctx, 2, float(p[0]), float(p[1]), np.array([0.5]))
 
@@ -297,8 +320,8 @@ def test_field_kernel_near_singularity_error(heart_dec):
 def test_coincidence_guard():
     # two sides of a square meet at the corner: asking for the kernel at the
     # shared point with distinct arc indices must signal a node-placement bug
-    sq = cb.make_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    dec = cb.decompose(sq, 1e-7)
+    sq = make_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    dec = decompose(sq, 1e-7)
     ctx = KernelContext(dec)
     with pytest.raises(CoincidentPointError):
         double_layer_block(ctx, 0, 1, np.array([0.0]), np.array([0.0]))
@@ -312,7 +335,7 @@ def test_remainder_block_matches_scalar(teardrop_dec):
     for li, sv in enumerate(s):
         for hi, tv in enumerate(t):
             assert block[li, hi] == pytest.approx(
-                remainder_kernel(ctx, 0, 1, float(tv), float(sv)), rel=1e-14, abs=1e-300)
+                remainder_block(ctx, 0, 1, [tv], [sv])[0, 0], rel=1e-14, abs=1e-300)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornerbie import ParameterError, gauss_legendre, gauss_radau_left, legendre_orthonormal, log_moments
-from cornerbie.quadrature import legendre_table
+from cornerbie import ParameterError
+from cornerbie.quadrature import gauss_legendre, gauss_radau_left, legendre_table, log_moments
 
-from conftest import oracle_log_moments
+from conftest import classical_legendre_table, oracle_log_moments
 
 EXACTNESS_ORDERS = (1, 2, 4, 8, 16, 32, 64)
 
@@ -117,23 +117,26 @@ def test_rule_order_range_errors(m):
 
 
 def test_orthonormal_basics():
-    assert legendre_orthonormal(0, 0.37) == 1.0
-    assert abs(legendre_orthonormal(1, 1.0) - math.sqrt(3.0)) <= 1e-15
+    assert legendre_table(1, np.array([0.37]))[0, 0] == 1.0
+    assert abs(legendre_table(2, np.array([1.0]))[1, 0] - math.sqrt(3.0)) <= 1e-15
 
 
 def test_orthonormality_via_quadrature():
     rule = gauss_legendre(8)
-    p2 = legendre_orthonormal(2, rule.nodes)
-    p3 = legendre_orthonormal(3, rule.nodes)
+    table = legendre_table(4, rule.nodes)
+    p2, p3 = table[2], table[3]
     assert abs(float(rule.weights @ (p2 * p3))) <= 1e-13
     assert abs(float(rule.weights @ (p2 * p2)) - 1.0) <= 1e-13
 
 
-def test_legendre_table_matches_scalar():
+def test_legendre_table_matches_classical():
+    # p_nu(x) = sqrt(2 nu + 1) P_nu(2x - 1) against the independent oracle
     x = np.linspace(0.0, 1.0, 7)
     table = legendre_table(6, x)
+    classical = classical_legendre_table(5, 2.0 * x - 1.0)
     for nu in range(6):
-        np.testing.assert_allclose(table[nu], legendre_orthonormal(nu, x), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(table[nu], math.sqrt(2 * nu + 1) * classical[nu],
+                                   rtol=0, atol=1e-14)
 
 
 def test_log_moments_endpoint_values():
@@ -176,8 +179,3 @@ def test_log_moments_range_errors():
         log_moments(0.5, 513)
     with pytest.raises(ParameterError):
         log_moments(-0.1, 8)
-
-
-def test_orthonormal_degree_range_error():
-    with pytest.raises(ParameterError):
-        legendre_orthonormal(4097, 0.5)

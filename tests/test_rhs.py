@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import cornerbie as cb
-from cornerbie import NeumannDatum, ParameterError, log_chord_ratio, normal_derivative, rhs_approx
+from cornerbie import ParameterError
 from cornerbie.assembly import DiscretizationParams, UnknownMap
-from cornerbie.quadrature import gauss_legendre, legendre_table
+from cornerbie.geometry import circle_arc, macro_param_of, make_example_domain, make_smooth_boundary
+from cornerbie.quadrature import gauss_legendre, gauss_radau_left, legendre_table
+from cornerbie.rhs import NeumannDatum, log_chord_ratio, normal_derivative, rhs_approx
 
 from conftest import oracle_single_layer
 
@@ -24,7 +26,7 @@ def heart_rhs_oracle(heart_dec, heart_datum, heart_deviation_points):
     datum, _ = heart_datum
     values = {}
     for i, s in heart_deviation_points:
-        _, sm = cb.macro_param_of(heart_dec, i, s)
+        _, sm = macro_param_of(heart_dec, i, s)
         values[(i, s)] = oracle_single_layer(heart_dec, datum, sm)
     return values
 
@@ -34,7 +36,7 @@ def _max_deviation(dec, datum, M, points, oracle):
 
 
 def test_arc_density_constant_on_straight_side():
-    tri = cb.make_example_domain("triangle")
+    tri = make_example_domain("triangle")
     datum = NeumannDatum(tri, f=lambda p: np.ones(np.asarray(p).shape[:-1]),
                          check_compatibility=False)
     t = np.linspace(0.0, 1.0, 9)
@@ -48,14 +50,14 @@ def test_arc_density_zero_datum(heart_boundary):
 
 
 def test_arc_density_circle():
-    b = cb.make_smooth_boundary(cb.circle_arc())
+    b = make_smooth_boundary(circle_arc())
     datum = NeumannDatum(b, f=lambda p: np.asarray(p)[..., 0])
     # f(1, 0) = 1 and |sigma'| = 2 pi at t = 0
     assert float(datum.arc_density(0, 0.0)) == pytest.approx(2 * math.pi, rel=1e-14)
 
 
 def test_normal_derivative_is_inward(heart_boundary):
-    b = cb.make_smooth_boundary(cb.circle_arc())
+    b = make_smooth_boundary(circle_arc())
     # constant gradient (1, 0): at t = 0 the inward normal is (-1, 0)
     val = normal_derivative(lambda p: np.broadcast_to([1.0, 0.0], np.asarray(p).shape), b, 0, 0.0)
     assert val == pytest.approx(-1.0, rel=1e-14)
@@ -65,7 +67,7 @@ def test_normal_derivative_is_inward(heart_boundary):
 
 
 def test_single_log_source_flux_is_minus_two_pi():
-    b = cb.make_smooth_boundary(cb.circle_arc())
+    b = make_smooth_boundary(circle_arc())
     q = np.array([0.3, 0.1])
 
     def grad(p):
@@ -91,7 +93,7 @@ def test_compatibility_of_example_data(all_corner_decs):
 
 
 def test_log_chord_ratio_straight_side():
-    tri = cb.make_example_domain("triangle")
+    tri = make_example_domain("triangle")
     t = np.array([0.1, 0.5, 0.9])
     out = log_chord_ratio(tri, 0, t, 0.5)
     np.testing.assert_allclose(out, math.log(2.0), rtol=1e-14)  # side length 2
@@ -99,7 +101,7 @@ def test_log_chord_ratio_straight_side():
 
 
 def test_log_chord_ratio_diagonal_branch():
-    b = cb.make_smooth_boundary(cb.circle_arc())
+    b = make_smooth_boundary(circle_arc())
     assert log_chord_ratio(b, 0, 0.37, 0.37) == pytest.approx(math.log(2 * math.pi), rel=1e-14)
     # Taylor expansion of the chord: smooth through the branch switch
     assert abs(log_chord_ratio(b, 0, 0.37 + 1e-9, 0.37) - math.log(2 * math.pi)) <= 1e-6
@@ -155,7 +157,7 @@ def test_rhs_rate_is_first_order_or_better(heart_dec, heart_datum,
 
 def test_rhs_cancellation_safety(heart_dec, heart_datum):
     datum, _ = heart_datum
-    nodes = cb.gauss_radau_left(8).nodes
+    nodes = gauss_radau_left(8).nodes
     s = float(nodes[3])
     a = rhs_approx(heart_dec, datum, 32, 1, s)
     b = rhs_approx(heart_dec, datum, 32, 1, s + 1e-15)

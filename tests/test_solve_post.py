@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import cornerbie as cb
-from cornerbie import ExteriorDomainError, NeumannDatum, SingularMatrixError, cond_inf
+from cornerbie import ExteriorDomainError, SingularMatrixError
 from cornerbie.assembly import DiscretizationParams, build_system
-from cornerbie.rhs import rhs_approx
-from cornerbie.solve_post import eval_exterior, solve_dense, solve_field
+from cornerbie.geometry import decompose, make_polygon
+from cornerbie.rhs import NeumannDatum, rhs_approx
+from cornerbie.solve_post import cond_inf, eval_exterior, solve_dense, solve_field
 
 
 def _system_from(matrix, rhs):
@@ -115,9 +116,9 @@ def test_reentrant_polygon_pipeline():
     # six corners, one of them reentrant: errors shrink as the orders double
     # and the conditioning stays flat
     verts = [(0.0, 0.0), (0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, 0.0)]
-    boundary = cb.make_polygon(verts)
+    boundary = make_polygon(verts)
     assert boundary.corners[0].chi == pytest.approx(-0.5, abs=1e-12)
-    dec = cb.decompose(boundary, 1e-7)
+    dec = decompose(boundary, 1e-7)
     sol = cb.make_exact_solution("log_pair", q1=(0.5, 0.0), q2=(0.5, -0.5))
     datum = NeumannDatum(boundary, u_grad=sol.grad)
     errs, conds = [], []

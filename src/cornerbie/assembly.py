@@ -152,8 +152,10 @@ class DenseSystem:
     ctx: KernelContext
 
 
-def _arc_rows(ctx: KernelContext, umap: UnknownMap, i: int, h, tau: float) -> np.ndarray:
-    """Collocation rows of sub-arc i at its nodes h, over the reduced columns.
+def _add_arc_rows(rows: np.ndarray, ctx: KernelContext, umap: UnknownMap, i: int,
+                  h, tau: float) -> None:
+    """Add the collocation rows of sub-arc i at the nodes that h selects
+    into rows, which has one row per selected node and the reduced columns.
 
     Each row is the -pi identity on the node's own column plus, per
     source arc j, the kernel block times the Radau weights; on Mellin
@@ -161,7 +163,6 @@ def _arc_rows(ctx: KernelContext, umap: UnknownMap, i: int, h, tau: float) -> np
     rows, whose corner coefficient lands on the merged corner column.
     """
     s_nodes = umap.nodes[i][h]
-    rows = np.zeros((len(s_nodes), umap.reduced_size))
     rows[np.arange(len(s_nodes)), umap.col_index[i][h]] += -math.pi
     for j in range(ctx.dec.n_subarcs):
         t_nodes, cols = umap.nodes[j], umap.col_index[j]
@@ -172,7 +173,6 @@ def _arc_rows(ctx: KernelContext, umap: UnknownMap, i: int, h, tau: float) -> np
         block = remainder_block(ctx, i, j, t_nodes, s_nodes) + wedge
         rows[:, cols] += block * umap.weights[j]
         rows[:, umap.corner_col[i // 3]] += corner_coeff
-    return rows
 
 
 def build_system(dec: Decomposition, params: DiscretizationParams,
@@ -188,7 +188,8 @@ def build_system(dec: Decomposition, params: DiscretizationParams,
     for i in range(dec.n_subarcs):
         keep = umap.row_index[i] >= 0
         rows = umap.row_index[i][keep]
-        A[rows] = _arc_rows(ctx, umap, i, keep, params.tau)
+        # an arc's kept rows are consecutive, so the slice is a view of A
+        _add_arc_rows(A[rows[0]:rows[-1] + 1], ctx, umap, i, keep, params.tau)
         for r, s in zip(rows, umap.nodes[i][keep]):
             b[r] = rhs_provider(i, float(s))
 

@@ -87,13 +87,11 @@ def modified_wedge_rows(chi: float, t_nodes: np.ndarray, s_values: np.ndarray,
     rows = np.empty((len(s_values), len(t_nodes)))
     corner_coeff = np.zeros(len(s_values))
     hi = s_values >= tau
-    if np.any(hi):
-        rows[hi] = mellin_kernel(chi, t_nodes[None, :], s_values[hi][:, None])
+    rows[hi] = mellin_kernel(chi, t_nodes[None, :], s_values[hi][:, None])
     lo = ~hi
-    if np.any(lo):
-        row_at_tau = mellin_kernel(chi, t_nodes, tau)
-        rows[lo] = (s_values[lo][:, None] / tau) * row_at_tau[None, :]
-        corner_coeff[lo] = (tau - s_values[lo]) / tau * mellin_corner_coefficient(chi)
+    row_at_tau = mellin_kernel(chi, t_nodes, tau)
+    rows[lo] = (s_values[lo][:, None] / tau) * row_at_tau[None, :]
+    corner_coeff[lo] = (tau - s_values[lo]) / tau * mellin_corner_coefficient(chi)
     return rows, corner_coeff
 
 

@@ -184,8 +184,6 @@ def _cmd_angle_sweep(args) -> int:
     if not args.phi_grid:
         raise ConfigError("angle-sweep needs --phi-grid")
     phis = [_parse_phi(tok) for tok in args.phi_grid.split(",") if tok.strip()]
-    if args.example == "triangle":
-        raise ConfigError("angle sweeps need a parametric family, not the triangle")
     mu = args.mu if args.mu is not None else 16
     nu = args.nu if args.nu is not None else 64
     eps = args.epsilon if args.epsilon is not None else example_config(args.example).eps

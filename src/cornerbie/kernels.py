@@ -123,9 +123,7 @@ def double_layer_block(ctx: KernelContext, i: int, j: int,
     if i == j:
         coincide = s[:, None] == t[None, :]
         out = ctx.orientation(j) * num / np.where(coincide, 1.0, den)
-        if np.any(coincide):
-            out = np.where(coincide, _diagonal_values(ctx, j, t)[None, :], out)
-        return out
+        return np.where(coincide, _diagonal_values(ctx, j, t)[None, :], out)
     _check_separated(ctx, i, j, t, s, den)
     return ctx.orientation(j) * num / den
 

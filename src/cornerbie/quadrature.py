@@ -144,8 +144,6 @@ def log_moments(s: float, M: int) -> np.ndarray:
         raise ParameterError(f"moment abscissa must lie in [0, 1], got {s}")
     c = np.empty(M)
     c[0] = -1.0
-    if M == 1 and s in (0.0, 1.0):
-        return c
     nu = np.arange(1, M)
     if s == 0.0:
         c[1:] = np.sqrt(2 * nu + 1) * (-1.0) ** (nu - 1) / (nu * (nu + 1))

@@ -325,6 +325,9 @@ def test_coincidence_guard():
     ctx = KernelContext(dec)
     with pytest.raises(CoincidentPointError):
         double_layer_block(ctx, 0, 1, np.array([0.0]), np.array([0.0]))
+    # the remainder exempts only the corner node pair itself
+    with pytest.raises(CoincidentPointError):
+        remainder_block(ctx, 0, 1, np.array([0.0]), np.array([0.0, 1e-20]))
 
 
 def test_remainder_block_matches_scalar(teardrop_dec):

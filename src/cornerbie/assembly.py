@@ -19,12 +19,15 @@ s > 0 and is already inside the corner coefficient at s = 0.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor
 
-from .errors import AssemblyError, ParameterError
+from .errors import AssemblyError, ParameterError, SingularMatrixError
 from .geometry import CENTRAL, GAMMA, UPSILON, Decomposition
 from .kernels import (
     KernelContext,
@@ -42,6 +45,8 @@ __all__ = [
     "modified_wedge_rows",
     "build_system",
 ]
+
+_PIVOT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,12 @@ class UnknownMap:
 
 @dataclass
 class DenseSystem:
-    """Reduced collocation matrix, right-hand side and index map."""
+    """Reduced collocation matrix, right-hand side and index map.
+
+    The system owns the one LU factorization of its matrix, computed on
+    first use of lu_factors and shared by the condition number and the
+    solve.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -148,6 +158,25 @@ class DenseSystem:
     params: DiscretizationParams
     dec: Decomposition
     ctx: KernelContext
+
+    @cached_property
+    def lu_factors(self):
+        """(lu, piv, norm_a): partial-pivoting LU factors and |A|_inf.
+
+        Raises SingularMatrixError when a pivot falls below 1e-14 |A|_inf.
+        """
+        a = self.matrix
+        norm_a = float(np.abs(a).sum(axis=1).max())
+        with warnings.catch_warnings():
+            # exact singularity is reported through SingularMatrixError below
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = lu_factor(a, check_finite=True)
+        pivots = np.abs(np.diag(lu))
+        if norm_a == 0.0 or pivots.min() < _PIVOT_TOL * norm_a:
+            raise SingularMatrixError(
+                f"numerically singular pivot {pivots.min():.3e} (|A|_inf = {norm_a:.3e})"
+            )
+        return lu, piv, norm_a
 
 
 def _add_arc_rows(rows: np.ndarray, ctx: KernelContext, umap: UnknownMap, i: int,
@@ -174,10 +203,12 @@ def _add_arc_rows(rows: np.ndarray, ctx: KernelContext, umap: UnknownMap, i: int
 
 
 def build_system(dec: Decomposition, params: DiscretizationParams,
-                 rhs_provider: Callable[[int, float], float]) -> DenseSystem:
+                 rhs_provider: Callable[[int, np.ndarray], np.ndarray]) -> DenseSystem:
     """Assemble the collocated system A a = b on the reduced unknowns.
 
-    rhs_provider(i, s) must return gbar_i(s) at any collocation point.
+    rhs_provider(i, s) is called once per sub-arc i with the 1-D array s
+    of its collocation parameters (the kept rows) and must return the
+    values gbar_i(s) as an array of the same length.
     """
     umap = UnknownMap(dec, params)
     ctx = KernelContext(dec)
@@ -187,9 +218,9 @@ def build_system(dec: Decomposition, params: DiscretizationParams,
         keep = umap.row_index[i] >= 0
         rows = umap.row_index[i][keep]
         # an arc's kept rows are consecutive, so the slice is a view of A
-        _add_arc_rows(A[rows[0]:rows[-1] + 1], ctx, umap, i, keep, params.tau)
-        for r, s in zip(rows, umap.nodes[i][keep]):
-            b[r] = rhs_provider(i, float(s))
+        span = slice(rows[0], rows[-1] + 1)
+        _add_arc_rows(A[span], ctx, umap, i, keep, params.tau)
+        b[span] = rhs_provider(i, umap.nodes[i][keep])
 
     if not np.all(np.isfinite(A)):
         bad = np.argwhere(~np.isfinite(A))[0]

@@ -52,8 +52,6 @@ def _load_points(path: str):
     except json.JSONDecodeError:
         data = [line.split() for line in text.splitlines()
                 if line.strip() and not line.lstrip().startswith("#")]
-        if not data:
-            raise ConfigError(f"no evaluation points found in {path}")
     try:
         return tuple((float(p[0]), float(p[1])) for p in data)
     except (TypeError, IndexError, ValueError) as exc:
@@ -108,7 +106,10 @@ def _resolve_config(args) -> RunConfig:
         raise ConfigError("--mu and --nu must be given together")
     if args.mu is not None:
         overrides["pairs"] = ((args.mu, args.nu),)
-    return replace(cfg, **overrides) if overrides else cfg
+    cfg = replace(cfg, **overrides) if overrides else cfg
+    if not cfg.points:
+        raise ConfigError("no evaluation points given (--points file or config 'points')")
+    return cfg
 
 
 def _add_common(sub):
@@ -184,6 +185,8 @@ def _cmd_angle_sweep(args) -> int:
     if not args.phi_grid:
         raise ConfigError("angle-sweep needs --phi-grid")
     phis = [_parse_phi(tok) for tok in args.phi_grid.split(",") if tok.strip()]
+    if not phis:
+        raise ConfigError(f"no angles found in --phi-grid {args.phi_grid!r}")
     mu = args.mu if args.mu is not None else 16
     nu = args.nu if args.nu is not None else 64
     eps = args.epsilon if args.epsilon is not None else example_config(args.example).eps

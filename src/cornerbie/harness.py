@@ -246,7 +246,7 @@ def _run_row(dec, datum, cfg: RunConfig, mu: int, nu: int) -> RowResult:
     else:
         n_outer = cfg.N
     system = build_system(dec, params, lambda i, s: rhs_approx(dec, datum, m_rhs, i, s))
-    cond = cond_inf(system.matrix)
+    cond = cond_inf(system)
     fld = solve_field(system, datum, n_outer)
     values, errors = [], []
     for p in cfg.points:
@@ -281,6 +281,14 @@ class SweepPoint:
     error_message: Optional[str] = None
 
 
+def _sweep_cond(family: str, phi: float, params: DiscretizationParams,
+                delta: float) -> float:
+    # the system and its LU are local here, so neither outlives its angle
+    dec = decompose(make_example_domain(family, phi), delta)
+    system = build_system(dec, params, lambda i, s: np.zeros(len(s)))
+    return cond_inf(system)
+
+
 def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
                 c: Optional[float] = None, eps: float = 1e-3,
                 delta: Optional[float] = None) -> List[SweepPoint]:
@@ -300,10 +308,7 @@ def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
     out: List[SweepPoint] = []
     for phi in phis:
         try:
-            boundary = make_example_domain(family, float(phi))
-            dec = decompose(boundary, delta)
-            system = build_system(dec, params, lambda i, s: 0.0)
-            out.append(SweepPoint(float(phi), cond_inf(system.matrix)))
+            out.append(SweepPoint(float(phi), _sweep_cond(family, float(phi), params, delta)))
         except CornerBieError as exc:
             out.append(SweepPoint(float(phi), math.nan,
                                   error_message=f"{type(exc).__name__}: {exc}"))

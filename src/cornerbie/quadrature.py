@@ -125,8 +125,11 @@ def legendre_table(nmax: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_moments(s: float, M: int) -> np.ndarray:
+def log_moments(s, M: int) -> np.ndarray:
     """Moments c_0(s) .. c_{M-1}(s) of log|z - s| against p_nu on [0, 1].
+
+    s is a float or a 1-D array; a float gives shape (M,), an array one
+    row of moments per abscissa, shape (len(s), M).
 
     c_0 has the elementary antiderivative s log s + (1-s) log(1-s) - 1.
     For nu >= 1 the moments follow from the Legendre functions of the
@@ -140,23 +143,25 @@ def log_moments(s: float, M: int) -> np.ndarray:
     """
     if not 1 <= M <= MAX_MOMENTS:
         raise ParameterError(f"moment count must be in [1, {MAX_MOMENTS}], got {M}")
-    if not 0.0 <= s <= 1.0:
-        raise ParameterError(f"moment abscissa must lie in [0, 1], got {s}")
-    c = np.empty(M)
-    c[0] = -1.0
+    sv = np.atleast_1d(np.asarray(s, float))
+    outside = ~((sv >= 0.0) & (sv <= 1.0))
+    if np.any(outside):
+        raise ParameterError(f"moment abscissa must lie in [0, 1], got {sv[outside][0]}")
+    c = np.empty((sv.size, M))
     nu = np.arange(1, M)
-    if s == 0.0:
-        c[1:] = np.sqrt(2 * nu + 1) * (-1.0) ** (nu - 1) / (nu * (nu + 1))
-        return c
-    if s == 1.0:
-        c[1:] = -np.sqrt(2 * nu + 1) / (nu * (nu + 1))
-        return c
-    y = 2.0 * s - 1.0
-    c[0] = s * math.log(s) + (1.0 - s) * math.log(1.0 - s) - 1.0
-    q = np.empty(M + 1)
-    q[0] = math.atanh(y)
+    root = np.sqrt(2 * nu + 1)
+    at0, at1 = sv == 0.0, sv == 1.0
+    c[at0 | at1, 0] = -1.0
+    c[at0, 1:] = root * (-1.0) ** (nu - 1) / (nu * (nu + 1))
+    c[at1, 1:] = -root / (nu * (nu + 1))
+    inner = ~(at0 | at1)
+    si = sv[inner]
+    y = 2.0 * si - 1.0
+    c[inner, 0] = si * np.log(si) + (1.0 - si) * np.log(1.0 - si) - 1.0
+    q = np.empty((M + 1, si.size))
+    q[0] = np.arctanh(y)
     q[1] = y * q[0] - 1.0
     for n in range(2, M + 1):
         q[n] = ((2 * n - 1) * y * q[n - 1] - (n - 1) * q[n - 2]) / n
-    c[1:] = (q[nu + 1] - q[nu - 1]) / np.sqrt(2 * nu + 1)
-    return c
+    c[inner, 1:] = ((q[nu + 1] - q[nu - 1]) / root[:, None]).T
+    return c if np.ndim(s) else c[0]

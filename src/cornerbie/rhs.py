@@ -14,7 +14,6 @@ Gauss-Legendre of order M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -100,58 +99,50 @@ class NeumannDatum:
         return total
 
 
-def log_chord_ratio(boundary: Boundary, ell: int, t, s: float):
+def log_chord_ratio(boundary: Boundary, ell: int, t, s):
     """log(|sigma_l(s) - sigma_l(t)| / |t - s|), safe at t = s.
 
-    Within 8 machine epsilons of the diagonal the ratio is replaced by
-    its limit |sigma_l'(t)|, which avoids the catastrophic cancellation
-    of the raw quotient.
+    t and s broadcast against each other.  Within 8 machine epsilons of
+    the diagonal the ratio is replaced by its limit |sigma_l'(t)|, which
+    avoids the catastrophic cancellation of the raw quotient.
     """
     t = np.asarray(t, float)
+    s = np.asarray(s, float)
     arc = boundary.arcs[ell]
-    near = np.abs(t - s) < _EPS_BRANCH
-    p = np.asarray(arc.position(t), float)
-    base = np.asarray(arc.position(float(s)), float)
-    chord = np.linalg.norm(p - base, axis=-1)
     gap = np.abs(t - s)
+    near = gap < _EPS_BRANCH
+    chord = np.linalg.norm(np.asarray(arc.position(t), float)
+                           - np.asarray(arc.position(s), float), axis=-1)
     speed = np.linalg.norm(np.asarray(arc.first_derivative(t), float), axis=-1)
     out = np.where(near, np.log(speed),
                    np.log(np.where(near, 1.0, chord) / np.where(near, 1.0, gap)))
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=16)
-def _tables(dec: Decomposition, datum: NeumannDatum, M: int):
-    """Gauss-Legendre data reused by every rhs evaluation: nodes/weights,
-    per-arc densities and points, and the Legendre table at the nodes."""
-    rule = gauss_legendre(M)
-    x, w = rule.nodes, rule.weights
-    boundary = dec.boundary
-    dens = [np.asarray(datum.arc_density(k, x), float) for k in range(len(boundary.arcs))]
-    pts = [np.asarray(boundary.arcs[k].position(x), float) for k in range(len(boundary.arcs))]
-    return x, w, dens, pts, legendre_table(M, x)
-
-
-def rhs_approx(dec: Decomposition, datum: NeumannDatum, M: int, i: int, s: float) -> float:
+def rhs_approx(dec: Decomposition, datum: NeumannDatum, M: int, i: int, s):
     """Product-rule approximation of gbar_i(s) with an M-point rule.
 
-    The collocation point is mapped to its macro arc (ell, s_macro); all
+    s is a float or a 1-D array of parameters on sub-arc i; a float gives
+    a float.  Each point is mapped to its macro arc (ell, s_macro); all
     other arcs contribute plain Gauss-Legendre sums of the log kernel,
-    the self arc the moment product rule plus the chord-ratio term.
+    the self arc the moment product rule plus the chord-ratio term.  For
+    an array the rule is one matrix per arc applied to the weighted
+    density w * f.
     """
     if not 1 <= M <= MAX_MOMENTS:
         raise ParameterError(f"rhs rule order must be in [1, {MAX_MOMENTS}], got {M}")
-    ell, sm = macro_param_of(dec, i, s)
-    x, w, dens, pts, ptab = _tables(dec, datum, M)
-    base = np.asarray(dec.boundary.arcs[ell].position(float(sm)), float)
-    total = 0.0
-    for k in range(len(dec.boundary.arcs)):
+    ell, sm = macro_param_of(dec, i, np.atleast_1d(np.asarray(s, float)))
+    rule = gauss_legendre(M)
+    x = rule.nodes
+    arcs = dec.boundary.arcs
+    base = np.asarray(arcs[ell].position(sm), float)
+    out = np.zeros(len(sm))
+    for k, arc in enumerate(arcs):
         if k == ell:
-            continue
-        dist = np.linalg.norm(pts[k] - base, axis=-1)
-        total += float(np.sum(w * dens[k] * np.log(dist)))
-    moments = log_moments(float(sm), M)
-    prod = ptab.T @ moments
-    dvec = log_chord_ratio(dec.boundary, ell, x, float(sm))
-    total += float(np.sum(w * dens[ell] * (prod + dvec)))
-    return total
+            kernel = log_moments(sm, M) @ legendre_table(M, x)
+            kernel += log_chord_ratio(dec.boundary, ell, x, sm[:, None])
+        else:
+            pts = np.asarray(arc.position(x), float)
+            kernel = np.log(np.linalg.norm(pts - base[:, None, :], axis=-1))
+        out += kernel @ (rule.weights * datum.arc_density(k, x))
+    return out if np.ndim(s) else float(out[0])

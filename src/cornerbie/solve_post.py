@@ -1,23 +1,24 @@
 """Direct solve, conditioning, and exterior field evaluation.
 
-The reduced collocation system is solved by LU with partial pivoting.
-Condition numbers are the infinity-norm kind with the inverse formed
-explicitly from the LU factors: at the dense sizes used here the exact
-number is cheap and reproducible.  The exterior harmonic field is
-recovered from the Green representation: an N-point Gauss-Legendre sum
-of the single-layer term over the macro arcs minus the Radau sums of
-the double-layer kernel against the solved nodal boundary values.
+The reduced collocation system is solved with the one LU factorization
+(partial pivoting) that the system owns.  Condition numbers are the
+infinity-norm kind with the inverse formed explicitly from the same LU
+factors: at the dense sizes used here the exact number is cheap and
+reproducible.  The exterior harmonic field is recovered from the Green
+representation: an N-point Gauss-Legendre sum of the single-layer term
+over the macro arcs minus the Radau sums of the double-layer kernel
+against the solved nodal boundary values.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import lu_solve
+from scipy.linalg.lapack import dgetri, dgetri_lwork
 
 from .assembly import DenseSystem
 from .errors import ExteriorDomainError, SingularMatrixError, SolveError
@@ -28,34 +29,19 @@ from .rhs import NeumannDatum
 
 __all__ = ["solve_dense", "cond_inf", "SolutionField", "solve_field", "eval_exterior"]
 
-_PIVOT_TOL = 1e-14
 _RESIDUAL_TOL = 1e-10
 _BOUNDARY_SAMPLES = 4096
 _BOUNDARY_DISTANCE_TOL = 1e-9
 
 
-def _lu_checked(a: np.ndarray):
-    norm_a = float(np.abs(a).sum(axis=1).max())
-    with warnings.catch_warnings():
-        # exact singularity is reported through SingularMatrixError below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(a, check_finite=True)
-    pivots = np.abs(np.diag(lu))
-    if norm_a == 0.0 or pivots.min() < _PIVOT_TOL * norm_a:
-        raise SingularMatrixError(
-            f"numerically singular pivot {pivots.min():.3e} (|A|_inf = {norm_a:.3e})"
-        )
-    return lu, piv, norm_a
-
-
 def solve_dense(system: DenseSystem):
-    """LU solve of the reduced system; returns (solution, residual_inf).
+    """Solve the reduced system with its LU; returns (solution, residual_inf).
 
     The residual must satisfy r <= 1e-10 (|A| |x| + |b|) in infinity
     norms, otherwise the solve is rejected.
     """
     a, b = system.matrix, system.rhs
-    lu, piv, norm_a = _lu_checked(a)
+    lu, piv, norm_a = system.lu_factors
     x = lu_solve((lu, piv), b)
     residual = float(np.abs(a @ x - b).max())
     bound = _RESIDUAL_TOL * (norm_a * float(np.abs(x).max()) + float(np.abs(b).max()))
@@ -64,11 +50,19 @@ def solve_dense(system: DenseSystem):
     return x, residual
 
 
-def cond_inf(matrix: np.ndarray) -> float:
-    """Infinity-norm condition number with the inverse formed from LU."""
-    lu, piv, norm_a = _lu_checked(matrix)
-    inv = lu_solve((lu, piv), np.eye(matrix.shape[0]))
-    return norm_a * float(np.abs(inv).sum(axis=1).max())
+def cond_inf(system: DenseSystem) -> float:
+    """Infinity-norm condition number of the system matrix.
+
+    The inverse is formed exactly, in place from the system's LU factors
+    by LAPACK getri with its optimal workspace.
+    """
+    lu, piv, norm_a = system.lu_factors
+    lwork, _ = dgetri_lwork(lu.shape[0])
+    inv, info = dgetri(lu, piv, lwork=int(lwork))
+    if info != 0:
+        raise SingularMatrixError(f"getri failed with info = {info}")
+    np.abs(inv, out=inv)
+    return norm_a * float(inv.sum(axis=1).max())
 
 
 @dataclass

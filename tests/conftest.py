@@ -7,9 +7,11 @@ import pytest
 from scipy.integrate import quad
 
 import cornerbie as cb
+from cornerbie.assembly import DiscretizationParams, UnknownMap
 from cornerbie.geometry import (
     circle_arc,
     decompose,
+    macro_param_of,
     make_example_domain,
     make_polygon,
     make_smooth_boundary,
@@ -107,6 +109,25 @@ def all_corner_decs(heart_dec, teardrop_dec, boomerang_dec, triangle_dec):
 def heart_datum(heart_dec):
     sol = cb.make_exact_solution("log_pair", q1=(0.5, 0.0), q2=(0.2, 0.0))
     return NeumannDatum(heart_dec.boundary, u_grad=sol.grad), sol
+
+
+@pytest.fixture(scope="session")
+def heart_deviation_points(heart_dec):
+    """All collocation points (i, s) of the coarse (8, 32) heart discretization."""
+    params = DiscretizationParams(mu=8, nu=32, c=300.0, eps=1e-3)
+    umap = UnknownMap(heart_dec, params)
+    return [(i, float(s)) for i in range(heart_dec.n_subarcs) for s in umap.nodes[i]]
+
+
+@pytest.fixture(scope="session")
+def heart_rhs_oracle(heart_dec, heart_datum, heart_deviation_points):
+    """Adaptive-quadrature right-hand side at every heart_deviation_points entry."""
+    datum, _ = heart_datum
+    values = {}
+    for i, s in heart_deviation_points:
+        _, sm = macro_param_of(heart_dec, i, s)
+        values[(i, s)] = oracle_single_layer(heart_dec, datum, sm)
+    return values
 
 
 @pytest.fixture(scope="session")

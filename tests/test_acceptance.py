@@ -15,7 +15,6 @@ import pytest
 
 import cornerbie as cb
 from cornerbie.assembly import DiscretizationParams, UnknownMap, build_system
-from cornerbie.geometry import macro_param_of
 from cornerbie.kernels import KernelContext, mellin_corner_coefficient, remainder_block
 from cornerbie.quadrature import gauss_legendre, gauss_radau_left, log_moments
 from cornerbie.rhs import NeumannDatum, rhs_approx
@@ -27,7 +26,6 @@ from conftest import (
     PAIRS,
     REFERENCE_TABLES,
     oracle_log_moments,
-    oracle_single_layer,
 )
 
 
@@ -174,15 +172,10 @@ def test_criterion_09_stability(example_tables):
                + ", ".join(f"{k}: max {v:.1f}" for k, v in sweeps.items()))
 
 
-def test_criterion_10_rhs_rate(heart_dec, heart_datum):
+def test_criterion_10_rhs_rate(heart_dec, heart_datum, heart_deviation_points,
+                               heart_rhs_oracle):
     datum, _ = heart_datum
-    params = DiscretizationParams(mu=8, nu=32, c=300.0, eps=1e-3)
-    umap = UnknownMap(heart_dec, params)
-    points = [(i, float(s)) for i in range(heart_dec.n_subarcs) for s in umap.nodes[i]]
-    oracle = {}
-    for i, s in points:
-        _, sm = macro_param_of(heart_dec, i, s)
-        oracle[(i, s)] = oracle_single_layer(heart_dec, datum, sm)
+    points, oracle = heart_deviation_points, heart_rhs_oracle
     devs = {M: max(abs(rhs_approx(heart_dec, datum, M, i, s) - oracle[(i, s)])
                    for i, s in points) for M in (32, 64)}
     ratio = devs[32] / devs[64]

@@ -219,7 +219,11 @@ def test_cli_restores_numpy_error_state(tmp_path):
     (["solve", "--example", "heart", "--phi", "abc"], None),
     (["angle-sweep", "--example", "heart", "--phi-grid", "1.1pi,pi/"], None),
     (["solve", "--example", "heart", "--mu", "8", "--nu", "32"], "1.0"),
-], ids=["phi", "phi-grid", "points"])
+    (["angle-sweep", "--example", "heart", "--phi-grid", ","], None),
+    (["table", "--example", "heart", "--mu", "8", "--nu", "32"], "[]"),
+    (["table", "--example", "heart", "--mu", "8", "--nu", "32"], "# no points\n"),
+], ids=["phi", "phi-grid", "points", "empty-phi-grid", "empty-points-json",
+        "empty-points-lines"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
     if points_text is not None:
         pts = tmp_path / "pts.json"
@@ -227,3 +231,14 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
         args = args + ["--points", str(pts)]
     assert cli_main(args) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_empty_config_points_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": "heart", "points": []}))
+    out = tmp_path / "e.csv"
+    code = cli_main(["table", "--config", str(cfg), "--mu", "8", "--nu", "32",
+                     "--out", str(out)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()

@@ -172,6 +172,17 @@ def test_log_moments_grid_property():
     assert worst256 <= 1e-8
 
 
+def test_log_moments_vector_equals_scalar_calls():
+    s = np.array([0.0, 0.3, 1.0, 1e-12, 0.5, 1.0 - 1e-12, 0.0, 0.91])
+    for M in (1, 2, 33, 256):
+        rows = log_moments(s, M)
+        assert rows.shape == (len(s), M)
+        for k, sk in enumerate(s):
+            scalar = log_moments(float(sk), M)
+            assert scalar.shape == (M,)
+            assert np.array_equal(rows[k], scalar), (M, sk)
+
+
 def test_log_moments_range_errors():
     with pytest.raises(ParameterError):
         log_moments(0.5, 0)
@@ -179,3 +190,7 @@ def test_log_moments_range_errors():
         log_moments(0.5, 513)
     with pytest.raises(ParameterError):
         log_moments(-0.1, 8)
+    with pytest.raises(ParameterError):
+        log_moments(np.array([0.2, 1.5, 0.4]), 8)
+    with pytest.raises(ParameterError):
+        log_moments(np.array([0.2, np.nan]), 8)

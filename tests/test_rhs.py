@@ -6,29 +6,9 @@ import pytest
 import cornerbie as cb
 from cornerbie import ParameterError
 from cornerbie.assembly import DiscretizationParams, UnknownMap
-from cornerbie.geometry import circle_arc, macro_param_of, make_example_domain, make_smooth_boundary
+from cornerbie.geometry import circle_arc, make_example_domain, make_smooth_boundary
 from cornerbie.quadrature import gauss_legendre, gauss_radau_left, legendre_table
 from cornerbie.rhs import NeumannDatum, log_chord_ratio, normal_derivative, rhs_approx
-
-from conftest import oracle_single_layer
-
-
-@pytest.fixture(scope="module")
-def heart_deviation_points(heart_dec):
-    """All collocation points of the coarse (8, 32) discretization."""
-    params = DiscretizationParams(mu=8, nu=32, c=300.0, eps=1e-3)
-    umap = UnknownMap(heart_dec, params)
-    return [(i, float(s)) for i in range(heart_dec.n_subarcs) for s in umap.nodes[i]]
-
-
-@pytest.fixture(scope="module")
-def heart_rhs_oracle(heart_dec, heart_datum, heart_deviation_points):
-    datum, _ = heart_datum
-    values = {}
-    for i, s in heart_deviation_points:
-        _, sm = macro_param_of(heart_dec, i, s)
-        values[(i, s)] = oracle_single_layer(heart_dec, datum, sm)
-    return values
 
 
 def _max_deviation(dec, datum, M, points, oracle):
@@ -131,6 +111,22 @@ def test_rhs_single_arc_uses_product_rule_only(heart_dec, heart_datum):
     v = rhs_approx(heart_dec, datum, 16, 2, 0.25)
     assert math.isfinite(v)
     assert v == rhs_approx(heart_dec, datum, 16, 2, 0.25)
+
+
+def test_rhs_array_matches_per_node_calls(all_corner_decs):
+    # one whole-array call per sub-arc equals its per-node float calls up to
+    # the summation order of the matrix products: 1e-14 relative to the
+    # largest value on the sub-arc, since single values can sit near zero
+    for name, dec in all_corner_decs.items():
+        cfg = cb.example_config(name)
+        datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
+        umap = UnknownMap(dec, DiscretizationParams(mu=8, nu=32, c=cfg.c, eps=cfg.eps))
+        for i in range(dec.n_subarcs):
+            nodes = umap.nodes[i]
+            got = rhs_approx(dec, datum, 16, i, nodes)
+            want = np.array([rhs_approx(dec, datum, 16, i, float(s)) for s in nodes])
+            assert got.shape == nodes.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (name, i)
 
 
 def test_rhs_oracle_agreement_decreases(heart_dec, heart_datum,

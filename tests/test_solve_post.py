@@ -1,22 +1,21 @@
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
 import cornerbie as cb
-from cornerbie import ExteriorDomainError, SingularMatrixError
-from cornerbie.assembly import DiscretizationParams, build_system
+from cornerbie import ExteriorDomainError, SingularMatrixError, assembly
+from cornerbie.assembly import DenseSystem, DiscretizationParams, build_system
 from cornerbie.geometry import decompose, make_polygon
 from cornerbie.rhs import NeumannDatum, rhs_approx
 from cornerbie.solve_post import cond_inf, eval_exterior, solve_dense, solve_field
 
 
-def _system_from(matrix, rhs):
-    class _Stub:
-        pass
-
-    stub = _Stub()
-    stub.matrix = np.asarray(matrix, float)
-    stub.rhs = np.asarray(rhs, float)
-    return stub
+def _system_from(matrix, rhs=None):
+    """A DenseSystem holding only a matrix and a right-hand side: the LU
+    solve and cond_inf read nothing else."""
+    a = np.asarray(matrix, float)
+    b = np.zeros(len(a)) if rhs is None else np.asarray(rhs, float)
+    return DenseSystem(a, b, unknown_map=None, params=None, dec=None, ctx=None)
 
 
 def test_solve_identity():
@@ -35,9 +34,10 @@ def test_solve_manufactured_random():
     rng = np.random.default_rng(42)
     a = rng.normal(size=(50, 50))
     x_true = rng.normal(size=50)
-    x, residual = solve_dense(_system_from(a, a @ x_true))
+    system = _system_from(a, a @ x_true)
+    x, residual = solve_dense(system)
     rel = np.abs(x - x_true).max() / np.abs(x_true).max()
-    assert rel <= 1e-10 * cond_inf(a)
+    assert rel <= 1e-10 * cond_inf(system)
     norm_a = np.abs(a).sum(axis=1).max()
     assert residual <= 1e-10 * (norm_a * np.abs(x).max() + np.abs(a @ x_true).max())
 
@@ -49,11 +49,36 @@ def test_solve_singular_matrix():
 
 
 def test_cond_inf_examples():
-    assert cond_inf(np.eye(4)) == 1.0
-    assert cond_inf(np.diag([1.0, 2.0])) == 2.0
-    assert cond_inf(np.array([[1.0, 1.0], [0.0, 1.0]])) == 4.0
+    assert cond_inf(_system_from(np.eye(4))) == 1.0
+    assert cond_inf(_system_from(np.diag([1.0, 2.0]))) == 2.0
+    assert cond_inf(_system_from(np.array([[1.0, 1.0], [0.0, 1.0]]))) == 4.0
     with pytest.raises(SingularMatrixError):
-        cond_inf(np.zeros((3, 3)))
+        cond_inf(_system_from(np.zeros((3, 3))))
+
+
+def test_cond_inf_matches_explicit_inverse():
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(200, 200))
+    norm_a = np.abs(a).sum(axis=1).max()
+    want = norm_a * np.abs(np.linalg.inv(a)).sum(axis=1).max()
+    assert cond_inf(_system_from(a)) == pytest.approx(want, rel=1e-12)
+
+
+def test_one_factorization_per_row_and_per_angle(monkeypatch):
+    calls = []
+
+    def counting_lu_factor(*args, **kwargs):
+        calls.append(1)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "lu_factor", counting_lu_factor)
+    rows = cb.run_example(cb.example_config("heart", pairs=((4, 16), (8, 32))))
+    assert not any(row.failed for row in rows)
+    assert len(calls) == 2
+    calls.clear()
+    points = cb.angle_sweep("boomerang", [1.3 * np.pi, 1.5 * np.pi, 1.7 * np.pi], 4, 16)
+    assert not any(pt.error_message for pt in points)
+    assert len(calls) == 3
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +151,7 @@ def test_reentrant_polygon_pipeline():
         params = DiscretizationParams(mu=mu, nu=nu, c=100.0, eps=1e-3)
         system = build_system(dec, params,
                               lambda i, s: rhs_approx(dec, datum, nu // 2, i, s))
-        conds.append(cond_inf(system.matrix))
+        conds.append(cond_inf(system))
         fld = solve_field(system, datum, nu // 2)
         errs.append(abs(eval_exterior(fld, 3.0, 3.0) - float(sol.u(np.array([3.0, 3.0])))))
     assert errs[1] < errs[0] / 2

@@ -156,14 +156,14 @@ class RunConfig:
         boundary = self.build_boundary()
         polyline = boundary_polyline(boundary)
         for q in self.solution.singular_points:
-            if winding_number(polyline, q) == 0:
+            if not np.isfinite(q).all() or winding_number(polyline, q) == 0:
                 raise ConfigError(
                     f"singular point {q} of solution {self.solution.name!r} "
-                    f"must lie inside the domain"
+                    f"must be a finite point inside the domain"
                 )
         for p in self.points:
-            if winding_number(polyline, p) != 0:
-                raise ConfigError(f"evaluation point {p} is not exterior")
+            if not np.isfinite(p).all() or winding_number(polyline, p) != 0:
+                raise ConfigError(f"evaluation point {p} is not a finite exterior point")
 
 
 _EXAMPLES = {

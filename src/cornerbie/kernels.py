@@ -41,6 +41,7 @@ __all__ = [
     "corner_remainder_limit",
     "mellin_corner_coefficient",
     "field_kernel",
+    "field_kernel_at",
 ]
 
 _COINCIDENCE_FACTOR = 1e-28
@@ -85,15 +86,14 @@ def _diagonal_values(ctx: KernelContext, j: int, t: np.ndarray) -> np.ndarray:
     return ctx.orientation(j) * 0.5 * num / (d1 * d1).sum(-1)
 
 
-def _numerator_and_distance(ctx: KernelContext, field_pts: np.ndarray, j: int,
-                            t: np.ndarray):
+def _numerator_and_distance(field_pts: np.ndarray, sp: np.ndarray, sd: np.ndarray):
     """Raw double-layer numerator and squared distance between field
-    points field_pts (shape (L, 2)) and sub-arc j at t; both (L, len(t)).
+    points field_pts (shape (L, 2)) and source points sp with sub-arc
+    derivatives sd (shape (H, 2) each); both (L, H).
 
     The numerator is taken with the sub-arc's own derivative, so on a
     reversed arc it carries the opposite sign of the CCW kernel.
     """
-    sp, sd, _ = subarc_eval(ctx.dec, j, t)
     dx = field_pts[:, None, 0] - sp[None, :, 0]
     dy = field_pts[:, None, 1] - sp[None, :, 1]
     return sd[None, :, 1] * dx - sd[None, :, 0] * dy, dx * dx + dy * dy
@@ -119,7 +119,8 @@ def double_layer_block(ctx: KernelContext, i: int, j: int,
     t = np.atleast_1d(np.asarray(t, float))
     s = np.atleast_1d(np.asarray(s, float))
     fp, _, _ = subarc_eval(ctx.dec, i, s)
-    num, den = _numerator_and_distance(ctx, fp, j, t)
+    sp, sd, _ = subarc_eval(ctx.dec, j, t)
+    num, den = _numerator_and_distance(fp, sp, sd)
     if i == j:
         coincide = s[:, None] == t[None, :]
         out = ctx.orientation(j) * num / np.where(coincide, 1.0, den)
@@ -164,7 +165,8 @@ def remainder_block(ctx: KernelContext, i: int, j: int,
     s = np.atleast_1d(np.asarray(s, float))
     corner_pair = (s[:, None] == 0.0) & (t[None, :] == 0.0)
     fp, _, _ = subarc_eval(ctx.dec, i, s)
-    num, den = _numerator_and_distance(ctx, fp, j, t)
+    sp, sd, _ = subarc_eval(ctx.dec, j, t)
+    num, den = _numerator_and_distance(fp, sp, sd)
     den = np.where(corner_pair, np.inf, den)
     _check_separated(ctx, i, j, t, s, den)
     wedge = mellin_kernel(chi, np.where(corner_pair, 1.0, t[None, :]), s[:, None])
@@ -193,9 +195,23 @@ def field_kernel(ctx: KernelContext, i: int, x: float, y: float, t) -> np.ndarra
     sums over arcs.
     """
     t = np.atleast_1d(np.asarray(t, float))
-    num, den = _numerator_and_distance(ctx, np.array([[x, y]], float), i, t)
-    if np.any(den < _FIELD_DISTANCE_TOL**2):
+    sp, sd, _ = subarc_eval(ctx.dec, i, t)
+    return field_kernel_at(x, y, sp, sd, np.full(len(t), i))
+
+
+def field_kernel_at(x: float, y: float, sp: np.ndarray, sd: np.ndarray,
+                    subarc: np.ndarray) -> np.ndarray:
+    """field_kernel at source points sp with sub-arc derivatives sd
+    (shape (H, 2) each), where source h lies on sub-arc subarc[h].
+
+    Raises, naming the first such sub-arc, when (x, y) is within 1e-12
+    of a source point.
+    """
+    num, den = _numerator_and_distance(np.array([[x, y]], float), sp, sd)
+    near = den[0] < _FIELD_DISTANCE_TOL**2
+    if near.any():
         raise ExteriorDomainError(
-            f"field point ({x}, {y}) within {_FIELD_DISTANCE_TOL} of sub-arc {i}"
+            f"field point ({x}, {y}) within {_FIELD_DISTANCE_TOL} "
+            f"of sub-arc {subarc[int(near.argmax())]}"
         )
     return (num / den)[0]

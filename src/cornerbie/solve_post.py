@@ -22,8 +22,8 @@ from scipy.linalg.lapack import dgetri, dgetri_lwork
 
 from .assembly import DenseSystem
 from .errors import ExteriorDomainError, SingularMatrixError, SolveError
-from .geometry import boundary_polyline, winding_number
-from .kernels import field_kernel
+from .geometry import _winding_of_offsets, boundary_polyline, subarc_eval
+from .kernels import field_kernel_at
 from .quadrature import gauss_legendre
 from .rhs import NeumannDatum
 
@@ -67,7 +67,14 @@ def cond_inf(system: DenseSystem) -> float:
 
 @dataclass
 class SolutionField:
-    """Solved nodal boundary values plus everything needed for field eval."""
+    """Solved nodal boundary values plus everything needed for field eval.
+
+    Construction also computes the evaluation data that do not depend on
+    the field point: the boundary polyline for point location, the
+    N-point Gauss-Legendre source positions and weighted datum densities
+    per macro arc, and the Radau source positions and derivatives of all
+    sub-arcs, concatenated in sub-arc order.
+    """
 
     system: DenseSystem
     datum: NeumannDatum
@@ -75,9 +82,34 @@ class SolutionField:
     values: List[np.ndarray]
     residual: float
     _polyline: np.ndarray = field(init=False, repr=False)
+    _arc_points: np.ndarray = field(init=False, repr=False)
+    _arc_weights: np.ndarray = field(init=False, repr=False)
+    _src_points: np.ndarray = field(init=False, repr=False)
+    _src_derivs: np.ndarray = field(init=False, repr=False)
+    _src_subarc: np.ndarray = field(init=False, repr=False)
+    _src_weights: np.ndarray = field(init=False, repr=False)
+    _src_values: np.ndarray = field(init=False, repr=False)
+    _subarc_bounds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._polyline = boundary_polyline(self.system.dec.boundary, _BOUNDARY_SAMPLES)
+        dec, umap = self.system.dec, self.system.unknown_map
+        self._polyline = boundary_polyline(dec.boundary, _BOUNDARY_SAMPLES)
+        rule = gauss_legendre(self.N)
+        arcs = range(len(dec.boundary.arcs))
+        self._arc_points = np.stack([
+            np.asarray(dec.boundary.arcs[k].position(rule.nodes), float) for k in arcs
+        ])
+        self._arc_weights = np.stack([
+            rule.weights * self.datum.arc_density(k, rule.nodes) for k in arcs
+        ])
+        geom = [subarc_eval(dec, i, umap.nodes[i]) for i in range(dec.n_subarcs)]
+        counts = [len(x) for x in umap.nodes]
+        self._src_points = np.concatenate([p for p, _, _ in geom])
+        self._src_derivs = np.concatenate([d1 for _, d1, _ in geom])
+        self._src_subarc = np.repeat(np.arange(dec.n_subarcs), counts)
+        self._src_weights = np.concatenate(umap.weights)
+        self._src_values = np.concatenate(self.values)
+        self._subarc_bounds = np.r_[0, np.cumsum(counts)]
 
 
 def solve_field(system: DenseSystem, datum: NeumannDatum, N: int) -> SolutionField:
@@ -90,28 +122,34 @@ def solve_field(system: DenseSystem, datum: NeumannDatum, N: int) -> SolutionFie
 def eval_exterior(fld: SolutionField, x: float, y: float) -> float:
     """Approximate harmonic solution at a strictly exterior point.
 
-    Raises for points inside the domain (winding-number test against a
-    dense boundary sampling) or within 1e-9 of the sampled boundary.
-    The decay condition pins the value at infinity to zero.
+    Raises for non-finite points, for points inside the domain
+    (winding-number test against a dense boundary sampling) or within
+    1e-9 of the sampled boundary, and when the value is not finite.  The
+    decay condition pins the value at infinity to zero.
     """
     p = np.array([float(x), float(y)])
+    if not np.isfinite(p).all():
+        raise ExteriorDomainError(f"point ({x}, {y}) is not finite")
     d = fld._polyline - p
     if float(np.sqrt((d * d).sum(axis=1)).min()) < _BOUNDARY_DISTANCE_TOL:
         raise ExteriorDomainError(f"point ({x}, {y}) is on or next to the boundary")
-    if winding_number(fld._polyline, p) != 0:
+    if _winding_of_offsets(d) != 0:
         raise ExteriorDomainError(f"point ({x}, {y}) lies inside the domain")
 
-    system = fld.system
-    dec, ctx, umap = system.dec, system.ctx, system.unknown_map
-    rule = gauss_legendre(fld.N)
+    # each macro arc and each sub-arc is summed over its own nodes, and the
+    # sums are added in arc order: one sum over all nodes would round
+    # differently from the per-arc evaluation this replaces
+    dist = np.linalg.norm(fld._arc_points - p, axis=-1)
     single = 0.0
-    for k in range(len(dec.boundary.arcs)):
-        pts = np.asarray(dec.boundary.arcs[k].position(rule.nodes), float)
-        dist = np.linalg.norm(pts - p, axis=-1)
-        dens = fld.datum.arc_density(k, rule.nodes)
-        single += float(np.sum(rule.weights * dens * np.log(dist)))
+    for arc_sum in np.sum(fld._arc_weights * np.log(dist), axis=1):
+        single += float(arc_sum)
+    h = field_kernel_at(p[0], p[1], fld._src_points, fld._src_derivs, fld._src_subarc)
+    terms = fld._src_weights * h * fld._src_values
+    ctx, bounds = fld.system.ctx, fld._subarc_bounds
     double = 0.0
-    for i in range(dec.n_subarcs):
-        h = field_kernel(ctx, i, p[0], p[1], umap.nodes[i])
-        double += ctx.orientation(i) * float(np.sum(umap.weights[i] * h * fld.values[i]))
-    return -(single - double) / (2.0 * math.pi)
+    for i in range(len(bounds) - 1):
+        double += ctx.orientation(i) * float(np.sum(terms[bounds[i]:bounds[i + 1]]))
+    value = -(single - double) / (2.0 * math.pi)
+    if not math.isfinite(value):
+        raise ExteriorDomainError(f"field value at ({x}, {y}) is not finite")
+    return value

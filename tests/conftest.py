@@ -7,8 +7,10 @@ import pytest
 from scipy.integrate import quad
 
 import cornerbie as cb
+from cornerbie import ExteriorDomainError
 from cornerbie.assembly import DiscretizationParams, UnknownMap
 from cornerbie.geometry import (
+    boundary_polyline,
     circle_arc,
     decompose,
     macro_param_of,
@@ -16,6 +18,7 @@ from cornerbie.geometry import (
     make_polygon,
     make_smooth_boundary,
 )
+from cornerbie.kernels import field_kernel
 from cornerbie.quadrature import gauss_legendre
 from cornerbie.rhs import NeumannDatum
 
@@ -208,3 +211,39 @@ def oracle_single_layer(dec, datum, s_macro: float, ell: int = 0,
                       epsabs=tol, epsrel=tol)
         total += val
     return total
+
+
+def eval_exterior_per_point(fld, x: float, y: float) -> float:
+    """Exterior field value with all geometry recomputed per point.
+
+    The polyline, the macro-arc rule positions, the datum densities and
+    the sub-arc geometry are rebuilt for every point, and the winding
+    angles are wrapped with the remainder operator; otherwise the
+    arithmetic and its order are those of eval_exterior, so the two agree
+    bit for bit (non-finite input and output aside).
+    """
+    p = np.array([float(x), float(y)])
+    polyline = boundary_polyline(fld.system.dec.boundary, 4096)
+    d = polyline - p
+    if float(np.sqrt((d * d).sum(axis=1)).min()) < 1e-9:
+        raise ExteriorDomainError(f"point ({x}, {y}) is on or next to the boundary")
+    ang = np.arctan2(d[:, 1], d[:, 0])
+    turns = np.diff(np.concatenate([ang, ang[:1]]))
+    turns = (turns + np.pi) % (2.0 * np.pi) - np.pi
+    if int(round(float(turns.sum()) / (2.0 * np.pi))) != 0:
+        raise ExteriorDomainError(f"point ({x}, {y}) lies inside the domain")
+
+    system = fld.system
+    dec, ctx, umap = system.dec, system.ctx, system.unknown_map
+    rule = gauss_legendre(fld.N)
+    single = 0.0
+    for k in range(len(dec.boundary.arcs)):
+        pts = np.asarray(dec.boundary.arcs[k].position(rule.nodes), float)
+        dist = np.linalg.norm(pts - p, axis=-1)
+        dens = fld.datum.arc_density(k, rule.nodes)
+        single += float(np.sum(rule.weights * dens * np.log(dist)))
+    double = 0.0
+    for i in range(dec.n_subarcs):
+        h = field_kernel(ctx, i, p[0], p[1], umap.nodes[i])
+        double += ctx.orientation(i) * float(np.sum(umap.weights[i] * h * fld.values[i]))
+    return -(single - double) / (2.0 * math.pi)

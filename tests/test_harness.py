@@ -75,6 +75,18 @@ def test_config_validation_catches_bad_points():
         cfg.validate()
 
 
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
+def test_non_finite_points_are_config_errors(point):
+    cfg = example_config("heart", pairs=((8, 32),), points=(point,))
+    with pytest.raises(ConfigError):
+        cfg.validate()
+    with pytest.raises(ConfigError):
+        run_example(cfg)
+    sol = make_exact_solution("log_pair", q1=point, q2=(0.2, 0.0))
+    with pytest.raises(ConfigError):
+        example_config("heart", solution=sol).validate()
+
+
 def test_run_example_smoke():
     cfg = example_config("heart", pairs=((8, 32),))
     rows = run_example(cfg)
@@ -222,8 +234,9 @@ def test_cli_restores_numpy_error_state(tmp_path):
     (["angle-sweep", "--example", "heart", "--phi-grid", ","], None),
     (["table", "--example", "heart", "--mu", "8", "--nu", "32"], "[]"),
     (["table", "--example", "heart", "--mu", "8", "--nu", "32"], "# no points\n"),
+    (["solve", "--example", "heart", "--mu", "8", "--nu", "32"], "nan 0\n"),
 ], ids=["phi", "phi-grid", "points", "empty-phi-grid", "empty-points-json",
-        "empty-points-lines"])
+        "empty-points-lines", "nan-point"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
     if points_text is not None:
         pts = tmp_path / "pts.json"

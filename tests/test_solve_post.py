@@ -1,13 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor
 
 import cornerbie as cb
-from cornerbie import ExteriorDomainError, SingularMatrixError, assembly
+from cornerbie import (
+    ExteriorDomainError,
+    SingularMatrixError,
+    assembly,
+    geometry,
+    kernels,
+    solve_post,
+)
 from cornerbie.assembly import DenseSystem, DiscretizationParams, build_system
-from cornerbie.geometry import decompose, make_polygon
+from cornerbie.geometry import decompose, make_polygon, subarc_eval
 from cornerbie.rhs import NeumannDatum, rhs_approx
 from cornerbie.solve_post import cond_inf, eval_exterior, solve_dense, solve_field
+from conftest import eval_exterior_per_point
 
 
 def _system_from(matrix, rhs=None):
@@ -101,6 +111,90 @@ def test_eval_exterior_rejects_boundary_point(heart_field):
     p = fld.system.dec.boundary.corners[0].point
     with pytest.raises(ExteriorDomainError):
         eval_exterior(fld, float(p[0]), float(p[1]))
+
+
+@pytest.mark.parametrize("x,y", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                 (1e300, 1e300)])
+def test_eval_exterior_rejects_non_finite(heart_field, x, y):
+    # (1e300, 1e300) is finite, but its value overflows to NaN
+    fld, _ = heart_field
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ExteriorDomainError):
+            eval_exterior(fld, x, y)
+
+
+@pytest.fixture(scope="module")
+def fields_16_64(all_corner_decs):
+    """(16, 64) fields of the four benchmark domains with the harness's
+    datum and rule orders."""
+    fields = {}
+    for name, dec in all_corner_decs.items():
+        cfg = cb.example_config(name)
+        datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
+        params = DiscretizationParams(mu=16, nu=64, c=cfg.c, eps=cfg.eps)
+        system = build_system(dec, params, lambda i, s: rhs_approx(dec, datum, 32, i, s))
+        fields[name] = solve_field(system, datum, 64 if cfg.N == -1 else 32)
+    return fields
+
+
+def _offset_points(boundary, n=40):
+    """n points off the boundary along the outward normal, at distances
+    log-spaced from 1e-3 to 1e2 (concave stretches may put some inside)."""
+    pts = []
+    for k, dist in enumerate(np.geomspace(1e-3, 1e2, n)):
+        arc = boundary.arcs[k % len(boundary.arcs)]
+        t = (0.5 + k * 0.618034) % 1.0
+        foot = np.asarray(arc.position(t), float)
+        d1 = np.asarray(arc.first_derivative(t), float)
+        pts.append(foot + dist * np.array([d1[1], -d1[0]]) / np.linalg.norm(d1))
+    return pts
+
+
+@pytest.mark.parametrize("name", cb.harness.EXAMPLE_NAMES)
+def test_eval_exterior_matches_per_point_loop(fields_16_64, name):
+    fld = fields_16_64[name]
+    got, want, got_err, want_err = [], [], [], []
+    for x, y in _offset_points(fld.system.dec.boundary):
+        for fn, vals, errs in ((eval_exterior, got, got_err),
+                               (eval_exterior_per_point, want, want_err)):
+            try:
+                vals.append(fn(fld, x, y))
+            except ExteriorDomainError as exc:
+                errs.append(str(exc))
+    assert len(want) >= 30
+    np.testing.assert_array_equal(got, want)
+    assert got_err == want_err
+
+
+@pytest.mark.parametrize("name", ["heart", "triangle"])
+def test_eval_exterior_rejects_collocation_nodes(fields_16_64, name):
+    # these nodes pass the polyline tests, so only the sub-arc guard of
+    # the field kernel stops them
+    fld = fields_16_64[name]
+    for i, h in ((0, 1), (1, 1), (2, 0), (2, 32)):
+        p, _, _ = subarc_eval(fld.system.dec, i, fld.system.unknown_map.nodes[i][h])
+        with pytest.raises(ExteriorDomainError, match=rf"within 1e-12 of sub-arc {i}$"):
+            eval_exterior(fld, float(p[0]), float(p[1]))
+
+
+def test_eval_exterior_does_only_per_point_work(heart_field, monkeypatch):
+    fld, _ = heart_field
+    calls = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return counted
+
+    for module in (geometry, kernels, solve_post, assembly):
+        if getattr(module, "subarc_eval", None) is geometry.subarc_eval:
+            monkeypatch.setattr(module, "subarc_eval", counting(geometry.subarc_eval))
+    monkeypatch.setattr(NeumannDatum, "arc_density", counting(NeumannDatum.arc_density))
+    angles = np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False)
+    values = [eval_exterior(fld, 5.0 * np.cos(a), 5.0 * np.sin(a)) for a in angles]
+    assert all(math.isfinite(v) for v in values)
+    assert calls == []
 
 
 def test_exterior_accuracy_and_distance_trend(heart_field):

@@ -28,10 +28,12 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor
 
 from .errors import AssemblyError, ParameterError, SingularMatrixError
-from .geometry import CENTRAL, GAMMA, UPSILON, Decomposition
+from .geometry import CENTRAL, GAMMA, UPSILON, Decomposition, subarc_eval
 from .kernels import (
-    KernelContext,
+    ArcNodes,
+    arc_nodes,
     double_layer_block,
+    mellin_chi,
     mellin_corner_coefficient,
     mellin_kernel,
     remainder_block,
@@ -102,16 +104,22 @@ def modified_wedge_rows(chi: float, t_nodes: np.ndarray, s_values: np.ndarray,
 
 @dataclass
 class UnknownMap:
-    """Global indexing of the per-arc Radau nodes with corner merging."""
+    """Global indexing of the per-arc Radau nodes with corner merging,
+    and their geometry, evaluated once per sub-arc.  The all_* arrays run
+    over every node arc-major; sub-arc i owns bounds[i]:bounds[i + 1]."""
 
     dec: Decomposition
     params: DiscretizationParams
     nodes: List[np.ndarray] = field(init=False)
     weights: List[np.ndarray] = field(init=False)
+    geometry: List[ArcNodes] = field(init=False)
+    bounds: np.ndarray = field(init=False)
+    all_points: np.ndarray = field(init=False)
+    all_derivs: np.ndarray = field(init=False)
+    all_weights: np.ndarray = field(init=False)
     col_index: List[np.ndarray] = field(init=False)
     row_index: List[np.ndarray] = field(init=False)  # -1 marks a dropped row
     corner_col: np.ndarray = field(init=False)
-    full_size: int = field(init=False)
     reduced_size: int = field(init=False)
 
     def __post_init__(self):
@@ -122,7 +130,12 @@ class UnknownMap:
                  for sub in dec.subarcs]
         self.nodes = [rule.nodes for rule in rules]
         self.weights = [rule.weights for rule in rules]
-        self.full_size = sum(len(x) for x in self.nodes)
+        self.geometry = [arc_nodes(sub, t, *subarc_eval(dec, i, t))
+                         for i, (sub, t) in enumerate(zip(dec.subarcs, self.nodes))]
+        self.bounds = np.cumsum([0] + [len(t) for t in self.nodes])
+        self.all_points = np.concatenate([g.points for g in self.geometry])
+        self.all_derivs = np.concatenate([g.derivs for g in self.geometry])
+        self.all_weights = np.concatenate(self.weights)
         # columns and rows run arc-major by node; the s = 0 node of an
         # upsilon arc takes its gamma partner's column and drops its row
         self.corner_col = np.full(dec.n_corners, -1, dtype=int)
@@ -138,14 +151,10 @@ class UnknownMap:
             self.row_index.append(np.r_[-1, own] if merged else own)
         self.reduced_size = nxt
 
-    def split_solution(self, x: np.ndarray) -> List[np.ndarray]:
-        """Per-arc nodal value arrays from the reduced solution vector."""
-        return [x[idx] for idx in self.col_index]
-
 
 @dataclass
 class DenseSystem:
-    """Reduced collocation matrix, right-hand side and index map.
+    """Reduced collocation matrix, right-hand side and unknown map.
 
     The system owns the one LU factorization of its matrix, computed on
     first use of lu_factors and shared by the condition number and the
@@ -155,9 +164,6 @@ class DenseSystem:
     matrix: np.ndarray
     rhs: np.ndarray
     unknown_map: UnknownMap
-    params: DiscretizationParams
-    dec: Decomposition
-    ctx: KernelContext
 
     @cached_property
     def lu_factors(self):
@@ -179,8 +185,7 @@ class DenseSystem:
         return lu, piv, norm_a
 
 
-def _add_arc_rows(rows: np.ndarray, ctx: KernelContext, umap: UnknownMap, i: int,
-                  h, tau: float) -> None:
+def _add_arc_rows(rows: np.ndarray, umap: UnknownMap, i: int, h) -> None:
     """Add the collocation rows of sub-arc i at the nodes that h selects
     into rows, which has one row per selected node and the reduced columns.
 
@@ -189,15 +194,16 @@ def _add_arc_rows(rows: np.ndarray, ctx: KernelContext, umap: UnknownMap, i: int
     pairs the block is the bounded remainder plus the modified wedge
     rows, whose corner coefficient lands on the merged corner column.
     """
-    s_nodes = umap.nodes[i][h]
-    rows[np.arange(len(s_nodes)), umap.col_index[i][h]] += -math.pi
-    for j in range(ctx.dec.n_subarcs):
-        t_nodes, cols = umap.nodes[j], umap.col_index[j]
-        if not ctx.is_mellin_pair(i, j):
-            rows[:, cols] += double_layer_block(ctx, i, j, t_nodes, s_nodes) * umap.weights[j]
+    fld, scale = umap.geometry[i].take(h), umap.dec.scale
+    rows[np.arange(len(fld.t)), umap.col_index[i][h]] += -math.pi
+    for j, src in enumerate(umap.geometry):
+        cols = umap.col_index[j]
+        chi = mellin_chi(umap.dec, i, j)
+        if chi is None:
+            rows[:, cols] += double_layer_block(fld, src, scale) * umap.weights[j]
             continue
-        wedge, corner_coeff = modified_wedge_rows(ctx.pair_chi(i, j), t_nodes, s_nodes, tau)
-        block = remainder_block(ctx, i, j, t_nodes, s_nodes) + wedge
+        wedge, corner_coeff = modified_wedge_rows(chi, src.t, fld.t, umap.params.tau)
+        block = remainder_block(fld, src, chi, scale) + wedge
         rows[:, cols] += block * umap.weights[j]
         rows[:, umap.corner_col[i // 3]] += corner_coeff
 
@@ -211,7 +217,6 @@ def build_system(dec: Decomposition, params: DiscretizationParams,
     values gbar_i(s) as an array of the same length.
     """
     umap = UnknownMap(dec, params)
-    ctx = KernelContext(dec)
     A = np.zeros((umap.reduced_size, umap.reduced_size))
     b = np.zeros(umap.reduced_size)
     for i in range(dec.n_subarcs):
@@ -219,7 +224,7 @@ def build_system(dec: Decomposition, params: DiscretizationParams,
         rows = umap.row_index[i][keep]
         # an arc's kept rows are consecutive, so the slice is a view of A
         span = slice(rows[0], rows[-1] + 1)
-        _add_arc_rows(A[span], ctx, umap, i, keep, params.tau)
+        _add_arc_rows(A[span], umap, i, keep)
         b[span] = rhs_provider(i, umap.nodes[i][keep])
 
     if not np.all(np.isfinite(A)):
@@ -228,4 +233,4 @@ def build_system(dec: Decomposition, params: DiscretizationParams,
     if not np.all(np.isfinite(b)):
         bad = int(np.nonzero(~np.isfinite(b))[0][0])
         raise AssemblyError(f"non-finite right-hand side entry at reduced row {bad}")
-    return DenseSystem(A, b, umap, params, dec, ctx)
+    return DenseSystem(A, b, umap)

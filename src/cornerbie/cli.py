@@ -122,7 +122,8 @@ def _add_common(sub):
     sub.add_argument("--epsilon", type=float)
     sub.add_argument("--delta", type=float)
     sub.add_argument("--rhs-M", dest="rhs_M", type=int)
-    sub.add_argument("--outer-N", dest="outer_N", type=int)
+    sub.add_argument("--outer-N", dest="outer_N", type=int,
+                     help="exterior rule order (default nu/2 per row; -1 means nu per row)")
     sub.add_argument("--points", help="file with evaluation points (JSON or 'x y' lines)")
     sub.add_argument("--out", help="output CSV path")
 

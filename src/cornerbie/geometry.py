@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,6 +49,8 @@ CENTRAL = "central"
 _ANGLE_TOL = 1e-8
 _CLOSURE_TOL = 1e-12
 _N_VALIDATION_SAMPLES = 1024
+_FD_STEP = 1e-5
+_FD_RTOL = 1e-6
 _N_DEVIATION_SAMPLES = 201
 _TWO_PI = 2.0 * math.pi
 
@@ -74,6 +77,19 @@ class MacroArc:
         speed = np.linalg.norm(d, axis=-1)
         if speed.min() <= 0.0:
             raise GeometryError("arc parametrization speed vanishes")
+        # the kernel's diagonal and corner values come from the derivatives
+        # alone: check them against central differences of the position and
+        # of the first derivative, relative to the largest derivative
+        h = _FD_STEP
+        u = np.linspace(h, 1.0 - h, _N_VALIDATION_SAMPLES)
+        scale = max(float(np.abs(d).max()), float(np.abs(dd).max()))
+        for name, f, df in (("first", self.position, self.first_derivative),
+                            ("second", self.first_derivative, self.second_derivative)):
+            central = (np.asarray(f(u + h), float) - np.asarray(f(u - h), float)) / (2.0 * h)
+            err = float(np.abs(central - np.asarray(df(u), float)).max())
+            if not err <= _FD_RTOL * scale:
+                raise GeometryError(f"arc {name} derivative disagrees with central "
+                                    f"differences by {err / scale:.2e} relative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,6 +236,13 @@ class Decomposition:
     @property
     def n_corners(self) -> int:
         return self.boundary.n_corners
+
+    @cached_property
+    def scale(self) -> float:
+        """Extent of the boundary, the length scale of the kernels' test
+        for coincident field and source points."""
+        pts = boundary_polyline(self.boundary, 1024)
+        return float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
 
 
 def _max_tangent_deviation(arc: MacroArc, t_lo: float, t_hi: float,
@@ -529,8 +552,11 @@ def boundary_polyline(boundary: Boundary, total: int = 4096) -> np.ndarray:
 
 
 def winding_number(polyline: np.ndarray, point) -> int:
-    """Winding number of a closed polyline about a point (angle sum)."""
-    return _winding_of_offsets(polyline - np.asarray(point, float))
+    """Winding number of a closed polyline about a finite point (angle sum)."""
+    p = np.asarray(point, float)
+    if not np.isfinite(p).all():
+        raise ParameterError(f"winding number needs a finite point, got {point}")
+    return _winding_of_offsets(polyline - p)
 
 
 def _winding_of_offsets(d: np.ndarray) -> int:

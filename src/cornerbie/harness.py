@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .assembly import DiscretizationParams, build_system
-from .errors import ConfigError, CornerBieError
+from .errors import ConfigError, CornerBieError, ParameterError
 from .geometry import (
     Boundary,
     boundary_polyline,
@@ -26,6 +26,7 @@ from .geometry import (
     make_polygon,
     winding_number,
 )
+from .quadrature import MAX_MOMENTS, MAX_RULE_ORDER
 from .rhs import NeumannDatum, rhs_approx
 from .solve_post import cond_inf, eval_exterior, solve_field
 
@@ -129,7 +130,8 @@ class RunConfig:
     """One experiment: a domain, an exact solution, and sweep parameters.
 
     M (right-hand-side rule order) and N (exterior single-layer rule
-    order) default to nu/2 per row when left as None.
+    order) default to nu/2 per row when left as None; N = -1 means
+    N = nu per row.
     """
 
     domain: str
@@ -149,10 +151,28 @@ class RunConfig:
             return make_polygon(self.vertices)
         return make_example_domain(self.domain, self.phi)
 
+    def rule_orders(self, nu: int) -> Tuple[int, int]:
+        """(M, N) of a row with central rule order nu."""
+        m_rhs = self.M if self.M is not None else nu // 2
+        if self.N == -1:
+            return m_rhs, nu
+        return m_rhs, self.N if self.N is not None else nu // 2
+
     def validate(self) -> None:
         for mu, nu in self.pairs:
             if mu >= nu:
                 raise ConfigError(f"need mu < nu in every pair, got ({mu}, {nu})")
+            try:
+                DiscretizationParams(mu=mu, nu=nu, c=self.c, eps=self.eps)
+            except ParameterError as exc:
+                raise ConfigError(f"pair ({mu}, {nu}): {exc}") from None
+            m_rhs, n_outer = self.rule_orders(nu)
+            orders = ((m_rhs, MAX_MOMENTS), (n_outer, MAX_RULE_ORDER))
+            if not all(isinstance(k, (int, np.integer)) and 1 <= k <= top for k, top in orders):
+                raise ConfigError(
+                    f"pair ({mu}, {nu}): need integers 1 <= M <= {MAX_MOMENTS} and "
+                    f"1 <= N <= {MAX_RULE_ORDER}, got M={m_rhs}, N={n_outer}"
+                )
         boundary = self.build_boundary()
         polyline = boundary_polyline(boundary)
         for q in self.solution.singular_points:
@@ -238,13 +258,7 @@ class RowResult:
 
 def _run_row(dec, datum, cfg: RunConfig, mu: int, nu: int) -> RowResult:
     params = DiscretizationParams(mu=mu, nu=nu, c=cfg.c, eps=cfg.eps)
-    m_rhs = cfg.M if cfg.M is not None else nu // 2
-    if cfg.N == -1:
-        n_outer = nu
-    elif cfg.N is None:
-        n_outer = nu // 2
-    else:
-        n_outer = cfg.N
+    m_rhs, n_outer = cfg.rule_orders(nu)
     system = build_system(dec, params, lambda i, s: rhs_approx(dec, datum, m_rhs, i, s))
     cond = cond_inf(system)
     fld = solve_field(system, datum, n_outer)
@@ -300,6 +314,8 @@ def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
     """
     if family not in ("heart", "teardrop", "boomerang"):
         raise ConfigError(f"angle sweeps need a parametric family, got {family!r}")
+    if mu >= nu:
+        raise ConfigError(f"corner runs require mu < nu, got ({mu}, {nu})")
     if c is None:
         c = _EXAMPLES[family]["sweep_c"]
     if delta is None:

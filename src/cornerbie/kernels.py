@@ -26,21 +26,22 @@ corner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import CoincidentPointError, ExteriorDomainError, ParameterError
-from .geometry import CENTRAL, Decomposition, boundary_polyline, subarc_eval
+from .geometry import CENTRAL, Decomposition, SubArc
 
 __all__ = [
-    "KernelContext",
+    "ArcNodes",
+    "arc_nodes",
+    "mellin_chi",
     "double_layer_block",
     "mellin_kernel",
     "remainder_block",
-    "corner_remainder_limit",
     "mellin_corner_coefficient",
-    "field_kernel",
     "field_kernel_at",
 ]
 
@@ -53,37 +54,42 @@ def _check_chi(chi: float) -> None:
         raise ParameterError(f"corner parameter chi must be in (-1,0) or (0,1), got {chi}")
 
 
-@dataclass
-class KernelContext:
-    """Precomputed per-sub-arc data shared by all kernel evaluations."""
+@dataclass(frozen=True, eq=False)
+class ArcNodes:
+    """Geometry of sub-arc index at the parameters t: positions, first
+    derivatives, the continuous diagonal value of the self kernel, and
+    the orientation sign (-1 on reversed arcs)."""
 
-    dec: Decomposition
-    scale: float = field(init=False)
+    index: int
+    t: np.ndarray
+    points: np.ndarray
+    derivs: np.ndarray
+    curvature: np.ndarray
+    sign: float
 
-    def __post_init__(self):
-        pts = boundary_polyline(self.dec.boundary, 1024)
-        self.scale = float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
-
-    def orientation(self, j: int) -> float:
-        return -1.0 if self.dec.subarcs[j].reversed else 1.0
-
-    def is_mellin_pair(self, i: int, j: int) -> bool:
-        sub_i, sub_j = self.dec.subarcs[i], self.dec.subarcs[j]
-        return (sub_i.kind != CENTRAL and sub_j.kind != CENTRAL
-                and abs(i - j) == 1 and i // 3 == j // 3)
-
-    def pair_chi(self, i: int, j: int) -> float:
-        if not self.is_mellin_pair(i, j):
-            raise ParameterError(f"sub-arcs ({i}, {j}) do not flank a common corner")
-        return self.dec.boundary.corners[i // 3].chi
+    def take(self, h) -> "ArcNodes":
+        """The nodes that the index array or mask h selects."""
+        return ArcNodes(self.index, self.t[h], self.points[h], self.derivs[h],
+                        self.curvature[h], self.sign)
 
 
-def _diagonal_values(ctx: KernelContext, j: int, t: np.ndarray) -> np.ndarray:
-    """Continuous diagonal value of the self kernel: half the signed
-    curvature numerator over the squared speed, with CCW orientation."""
-    _, d1, d2 = subarc_eval(ctx.dec, j, t)
+def arc_nodes(sub: SubArc, t: np.ndarray, p: np.ndarray, d1: np.ndarray,
+              d2: np.ndarray) -> ArcNodes:
+    """ArcNodes of sub-arc sub from its position and first and second
+    derivatives at t.  The diagonal value is half the signed curvature
+    numerator over the squared speed, with CCW orientation."""
+    sign = -1.0 if sub.reversed else 1.0
     num = d1[..., 1] * d2[..., 0] - d1[..., 0] * d2[..., 1]
-    return ctx.orientation(j) * 0.5 * num / (d1 * d1).sum(-1)
+    return ArcNodes(sub.index, t, p, d1, sign * 0.5 * num / (d1 * d1).sum(-1), sign)
+
+
+def mellin_chi(dec: Decomposition, i: int, j: int) -> Optional[float]:
+    """chi of the corner that sub-arcs i and j flank from its two sides,
+    or None when they are not such a Mellin pair."""
+    sub_i, sub_j = dec.subarcs[i], dec.subarcs[j]
+    if CENTRAL in (sub_i.kind, sub_j.kind) or abs(i - j) != 1 or i // 3 != j // 3:
+        return None
+    return dec.boundary.corners[i // 3].chi
 
 
 def _numerator_and_distance(field_pts: np.ndarray, sp: np.ndarray, sd: np.ndarray):
@@ -99,34 +105,30 @@ def _numerator_and_distance(field_pts: np.ndarray, sp: np.ndarray, sd: np.ndarra
     return sd[None, :, 1] * dx - sd[None, :, 0] * dy, dx * dx + dy * dy
 
 
-def _check_separated(ctx: KernelContext, i: int, j: int, t: np.ndarray,
-                     s: np.ndarray, den: np.ndarray) -> None:
-    if den.min() < _COINCIDENCE_FACTOR * ctx.scale**2:
+def _kernel(fld: ArcNodes, src: ArcNodes, scale: float, coincide: np.ndarray) -> np.ndarray:
+    """K[l, h] = K(t[h], s[l]) from field nodes fld to source nodes src.
+
+    Where coincide[l, h] holds, the entry is the continuous limit of K,
+    the source arc's curvature value at t[h].  Any other pair closer than
+    1e-14 scale raises, because node placement guarantees separation.
+    """
+    num, den = _numerator_and_distance(fld.points, src.points, src.derivs)
+    den = np.where(coincide, np.inf, den)
+    if den.min() < _COINCIDENCE_FACTOR * scale**2:
         l, h = np.unravel_index(int(den.argmin()), den.shape)
         raise CoincidentPointError(
-            f"sub-arcs {i}, {j}: field s={s[l]} and source t={t[h]} coincide"
+            f"sub-arcs {fld.index}, {src.index}: field s={fld.t[l]} "
+            f"and source t={src.t[h]} coincide"
         )
+    return np.where(coincide, src.curvature[None, :], src.sign * num / den)
 
 
-def double_layer_block(ctx: KernelContext, i: int, j: int,
-                       t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Kernel matrix K[l, h] = K^{i,j}(t[h], s[l]), vectorized.
-
-    For i = j, entries with t[h] == s[l] take the diagonal curvature
-    value.  For i != j a squared distance below 1e-28 * scale^2 raises,
-    because node placement guarantees separation.
-    """
-    t = np.atleast_1d(np.asarray(t, float))
-    s = np.atleast_1d(np.asarray(s, float))
-    fp, _, _ = subarc_eval(ctx.dec, i, s)
-    sp, sd, _ = subarc_eval(ctx.dec, j, t)
-    num, den = _numerator_and_distance(fp, sp, sd)
-    if i == j:
-        coincide = s[:, None] == t[None, :]
-        out = ctx.orientation(j) * num / np.where(coincide, 1.0, den)
-        return np.where(coincide, _diagonal_values(ctx, j, t)[None, :], out)
-    _check_separated(ctx, i, j, t, s, den)
-    return ctx.orientation(j) * num / den
+def double_layer_block(fld: ArcNodes, src: ArcNodes, scale: float) -> np.ndarray:
+    """Kernel matrix K[l, h] = K^{i,j}(t[h], s[l]) between the field
+    nodes s of sub-arc i and the source nodes t of sub-arc j; for i = j,
+    entries with t[h] == s[l] take the diagonal curvature value."""
+    same_arc = fld.index == src.index
+    return _kernel(fld, src, scale, same_arc & (fld.t[:, None] == src.t[None, :]))
 
 
 def mellin_kernel(chi: float, t, s):
@@ -141,38 +143,17 @@ def mellin_kernel(chi: float, t, s):
     return out if out.ndim else float(out)
 
 
-def corner_remainder_limit(ctx: KernelContext, i: int, j: int) -> float:
-    """Corner value M(0, 0) of the bounded remainder on a Mellin pair.
+def remainder_block(fld: ArcNodes, src: ArcNodes, chi: float, scale: float) -> np.ndarray:
+    """Remainder matrix M[l, h] = (K - L)(t[h], s[l]) on a Mellin pair
+    with corner parameter chi.
 
-    Taken as the limit of M(t, 0) for t -> 0+, where the wedge kernel
-    vanishes and the double-layer kernel tends to the curvature value of
-    the source arc at the corner.
+    At the corner node pair t = s = 0, where K and L are both singular,
+    M takes its limit along the s = 0 edge, on which L vanishes and K
+    tends to the source arc's curvature value at the corner.
     """
-    ctx.pair_chi(i, j)  # validates the pair
-    return float(_diagonal_values(ctx, j, np.array([0.0]))[0])
-
-
-def remainder_block(ctx: KernelContext, i: int, j: int,
-                    t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Remainder matrix M[l, h] = (K - L)(t[h], s[l]) on a Mellin pair.
-
-    The corner node pair t = s = 0, where K and L are both singular,
-    takes corner_remainder_limit; every other entry is checked for
-    coincident points as in double_layer_block.
-    """
-    chi = ctx.pair_chi(i, j)
-    t = np.atleast_1d(np.asarray(t, float))
-    s = np.atleast_1d(np.asarray(s, float))
-    corner_pair = (s[:, None] == 0.0) & (t[None, :] == 0.0)
-    fp, _, _ = subarc_eval(ctx.dec, i, s)
-    sp, sd, _ = subarc_eval(ctx.dec, j, t)
-    num, den = _numerator_and_distance(fp, sp, sd)
-    den = np.where(corner_pair, np.inf, den)
-    _check_separated(ctx, i, j, t, s, den)
-    wedge = mellin_kernel(chi, np.where(corner_pair, 1.0, t[None, :]), s[:, None])
-    out = ctx.orientation(j) * num / den - wedge
-    out[corner_pair] = corner_remainder_limit(ctx, i, j)
-    return out
+    corner_pair = (fld.t[:, None] == 0.0) & (src.t[None, :] == 0.0)
+    t = np.where(corner_pair, 1.0, src.t[None, :])
+    return _kernel(fld, src, scale, corner_pair) - mellin_kernel(chi, t, fld.t[:, None])
 
 
 def mellin_corner_coefficient(chi: float) -> float:
@@ -187,23 +168,14 @@ def mellin_corner_coefficient(chi: float) -> float:
     return -chi * math.pi
 
 
-def field_kernel(ctx: KernelContext, i: int, x: float, y: float, t) -> np.ndarray:
-    """Exterior-field double-layer kernel H_i(x, y, t) on sub-arc i.
+def field_kernel_at(x: float, y: float, sp: np.ndarray, sd: np.ndarray,
+                    bounds: np.ndarray) -> np.ndarray:
+    """Exterior-field double-layer kernel at (x, y) from source points sp
+    with sub-arc derivatives sd (shape (H, 2) each), where sub-arc i owns
+    the sources bounds[i]:bounds[i + 1].
 
     Raw formula in the sub-arc derivatives: reversing the arc flips the
-    sign.  The exterior evaluator applies the orientation factor when it
-    sums over arcs.
-    """
-    t = np.atleast_1d(np.asarray(t, float))
-    sp, sd, _ = subarc_eval(ctx.dec, i, t)
-    return field_kernel_at(x, y, sp, sd, np.full(len(t), i))
-
-
-def field_kernel_at(x: float, y: float, sp: np.ndarray, sd: np.ndarray,
-                    subarc: np.ndarray) -> np.ndarray:
-    """field_kernel at source points sp with sub-arc derivatives sd
-    (shape (H, 2) each), where source h lies on sub-arc subarc[h].
-
+    sign, which the exterior evaluator corrects when it sums over arcs.
     Raises, naming the first such sub-arc, when (x, y) is within 1e-12
     of a source point.
     """
@@ -212,6 +184,6 @@ def field_kernel_at(x: float, y: float, sp: np.ndarray, sd: np.ndarray,
     if near.any():
         raise ExteriorDomainError(
             f"field point ({x}, {y}) within {_FIELD_DISTANCE_TOL} "
-            f"of sub-arc {subarc[int(near.argmax())]}"
+            f"of sub-arc {int(np.searchsorted(bounds, near.argmax(), 'right')) - 1}"
         )
     return (num / den)[0]

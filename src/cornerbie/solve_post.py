@@ -22,7 +22,7 @@ from scipy.linalg.lapack import dgetri, dgetri_lwork
 
 from .assembly import DenseSystem
 from .errors import ExteriorDomainError, SingularMatrixError, SolveError
-from .geometry import _winding_of_offsets, boundary_polyline, subarc_eval
+from .geometry import _winding_of_offsets, boundary_polyline
 from .kernels import field_kernel_at
 from .quadrature import gauss_legendre
 from .rhs import NeumannDatum
@@ -69,11 +69,12 @@ def cond_inf(system: DenseSystem) -> float:
 class SolutionField:
     """Solved nodal boundary values plus everything needed for field eval.
 
-    Construction also computes the evaluation data that do not depend on
-    the field point: the boundary polyline for point location, the
-    N-point Gauss-Legendre source positions and weighted datum densities
-    per macro arc, and the Radau source positions and derivatives of all
-    sub-arcs, concatenated in sub-arc order.
+    The double-layer sources are the nodes of the system's unknown map,
+    with the geometry it holds.  Construction computes the other data
+    that do not depend on the field point: the boundary polyline for
+    point location, the N-point Gauss-Legendre source positions and
+    weighted datum densities per macro arc, and the nodal values
+    concatenated in sub-arc order.
     """
 
     system: DenseSystem
@@ -84,38 +85,23 @@ class SolutionField:
     _polyline: np.ndarray = field(init=False, repr=False)
     _arc_points: np.ndarray = field(init=False, repr=False)
     _arc_weights: np.ndarray = field(init=False, repr=False)
-    _src_points: np.ndarray = field(init=False, repr=False)
-    _src_derivs: np.ndarray = field(init=False, repr=False)
-    _src_subarc: np.ndarray = field(init=False, repr=False)
-    _src_weights: np.ndarray = field(init=False, repr=False)
     _src_values: np.ndarray = field(init=False, repr=False)
-    _subarc_bounds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        dec, umap = self.system.dec, self.system.unknown_map
-        self._polyline = boundary_polyline(dec.boundary, _BOUNDARY_SAMPLES)
+        boundary = self.system.unknown_map.dec.boundary
+        self._polyline = boundary_polyline(boundary, _BOUNDARY_SAMPLES)
         rule = gauss_legendre(self.N)
-        arcs = range(len(dec.boundary.arcs))
-        self._arc_points = np.stack([
-            np.asarray(dec.boundary.arcs[k].position(rule.nodes), float) for k in arcs
-        ])
-        self._arc_weights = np.stack([
-            rule.weights * self.datum.arc_density(k, rule.nodes) for k in arcs
-        ])
-        geom = [subarc_eval(dec, i, umap.nodes[i]) for i in range(dec.n_subarcs)]
-        counts = [len(x) for x in umap.nodes]
-        self._src_points = np.concatenate([p for p, _, _ in geom])
-        self._src_derivs = np.concatenate([d1 for _, d1, _ in geom])
-        self._src_subarc = np.repeat(np.arange(dec.n_subarcs), counts)
-        self._src_weights = np.concatenate(umap.weights)
+        self._arc_points = np.stack([np.asarray(arc.position(rule.nodes), float)
+                                     for arc in boundary.arcs])
+        self._arc_weights = np.stack([rule.weights * self.datum.arc_density(k, rule.nodes)
+                                      for k in range(len(boundary.arcs))])
         self._src_values = np.concatenate(self.values)
-        self._subarc_bounds = np.r_[0, np.cumsum(counts)]
 
 
 def solve_field(system: DenseSystem, datum: NeumannDatum, N: int) -> SolutionField:
     """Solve the system and package the nodal values for evaluation."""
     x, residual = solve_dense(system)
-    values = system.unknown_map.split_solution(x)
+    values = [x[idx] for idx in system.unknown_map.col_index]
     return SolutionField(system, datum, N, values, residual)
 
 
@@ -143,12 +129,12 @@ def eval_exterior(fld: SolutionField, x: float, y: float) -> float:
     single = 0.0
     for arc_sum in np.sum(fld._arc_weights * np.log(dist), axis=1):
         single += float(arc_sum)
-    h = field_kernel_at(p[0], p[1], fld._src_points, fld._src_derivs, fld._src_subarc)
-    terms = fld._src_weights * h * fld._src_values
-    ctx, bounds = fld.system.ctx, fld._subarc_bounds
+    umap = fld.system.unknown_map
+    h = field_kernel_at(p[0], p[1], umap.all_points, umap.all_derivs, umap.bounds)
+    terms = umap.all_weights * h * fld._src_values
     double = 0.0
-    for i in range(len(bounds) - 1):
-        double += ctx.orientation(i) * float(np.sum(terms[bounds[i]:bounds[i + 1]]))
+    for arc, lo, hi in zip(umap.geometry, umap.bounds, umap.bounds[1:]):
+        double += arc.sign * float(np.sum(terms[lo:hi]))
     value = -(single - double) / (2.0 * math.pi)
     if not math.isfinite(value):
         raise ExteriorDomainError(f"field value at ({x}, {y}) is not finite")

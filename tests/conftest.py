@@ -17,8 +17,15 @@ from cornerbie.geometry import (
     make_example_domain,
     make_polygon,
     make_smooth_boundary,
+    subarc_eval,
 )
-from cornerbie.kernels import field_kernel
+from cornerbie.kernels import (
+    arc_nodes,
+    double_layer_block,
+    field_kernel_at,
+    mellin_chi,
+    remainder_block,
+)
 from cornerbie.quadrature import gauss_legendre
 from cornerbie.rhs import NeumannDatum
 
@@ -143,6 +150,28 @@ def example_tables():
 
 
 # --------------------------------------------------------------------------
+# kernels at arbitrary parameters
+# --------------------------------------------------------------------------
+
+def arc_nodes_at(dec, i, t):
+    """Node geometry of sub-arc i at the parameters t."""
+    t = np.atleast_1d(np.asarray(t, float))
+    return arc_nodes(dec.subarcs[i], t, *subarc_eval(dec, i, t))
+
+
+def kernel_block(dec, i, j, t, s):
+    """double_layer_block from field parameters s on sub-arc i to source
+    parameters t on sub-arc j."""
+    return double_layer_block(arc_nodes_at(dec, i, s), arc_nodes_at(dec, j, t), dec.scale)
+
+
+def remainder_at(dec, i, j, t, s):
+    """remainder_block on the Mellin pair (i, j), parameters as in kernel_block."""
+    return remainder_block(arc_nodes_at(dec, i, s), arc_nodes_at(dec, j, t),
+                           mellin_chi(dec, i, j), dec.scale)
+
+
+# --------------------------------------------------------------------------
 # independent oracles
 # --------------------------------------------------------------------------
 
@@ -223,7 +252,9 @@ def eval_exterior_per_point(fld, x: float, y: float) -> float:
     bit for bit (non-finite input and output aside).
     """
     p = np.array([float(x), float(y)])
-    polyline = boundary_polyline(fld.system.dec.boundary, 4096)
+    umap = fld.system.unknown_map
+    dec = umap.dec
+    polyline = boundary_polyline(dec.boundary, 4096)
     d = polyline - p
     if float(np.sqrt((d * d).sum(axis=1)).min()) < 1e-9:
         raise ExteriorDomainError(f"point ({x}, {y}) is on or next to the boundary")
@@ -233,8 +264,6 @@ def eval_exterior_per_point(fld, x: float, y: float) -> float:
     if int(round(float(turns.sum()) / (2.0 * np.pi))) != 0:
         raise ExteriorDomainError(f"point ({x}, {y}) lies inside the domain")
 
-    system = fld.system
-    dec, ctx, umap = system.dec, system.ctx, system.unknown_map
     rule = gauss_legendre(fld.N)
     single = 0.0
     for k in range(len(dec.boundary.arcs)):
@@ -242,8 +271,12 @@ def eval_exterior_per_point(fld, x: float, y: float) -> float:
         dist = np.linalg.norm(pts - p, axis=-1)
         dens = fld.datum.arc_density(k, rule.nodes)
         single += float(np.sum(rule.weights * dens * np.log(dist)))
+    geom = [arc_nodes_at(dec, i, t) for i, t in enumerate(umap.nodes)]
+    bounds = np.cumsum([0] + [len(g.t) for g in geom])
+    h = field_kernel_at(p[0], p[1], np.concatenate([g.points for g in geom]),
+                        np.concatenate([g.derivs for g in geom]), bounds)
     double = 0.0
-    for i in range(dec.n_subarcs):
-        h = field_kernel(ctx, i, p[0], p[1], umap.nodes[i])
-        double += ctx.orientation(i) * float(np.sum(umap.weights[i] * h * fld.values[i]))
+    for i, g in enumerate(geom):
+        terms = umap.weights[i] * h[bounds[i]:bounds[i + 1]] * fld.values[i]
+        double += g.sign * float(np.sum(terms))
     return -(single - double) / (2.0 * math.pi)

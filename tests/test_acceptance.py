@@ -15,7 +15,7 @@ import pytest
 
 import cornerbie as cb
 from cornerbie.assembly import DiscretizationParams, UnknownMap, build_system
-from cornerbie.kernels import KernelContext, mellin_corner_coefficient, remainder_block
+from cornerbie.kernels import mellin_corner_coefficient
 from cornerbie.quadrature import gauss_legendre, gauss_radau_left, log_moments
 from cornerbie.rhs import NeumannDatum, rhs_approx
 from cornerbie.solve_post import eval_exterior, solve_field
@@ -26,6 +26,7 @@ from conftest import (
     PAIRS,
     REFERENCE_TABLES,
     oracle_log_moments,
+    remainder_at,
 )
 
 
@@ -65,9 +66,8 @@ def test_criterion_02_log_moment_oracle():
 
 def test_criterion_03_mellin_structure(square_dec):
     start = time.perf_counter()
-    ctx = KernelContext(square_dec)
     grid = [0.0, 0.05, 0.3, 0.7, 0.99]
-    worst = max(float(np.abs(remainder_block(ctx, i, j, grid, grid)).max())
+    worst = max(float(np.abs(remainder_at(square_dec, i, j, grid, grid)).max())
                 for i, j in ((0, 1), (1, 0)))
     assert worst <= 1e-12
 

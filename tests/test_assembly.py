@@ -11,7 +11,7 @@ from cornerbie.assembly import (
     build_system,
     modified_wedge_rows,
 )
-from cornerbie.kernels import KernelContext, mellin_corner_coefficient
+from cornerbie.kernels import mellin_corner_coefficient
 from cornerbie.quadrature import gauss_radau_left
 
 
@@ -55,14 +55,14 @@ def test_unknown_counts_triangle(triangle_dec):
     params = DiscretizationParams(mu=8, nu=32, c=100.0, eps=1e-6)
     umap = UnknownMap(triangle_dec, params)
     n = triangle_dec.n_corners
-    assert umap.full_size == n * (2 * 8 + 32 + 3) == 153
-    assert umap.reduced_size == umap.full_size - n == 150
+    assert umap.bounds[-1] == n * (2 * 8 + 32 + 3) == 153
+    assert umap.reduced_size == umap.bounds[-1] - n == 150
 
 
 def test_unknown_counts_heart(heart_dec):
     params = DiscretizationParams(mu=128, nu=512, c=300.0, eps=1e-3)
     umap = UnknownMap(heart_dec, params)
-    assert umap.full_size == 2 * 129 + 513 == 771
+    assert umap.bounds[-1] == 2 * 129 + 513 == 771
     assert umap.reduced_size == 770
 
 
@@ -93,11 +93,10 @@ def test_duplicate_corner_rows_identical(all_corner_decs):
                                       c=300.0 if name == "heart" else 100.0,
                                       eps=1e-3 if name != "triangle" else 1e-6)
         umap = UnknownMap(dec, params)
-        ctx = KernelContext(dec)
         for k in range(dec.n_corners):
             rows = np.zeros((2, umap.reduced_size))
-            _add_arc_rows(rows[:1], ctx, umap, 3 * k, [0], params.tau)
-            _add_arc_rows(rows[1:], ctx, umap, 3 * k + 1, [0], params.tau)
+            _add_arc_rows(rows[:1], umap, 3 * k, [0])
+            _add_arc_rows(rows[1:], umap, 3 * k + 1, [0])
             diff = np.abs(rows[0] - rows[1]).max()
             assert diff <= 1e-13, (name, k, diff)
 

@@ -8,6 +8,7 @@ from cornerbie.geometry import (
     CENTRAL,
     GAMMA,
     UPSILON,
+    MacroArc,
     boundary_polyline,
     decompose,
     line_arc,
@@ -98,6 +99,24 @@ def test_make_boundary_rejects_angle_mismatch():
     arcs = [line_arc(sq[k], sq[(k + 1) % 4]) for k in range(4)]
     with pytest.raises(GeometryError):
         make_boundary(arcs, [math.pi / 2, math.pi / 2, math.pi / 2, math.pi / 3])
+
+
+def test_validate_rejects_wrong_derivatives():
+    # the heart's second derivative without its pi^2 cos(pi t) term, then a
+    # line whose first derivative is off by a tenth of a percent
+    heart = make_example_domain("heart", 5 * math.pi / 3).arcs[0]
+
+    def second_without_term(t):
+        t = np.asarray(t, float)
+        return heart.second_derivative(t) - np.stack(
+            [np.zeros_like(t), math.pi**2 * np.cos(math.pi * t)], axis=-1)
+
+    line = line_arc((0.0, 0.0), (1.0, 2.0))
+    for arc in (MacroArc(heart.position, heart.first_derivative, second_without_term),
+                MacroArc(line.position, lambda t: 1.001 * line.first_derivative(t),
+                         line.second_derivative)):
+        with pytest.raises(GeometryError, match="central differences"):
+            arc.validate()
 
 
 def test_flat_corner_rejected():
@@ -227,3 +246,10 @@ def test_winding_number():
     assert winding_number(pts, (0.5, 0.0)) == 1
     assert winding_number(pts, (-0.1, 0.0)) == 0
     assert winding_number(pts, (100.0, -100.0)) == 0
+
+
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.inf)])
+def test_winding_number_rejects_non_finite_point(point):
+    pts = boundary_polyline(make_example_domain("heart", 5 * math.pi / 3), 4096)
+    with pytest.raises(ParameterError):
+        winding_number(pts, point)

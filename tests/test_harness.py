@@ -68,6 +68,9 @@ def test_config_validation_catches_bad_points():
     cfg = example_config("heart", pairs=((32, 16),))
     with pytest.raises(ConfigError):
         cfg.validate()
+    # a rule order from a JSON config can be a float
+    with pytest.raises(ConfigError):
+        example_config("heart", M=3.5).validate()
     # singular points of the solution must be inside the domain
     bad_sol = make_exact_solution("log_pair", q1=(5.0, 5.0), q2=(0.2, 0.0))
     cfg = example_config("heart", solution=bad_sol)
@@ -235,8 +238,16 @@ def test_cli_restores_numpy_error_state(tmp_path):
     (["table", "--example", "heart", "--mu", "8", "--nu", "32"], "[]"),
     (["table", "--example", "heart", "--mu", "8", "--nu", "32"], "# no points\n"),
     (["solve", "--example", "heart", "--mu", "8", "--nu", "32"], "nan 0\n"),
+    (["solve", "--example", "heart", "--mu", "8", "--nu", "32", "--c", "-1"], None),
+    (["solve", "--example", "heart", "--mu", "8", "--nu", "32", "--epsilon", "0.7"], None),
+    (["solve", "--example", "heart", "--mu", "8", "--nu", "32", "--rhs-M", "0"], None),
+    (["solve", "--example", "heart", "--mu", "8", "--nu", "32", "--rhs-M", "600"], None),
+    (["solve", "--example", "heart", "--mu", "8", "--nu", "32", "--outer-N", "0"], None),
+    (["angle-sweep", "--example", "heart", "--phi-grid", "1.5pi", "--mu", "64", "--nu", "64"],
+     None),
 ], ids=["phi", "phi-grid", "points", "empty-phi-grid", "empty-points-json",
-        "empty-points-lines", "nan-point"])
+        "empty-points-lines", "nan-point", "negative-c", "epsilon", "rhs-M-zero",
+        "rhs-M-too-large", "outer-N-zero", "sweep-mu-equals-nu"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
     if points_text is not None:
         pts = tmp_path / "pts.json"

@@ -20,80 +20,83 @@ from cornerbie.geometry import (
     subarc_eval,
 )
 from cornerbie.kernels import (
-    KernelContext,
-    corner_remainder_limit,
-    double_layer_block,
-    field_kernel,
+    field_kernel_at,
+    mellin_chi,
     mellin_corner_coefficient,
     mellin_kernel,
-    remainder_block,
 )
 from cornerbie.quadrature import gauss_radau_left
 
+from conftest import arc_nodes_at, kernel_block, remainder_at
 
-def corner_remainder_richardson(ctx, i, j, steps=(1e-4, 5e-5, 2.5e-5)):
+
+def corner_remainder_richardson(dec, i, j, steps=(1e-4, 5e-5, 2.5e-5)):
     """Reference diagonal-limit estimate of M(0, 0) and its tolerance.
 
     Extrapolates K(h, h) - L(h, h) along t = s = h to h -> 0 (first and
     second order); the difference of the two orders estimates the error.
-    The closed form corner_remainder_limit is checked against it: the two
-    agree up to the extrapolation tolerance plus the roundoff floor of
-    the near-singular difference, which is why the closed form is what
-    enters the matrix.
+    The closed form that remainder_block puts at t = s = 0 is checked
+    against it: the two agree up to the extrapolation tolerance plus the
+    roundoff floor of the near-singular difference, which is why the
+    closed form is what enters the matrix.
     """
-    chi = ctx.pair_chi(i, j)
+    chi = mellin_chi(dec, i, j)
     h = np.asarray(steps, float)
-    f = np.diag(double_layer_block(ctx, i, j, h, h)) - mellin_kernel(chi, h, h)
+    f = np.diag(kernel_block(dec, i, j, h, h)) - mellin_kernel(chi, h, h)
     first = 2.0 * f[1:] - f[:-1]
     second = (4.0 * first[1] - first[0]) / 3.0
     return float(second), float(abs(second - first[1]))
 
 
-@pytest.fixture(scope="module")
-def circle_ctx(circle_dec):
-    return KernelContext(circle_dec)
+def corner_value(dec, i, j):
+    """The closed-form corner value M(0, 0) that enters the matrix."""
+    return remainder_at(dec, i, j, [0.0], [0.0])[0, 0]
 
 
-def test_circle_kernel_is_minus_pi(circle_ctx):
+def field_kernel(dec, i, x, y, t):
+    """Exterior-field kernel at (x, y) from sub-arc i at parameters t."""
+    g = arc_nodes_at(dec, i, t)
+    return field_kernel_at(x, y, g.points, g.derivs, np.array([0, len(g.t)]))
+
+
+def test_circle_kernel_is_minus_pi(circle_dec):
     nodes = gauss_radau_left(24).nodes
-    block = double_layer_block(circle_ctx, 0, 0, nodes, nodes)
+    block = kernel_block(circle_dec, 0, 0, nodes, nodes)
     assert np.abs(block + math.pi).max() <= 1e-12
 
 
-def test_circle_constant_row_sums(circle_ctx):
+def test_circle_constant_row_sums(circle_dec):
     # quadrature of the constant kernel: sum_h lam_h K(x_h, s) = -pi
     rule = gauss_radau_left(24)
-    block = double_layer_block(circle_ctx, 0, 0, rule.nodes, rule.nodes)
+    block = kernel_block(circle_dec, 0, 0, rule.nodes, rule.nodes)
     sums = block @ rule.weights
     assert np.abs(sums + math.pi).max() <= 1e-10
 
 
 def test_straight_segment_diagonal_is_zero(square_dec):
-    ctx = KernelContext(square_dec)
     for i in (0, 1, 2):
-        assert double_layer_block(ctx, i, i, [0.3], [0.3])[0, 0] == 0.0
+        assert kernel_block(square_dec, i, i, [0.3], [0.3])[0, 0] == 0.0
 
 
 def test_far_field_kernel_bound(heart_dec):
     # |K| <= |sigma_j'(t)| / distance, from Cauchy-Schwarz on the numerator
-    ctx = KernelContext(heart_dec)
     for t, s in ((0.2, 0.9), (0.5, 0.1), (0.77, 0.4)):
-        val = double_layer_block(ctx, 2, 2, [t], [s])[0, 0]
+        val = kernel_block(heart_dec, 2, 2, [t], [s])[0, 0]
         p_t, d_t, _ = subarc_eval(heart_dec, 2, t)
         p_s, _, _ = subarc_eval(heart_dec, 2, s)
         bound = np.linalg.norm(d_t) / np.linalg.norm(p_s - p_t)
         assert abs(val) <= bound * (1 + 1e-12)
 
 
-def test_diagonal_limit_consistency(circle_ctx, heart_dec):
+def test_diagonal_limit_consistency(circle_dec, heart_dec):
     # off-diagonal branch extrapolated along s -> t (second-order Richardson
     # from moderate steps, below which the chord cancellation floor bites)
     # approaches the diagonal value
-    cases = [(circle_ctx, 0), (KernelContext(heart_dec), 2)]
-    for ctx, arc in cases:
+    cases = [(circle_dec, 0), (heart_dec, 2)]
+    for dec, arc in cases:
         t = 0.37
-        diag = double_layer_block(ctx, arc, arc, [t], [t])[0, 0]
-        f = double_layer_block(ctx, arc, arc, [t], t + np.array([4e-3, 2e-3, 1e-3]))[:, 0]
+        diag = kernel_block(dec, arc, arc, [t], [t])[0, 0]
+        f = kernel_block(dec, arc, arc, [t], t + np.array([4e-3, 2e-3, 1e-3]))[:, 0]
         first = [2 * f[1] - f[0], 2 * f[2] - f[1]]
         extrap = (4 * first[1] - first[0]) / 3
         assert abs(extrap - diag) <= 1e-6
@@ -120,19 +123,17 @@ def test_mellin_kernel_errors():
 
 
 def test_straight_corner_remainder_vanishes(square_dec):
-    ctx = KernelContext(square_dec)
     grid = [0.0, 0.05, 0.3, 0.7, 0.99]
-    worst = max(float(np.abs(remainder_block(ctx, i, j, grid, grid)).max())
+    worst = max(float(np.abs(remainder_at(square_dec, i, j, grid, grid)).max())
                 for i, j in ((0, 1), (1, 0)))
     assert worst <= 1e-12
 
 
 def test_remainder_equals_kernel_on_s_axis(teardrop_dec):
     # L(t, 0) = 0, so M(t, 0) = K(t, 0) for t > 0
-    ctx = KernelContext(teardrop_dec)
     for t in (0.3, 0.8):
-        assert remainder_block(ctx, 0, 1, [t], [0.0])[0, 0] == pytest.approx(
-            double_layer_block(ctx, 0, 1, [t], [0.0])[0, 0], rel=1e-14)
+        assert remainder_at(teardrop_dec, 0, 1, [t], [0.0])[0, 0] == pytest.approx(
+            kernel_block(teardrop_dec, 0, 1, [t], [0.0])[0, 0], rel=1e-14)
 
 
 def test_remainder_bounded_near_corner(all_corner_decs):
@@ -143,39 +144,36 @@ def test_remainder_bounded_near_corner(all_corner_decs):
     # of evaluating positions next to the parameter wrap, so the samples are
     # noise; the relative certificate is what the cancellation claims.)
     for name, dec in all_corner_decs.items():
-        ctx = KernelContext(dec)
         for k in range(dec.n_corners):
             for pair in ((3 * k, 3 * k + 1), (3 * k + 1, 3 * k)):
                 for h in (1e-2, 1e-3, 1e-4):
-                    m = abs(remainder_block(ctx, *pair, [h], [h])[0, 0])
-                    kk = abs(double_layer_block(ctx, *pair, [h], [h])[0, 0])
+                    m = abs(remainder_at(dec, *pair, [h], [h])[0, 0])
+                    kk = abs(kernel_block(dec, *pair, [h], [h])[0, 0])
                     assert m <= 1e-4 * kk, (name, k, pair, h, m, kk)
                     assert m <= 1e-2, (name, k, pair, h, m)
 
 
 def test_remainder_bounded_on_teardrop_grid(teardrop_dec):
     # no growth of the remainder as the corner is approached on a (t, s) grid
-    ctx = KernelContext(teardrop_dec)
     grid = (1e-3, 1e-4, 1e-5)
-    worst = max(float(np.abs(remainder_block(ctx, i, j, grid, grid)).max())
+    worst = max(float(np.abs(remainder_at(teardrop_dec, i, j, grid, grid)).max())
                 for i, j in ((0, 1), (1, 0)))
     assert worst <= 1e-2
 
 
 def test_remainder_rejects_non_mellin_pairs(heart_dec):
-    ctx = KernelContext(heart_dec)
-    with pytest.raises(ParameterError):
-        remainder_block(ctx, 0, 2, [0.3], [0.4])
-    with pytest.raises(ParameterError):
-        remainder_block(ctx, 0, 0, [0.3], [0.4])
+    # assembly takes the remainder only where the pair test names a corner
+    assert mellin_chi(heart_dec, 0, 2) is None
+    assert mellin_chi(heart_dec, 0, 0) is None
+    chi = heart_dec.boundary.corners[0].chi
+    assert mellin_chi(heart_dec, 0, 1) == mellin_chi(heart_dec, 1, 0) == chi
 
 
 def test_corner_limit_square_is_zero(square_dec):
-    ctx = KernelContext(square_dec)
-    assert corner_remainder_limit(ctx, 0, 1) == 0.0
-    est, tol = corner_remainder_richardson(ctx, 0, 1)
+    assert arc_nodes_at(square_dec, 1, [0.0]).curvature[0] == 0.0
+    est, tol = corner_remainder_richardson(square_dec, 0, 1)
     assert abs(est) <= 1e-10
-    assert remainder_block(ctx, 0, 1, [0.0], [0.0])[0, 0] == 0.0
+    assert corner_value(square_dec, 0, 1) == 0.0
 
 
 def _parabolic_corner(curvature_scale):
@@ -224,6 +222,8 @@ def _parabolic_corner(curvature_scale):
 
     boundary = Boundary((gamma_macro(), upsilon_macro()),
                            (Corner(0, np.zeros(2), omega),))
+    for arc in boundary.arcs:
+        arc.validate()
     subarcs = (SubArc(0, GAMMA, 0, 0.0, 1.0, True),
                SubArc(1, UPSILON, 1, 0.0, 1.0, False))
     return Decomposition(boundary, subarcs, np.array([1.0]), np.array([1.0]),
@@ -238,10 +238,9 @@ def test_corner_limit_matches_richardson_on_gentle_arcs():
     # which is where the matrix samples them.
     for scale in (1e-2, 1e-3, 1e-4):
         dec = _parabolic_corner(scale)
-        ctx = KernelContext(dec)
         for pair in ((0, 1), (1, 0)):
-            closed = corner_remainder_limit(ctx, *pair)
-            est, _ = corner_remainder_richardson(ctx, *pair)
+            closed = corner_value(dec, *pair)
+            est, _ = corner_remainder_richardson(dec, *pair)
             assert abs(closed) <= 0.5 * scale
             assert abs(est) <= 0.5 * scale
             assert abs(closed - est) <= 0.5 * scale
@@ -250,9 +249,8 @@ def test_corner_limit_matches_richardson_on_gentle_arcs():
 def test_corner_limit_teardrop_head_pair(teardrop_dec):
     # the teardrop corner arcs are straight to 5e-11; both the closed form
     # and the diagonal extrapolation of the head-side pair are near zero
-    ctx = KernelContext(teardrop_dec)
-    closed = corner_remainder_limit(ctx, 0, 1)
-    est, _ = corner_remainder_richardson(ctx, 0, 1)
+    closed = corner_value(teardrop_dec, 0, 1)
+    est, _ = corner_remainder_richardson(teardrop_dec, 0, 1)
     assert abs(closed) <= 1e-8
     assert abs(est) <= 1e-8
 
@@ -286,9 +284,8 @@ def test_field_kernel_values_and_reversal(triangle_dec):
     val = (d[1] * (0.0 - p[0]) - d[0] * (1.0 - p[1])) / ((0.0 - p[0]) ** 2 + (1.0 - p[1]) ** 2)
     assert val == -1.0
 
-    ctx = KernelContext(triangle_dec)
     t = np.array([0.25, 0.6])
-    h_gamma = field_kernel(ctx, 0, 5.0, 4.0, t)
+    h_gamma = field_kernel(triangle_dec, 0, 5.0, 4.0, t)
     # same physical points through the macro parametrization, forward sense
     sub = triangle_dec.subarcs[0]
     arc = triangle_dec.boundary.arcs[sub.macro_index]
@@ -301,9 +298,8 @@ def test_field_kernel_values_and_reversal(triangle_dec):
 
 
 def test_field_kernel_far_bound(heart_dec):
-    ctx = KernelContext(heart_dec)
     t = np.linspace(0.0, 0.99, 23)
-    vals = field_kernel(ctx, 2, 30.0, 40.0, t)
+    vals = field_kernel(heart_dec, 2, 30.0, 40.0, t)
     _, d1, _ = subarc_eval(heart_dec, 2, t)
     pts, _, _ = subarc_eval(heart_dec, 2, t)
     dist = np.hypot(30.0 - pts[:, 0], 40.0 - pts[:, 1])
@@ -311,10 +307,9 @@ def test_field_kernel_far_bound(heart_dec):
 
 
 def test_field_kernel_near_singularity_error(heart_dec):
-    ctx = KernelContext(heart_dec)
     p, _, _ = subarc_eval(heart_dec, 2, 0.5)
     with pytest.raises(ExteriorDomainError):
-        field_kernel(ctx, 2, float(p[0]), float(p[1]), np.array([0.5]))
+        field_kernel(heart_dec, 2, float(p[0]), float(p[1]), np.array([0.5]))
 
 
 def test_coincidence_guard():
@@ -322,23 +317,21 @@ def test_coincidence_guard():
     # shared point with distinct arc indices must signal a node-placement bug
     sq = make_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     dec = decompose(sq, 1e-7)
-    ctx = KernelContext(dec)
     with pytest.raises(CoincidentPointError):
-        double_layer_block(ctx, 0, 1, np.array([0.0]), np.array([0.0]))
+        kernel_block(dec, 0, 1, np.array([0.0]), np.array([0.0]))
     # the remainder exempts only the corner node pair itself
     with pytest.raises(CoincidentPointError):
-        remainder_block(ctx, 0, 1, np.array([0.0]), np.array([0.0, 1e-20]))
+        remainder_at(dec, 0, 1, np.array([0.0]), np.array([0.0, 1e-20]))
 
 
 def test_remainder_block_matches_scalar(teardrop_dec):
-    ctx = KernelContext(teardrop_dec)
     t = np.array([0.0, 0.2, 0.9])
     s = np.array([0.0, 0.4])
-    block = remainder_block(ctx, 0, 1, t, s)
+    block = remainder_at(teardrop_dec, 0, 1, t, s)
     for li, sv in enumerate(s):
         for hi, tv in enumerate(t):
             assert block[li, hi] == pytest.approx(
-                remainder_block(ctx, 0, 1, [tv], [sv])[0, 0], rel=1e-14, abs=1e-300)
+                remainder_at(teardrop_dec, 0, 1, [tv], [sv])[0, 0], rel=1e-14, abs=1e-300)
 
 
 @settings(max_examples=40, deadline=None)

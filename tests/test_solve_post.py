@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ def _system_from(matrix, rhs=None):
     solve and cond_inf read nothing else."""
     a = np.asarray(matrix, float)
     b = np.zeros(len(a)) if rhs is None else np.asarray(rhs, float)
-    return DenseSystem(a, b, unknown_map=None, params=None, dec=None, ctx=None)
+    return DenseSystem(a, b, unknown_map=None)
 
 
 def test_solve_identity():
@@ -108,7 +110,7 @@ def test_eval_exterior_rejects_interior_point(heart_field):
 
 def test_eval_exterior_rejects_boundary_point(heart_field):
     fld, _ = heart_field
-    p = fld.system.dec.boundary.corners[0].point
+    p = fld.system.unknown_map.dec.boundary.corners[0].point
     with pytest.raises(ExteriorDomainError):
         eval_exterior(fld, float(p[0]), float(p[1]))
 
@@ -154,7 +156,7 @@ def _offset_points(boundary, n=40):
 def test_eval_exterior_matches_per_point_loop(fields_16_64, name):
     fld = fields_16_64[name]
     got, want, got_err, want_err = [], [], [], []
-    for x, y in _offset_points(fld.system.dec.boundary):
+    for x, y in _offset_points(fld.system.unknown_map.dec.boundary):
         for fn, vals, errs in ((eval_exterior, got, got_err),
                                (eval_exterior_per_point, want, want_err)):
             try:
@@ -172,7 +174,7 @@ def test_eval_exterior_rejects_collocation_nodes(fields_16_64, name):
     # the field kernel stops them
     fld = fields_16_64[name]
     for i, h in ((0, 1), (1, 1), (2, 0), (2, 32)):
-        p, _, _ = subarc_eval(fld.system.dec, i, fld.system.unknown_map.nodes[i][h])
+        p = fld.system.unknown_map.geometry[i].points[h]
         with pytest.raises(ExteriorDomainError, match=rf"within 1e-12 of sub-arc {i}$"):
             eval_exterior(fld, float(p[0]), float(p[1]))
 
@@ -195,6 +197,28 @@ def test_eval_exterior_does_only_per_point_work(heart_field, monkeypatch):
     values = [eval_exterior(fld, 5.0 * np.cos(a), 5.0 * np.sin(a)) for a in angles]
     assert all(math.isfinite(v) for v in values)
     assert calls == []
+
+
+def test_node_geometry_evaluated_once_per_subarc(all_corner_decs, monkeypatch):
+    calls = []
+
+    def counted(dec, i, s):
+        calls.append(i)
+        return subarc_eval(dec, i, s)
+
+    for info in pkgutil.iter_modules(cb.__path__):
+        module = importlib.import_module(f"cornerbie.{info.name}")
+        if getattr(module, "subarc_eval", None) is subarc_eval:
+            monkeypatch.setattr(module, "subarc_eval", counted)
+    for name, n_subarcs in (("heart", 3), ("triangle", 9)):
+        dec, cfg = all_corner_decs[name], cb.example_config(name)
+        datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
+        params = DiscretizationParams(mu=8, nu=32, c=cfg.c, eps=cfg.eps)
+        system = build_system(dec, params, lambda i, s: rhs_approx(dec, datum, 16, i, s))
+        assert calls == list(range(n_subarcs)), name
+        calls.clear()
+        solve_field(system, datum, 16)
+        assert calls == [], name
 
 
 def test_exterior_accuracy_and_distance_trend(heart_field):

@@ -6,7 +6,9 @@ corner arcs, order nu on the central arcs.  Rows and columns are indexed
 arc-major by node; the two corner arcs of each corner share their s = 0
 node, so their unknown columns are merged and the duplicate corner
 collocation row (the upsilon one) is dropped, giving a square system of
-dimension n (2 mu + nu + 3) - n.
+dimension n (2 mu + nu + 3) - n.  Reduced row r and column r are then the
+same node, so the matrix is written 128 rows at a time as -pi I plus the
+weighted kernel between all node pairs, with the wedge terms added.
 
 The wedge blocks are assembled in modified form: for collocation points
 below the threshold tau = min(1, c / nu^(2 - 2 eps)) the row is the
@@ -32,11 +34,12 @@ from .geometry import CENTRAL, GAMMA, UPSILON, Decomposition, subarc_eval
 from .kernels import (
     ArcNodes,
     arc_nodes,
-    double_layer_block,
+    as_complex,
+    check_separation,
+    double_layer,
     mellin_chi,
     mellin_corner_coefficient,
     mellin_kernel,
-    remainder_block,
 )
 from .quadrature import gauss_radau_left
 
@@ -49,6 +52,7 @@ __all__ = [
 ]
 
 _PIVOT_TOL = 1e-14
+_CHUNK = 128  # rows per kernel grid, which bounds its temporaries to 128 x n
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,8 @@ def modified_wedge_rows(chi: float, t_nodes: np.ndarray, s_values: np.ndarray,
 class UnknownMap:
     """Global indexing of the per-arc Radau nodes with corner merging,
     and their geometry, evaluated once per sub-arc.  The all_* arrays run
-    over every node arc-major; sub-arc i owns bounds[i]:bounds[i + 1]."""
+    over every node arc-major, positions and derivatives as x + iy;
+    sub-arc i owns bounds[i]:bounds[i + 1]."""
 
     dec: Decomposition
     params: DiscretizationParams
@@ -114,8 +119,8 @@ class UnknownMap:
     weights: List[np.ndarray] = field(init=False)
     geometry: List[ArcNodes] = field(init=False)
     bounds: np.ndarray = field(init=False)
-    all_points: np.ndarray = field(init=False)
-    all_derivs: np.ndarray = field(init=False)
+    all_z: np.ndarray = field(init=False)
+    all_dz: np.ndarray = field(init=False)
     all_weights: np.ndarray = field(init=False)
     col_index: List[np.ndarray] = field(init=False)
     row_index: List[np.ndarray] = field(init=False)  # -1 marks a dropped row
@@ -130,11 +135,11 @@ class UnknownMap:
                  for sub in dec.subarcs]
         self.nodes = [rule.nodes for rule in rules]
         self.weights = [rule.weights for rule in rules]
-        self.geometry = [arc_nodes(sub, t, *subarc_eval(dec, i, t))
+        self.geometry = [arc_nodes(sub, *subarc_eval(dec, i, t))
                          for i, (sub, t) in enumerate(zip(dec.subarcs, self.nodes))]
         self.bounds = np.cumsum([0] + [len(t) for t in self.nodes])
-        self.all_points = np.concatenate([g.points for g in self.geometry])
-        self.all_derivs = np.concatenate([g.derivs for g in self.geometry])
+        self.all_z = as_complex(np.concatenate([g.points for g in self.geometry]))
+        self.all_dz = as_complex(np.concatenate([g.derivs for g in self.geometry]))
         self.all_weights = np.concatenate(self.weights)
         # columns and rows run arc-major by node; the s = 0 node of an
         # upsilon arc takes its gamma partner's column and drops its row
@@ -185,27 +190,52 @@ class DenseSystem:
         return lu, piv, norm_a
 
 
-def _add_arc_rows(rows: np.ndarray, umap: UnknownMap, i: int, h) -> None:
-    """Add the collocation rows of sub-arc i at the nodes that h selects
-    into rows, which has one row per selected node and the reduced columns.
+class _Rows:
+    """Writer of the collocation rows of an unknown map at any of its
+    nodes.  The sources are the reduced nodes in column order, then the
+    merged upsilon s = 0 nodes, one per corner.  A field node coincides
+    with the sources of its own column, where the kernel is the source's
+    curvature value (at a corner, the remainder's limit along s = 0);
+    those values and the -pi identity are summed into self_term."""
 
-    Each row is the -pi identity on the node's own column plus, per
-    source arc j, the kernel block times the Radau weights; on Mellin
-    pairs the block is the bounded remainder plus the modified wedge
-    rows, whose corner coefficient lands on the merged corner column.
-    """
-    fld, scale = umap.geometry[i].take(h), umap.dec.scale
-    rows[np.arange(len(fld.t)), umap.col_index[i][h]] += -math.pi
-    for j, src in enumerate(umap.geometry):
-        cols = umap.col_index[j]
-        chi = mellin_chi(umap.dec, i, j)
-        if chi is None:
-            rows[:, cols] += double_layer_block(fld, src, scale) * umap.weights[j]
-            continue
-        wedge, corner_coeff = modified_wedge_rows(chi, src.t, fld.t, umap.params.tau)
-        block = remainder_block(fld, src, chi, scale) + wedge
-        rows[:, cols] += block * umap.weights[j]
-        rows[:, umap.corner_col[i // 3]] += corner_coeff
+    def __init__(self, umap: UnknownMap):
+        sizes = np.diff(umap.bounds)
+        sign = np.repeat([g.sign for g in umap.geometry], sizes)
+        curvature = np.concatenate([g.curvature for g in umap.geometry])
+        self.umap = umap
+        self.arc = np.repeat(np.arange(len(sizes)), sizes)
+        self.t = np.concatenate(umap.nodes)
+        self.col = np.concatenate(umap.col_index)
+        # kept nodes first, then the dropped (merged) ones, in node order
+        self.src = np.argsort(np.concatenate(umap.row_index) < 0, kind="stable")
+        self.src_z = umap.all_z[self.src]
+        self.src_q = (umap.all_weights * sign * umap.all_dz)[self.src]
+        self.self_term = np.bincount(self.col, umap.all_weights * curvature,
+                                     umap.reduced_size) - math.pi
+
+    def fill(self, out: np.ndarray, f) -> None:
+        """Write the rows at the nodes f (indices over all nodes) into out."""
+        umap, n, f = self.umap, self.umap.reduced_size, np.asarray(f)
+        arc, t, col, rows = self.arc[f], self.t[f], self.col[f], np.arange(len(f))
+        merged = np.nonzero(col[:, None] == umap.corner_col[None, :])
+        exempt = (np.r_[rows, merged[0]], np.r_[col, n + merged[1]])
+        k, dist = double_layer(umap.all_z[f], self.src_z, self.src_q, exempt)
+        check_separation(dist, umap.dec.scale, (arc, t), (self.arc[self.src], self.t[self.src]))
+        out[:] = k[:, :n]
+        out[:, umap.corner_col] += k[:, n:]
+        out[rows, col] += self.self_term[col]
+        # on a Mellin pair the partner's kernel becomes remainder plus
+        # modified wedge: add (wedge - L) w, with L = 0 at the corner pair
+        for i in np.unique(arc):
+            j = i + 1 if umap.dec.subarcs[i].kind == GAMMA else i - 1
+            chi = mellin_chi(umap.dec, i, j)
+            if chi is not None:
+                sel, tj = np.flatnonzero(arc == i), umap.nodes[j]
+                wedge, corner_coeff = modified_wedge_rows(chi, tj, t[sel], umap.params.tau)
+                corner_pair = (t[sel, None] == 0.0) & (tj == 0.0)
+                wedge -= mellin_kernel(chi, np.where(corner_pair, 1.0, tj), t[sel, None])
+                out[np.ix_(sel, umap.col_index[j])] += wedge * umap.weights[j]
+                out[sel, umap.corner_col[i // 3]] += corner_coeff
 
 
 def build_system(dec: Decomposition, params: DiscretizationParams,
@@ -217,15 +247,15 @@ def build_system(dec: Decomposition, params: DiscretizationParams,
     values gbar_i(s) as an array of the same length.
     """
     umap = UnknownMap(dec, params)
-    A = np.zeros((umap.reduced_size, umap.reduced_size))
-    b = np.zeros(umap.reduced_size)
+    n = umap.reduced_size
+    A, b = np.empty((n, n)), np.empty(n)
+    rows = _Rows(umap)
+    kept = rows.src[:n]  # reduced row r is the node of reduced column r
+    for lo in range(0, n, _CHUNK):
+        rows.fill(A[lo:lo + _CHUNK], kept[lo:lo + _CHUNK])
     for i in range(dec.n_subarcs):
         keep = umap.row_index[i] >= 0
-        rows = umap.row_index[i][keep]
-        # an arc's kept rows are consecutive, so the slice is a view of A
-        span = slice(rows[0], rows[-1] + 1)
-        _add_arc_rows(A[span], umap, i, keep)
-        b[span] = rhs_provider(i, umap.nodes[i][keep])
+        b[umap.row_index[i][keep]] = rhs_provider(i, umap.nodes[i][keep])
 
     if not np.all(np.isfinite(A)):
         bad = np.argwhere(~np.isfinite(A))[0]

@@ -27,7 +27,7 @@ from .geometry import (
     winding_number,
 )
 from .quadrature import MAX_MOMENTS, MAX_RULE_ORDER
-from .rhs import NeumannDatum, rhs_approx
+from .rhs import NeumannDatum, RhsRule, rhs_approx
 from .solve_post import cond_inf, eval_exterior, solve_field
 
 __all__ = [
@@ -259,7 +259,8 @@ class RowResult:
 def _run_row(dec, datum, cfg: RunConfig, mu: int, nu: int) -> RowResult:
     params = DiscretizationParams(mu=mu, nu=nu, c=cfg.c, eps=cfg.eps)
     m_rhs, n_outer = cfg.rule_orders(nu)
-    system = build_system(dec, params, lambda i, s: rhs_approx(dec, datum, m_rhs, i, s))
+    rule = RhsRule(dec, datum, m_rhs)
+    system = build_system(dec, params, lambda i, s: rhs_approx(rule, i, s))
     cond = cond_inf(system)
     fld = solve_field(system, datum, n_outer)
     values, errors = [], []

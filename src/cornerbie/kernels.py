@@ -1,10 +1,10 @@
 """Double-layer kernels on the decomposed boundary.
 
 The Nystrom blocks need the double-layer kernel between sub-arcs i
-(field, parameter s) and j (source, parameter t),
+(field, parameter s) and j (source, parameter t); with z = xi + i eta,
 
-    K(t, s) = [eta_j'(t) (xi_i(s) - xi_j(t)) - xi_j'(t) (eta_i(s) - eta_j(t))]
-              / |sigma_i(s) - sigma_j(t)|^2,
+    K(t, s) = Im(z_j'(t) / (z_i(s) - z_j(t)))
+            = [eta_j' (xi_i - xi_j) - xi_j' (eta_i - eta_j)] / |z_i - z_j|^2,
 
 its curvature-type diagonal value for i = j, t = s, and the splitting
 K = L + M on the two sub-arcs flanking a corner, where
@@ -17,10 +17,6 @@ counterclockwise orientation: on reversed (gamma) source arcs the raw
 formula above flips sign and is corrected by the arc's orientation
 factor.  Without that correction the wedge cancellation K - L fails on
 one of the two corner blocks.
-
-M is evaluated at the corner node pair (0, 0) by its limit along the
-s = 0 edge, which is the curvature value of the source arc at the
-corner.
 """
 
 from __future__ import annotations
@@ -37,15 +33,16 @@ from .geometry import CENTRAL, Decomposition, SubArc
 __all__ = [
     "ArcNodes",
     "arc_nodes",
+    "as_complex",
     "mellin_chi",
-    "double_layer_block",
+    "double_layer",
+    "check_separation",
     "mellin_kernel",
-    "remainder_block",
     "mellin_corner_coefficient",
     "field_kernel_at",
 ]
 
-_COINCIDENCE_FACTOR = 1e-28
+_COINCIDENCE_FACTOR = 1e-14
 _FIELD_DISTANCE_TOL = 1e-12
 
 
@@ -56,31 +53,28 @@ def _check_chi(chi: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ArcNodes:
-    """Geometry of sub-arc index at the parameters t: positions, first
+    """Geometry of a sub-arc at some parameters: positions, first
     derivatives, the continuous diagonal value of the self kernel, and
     the orientation sign (-1 on reversed arcs)."""
 
-    index: int
-    t: np.ndarray
     points: np.ndarray
     derivs: np.ndarray
     curvature: np.ndarray
     sign: float
 
-    def take(self, h) -> "ArcNodes":
-        """The nodes that the index array or mask h selects."""
-        return ArcNodes(self.index, self.t[h], self.points[h], self.derivs[h],
-                        self.curvature[h], self.sign)
 
-
-def arc_nodes(sub: SubArc, t: np.ndarray, p: np.ndarray, d1: np.ndarray,
-              d2: np.ndarray) -> ArcNodes:
+def arc_nodes(sub: SubArc, p: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> ArcNodes:
     """ArcNodes of sub-arc sub from its position and first and second
-    derivatives at t.  The diagonal value is half the signed curvature
+    derivatives.  The diagonal value is half the signed curvature
     numerator over the squared speed, with CCW orientation."""
     sign = -1.0 if sub.reversed else 1.0
     num = d1[..., 1] * d2[..., 0] - d1[..., 0] * d2[..., 1]
-    return ArcNodes(sub.index, t, p, d1, sign * 0.5 * num / (d1 * d1).sum(-1), sign)
+    return ArcNodes(p, d1, sign * 0.5 * num / (d1 * d1).sum(-1), sign)
+
+
+def as_complex(p: np.ndarray) -> np.ndarray:
+    """Points or vectors with a trailing coordinate axis of length 2 as x + iy."""
+    return p[..., 0] + 1j * p[..., 1]
 
 
 def mellin_chi(dec: Decomposition, i: int, j: int) -> Optional[float]:
@@ -92,43 +86,26 @@ def mellin_chi(dec: Decomposition, i: int, j: int) -> Optional[float]:
     return dec.boundary.corners[i // 3].chi
 
 
-def _numerator_and_distance(field_pts: np.ndarray, sp: np.ndarray, sd: np.ndarray):
-    """Raw double-layer numerator and squared distance between field
-    points field_pts (shape (L, 2)) and source points sp with sub-arc
-    derivatives sd (shape (H, 2) each); both (L, H).
-
-    The numerator is taken with the sub-arc's own derivative, so on a
-    reversed arc it carries the opposite sign of the CCW kernel.
-    """
-    dx = field_pts[:, None, 0] - sp[None, :, 0]
-    dy = field_pts[:, None, 1] - sp[None, :, 1]
-    return sd[None, :, 1] * dx - sd[None, :, 0] * dy, dx * dx + dy * dy
-
-
-def _kernel(fld: ArcNodes, src: ArcNodes, scale: float, coincide: np.ndarray) -> np.ndarray:
-    """K[l, h] = K(t[h], s[l]) from field nodes fld to source nodes src.
-
-    Where coincide[l, h] holds, the entry is the continuous limit of K,
-    the source arc's curvature value at t[h].  Any other pair closer than
-    1e-14 scale raises, because node placement guarantees separation.
-    """
-    num, den = _numerator_and_distance(fld.points, src.points, src.derivs)
-    den = np.where(coincide, np.inf, den)
-    if den.min() < _COINCIDENCE_FACTOR * scale**2:
-        l, h = np.unravel_index(int(den.argmin()), den.shape)
-        raise CoincidentPointError(
-            f"sub-arcs {fld.index}, {src.index}: field s={fld.t[l]} "
-            f"and source t={src.t[h]} coincide"
-        )
-    return np.where(coincide, src.curvature[None, :], src.sign * num / den)
+def double_layer(zf: np.ndarray, zs: np.ndarray, q: np.ndarray, exempt=None):
+    """(k, dist) with k[r, c] = Im(q[c] / (zf[r] - zs[c])), the kernel
+    K(t_c, s_r) times w_c for q = w sigma z', and dist = |zf[r] - zs[c]|.
+    Exempt pairs (coincident nodes, whose value the caller supplies) get
+    k = 0 and dist = inf; callers check dist before they use k."""
+    dz = zf[:, None] - zs[None, :]
+    if exempt is not None:
+        dz[exempt] = np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (q / dz).imag, np.abs(dz)
 
 
-def double_layer_block(fld: ArcNodes, src: ArcNodes, scale: float) -> np.ndarray:
-    """Kernel matrix K[l, h] = K^{i,j}(t[h], s[l]) between the field
-    nodes s of sub-arc i and the source nodes t of sub-arc j; for i = j,
-    entries with t[h] == s[l] take the diagonal curvature value."""
-    same_arc = fld.index == src.index
-    return _kernel(fld, src, scale, same_arc & (fld.t[:, None] == src.t[None, :]))
+def check_separation(dist: np.ndarray, scale: float, fld, src) -> None:
+    """Raise CoincidentPointError when a distance is below 1e-14 scale,
+    which node placement rules out; fld and src are the (sub-arc,
+    parameter) arrays of the rows and columns, to name the pair."""
+    r, c = np.unravel_index(int(dist.argmin()), dist.shape)
+    if dist[r, c] < _COINCIDENCE_FACTOR * scale:
+        raise CoincidentPointError(f"sub-arcs {fld[0][r]}, {src[0][c]}: field "
+                                   f"s={fld[1][r]} and source t={src[1][c]} coincide")
 
 
 def mellin_kernel(chi: float, t, s):
@@ -143,19 +120,6 @@ def mellin_kernel(chi: float, t, s):
     return out if out.ndim else float(out)
 
 
-def remainder_block(fld: ArcNodes, src: ArcNodes, chi: float, scale: float) -> np.ndarray:
-    """Remainder matrix M[l, h] = (K - L)(t[h], s[l]) on a Mellin pair
-    with corner parameter chi.
-
-    At the corner node pair t = s = 0, where K and L are both singular,
-    M takes its limit along the s = 0 edge, on which L vanishes and K
-    tends to the source arc's curvature value at the corner.
-    """
-    corner_pair = (fld.t[:, None] == 0.0) & (src.t[None, :] == 0.0)
-    t = np.where(corner_pair, 1.0, src.t[None, :])
-    return _kernel(fld, src, scale, corner_pair) - mellin_kernel(chi, t, fld.t[:, None])
-
-
 def mellin_corner_coefficient(chi: float) -> float:
     """Corner row value of the wedge block per unit corner density.
 
@@ -168,22 +132,19 @@ def mellin_corner_coefficient(chi: float) -> float:
     return -chi * math.pi
 
 
-def field_kernel_at(x: float, y: float, sp: np.ndarray, sd: np.ndarray,
+def field_kernel_at(x: float, y: float, zs: np.ndarray, dzs: np.ndarray,
                     bounds: np.ndarray) -> np.ndarray:
-    """Exterior-field double-layer kernel at (x, y) from source points sp
-    with sub-arc derivatives sd (shape (H, 2) each), where sub-arc i owns
-    the sources bounds[i]:bounds[i + 1].
-
-    Raw formula in the sub-arc derivatives: reversing the arc flips the
-    sign, which the exterior evaluator corrects when it sums over arcs.
-    Raises, naming the first such sub-arc, when (x, y) is within 1e-12
-    of a source point.
-    """
-    num, den = _numerator_and_distance(np.array([[x, y]], float), sp, sd)
-    near = den[0] < _FIELD_DISTANCE_TOL**2
+    """Exterior-field kernel at (x, y) from the complex source points zs
+    with sub-arc derivatives dzs, where sub-arc i owns the sources
+    bounds[i]:bounds[i + 1]: the raw formula, whose sign on reversed arcs
+    the exterior evaluator corrects when it sums over arcs.  Raises,
+    naming the first such sub-arc, when (x, y) is within 1e-12 of a source
+    point."""
+    k, dist = double_layer(np.array([complex(x, y)]), zs, dzs)
+    near = dist[0] < _FIELD_DISTANCE_TOL
     if near.any():
         raise ExteriorDomainError(
             f"field point ({x}, {y}) within {_FIELD_DISTANCE_TOL} "
             f"of sub-arc {int(np.searchsorted(bounds, near.argmax(), 'right')) - 1}"
         )
-    return (num / den)[0]
+    return k[0]

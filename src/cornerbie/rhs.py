@@ -20,12 +20,14 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import Boundary, Decomposition, macro_param_of
+from .kernels import as_complex
 from .quadrature import MAX_MOMENTS, gauss_legendre, legendre_table, log_moments
 
 __all__ = [
     "NeumannDatum",
     "normal_derivative",
     "log_chord_ratio",
+    "RhsRule",
     "rhs_approx",
 ]
 
@@ -99,50 +101,57 @@ class NeumannDatum:
         return total
 
 
-def log_chord_ratio(boundary: Boundary, ell: int, t, s):
-    """log(|sigma_l(s) - sigma_l(t)| / |t - s|), safe at t = s.
-
-    t and s broadcast against each other.  Within 8 machine epsilons of
-    the diagonal the ratio is replaced by its limit |sigma_l'(t)|, which
-    avoids the catastrophic cancellation of the raw quotient.
-    """
-    t = np.asarray(t, float)
-    s = np.asarray(s, float)
-    arc = boundary.arcs[ell]
-    gap = np.abs(t - s)
+def _log_ratio(chord, gap, speed):
+    """log(chord / gap), or its limit log(speed) within 8 machine epsilons
+    of the diagonal, which avoids the cancellation of the raw quotient."""
     near = gap < _EPS_BRANCH
+    return np.where(near, np.log(speed),
+                    np.log(np.where(near, 1.0, chord) / np.where(near, 1.0, gap)))
+
+
+def log_chord_ratio(boundary: Boundary, ell: int, t, s):
+    """log(|sigma_l(s) - sigma_l(t)| / |t - s|), safe at t = s, with the
+    limit |sigma_l'(t)| on the diagonal; t and s broadcast."""
+    t, s, arc = np.asarray(t, float), np.asarray(s, float), boundary.arcs[ell]
     chord = np.linalg.norm(np.asarray(arc.position(t), float)
                            - np.asarray(arc.position(s), float), axis=-1)
     speed = np.linalg.norm(np.asarray(arc.first_derivative(t), float), axis=-1)
-    out = np.where(near, np.log(speed),
-                   np.log(np.where(near, 1.0, chord) / np.where(near, 1.0, gap)))
+    out = _log_ratio(chord, np.abs(t - s), speed)
     return out if out.ndim else float(out)
 
 
-def rhs_approx(dec: Decomposition, datum: NeumannDatum, M: int, i: int, s):
-    """Product-rule approximation of gbar_i(s) with an M-point rule.
+class RhsRule:
+    """The M-point product rule of one row, built once: the Gauss-Legendre
+    nodes x and, per macro arc k, the weighted density w f_k, its
+    Legendre coefficients legendre_table(M, x) @ (w f_k), and the
+    positions and speeds at x."""
 
-    s is a float or a 1-D array of parameters on sub-arc i; a float gives
-    a float.  Each point is mapped to its macro arc (ell, s_macro); all
-    other arcs contribute plain Gauss-Legendre sums of the log kernel,
-    the self arc the moment product rule plus the chord-ratio term.  For
-    an array the rule is one matrix per arc applied to the weighted
-    density w * f.
-    """
-    if not 1 <= M <= MAX_MOMENTS:
-        raise ParameterError(f"rhs rule order must be in [1, {MAX_MOMENTS}], got {M}")
-    ell, sm = macro_param_of(dec, i, np.atleast_1d(np.asarray(s, float)))
-    rule = gauss_legendre(M)
-    x = rule.nodes
-    arcs = dec.boundary.arcs
-    base = np.asarray(arcs[ell].position(sm), float)
+    def __init__(self, dec: Decomposition, datum: NeumannDatum, M: int):
+        if not 1 <= M <= MAX_MOMENTS:
+            raise ParameterError(f"rhs rule order must be in [1, {MAX_MOMENTS}], got {M}")
+        rule, arcs = gauss_legendre(M), dec.boundary.arcs
+        x = rule.nodes
+        self.dec, self.M, self.nodes = dec, M, x
+        self.density = np.stack([rule.weights * datum.arc_density(k, x) for k in range(len(arcs))])
+        self.coef = self.density @ legendre_table(M, x).T
+        self.points = np.stack([as_complex(np.asarray(arc.position(x), float)) for arc in arcs])
+        self.speeds = np.linalg.norm(
+            np.stack([np.asarray(arc.first_derivative(x), float) for arc in arcs]), axis=-1)
+
+
+def rhs_approx(rule: RhsRule, i: int, s):
+    """Product-rule approximation of gbar_i(s) with the row's rule at a float
+    s (giving a float) or 1-D array of parameters on sub-arc i, each mapped
+    to its macro arc (ell, s_macro): plain Gauss-Legendre log sums over the
+    other arcs, log moments and the chord-ratio sum over the self arc."""
+    ell, sm = macro_param_of(rule.dec, i, np.atleast_1d(np.asarray(s, float)))
+    base = as_complex(np.asarray(rule.dec.boundary.arcs[ell].position(sm), float))
     out = np.zeros(len(sm))
-    for k, arc in enumerate(arcs):
+    for k, density in enumerate(rule.density):
+        chord = np.abs(rule.points[k] - base[:, None])
         if k == ell:
-            kernel = log_moments(sm, M) @ legendre_table(M, x)
-            kernel += log_chord_ratio(dec.boundary, ell, x, sm[:, None])
+            ratio = _log_ratio(chord, np.abs(rule.nodes - sm[:, None]), rule.speeds[k])
+            out += log_moments(sm, rule.M) @ rule.coef[k] + ratio @ density
         else:
-            pts = np.asarray(arc.position(x), float)
-            kernel = np.log(np.linalg.norm(pts - base[:, None, :], axis=-1))
-        out += kernel @ (rule.weights * datum.arc_density(k, x))
+            out += np.log(chord) @ density
     return out if np.ndim(s) else float(out[0])

@@ -21,10 +21,12 @@ from cornerbie.geometry import (
 )
 from cornerbie.kernels import (
     arc_nodes,
-    double_layer_block,
+    as_complex,
+    check_separation,
+    double_layer,
     field_kernel_at,
     mellin_chi,
-    remainder_block,
+    mellin_kernel,
 )
 from cornerbie.quadrature import gauss_legendre
 from cornerbie.rhs import NeumannDatum
@@ -156,19 +158,37 @@ def example_tables():
 def arc_nodes_at(dec, i, t):
     """Node geometry of sub-arc i at the parameters t."""
     t = np.atleast_1d(np.asarray(t, float))
-    return arc_nodes(dec.subarcs[i], t, *subarc_eval(dec, i, t))
+    return arc_nodes(dec.subarcs[i], *subarc_eval(dec, i, t))
+
+
+def _kernel_grid(dec, i, j, t, s, coincide):
+    """K[l, h] = K(t[h], s[l]) from sub-arc j to sub-arc i through
+    kernels.double_layer; where coincide holds, the source's curvature
+    value, and every other pair checked for separation."""
+    fld, src = arc_nodes_at(dec, i, s), arc_nodes_at(dec, j, t)
+    k, dist = double_layer(as_complex(fld.points), as_complex(src.points),
+                           src.sign * as_complex(src.derivs), np.nonzero(coincide))
+    check_separation(dist, dec.scale, (np.full(len(s), i), s), (np.full(len(t), j), t))
+    return np.where(coincide, src.curvature[None, :], k)
 
 
 def kernel_block(dec, i, j, t, s):
-    """double_layer_block from field parameters s on sub-arc i to source
-    parameters t on sub-arc j."""
-    return double_layer_block(arc_nodes_at(dec, i, s), arc_nodes_at(dec, j, t), dec.scale)
+    """Double-layer kernel K^{i,j}(t[h], s[l]) from field parameters s on
+    sub-arc i to source parameters t on sub-arc j; for i = j, entries with
+    t[h] == s[l] take the diagonal curvature value."""
+    t, s = np.atleast_1d(np.asarray(t, float)), np.atleast_1d(np.asarray(s, float))
+    return _kernel_grid(dec, i, j, t, s, (i == j) & (s[:, None] == t[None, :]))
 
 
 def remainder_at(dec, i, j, t, s):
-    """remainder_block on the Mellin pair (i, j), parameters as in kernel_block."""
-    return remainder_block(arc_nodes_at(dec, i, s), arc_nodes_at(dec, j, t),
-                           mellin_chi(dec, i, j), dec.scale)
+    """Remainder (K - L)(t[h], s[l]) on the Mellin pair (i, j), parameters
+    as in kernel_block; at the corner node pair t = s = 0 it is the limit
+    along the s = 0 edge, the source's curvature value, with L = 0."""
+    t, s = np.atleast_1d(np.asarray(t, float)), np.atleast_1d(np.asarray(s, float))
+    corner_pair = (s[:, None] == 0.0) & (t[None, :] == 0.0)
+    k = _kernel_grid(dec, i, j, t, s, corner_pair)
+    return k - mellin_kernel(mellin_chi(dec, i, j), np.where(corner_pair, 1.0, t[None, :]),
+                             s[:, None])
 
 
 # --------------------------------------------------------------------------
@@ -272,9 +292,9 @@ def eval_exterior_per_point(fld, x: float, y: float) -> float:
         dens = fld.datum.arc_density(k, rule.nodes)
         single += float(np.sum(rule.weights * dens * np.log(dist)))
     geom = [arc_nodes_at(dec, i, t) for i, t in enumerate(umap.nodes)]
-    bounds = np.cumsum([0] + [len(g.t) for g in geom])
-    h = field_kernel_at(p[0], p[1], np.concatenate([g.points for g in geom]),
-                        np.concatenate([g.derivs for g in geom]), bounds)
+    bounds = np.cumsum([0] + [len(g.points) for g in geom])
+    h = field_kernel_at(p[0], p[1], as_complex(np.concatenate([g.points for g in geom])),
+                        as_complex(np.concatenate([g.derivs for g in geom])), bounds)
     double = 0.0
     for i, g in enumerate(geom):
         terms = umap.weights[i] * h[bounds[i]:bounds[i + 1]] * fld.values[i]

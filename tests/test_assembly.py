@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from cornerbie import AssemblyError, ParameterError
 from cornerbie.assembly import (
     DiscretizationParams,
     UnknownMap,
-    _add_arc_rows,
+    _Rows,
     build_system,
     modified_wedge_rows,
 )
-from cornerbie.kernels import mellin_corner_coefficient
+from cornerbie.kernels import mellin_chi, mellin_corner_coefficient, mellin_kernel
 from cornerbie.quadrature import gauss_radau_left
 
 
@@ -93,12 +94,70 @@ def test_duplicate_corner_rows_identical(all_corner_decs):
                                       c=300.0 if name == "heart" else 100.0,
                                       eps=1e-3 if name != "triangle" else 1e-6)
         umap = UnknownMap(dec, params)
+        writer = _Rows(umap)
         for k in range(dec.n_corners):
             rows = np.zeros((2, umap.reduced_size))
-            _add_arc_rows(rows[:1], umap, 3 * k, [0])
-            _add_arc_rows(rows[1:], umap, 3 * k + 1, [0])
+            writer.fill(rows[:1], [umap.bounds[3 * k]])
+            writer.fill(rows[1:], [umap.bounds[3 * k + 1]])
             diff = np.abs(rows[0] - rows[1]).max()
             assert diff <= 1e-13, (name, k, diff)
+
+
+def _entrywise_matrix(dec, params):
+    """The reduced matrix entry by entry: the scalar real-form kernel on
+    every (row node, source node) pair, the curvature value where the two
+    nodes coincide, the Mellin split K - L + wedge on the corner pairs
+    with L = 0 at the corner node pair, the corner coefficient, and each
+    source's weight added on its merged column."""
+    umap = UnknownMap(dec, params)
+    ref = np.zeros((umap.reduced_size, umap.reduced_size))
+    for i, fld in enumerate(umap.geometry):
+        for l, s in enumerate(umap.nodes[i]):
+            r = umap.row_index[i][l]
+            if r < 0:
+                continue
+            ref[r, umap.col_index[i][l]] -= math.pi
+            for j, src in enumerate(umap.geometry):
+                chi = mellin_chi(dec, i, j)
+                if chi is not None:
+                    wedge, coeff = modified_wedge_rows(chi, umap.nodes[j], [s], params.tau)
+                    ref[r, umap.corner_col[i // 3]] += coeff[0]
+                for h, t in enumerate(umap.nodes[j]):
+                    corner_pair = chi is not None and s == t == 0.0
+                    if (i == j and s == t) or corner_pair:
+                        k = src.curvature[h]
+                    else:
+                        dx, dy = fld.points[l] - src.points[h]
+                        d = src.derivs[h]
+                        k = src.sign * (d[1] * dx - d[0] * dy) / (dx * dx + dy * dy)
+                    if chi is not None:
+                        k += wedge[0, h] - (0.0 if corner_pair else mellin_kernel(chi, t, s))
+                    ref[r, umap.col_index[j][h]] += k * umap.weights[j][h]
+    return ref
+
+
+@pytest.mark.parametrize("name", ["heart", "triangle"])
+def test_matrix_matches_entrywise_reference(all_corner_decs, name):
+    dec = all_corner_decs[name]
+    params = DiscretizationParams(mu=8, nu=32, c=300.0 if name == "heart" else 100.0,
+                                  eps=1e-3 if name == "heart" else 1e-6)
+    a = build_system(dec, params, _zero_rhs).matrix
+    ref = _entrywise_matrix(dec, params)
+    assert np.abs(a - ref).max() <= 1e-13 * np.abs(a).max()
+
+
+def test_build_system_peak_memory(triangle_dec):
+    # the kernel rows are written into A a chunk at a time, so no n x n
+    # temporary is allocated next to the matrix
+    params = DiscretizationParams(mu=128, nu=512, c=100.0, eps=1e-6)
+    tracemalloc.start()
+    try:
+        system = build_system(triangle_dec, params, _zero_rhs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert system.matrix.shape == (2310, 2310)
+    assert peak <= 1.5 * system.matrix.nbytes, peak / system.matrix.nbytes
 
 
 def test_wedge_rows_blend_continuity():

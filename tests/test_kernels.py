@@ -20,6 +20,7 @@ from cornerbie.geometry import (
     subarc_eval,
 )
 from cornerbie.kernels import (
+    as_complex,
     field_kernel_at,
     mellin_chi,
     mellin_corner_coefficient,
@@ -35,7 +36,7 @@ def corner_remainder_richardson(dec, i, j, steps=(1e-4, 5e-5, 2.5e-5)):
 
     Extrapolates K(h, h) - L(h, h) along t = s = h to h -> 0 (first and
     second order); the difference of the two orders estimates the error.
-    The closed form that remainder_block puts at t = s = 0 is checked
+    The closed form that remainder_at puts at t = s = 0 is checked
     against it: the two agree up to the extrapolation tolerance plus the
     roundoff floor of the near-singular difference, which is why the
     closed form is what enters the matrix.
@@ -56,7 +57,8 @@ def corner_value(dec, i, j):
 def field_kernel(dec, i, x, y, t):
     """Exterior-field kernel at (x, y) from sub-arc i at parameters t."""
     g = arc_nodes_at(dec, i, t)
-    return field_kernel_at(x, y, g.points, g.derivs, np.array([0, len(g.t)]))
+    return field_kernel_at(x, y, as_complex(g.points), as_complex(g.derivs),
+                           np.array([0, len(g.points)]))
 
 
 def test_circle_kernel_is_minus_pi(circle_dec):

@@ -8,11 +8,12 @@ from cornerbie import ParameterError
 from cornerbie.assembly import DiscretizationParams, UnknownMap
 from cornerbie.geometry import circle_arc, make_example_domain, make_smooth_boundary
 from cornerbie.quadrature import gauss_legendre, gauss_radau_left, legendre_table
-from cornerbie.rhs import NeumannDatum, log_chord_ratio, normal_derivative, rhs_approx
+from cornerbie.rhs import NeumannDatum, RhsRule, log_chord_ratio, normal_derivative, rhs_approx
 
 
 def _max_deviation(dec, datum, M, points, oracle):
-    return max(abs(rhs_approx(dec, datum, M, i, s) - oracle[(i, s)]) for i, s in points)
+    rule = RhsRule(dec, datum, M)
+    return max(abs(rhs_approx(rule, i, s) - oracle[(i, s)]) for i, s in points)
 
 
 def test_arc_density_constant_on_straight_side():
@@ -108,9 +109,9 @@ def test_moment_path_equivalence():
 def test_rhs_single_arc_uses_product_rule_only(heart_dec, heart_datum):
     # n = 1: the cross-arc sum is empty; the value is finite and reproducible
     datum, _ = heart_datum
-    v = rhs_approx(heart_dec, datum, 16, 2, 0.25)
+    v = rhs_approx(RhsRule(heart_dec, datum, 16), 2, 0.25)
     assert math.isfinite(v)
-    assert v == rhs_approx(heart_dec, datum, 16, 2, 0.25)
+    assert v == rhs_approx(RhsRule(heart_dec, datum, 16), 2, 0.25)
 
 
 def test_rhs_array_matches_per_node_calls(all_corner_decs):
@@ -121,10 +122,11 @@ def test_rhs_array_matches_per_node_calls(all_corner_decs):
         cfg = cb.example_config(name)
         datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
         umap = UnknownMap(dec, DiscretizationParams(mu=8, nu=32, c=cfg.c, eps=cfg.eps))
+        rule = RhsRule(dec, datum, 16)
         for i in range(dec.n_subarcs):
             nodes = umap.nodes[i]
-            got = rhs_approx(dec, datum, 16, i, nodes)
-            want = np.array([rhs_approx(dec, datum, 16, i, float(s)) for s in nodes])
+            got = rhs_approx(rule, i, nodes)
+            want = np.array([rhs_approx(rule, i, float(s)) for s in nodes])
             assert got.shape == nodes.shape
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (name, i)
 
@@ -155,17 +157,34 @@ def test_rhs_cancellation_safety(heart_dec, heart_datum):
     datum, _ = heart_datum
     nodes = gauss_radau_left(8).nodes
     s = float(nodes[3])
-    a = rhs_approx(heart_dec, datum, 32, 1, s)
-    b = rhs_approx(heart_dec, datum, 32, 1, s + 1e-15)
+    rule = RhsRule(heart_dec, datum, 32)
+    a = rhs_approx(rule, 1, s)
+    b = rhs_approx(rule, 1, s + 1e-15)
     assert abs(a - b) <= 1e-10
 
 
 def test_rhs_range_errors(heart_dec, heart_datum):
     datum, _ = heart_datum
     with pytest.raises(ParameterError):
-        rhs_approx(heart_dec, datum, 513, 0, 0.5)
+        RhsRule(heart_dec, datum, 513)
     with pytest.raises(ParameterError):
-        rhs_approx(heart_dec, datum, 0, 0, 0.5)
+        RhsRule(heart_dec, datum, 0)
+
+
+def test_rhs_tables_built_once_per_row(monkeypatch):
+    # the Legendre table is part of the per-row rule: one per (mu, nu) row,
+    # not one per sub-arc
+    calls = []
+    table = cb.rhs.legendre_table
+
+    def counting(M, x):
+        calls.append(M)
+        return table(M, x)
+
+    monkeypatch.setattr(cb.rhs, "legendre_table", counting)
+    rows = cb.run_example(cb.example_config("heart"))
+    assert not any(row.failed for row in rows)
+    assert calls == [nu // 2 for _, nu in cb.harness.DEFAULT_PAIRS]
 
 
 def test_datum_requires_exactly_one_source(heart_boundary):

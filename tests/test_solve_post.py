@@ -17,7 +17,7 @@ from cornerbie import (
 )
 from cornerbie.assembly import DenseSystem, DiscretizationParams, build_system
 from cornerbie.geometry import decompose, make_polygon, subarc_eval
-from cornerbie.rhs import NeumannDatum, rhs_approx
+from cornerbie.rhs import NeumannDatum, RhsRule, rhs_approx
 from cornerbie.solve_post import cond_inf, eval_exterior, solve_dense, solve_field
 from conftest import eval_exterior_per_point
 
@@ -97,8 +97,9 @@ def test_one_factorization_per_row_and_per_angle(monkeypatch):
 def heart_field(heart_dec, heart_datum):
     datum, sol = heart_datum
     params = DiscretizationParams(mu=16, nu=64, c=300.0, eps=1e-3)
+    rule = RhsRule(heart_dec, datum, 32)
     system = build_system(heart_dec, params,
-                          lambda i, s: rhs_approx(heart_dec, datum, 32, i, s))
+                          lambda i, s: rhs_approx(rule, i, s))
     return solve_field(system, datum, 32), sol
 
 
@@ -134,7 +135,8 @@ def fields_16_64(all_corner_decs):
         cfg = cb.example_config(name)
         datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
         params = DiscretizationParams(mu=16, nu=64, c=cfg.c, eps=cfg.eps)
-        system = build_system(dec, params, lambda i, s: rhs_approx(dec, datum, 32, i, s))
+        rule = RhsRule(dec, datum, 32)
+        system = build_system(dec, params, lambda i, s: rhs_approx(rule, i, s))
         fields[name] = solve_field(system, datum, 64 if cfg.N == -1 else 32)
     return fields
 
@@ -214,7 +216,8 @@ def test_node_geometry_evaluated_once_per_subarc(all_corner_decs, monkeypatch):
         dec, cfg = all_corner_decs[name], cb.example_config(name)
         datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
         params = DiscretizationParams(mu=8, nu=32, c=cfg.c, eps=cfg.eps)
-        system = build_system(dec, params, lambda i, s: rhs_approx(dec, datum, 16, i, s))
+        rule = RhsRule(dec, datum, 16)
+        system = build_system(dec, params, lambda i, s: rhs_approx(rule, i, s))
         assert calls == list(range(n_subarcs)), name
         calls.clear()
         solve_field(system, datum, 16)
@@ -242,8 +245,9 @@ def test_smooth_circle_pipeline(circle_dec):
     sol = cb.make_exact_solution("log_pair", q1=(0.5, 0.0), q2=(0.2, 0.0))
     datum = NeumannDatum(circle_dec.boundary, u_grad=sol.grad)
     params = DiscretizationParams(mu=64, nu=64, c=100.0, eps=1e-3)
+    rule = RhsRule(circle_dec, datum, 256)
     system = build_system(circle_dec, params,
-                          lambda i, s: rhs_approx(circle_dec, datum, 256, i, s))
+                          lambda i, s: rhs_approx(rule, i, s))
     fld = solve_field(system, datum, 256)
     err = abs(eval_exterior(fld, 3.0, 3.0) - float(sol.u(np.array([3.0, 3.0]))))
     assert err <= 1e-8
@@ -267,8 +271,9 @@ def test_reentrant_polygon_pipeline():
     errs, conds = [], []
     for mu, nu in ((8, 32), (16, 64)):
         params = DiscretizationParams(mu=mu, nu=nu, c=100.0, eps=1e-3)
+        rule = RhsRule(dec, datum, nu // 2)
         system = build_system(dec, params,
-                              lambda i, s: rhs_approx(dec, datum, nu // 2, i, s))
+                              lambda i, s: rhs_approx(rule, i, s))
         conds.append(cond_inf(system))
         fld = solve_field(system, datum, nu // 2)
         errs.append(abs(eval_exterior(fld, 3.0, 3.0) - float(sol.u(np.array([3.0, 3.0])))))

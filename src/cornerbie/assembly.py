@@ -7,8 +7,9 @@ arc-major by node; the two corner arcs of each corner share their s = 0
 node, so their unknown columns are merged and the duplicate corner
 collocation row (the upsilon one) is dropped, giving a square system of
 dimension n (2 mu + nu + 3) - n.  Reduced row r and column r are then the
-same node, so the matrix is written 128 rows at a time as -pi I plus the
-weighted kernel between all node pairs, with the wedge terms added.
+same node, so the weighted kernel between all node pairs is written into
+the matrix 128 rows at a time, and the merged corner columns, -pi I with
+the self terms on the diagonal, and the wedge terms are added once.
 
 The wedge blocks are assembled in modified form: for collocation points
 below the threshold tau = min(1, c / nu^(2 - 2 eps)) the row is the
@@ -34,7 +35,6 @@ from .geometry import CENTRAL, GAMMA, UPSILON, Decomposition, subarc_eval
 from .kernels import (
     ArcNodes,
     arc_nodes,
-    as_complex,
     check_separation,
     double_layer,
     mellin_chi,
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 _PIVOT_TOL = 1e-14
-_CHUNK = 128  # rows per kernel grid, which bounds its temporaries to 128 x n
+_CHUNK = 128  # rows per kernel grid, which bounds its work arrays to 128 x n
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,8 @@ def modified_wedge_rows(chi: float, t_nodes: np.ndarray, s_values: np.ndarray,
 class UnknownMap:
     """Global indexing of the per-arc Radau nodes with corner merging,
     and their geometry, evaluated once per sub-arc.  The all_* arrays run
-    over every node arc-major, positions and derivatives as x + iy;
-    sub-arc i owns bounds[i]:bounds[i + 1]."""
+    over every node arc-major, positions and derivatives as (2, m) arrays
+    of x and y rows; sub-arc i owns bounds[i]:bounds[i + 1]."""
 
     dec: Decomposition
     params: DiscretizationParams
@@ -119,8 +119,8 @@ class UnknownMap:
     weights: List[np.ndarray] = field(init=False)
     geometry: List[ArcNodes] = field(init=False)
     bounds: np.ndarray = field(init=False)
-    all_z: np.ndarray = field(init=False)
-    all_dz: np.ndarray = field(init=False)
+    all_points: np.ndarray = field(init=False)
+    all_derivs: np.ndarray = field(init=False)
     all_weights: np.ndarray = field(init=False)
     col_index: List[np.ndarray] = field(init=False)
     row_index: List[np.ndarray] = field(init=False)  # -1 marks a dropped row
@@ -138,8 +138,8 @@ class UnknownMap:
         self.geometry = [arc_nodes(sub, *subarc_eval(dec, i, t))
                          for i, (sub, t) in enumerate(zip(dec.subarcs, self.nodes))]
         self.bounds = np.cumsum([0] + [len(t) for t in self.nodes])
-        self.all_z = as_complex(np.concatenate([g.points for g in self.geometry]))
-        self.all_dz = as_complex(np.concatenate([g.derivs for g in self.geometry]))
+        self.all_points = np.concatenate([g.points for g in self.geometry], axis=0).T.copy()
+        self.all_derivs = np.concatenate([g.derivs for g in self.geometry], axis=0).T.copy()
         self.all_weights = np.concatenate(self.weights)
         # columns and rows run arc-major by node; the s = 0 node of an
         # upsilon arc takes its gamma partner's column and drops its row
@@ -208,29 +208,45 @@ class _Rows:
         self.col = np.concatenate(umap.col_index)
         # kept nodes first, then the dropped (merged) ones, in node order
         self.src = np.argsort(np.concatenate(umap.row_index) < 0, kind="stable")
-        self.src_z = umap.all_z[self.src]
-        self.src_q = (umap.all_weights * sign * umap.all_dz)[self.src]
+        self.src_points = umap.all_points[:, self.src]
+        self.src_q = (umap.all_weights * sign * umap.all_derivs)[:, self.src]
         self.self_term = np.bincount(self.col, umap.all_weights * curvature,
                                      umap.reduced_size) - math.pi
 
     def fill(self, out: np.ndarray, f) -> None:
-        """Write the rows at the nodes f (indices over all nodes) into out."""
+        """Write the rows at the nodes f (indices over all nodes) into out.
+
+        The kernel grid against the reduced sources goes straight into
+        out, _CHUNK rows at a time through two work arrays of that many
+        rows; the merged corner columns, the self terms and the wedge
+        rows are then added once for all rows."""
         umap, n, f = self.umap, self.umap.reduced_size, np.asarray(f)
-        arc, t, col, rows = self.arc[f], self.t[f], self.col[f], np.arange(len(f))
-        merged = np.nonzero(col[:, None] == umap.corner_col[None, :])
-        exempt = (np.r_[rows, merged[0]], np.r_[col, n + merged[1]])
-        k, dist = double_layer(umap.all_z[f], self.src_z, self.src_q, exempt)
-        check_separation(dist, umap.dec.scale, (arc, t), (self.arc[self.src], self.t[self.src]))
-        out[:] = k[:, :n]
-        out[:, umap.corner_col] += k[:, n:]
-        out[rows, col] += self.self_term[col]
+        arc, t, col = self.arc[f], self.t[f], self.col[f]
+        fx, fy = umap.all_points[:, f]
+        names = (self.arc[self.src], self.t[self.src])
+        work = np.empty((2, min(len(f), _CHUNK), n))
+        src, q = self.src_points[:, :n], self.src_q[:, :n]
+        for lo in range(0, len(f), _CHUNK):
+            hi = min(lo + _CHUNK, len(f))
+            rows = np.arange(hi - lo)
+            _, d2 = double_layer((fx[lo:hi], fy[lo:hi]), src, q, (rows, col[lo:hi]),
+                                 out[lo:hi], work[:, :hi - lo])
+            check_separation(d2, umap.dec.scale, (arc[lo:hi], t[lo:hi]), names)
+        if umap.dec.n_corners:
+            merged = np.nonzero(col[:, None] == umap.corner_col[None, :])
+            k, d2 = double_layer((fx, fy), self.src_points[:, n:], self.src_q[:, n:], merged)
+            check_separation(d2, umap.dec.scale, (arc, t), (names[0][n:], names[1][n:]))
+            out[:, umap.corner_col] += k
+        out[np.arange(len(f)), col] += self.self_term[col]
         # on a Mellin pair the partner's kernel becomes remainder plus
-        # modified wedge: add (wedge - L) w, with L = 0 at the corner pair
-        for i in np.unique(arc):
+        # modified wedge: add (wedge - L) w, with L = 0 at the corner pair;
+        # rows at s >= tau are the plain wedge rows, where this is zero
+        low = t < umap.params.tau
+        for i in np.unique(arc[low]):
             j = i + 1 if umap.dec.subarcs[i].kind == GAMMA else i - 1
             chi = mellin_chi(umap.dec, i, j)
             if chi is not None:
-                sel, tj = np.flatnonzero(arc == i), umap.nodes[j]
+                sel, tj = np.flatnonzero(low & (arc == i)), umap.nodes[j]
                 wedge, corner_coeff = modified_wedge_rows(chi, tj, t[sel], umap.params.tau)
                 corner_pair = (t[sel, None] == 0.0) & (tj == 0.0)
                 wedge -= mellin_kernel(chi, np.where(corner_pair, 1.0, tj), t[sel, None])
@@ -250,9 +266,7 @@ def build_system(dec: Decomposition, params: DiscretizationParams,
     n = umap.reduced_size
     A, b = np.empty((n, n)), np.empty(n)
     rows = _Rows(umap)
-    kept = rows.src[:n]  # reduced row r is the node of reduced column r
-    for lo in range(0, n, _CHUNK):
-        rows.fill(A[lo:lo + _CHUNK], kept[lo:lo + _CHUNK])
+    rows.fill(A, rows.src[:n])  # reduced row r is the node of reduced column r
     for i in range(dec.n_subarcs):
         keep = umap.row_index[i] >= 0
         b[umap.row_index[i][keep]] = rhs_provider(i, umap.nodes[i][keep])

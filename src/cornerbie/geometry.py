@@ -245,33 +245,64 @@ class Decomposition:
         return float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
 
 
-def _max_tangent_deviation(arc: MacroArc, t_lo: float, t_hi: float,
-                           corner: np.ndarray, tangent: np.ndarray) -> float:
-    t = np.linspace(t_lo, t_hi, _N_DEVIATION_SAMPLES)
-    p = np.asarray(arc.position(t), float) - corner
-    that = tangent / np.linalg.norm(tangent)
-    return float(np.abs(p[:, 0] * that[1] - p[:, 1] * that[0]).max())
+_SAMPLE_INDEX = np.arange(float(_N_DEVIATION_SAMPLES))
 
 
-def _largest_fraction(arc: MacroArc, at_head: bool, corner: np.ndarray,
-                      tangent: np.ndarray, delta: float, cap: float) -> float:
-    def dev(e: float) -> float:
-        if at_head:
-            return _max_tangent_deviation(arc, 0.0, e, corner, tangent)
-        return _max_tangent_deviation(arc, 1.0 - e, 1.0, corner, tangent)
+class _CornerSides:
+    """The two macro arcs at a corner, sampled for their deviation from
+    the corner tangent lines: the head side over [0, e] of the arc that
+    leaves the corner, the tail side over [1 - e, 1] of the arc that
+    arrives at it.  Each side is sampled at 201 points on the grid of
+    np.linspace, bit for bit; when both sides lie on one macro arc, both
+    are sampled in one position call."""
 
-    if dev(cap) <= delta:
-        return cap
-    lo, hi = 0.0, cap
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if dev(mid) <= delta:
-            lo = mid
+    def __init__(self, head: MacroArc, tail: MacroArc, corner: np.ndarray,
+                 d_head: np.ndarray, d_tail: np.ndarray):
+        self.arcs = (head, tail)
+        self.corner = corner
+        self.units = np.stack([d_head / np.linalg.norm(d_head), d_tail / np.linalg.norm(d_tail)])
+
+    def deviations(self, e_head, e_tail) -> list:
+        """Maximum perpendicular distance of each side's samples from its
+        tangent line at the fractions e_head and e_tail; a side whose
+        fraction is None is not sampled and gets None."""
+        sides = [k for k, e in enumerate((e_head, e_tail)) if e is not None]
+        lo, hi = np.array([(0.0, e_head) if k == 0 else (1.0 - e_tail, 1.0) for k in sides]).T
+        t = _SAMPLE_INDEX * ((hi - lo) / (_N_DEVIATION_SAMPLES - 1))[:, None] + lo[:, None]
+        t[:, -1] = hi
+        if len(sides) == 2 and self.arcs[0] is self.arcs[1]:
+            p = np.asarray(self.arcs[0].position(t.ravel()), float)
         else:
-            hi = mid
-    if lo == 0.0:
-        raise GeometryError("tangent-deviation bisection collapsed to zero fraction")
-    return lo
+            p = np.concatenate([np.asarray(self.arcs[k].position(tk), float)
+                                for k, tk in zip(sides, t)])
+        u = self.units if len(sides) == 2 else self.units[sides]
+        x = (p[:, 0] - self.corner[0]).reshape(t.shape)
+        y = (p[:, 1] - self.corner[1]).reshape(t.shape)
+        out = [None, None]
+        for k, dev in zip(sides, np.abs(x * u[:, 1:] - y * u[:, :1]).max(axis=1)):
+            out[k] = float(dev)
+        return out
+
+    def largest_fractions(self, delta: float, cap: float) -> list:
+        """Per side, the largest fraction up to cap whose deviation stays
+        below delta: cap itself if it does, else 60 bisection steps, the
+        two sides' steps taken together."""
+        dev = self.deviations(cap, cap)
+        open_sides = [k for k in (0, 1) if not dev[k] <= delta]
+        lo, hi = [0.0, 0.0], [cap, cap]
+        if open_sides:
+            for _ in range(60):
+                mid = [0.5 * (lo[k] + hi[k]) if k in open_sides else None for k in (0, 1)]
+                dev = self.deviations(*mid)
+                for k in open_sides:
+                    if dev[k] <= delta:
+                        lo[k] = mid[k]
+                    else:
+                        hi[k] = mid[k]
+        for k in open_sides:
+            if lo[k] == 0.0:
+                raise GeometryError("tangent-deviation bisection collapsed to zero fraction")
+        return [lo[k] if k in open_sides else cap for k in (0, 1)]
 
 
 def decompose(boundary: Boundary, delta: float, cap: float = 0.25) -> Decomposition:
@@ -309,27 +340,21 @@ def decompose(boundary: Boundary, delta: float, cap: float = 0.25) -> Decomposit
         v_tail = float(np.linalg.norm(d_tail))
         if v_head <= 0.0 or v_tail <= 0.0:
             raise GeometryError(f"degenerate tangent at corner {k}")
-        e_head = _largest_fraction(boundary.arcs[k], True, corner, d_head, delta, cap)
-        e_tail = _largest_fraction(boundary.arcs[prev], False, corner, d_tail, delta, cap)
+        sides = _CornerSides(boundary.arcs[k], boundary.arcs[prev], corner, d_head, d_tail)
+        e_head, e_tail = sides.largest_fractions(delta, cap)
         # shrink one side so e_tail * v_tail == e_head * v_head
         e_head_m = min(e_head, e_tail * v_tail / v_head)
         e_tail_m = e_head_m * v_head / v_tail
 
-        def dev_at(eh: float, et: float) -> float:
-            return max(
-                _max_tangent_deviation(boundary.arcs[k], 0.0, eh, corner, d_head),
-                _max_tangent_deviation(boundary.arcs[prev], 1.0 - et, 1.0, corner, d_tail),
-            )
-
         # rounding in the speed match can overshoot delta by an ulp; shrink
         # both sides together (preserving the matched ratio) until it holds
-        got = dev_at(e_head_m, e_tail_m)
+        got = max(sides.deviations(e_head_m, e_tail_m))
         for _ in range(64):
             if got <= delta:
                 break
             e_head_m *= 1.0 - 1e-9
             e_tail_m *= 1.0 - 1e-9
-            got = dev_at(e_head_m, e_tail_m)
+            got = max(sides.deviations(e_head_m, e_tail_m))
         else:
             raise GeometryError(f"corner {k}: could not meet the deviation bound")
         head[k], tail[k] = e_head_m, e_tail_m
@@ -409,6 +434,15 @@ def line_arc(p0, p1) -> MacroArc:
     return MacroArc(position, first, second)
 
 
+def _xy(x, y) -> np.ndarray:
+    """x and y on a trailing coordinate axis: np.stack(axis=-1) for two
+    arrays of one shape, at a fraction of its cost on short arrays."""
+    out = np.empty(np.shape(x) + (2,))
+    out[..., 0] = x
+    out[..., 1] = y
+    return out
+
+
 def circle_arc(radius: float = 1.0, center=(0.0, 0.0)) -> MacroArc:
     """Counterclockwise circle, one full turn over [0, 1]."""
     cx, cy = float(center[0]), float(center[1])
@@ -416,15 +450,15 @@ def circle_arc(radius: float = 1.0, center=(0.0, 0.0)) -> MacroArc:
 
     def position(t):
         a = w * np.asarray(t, float)
-        return np.stack([cx + radius * np.cos(a), cy + radius * np.sin(a)], axis=-1)
+        return _xy(cx + radius * np.cos(a), cy + radius * np.sin(a))
 
     def first(t):
         a = w * np.asarray(t, float)
-        return radius * w * np.stack([-np.sin(a), np.cos(a)], axis=-1)
+        return radius * w * _xy(-np.sin(a), np.cos(a))
 
     def second(t):
         a = w * np.asarray(t, float)
-        return -radius * w * w * np.stack([np.cos(a), np.sin(a)], axis=-1)
+        return -radius * w * w * _xy(np.cos(a), np.sin(a))
 
     return MacroArc(position, first, second)
 
@@ -432,15 +466,15 @@ def circle_arc(radius: float = 1.0, center=(0.0, 0.0)) -> MacroArc:
 def _trig_arc(xfun, yfun, dxfun, dyfun, ddxfun, ddyfun) -> MacroArc:
     def position(t):
         t = np.asarray(t, float)
-        return np.stack([xfun(t), yfun(t)], axis=-1)
+        return _xy(xfun(t), yfun(t))
 
     def first(t):
         t = np.asarray(t, float)
-        return np.stack([dxfun(t), dyfun(t)], axis=-1)
+        return _xy(dxfun(t), dyfun(t))
 
     def second(t):
         t = np.asarray(t, float)
-        return np.stack([ddxfun(t), ddyfun(t)], axis=-1)
+        return _xy(ddxfun(t), ddyfun(t))
 
     return MacroArc(position, first, second)
 

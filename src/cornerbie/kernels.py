@@ -86,24 +86,43 @@ def mellin_chi(dec: Decomposition, i: int, j: int) -> Optional[float]:
     return dec.boundary.corners[i // 3].chi
 
 
-def double_layer(zf: np.ndarray, zs: np.ndarray, q: np.ndarray, exempt=None):
-    """(k, dist) with k[r, c] = Im(q[c] / (zf[r] - zs[c])), the kernel
-    K(t_c, s_r) times w_c for q = w sigma z', and dist = |zf[r] - zs[c]|.
+def double_layer(fld, src, q, exempt=None, out=None, work=None):
+    """(k, d2) for field points fld = (x, y) and source points src with
+    weighted tangents q = (qx, qy), each a pair of 1-D arrays:
+    k[r, c] = Im(q_c / (z_r - w_c)) = (qy dx - qx dy) / (dx^2 + dy^2),
+    with (dx, dy) the offset from source c to field point r, is the
+    kernel K(t_c, s_r) times w_c for q = w sigma'; d2 = dx^2 + dy^2.
     Exempt pairs (coincident nodes, whose value the caller supplies) get
-    k = 0 and dist = inf; callers check dist before they use k."""
-    dz = zf[:, None] - zs[None, :]
+    k = 0 and d2 = inf; callers check d2 before they use k.  The grid is
+    written into out, and work holds two more arrays of its shape; both
+    are allocated when not given, and d2 is work[0]."""
+    (xf, yf), (xs, ys), (qx, qy) = fld, src, q
+    if out is None:
+        out = np.empty((len(xf), len(xs)))
+    d2, num = work if work is not None else np.empty((2,) + out.shape)
+    np.subtract(xf[:, None], xs, out=num)
+    np.multiply(num, num, out=d2)
+    np.subtract(yf[:, None], ys, out=num)
+    np.multiply(num, qx, out=out)
+    num *= num
+    d2 += num
+    np.subtract(xf[:, None], xs, out=num)
+    num *= qy
+    num -= out
     if exempt is not None:
-        dz[exempt] = np.inf
+        d2[exempt] = np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (q / dz).imag, np.abs(dz)
+        np.divide(num, d2, out=out)
+    return out, d2
 
 
-def check_separation(dist: np.ndarray, scale: float, fld, src) -> None:
+def check_separation(d2: np.ndarray, scale: float, fld, src) -> None:
     """Raise CoincidentPointError when a distance is below 1e-14 scale,
-    which node placement rules out; fld and src are the (sub-arc,
-    parameter) arrays of the rows and columns, to name the pair."""
-    r, c = np.unravel_index(int(dist.argmin()), dist.shape)
-    if dist[r, c] < _COINCIDENCE_FACTOR * scale:
+    which node placement rules out; d2 holds the squared distances, and
+    fld and src are the (sub-arc, parameter) arrays of its rows and
+    columns, to name the pair."""
+    r, c = np.unravel_index(int(d2.argmin()), d2.shape)
+    if d2[r, c] < (_COINCIDENCE_FACTOR * scale) ** 2:
         raise CoincidentPointError(f"sub-arcs {fld[0][r]}, {src[0][c]}: field "
                                    f"s={fld[1][r]} and source t={src[1][c]} coincide")
 
@@ -132,19 +151,31 @@ def mellin_corner_coefficient(chi: float) -> float:
     return -chi * math.pi
 
 
-def field_kernel_at(x: float, y: float, zs: np.ndarray, dzs: np.ndarray,
+def field_kernel_at(x: float, y: float, src: np.ndarray, dsrc: np.ndarray,
                     bounds: np.ndarray) -> np.ndarray:
-    """Exterior-field kernel at (x, y) from the complex source points zs
-    with sub-arc derivatives dzs, where sub-arc i owns the sources
-    bounds[i]:bounds[i + 1]: the raw formula, whose sign on reversed arcs
-    the exterior evaluator corrects when it sums over arcs.  Raises,
-    naming the first such sub-arc, when (x, y) is within 1e-12 of a source
-    point."""
-    k, dist = double_layer(np.array([complex(x, y)]), zs, dzs)
-    near = dist[0] < _FIELD_DISTANCE_TOL
-    if near.any():
+    """Exterior-field kernel at (x, y) from the source points src with
+    sub-arc derivatives dsrc, both (2, m) arrays of x and y rows, where
+    sub-arc i owns the sources bounds[i]:bounds[i + 1]: the raw formula,
+    whose sign on reversed arcs the exterior evaluator corrects when it
+    sums over arcs.  Raises, naming the first such sub-arc, when (x, y) is
+    within 1e-12 of a source point.
+
+    This is one row of double_layer in plain temporaries: at a single
+    field point the per-call cost of its in-place form outweighs what
+    the work arrays save, and the distance test comes before the
+    division."""
+    (xs, ys), (qx, qy) = src, dsrc
+    dx, dy = x - xs, y - ys
+    d2 = dx * dx
+    d2 += dy * dy
+    if d2.min() < _FIELD_DISTANCE_TOL ** 2:
+        near = int(np.argmax(d2 < _FIELD_DISTANCE_TOL ** 2))
         raise ExteriorDomainError(
             f"field point ({x}, {y}) within {_FIELD_DISTANCE_TOL} "
-            f"of sub-arc {int(np.searchsorted(bounds, near.argmax(), 'right')) - 1}"
+            f"of sub-arc {int(np.searchsorted(bounds, near, 'right')) - 1}"
         )
-    return k[0]
+    k = qy * dx
+    dy *= qx
+    k -= dy
+    k /= d2
+    return k

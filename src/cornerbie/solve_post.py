@@ -117,7 +117,7 @@ def eval_exterior(fld: SolutionField, x: float, y: float) -> float:
     if not np.isfinite(p).all():
         raise ExteriorDomainError(f"point ({x}, {y}) is not finite")
     d = fld._polyline - p
-    if float(np.sqrt((d * d).sum(axis=1)).min()) < _BOUNDARY_DISTANCE_TOL:
+    if float((d * d).sum(axis=1).min()) < _BOUNDARY_DISTANCE_TOL ** 2:
         raise ExteriorDomainError(f"point ({x}, {y}) is on or next to the boundary")
     if _winding_of_offsets(d) != 0:
         raise ExteriorDomainError(f"point ({x}, {y}) lies inside the domain")
@@ -130,7 +130,7 @@ def eval_exterior(fld: SolutionField, x: float, y: float) -> float:
     for arc_sum in np.sum(fld._arc_weights * np.log(dist), axis=1):
         single += float(arc_sum)
     umap = fld.system.unknown_map
-    h = field_kernel_at(p[0], p[1], umap.all_z, umap.all_dz, umap.bounds)
+    h = field_kernel_at(p[0], p[1], umap.all_points, umap.all_derivs, umap.bounds)
     terms = umap.all_weights * h * fld._src_values
     double = 0.0
     for arc, lo, hi in zip(umap.geometry, umap.bounds, umap.bounds[1:]):

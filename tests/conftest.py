@@ -21,7 +21,6 @@ from cornerbie.geometry import (
 )
 from cornerbie.kernels import (
     arc_nodes,
-    as_complex,
     check_separation,
     double_layer,
     field_kernel_at,
@@ -166,9 +165,9 @@ def _kernel_grid(dec, i, j, t, s, coincide):
     kernels.double_layer; where coincide holds, the source's curvature
     value, and every other pair checked for separation."""
     fld, src = arc_nodes_at(dec, i, s), arc_nodes_at(dec, j, t)
-    k, dist = double_layer(as_complex(fld.points), as_complex(src.points),
-                           src.sign * as_complex(src.derivs), np.nonzero(coincide))
-    check_separation(dist, dec.scale, (np.full(len(s), i), s), (np.full(len(t), j), t))
+    k, d2 = double_layer(fld.points.T, src.points.T, src.sign * src.derivs.T,
+                         np.nonzero(coincide))
+    check_separation(d2, dec.scale, (np.full(len(s), i), s), (np.full(len(t), j), t))
     return np.where(coincide, src.curvature[None, :], k)
 
 
@@ -276,7 +275,7 @@ def eval_exterior_per_point(fld, x: float, y: float) -> float:
     dec = umap.dec
     polyline = boundary_polyline(dec.boundary, 4096)
     d = polyline - p
-    if float(np.sqrt((d * d).sum(axis=1)).min()) < 1e-9:
+    if float((d * d).sum(axis=1).min()) < 1e-9 ** 2:
         raise ExteriorDomainError(f"point ({x}, {y}) is on or next to the boundary")
     ang = np.arctan2(d[:, 1], d[:, 0])
     turns = np.diff(np.concatenate([ang, ang[:1]]))
@@ -293,8 +292,8 @@ def eval_exterior_per_point(fld, x: float, y: float) -> float:
         single += float(np.sum(rule.weights * dens * np.log(dist)))
     geom = [arc_nodes_at(dec, i, t) for i, t in enumerate(umap.nodes)]
     bounds = np.cumsum([0] + [len(g.points) for g in geom])
-    h = field_kernel_at(p[0], p[1], as_complex(np.concatenate([g.points for g in geom])),
-                        as_complex(np.concatenate([g.derivs for g in geom])), bounds)
+    h = field_kernel_at(p[0], p[1], np.concatenate([g.points for g in geom]).T.copy(),
+                        np.concatenate([g.derivs for g in geom]).T.copy(), bounds)
     double = 0.0
     for i, g in enumerate(geom):
         terms = umap.weights[i] * h[bounds[i]:bounds[i + 1]] * fld.values[i]

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cornerbie import AssemblyError, ParameterError
+from cornerbie import AssemblyError, CoincidentPointError, ParameterError
 from cornerbie.assembly import (
     DiscretizationParams,
     UnknownMap,
@@ -158,6 +159,20 @@ def test_build_system_peak_memory(triangle_dec):
         tracemalloc.stop()
     assert system.matrix.shape == (2310, 2310)
     assert peak <= 1.5 * system.matrix.nbytes, peak / system.matrix.nbytes
+
+
+@pytest.mark.parametrize("mu, nu", [(8, 32), (64, 256)])
+def test_build_system_names_coincident_nodes(triangle_dec, mu, nu):
+    # central sub-arc 5 made a copy of central sub-arc 2: their nodes
+    # coincide, which the squared-distance test reports by sub-arc and
+    # parameter
+    subarcs = list(triangle_dec.subarcs)
+    subarcs[5] = dataclasses.replace(subarcs[2], index=5)
+    dec = dataclasses.replace(triangle_dec, subarcs=tuple(subarcs))
+    params = DiscretizationParams(mu=mu, nu=nu, c=100.0, eps=1e-6)
+    with pytest.raises(CoincidentPointError) as err:
+        build_system(dec, params, _zero_rhs)
+    assert str(err.value) == "sub-arcs 2, 5: field s=0.0 and source t=0.0 coincide"
 
 
 def test_wedge_rows_blend_continuity():

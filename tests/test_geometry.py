@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cornerbie import GeometryError, ParameterError
+from cornerbie import GeometryError, ParameterError, example_config
 from cornerbie.geometry import (
     CENTRAL,
     GAMMA,
@@ -231,6 +231,79 @@ def test_decompose_errors(heart_boundary):
     # central section once the deviation allows full-cap corner arcs
     with pytest.raises(GeometryError):
         decompose(heart_boundary, 1e3, cap=0.5)
+
+
+def _sequential_fraction(arc, at_head, corner, tangent, delta, cap):
+    """The one-side-at-a-time bisection that decompose replaced: every
+    deviation samples np.linspace(lo, hi, 201) in its own position call
+    and normalizes the tangent again."""
+    def dev(e):
+        t = np.linspace(0.0, e, 201) if at_head else np.linspace(1.0 - e, 1.0, 201)
+        p = np.asarray(arc.position(t), float) - corner
+        that = tangent / np.linalg.norm(tangent)
+        return float(np.abs(p[:, 0] * that[1] - p[:, 1] * that[0]).max())
+
+    if dev(cap) <= delta:
+        return cap, dev
+    lo, hi = 0.0, cap
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if dev(mid) <= delta:
+            lo = mid
+        else:
+            hi = mid
+    return lo, dev
+
+
+def _sequential_corners(boundary, delta, cap=0.25):
+    """head_fraction, tail_fraction, corner_speed and deviation as the
+    sequential bisection and the speed match after it give them."""
+    n = boundary.n_corners
+    out = np.empty((4, n))
+    for k in range(n):
+        prev = (k - 1) % n
+        corner = boundary.corners[k].point
+        d_head = np.asarray(boundary.arcs[k].first_derivative(0.0), float)
+        d_tail = np.asarray(boundary.arcs[prev].first_derivative(1.0), float)
+        v_head, v_tail = float(np.linalg.norm(d_head)), float(np.linalg.norm(d_tail))
+        e_head, dev_head = _sequential_fraction(boundary.arcs[k], True, corner, d_head,
+                                                delta, cap)
+        e_tail, dev_tail = _sequential_fraction(boundary.arcs[prev], False, corner, d_tail,
+                                                delta, cap)
+        e_head_m = min(e_head, e_tail * v_tail / v_head)
+        e_tail_m = e_head_m * v_head / v_tail
+        got = max(dev_head(e_head_m), dev_tail(e_tail_m))
+        while got > delta:
+            e_head_m *= 1.0 - 1e-9
+            e_tail_m *= 1.0 - 1e-9
+            got = max(dev_head(e_head_m), dev_tail(e_tail_m))
+        out[:, k] = e_head_m, e_tail_m, e_head_m * v_head, got
+    return out
+
+
+_SWEEP_ANGLES = {
+    "heart": [k * math.pi / 20 for k in range(21, 40)] + [1.98 * math.pi],
+    "teardrop": [k * math.pi / 20 for k in range(1, 20)] + [0.02 * math.pi],
+    "boomerang": [k * math.pi / 20 for k in range(21, 40)] + [1.98 * math.pi],
+}
+
+
+@pytest.mark.parametrize("family", ["tables", *_SWEEP_ANGLES])
+def test_lockstep_bisection_matches_sequential(family):
+    # the four table domains (the triangle's corners join two different
+    # arcs) and the 60 angles of the benchmark's angle sweep
+    if family == "tables":
+        configs = [example_config(name) for name in ("heart", "teardrop", "boomerang",
+                                                     "triangle")]
+    else:
+        configs = [example_config(family, phi=phi) for phi in _SWEEP_ANGLES[family]]
+    for cfg in configs:
+        boundary = cfg.build_boundary()
+        dec = decompose(boundary, cfg.delta)
+        want = _sequential_corners(boundary, cfg.delta)
+        got = (dec.head_fraction, dec.tail_fraction, dec.corner_speed, dec.deviation)
+        for name, g, w in zip(("head", "tail", "speed", "deviation"), got, want):
+            assert np.array_equal(g, w), (cfg.domain, cfg.phi, name, g, w)
 
 
 def test_smooth_boundary_decomposition(circle_dec):

@@ -20,7 +20,6 @@ from cornerbie.geometry import (
     subarc_eval,
 )
 from cornerbie.kernels import (
-    as_complex,
     field_kernel_at,
     mellin_chi,
     mellin_corner_coefficient,
@@ -57,7 +56,7 @@ def corner_value(dec, i, j):
 def field_kernel(dec, i, x, y, t):
     """Exterior-field kernel at (x, y) from sub-arc i at parameters t."""
     g = arc_nodes_at(dec, i, t)
-    return field_kernel_at(x, y, as_complex(g.points), as_complex(g.derivs),
+    return field_kernel_at(x, y, g.points.T, g.derivs.T,
                            np.array([0, len(g.points)]))
 
 
@@ -312,6 +311,22 @@ def test_field_kernel_near_singularity_error(heart_dec):
     p, _, _ = subarc_eval(heart_dec, 2, 0.5)
     with pytest.raises(ExteriorDomainError):
         field_kernel(heart_dec, 2, float(p[0]), float(p[1]), np.array([0.5]))
+
+
+@pytest.mark.parametrize("offset, raises", [(0.5e-12, True), (2e-12, False)])
+def test_field_kernel_distance_threshold(offset, raises):
+    # the test runs on squared distances against (1e-12)^2; offsets on
+    # either side of 1e-12, off a source node along each axis
+    t = np.array([0.0, 0.25, 0.5])
+    src = np.stack([t, np.zeros(3)])
+    dsrc = np.stack([np.ones(3), np.zeros(3)])
+    bounds = np.array([0, 2, 3])
+    for x, y in ((0.5, offset), (0.5 + offset, 0.0)):
+        if raises:
+            with pytest.raises(ExteriorDomainError, match="of sub-arc 1$"):
+                field_kernel_at(x, y, src, dsrc, bounds)
+        else:
+            assert np.all(np.isfinite(field_kernel_at(x, y, src, dsrc, bounds)))
 
 
 def test_coincidence_guard():

@@ -33,8 +33,6 @@ from scipy.linalg import LinAlgWarning, lu_factor
 from .errors import AssemblyError, ParameterError, SingularMatrixError
 from .geometry import CENTRAL, GAMMA, UPSILON, Decomposition, subarc_eval
 from .kernels import (
-    ArcNodes,
-    arc_nodes,
     check_separation,
     double_layer,
     mellin_chi,
@@ -108,22 +106,27 @@ def modified_wedge_rows(chi: float, t_nodes: np.ndarray, s_values: np.ndarray,
 
 @dataclass
 class UnknownMap:
-    """Global indexing of the per-arc Radau nodes with corner merging,
-    and their geometry, evaluated once per sub-arc.  The all_* arrays run
-    over every node arc-major, positions and derivatives as (2, m) arrays
-    of x and y rows; sub-arc i owns bounds[i]:bounds[i + 1]."""
+    """The node table: every Radau node of every sub-arc, arc-major, with
+    its sub-arc arc and parameter t, its weight w, position points, the
+    weighted tangent q = w sign sigma' (sign = -1 on reversed arcs, so q
+    follows the boundary's counterclockwise orientation), the diagonal
+    kernel value curvature with the same orientation, its unknown column
+    col and its collocation row (-1 for a dropped row).  points and q are
+    (2, m) arrays of x and y rows; sub-arc i owns bounds[i]:bounds[i + 1]
+    and was built on the rule nodes[i]."""
 
     dec: Decomposition
     params: DiscretizationParams
     nodes: List[np.ndarray] = field(init=False)
-    weights: List[np.ndarray] = field(init=False)
-    geometry: List[ArcNodes] = field(init=False)
     bounds: np.ndarray = field(init=False)
-    all_points: np.ndarray = field(init=False)
-    all_derivs: np.ndarray = field(init=False)
-    all_weights: np.ndarray = field(init=False)
-    col_index: List[np.ndarray] = field(init=False)
-    row_index: List[np.ndarray] = field(init=False)  # -1 marks a dropped row
+    arc: np.ndarray = field(init=False)
+    t: np.ndarray = field(init=False)
+    w: np.ndarray = field(init=False)
+    points: np.ndarray = field(init=False)
+    q: np.ndarray = field(init=False)
+    curvature: np.ndarray = field(init=False)
+    col: np.ndarray = field(init=False)
+    row: np.ndarray = field(init=False)
     corner_col: np.ndarray = field(init=False)
     reduced_size: int = field(init=False)
 
@@ -134,27 +137,28 @@ class UnknownMap:
         rules = [gauss_radau_left(params.nu if sub.kind == CENTRAL else params.mu)
                  for sub in dec.subarcs]
         self.nodes = [rule.nodes for rule in rules]
-        self.weights = [rule.weights for rule in rules]
-        self.geometry = [arc_nodes(sub, *subarc_eval(dec, i, t))
-                         for i, (sub, t) in enumerate(zip(dec.subarcs, self.nodes))]
-        self.bounds = np.cumsum([0] + [len(t) for t in self.nodes])
-        self.all_points = np.concatenate([g.points for g in self.geometry], axis=0).T.copy()
-        self.all_derivs = np.concatenate([g.derivs for g in self.geometry], axis=0).T.copy()
-        self.all_weights = np.concatenate(self.weights)
+        sizes = [len(t) for t in self.nodes]
+        self.bounds = np.cumsum([0] + sizes)
+        self.arc = np.repeat(np.arange(len(sizes)), sizes)
+        self.t = np.concatenate(self.nodes)
+        self.w = np.concatenate([rule.weights for rule in rules])
+        p, d1, d2 = (np.concatenate(g) for g in
+                     zip(*(subarc_eval(dec, i, t) for i, t in enumerate(self.nodes))))
+        sign = np.repeat([-1.0 if sub.reversed else 1.0 for sub in dec.subarcs], sizes)
+        self.points = p.T.copy()
+        self.q = (self.w * sign) * d1.T
+        num = d1[:, 1] * d2[:, 0] - d1[:, 0] * d2[:, 1]
+        self.curvature = sign * 0.5 * num / (d1 * d1).sum(-1)
         # columns and rows run arc-major by node; the s = 0 node of an
         # upsilon arc takes its gamma partner's column and drops its row
-        self.corner_col = np.full(dec.n_corners, -1, dtype=int)
-        self.col_index, self.row_index = [], []
-        nxt = 0
-        for i, sub in enumerate(dec.subarcs):
-            merged = sub.kind == UPSILON
-            own = np.arange(nxt, nxt + len(self.nodes[i]) - merged)
-            nxt += len(own)
-            if sub.kind == GAMMA:
-                self.corner_col[i // 3] = own[0]
-            self.col_index.append(np.r_[self.corner_col[i // 3], own] if merged else own)
-            self.row_index.append(np.r_[-1, own] if merged else own)
-        self.reduced_size = nxt
+        kinds = np.array([sub.kind for sub in dec.subarcs])
+        keep = np.ones(len(self.t), bool)
+        keep[self.bounds[:-1][kinds == UPSILON]] = False
+        self.row = np.where(keep, np.cumsum(keep) - 1, -1)
+        self.corner_col = self.row[self.bounds[:-1][kinds == GAMMA]]
+        self.col = self.row.copy()
+        self.col[~keep] = self.corner_col
+        self.reduced_size = int(keep.sum())
 
 
 @dataclass
@@ -190,68 +194,53 @@ class DenseSystem:
         return lu, piv, norm_a
 
 
-class _Rows:
-    """Writer of the collocation rows of an unknown map at any of its
-    nodes.  The sources are the reduced nodes in column order, then the
-    merged upsilon s = 0 nodes, one per corner.  A field node coincides
-    with the sources of its own column, where the kernel is the source's
-    curvature value (at a corner, the remainder's limit along s = 0);
-    those values and the -pi identity are summed into self_term."""
+def _fill_rows(umap: UnknownMap, out: np.ndarray, f) -> None:
+    """Write the collocation rows at the nodes f (indices into the node
+    table) into out.
 
-    def __init__(self, umap: UnknownMap):
-        sizes = np.diff(umap.bounds)
-        sign = np.repeat([g.sign for g in umap.geometry], sizes)
-        curvature = np.concatenate([g.curvature for g in umap.geometry])
-        self.umap = umap
-        self.arc = np.repeat(np.arange(len(sizes)), sizes)
-        self.t = np.concatenate(umap.nodes)
-        self.col = np.concatenate(umap.col_index)
-        # kept nodes first, then the dropped (merged) ones, in node order
-        self.src = np.argsort(np.concatenate(umap.row_index) < 0, kind="stable")
-        self.src_points = umap.all_points[:, self.src]
-        self.src_q = (umap.all_weights * sign * umap.all_derivs)[:, self.src]
-        self.self_term = np.bincount(self.col, umap.all_weights * curvature,
-                                     umap.reduced_size) - math.pi
-
-    def fill(self, out: np.ndarray, f) -> None:
-        """Write the rows at the nodes f (indices over all nodes) into out.
-
-        The kernel grid against the reduced sources goes straight into
-        out, _CHUNK rows at a time through two work arrays of that many
-        rows; the merged corner columns, the self terms and the wedge
-        rows are then added once for all rows."""
-        umap, n, f = self.umap, self.umap.reduced_size, np.asarray(f)
-        arc, t, col = self.arc[f], self.t[f], self.col[f]
-        fx, fy = umap.all_points[:, f]
-        names = (self.arc[self.src], self.t[self.src])
-        work = np.empty((2, min(len(f), _CHUNK), n))
-        src, q = self.src_points[:, :n], self.src_q[:, :n]
-        for lo in range(0, len(f), _CHUNK):
-            hi = min(lo + _CHUNK, len(f))
-            rows = np.arange(hi - lo)
-            _, d2 = double_layer((fx[lo:hi], fy[lo:hi]), src, q, (rows, col[lo:hi]),
-                                 out[lo:hi], work[:, :hi - lo])
-            check_separation(d2, umap.dec.scale, (arc[lo:hi], t[lo:hi]), names)
-        if umap.dec.n_corners:
-            merged = np.nonzero(col[:, None] == umap.corner_col[None, :])
-            k, d2 = double_layer((fx, fy), self.src_points[:, n:], self.src_q[:, n:], merged)
-            check_separation(d2, umap.dec.scale, (arc, t), (names[0][n:], names[1][n:]))
-            out[:, umap.corner_col] += k
-        out[np.arange(len(f)), col] += self.self_term[col]
-        # on a Mellin pair the partner's kernel becomes remainder plus
-        # modified wedge: add (wedge - L) w, with L = 0 at the corner pair;
-        # rows at s >= tau are the plain wedge rows, where this is zero
-        low = t < umap.params.tau
-        for i in np.unique(arc[low]):
-            j = i + 1 if umap.dec.subarcs[i].kind == GAMMA else i - 1
-            chi = mellin_chi(umap.dec, i, j)
-            if chi is not None:
-                sel, tj = np.flatnonzero(low & (arc == i)), umap.nodes[j]
-                wedge, corner_coeff = modified_wedge_rows(chi, tj, t[sel], umap.params.tau)
-                corner_pair = (t[sel, None] == 0.0) & (tj == 0.0)
-                wedge -= mellin_kernel(chi, np.where(corner_pair, 1.0, tj), t[sel, None])
-                out[np.ix_(sel, umap.col_index[j])] += wedge * umap.weights[j]
-                out[sel, umap.corner_col[i // 3]] += corner_coeff
+    The sources are the reduced nodes in column order, then the merged
+    upsilon s = 0 nodes, one per corner.  The kernel grid against the
+    reduced sources goes straight into out, _CHUNK rows at a time through
+    two work arrays of that many rows; the merged corner columns, the
+    self terms and the wedge rows are then added once for all rows.  A
+    field node coincides with the sources of its own column, where the
+    kernel is the source's curvature value (at a corner, the remainder's
+    limit along s = 0); those values and the -pi identity form the self
+    term on the diagonal."""
+    n, f, scale = umap.reduced_size, np.asarray(f), umap.dec.scale
+    arc, t, col = umap.arc[f], umap.t[f], umap.col[f]
+    fx, fy = umap.points[:, f]
+    kept, merged = np.flatnonzero(umap.row >= 0), np.flatnonzero(umap.row < 0)
+    work = np.empty((2, min(len(f), _CHUNK), n))
+    src, q = umap.points[:, kept], umap.q[:, kept]
+    for lo in range(0, len(f), _CHUNK):
+        hi = min(lo + _CHUNK, len(f))
+        rows = np.arange(hi - lo)
+        _, d2 = double_layer((fx[lo:hi], fy[lo:hi]), src, q, (rows, col[lo:hi]),
+                             out[lo:hi], work[:, :hi - lo])
+        check_separation(d2, scale, (arc[lo:hi], t[lo:hi]), (umap.arc[kept], umap.t[kept]))
+    if umap.dec.n_corners:
+        pair = np.nonzero(col[:, None] == umap.corner_col[None, :])
+        k, d2 = double_layer((fx, fy), umap.points[:, merged], umap.q[:, merged], pair)
+        check_separation(d2, scale, (arc, t), (umap.arc[merged], umap.t[merged]))
+        out[:, umap.corner_col] += k
+    self_term = np.bincount(umap.col, umap.w * umap.curvature, n) - math.pi
+    out[np.arange(len(f)), col] += self_term[col]
+    # on a Mellin pair the partner's kernel becomes remainder plus
+    # modified wedge: add (wedge - L) w, with L = 0 at the corner pair;
+    # rows at s >= tau are the plain wedge rows, where this is zero
+    low = t < umap.params.tau
+    for i in np.unique(arc[low]):
+        j = i + 1 if umap.dec.subarcs[i].kind == GAMMA else i - 1
+        chi = mellin_chi(umap.dec, i, j)
+        if chi is not None:
+            sel, tj = np.flatnonzero(low & (arc == i)), umap.nodes[j]
+            nj = slice(umap.bounds[j], umap.bounds[j + 1])
+            wedge, corner_coeff = modified_wedge_rows(chi, tj, t[sel], umap.params.tau)
+            corner_pair = (t[sel, None] == 0.0) & (tj == 0.0)
+            wedge -= mellin_kernel(chi, np.where(corner_pair, 1.0, tj), t[sel, None])
+            out[np.ix_(sel, umap.col[nj])] += wedge * umap.w[nj]
+            out[sel, umap.corner_col[i // 3]] += corner_coeff
 
 
 def build_system(dec: Decomposition, params: DiscretizationParams,
@@ -265,11 +254,10 @@ def build_system(dec: Decomposition, params: DiscretizationParams,
     umap = UnknownMap(dec, params)
     n = umap.reduced_size
     A, b = np.empty((n, n)), np.empty(n)
-    rows = _Rows(umap)
-    rows.fill(A, rows.src[:n])  # reduced row r is the node of reduced column r
+    _fill_rows(umap, A, np.flatnonzero(umap.row >= 0))  # reduced row r is column r's node
     for i in range(dec.n_subarcs):
-        keep = umap.row_index[i] >= 0
-        b[umap.row_index[i][keep]] = rhs_provider(i, umap.nodes[i][keep])
+        row, t = umap.row[umap.bounds[i]:umap.bounds[i + 1]], umap.nodes[i]
+        b[row[row >= 0]] = rhs_provider(i, t[row >= 0])
 
     if not np.all(np.isfinite(A)):
         bad = np.argwhere(~np.isfinite(A))[0]

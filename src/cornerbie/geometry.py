@@ -385,15 +385,10 @@ def subarc_eval(dec: Decomposition, i: int, s):
     return the stored corner point exactly at s = 0.
     """
     sub = dec.subarcs[i]
-    arc = dec.boundary.arcs[sub.macro_index]
     s_arr = np.asarray(s, float)
-    length = sub.b - sub.a
-    if sub.reversed:
-        t = sub.b - length * s_arr
-        d1 = -length * np.asarray(arc.first_derivative(t), float)
-    else:
-        t = sub.a + length * s_arr
-        d1 = length * np.asarray(arc.first_derivative(t), float)
+    ell, t = macro_param_of(dec, i, s_arr)
+    arc, length = dec.boundary.arcs[ell], sub.b - sub.a
+    d1 = (-length if sub.reversed else length) * np.asarray(arc.first_derivative(t), float)
     p = np.asarray(arc.position(t), float)
     d2 = length * length * np.asarray(arc.second_derivative(t), float)
     if sub.kind != CENTRAL and np.any(s_arr == 0.0):
@@ -484,15 +479,24 @@ def _heart_arc(phi: float) -> MacroArc:
     # curve starts and ends at the origin with interior angle phi there
     w = math.pi + phi
     tp = math.tan(phi / 2.0)
-    return _trig_arc(
-        lambda t: tp * np.cos(w * t) - np.sin(w * t) - tp,
-        lambda t: tp * np.sin(w * t) + np.cos(w * t) - np.cos(np.pi * t),
-        lambda t: -tp * w * np.sin(w * t) - w * np.cos(w * t),
-        lambda t: tp * w * np.cos(w * t) - w * np.sin(w * t) + np.pi * np.sin(np.pi * t),
-        lambda t: -tp * w * w * np.cos(w * t) + w * w * np.sin(w * t),
-        lambda t: -tp * w * w * np.sin(w * t) - w * w * np.cos(w * t)
-        + np.pi * np.pi * np.cos(np.pi * t),
-    )
+
+    def position(t):
+        t = np.asarray(t, float)
+        c, s = np.cos(w * t), np.sin(w * t)
+        return _xy(tp * c - s - tp, tp * s + c - np.cos(np.pi * t))
+
+    def first(t):
+        t = np.asarray(t, float)
+        c, s = np.cos(w * t), np.sin(w * t)
+        return _xy(-tp * w * s - w * c, tp * w * c - w * s + np.pi * np.sin(np.pi * t))
+
+    def second(t):
+        t = np.asarray(t, float)
+        c, s = np.cos(w * t), np.sin(w * t)
+        return _xy(-tp * w * w * c + w * w * s,
+                   -tp * w * w * s - w * w * c + np.pi * np.pi * np.cos(np.pi * t))
+
+    return MacroArc(position, first, second)
 
 
 def _teardrop_arc(phi: float) -> MacroArc:

@@ -13,63 +13,39 @@ K = L + M on the two sub-arcs flanking a corner, where
 
 is the Mellin-type wedge kernel and M is bounded.  The numerator of K is
 a normal-times-speed factor, so it is taken with the boundary's
-counterclockwise orientation: on reversed (gamma) source arcs the raw
-formula above flips sign and is corrected by the arc's orientation
-factor.  Without that correction the wedge cancellation K - L fails on
-one of the two corner blocks.
+counterclockwise orientation: the source tangents passed in are the
+weighted tangents of the unknown map's node table, which carry that
+orientation on reversed (gamma) arcs too.  Without it the wedge
+cancellation K - L fails on one of the two corner blocks.  The same
+kernel, at one field point, gives the double-layer term of the exterior
+field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import CoincidentPointError, ExteriorDomainError, ParameterError
-from .geometry import CENTRAL, Decomposition, SubArc
+from .errors import CoincidentPointError, ParameterError
+from .geometry import CENTRAL, Decomposition
 
 __all__ = [
-    "ArcNodes",
-    "arc_nodes",
     "as_complex",
     "mellin_chi",
     "double_layer",
     "check_separation",
     "mellin_kernel",
     "mellin_corner_coefficient",
-    "field_kernel_at",
 ]
 
 _COINCIDENCE_FACTOR = 1e-14
-_FIELD_DISTANCE_TOL = 1e-12
 
 
 def _check_chi(chi: float) -> None:
     if not 0.0 < abs(chi) < 1.0:
         raise ParameterError(f"corner parameter chi must be in (-1,0) or (0,1), got {chi}")
-
-
-@dataclass(frozen=True, eq=False)
-class ArcNodes:
-    """Geometry of a sub-arc at some parameters: positions, first
-    derivatives, the continuous diagonal value of the self kernel, and
-    the orientation sign (-1 on reversed arcs)."""
-
-    points: np.ndarray
-    derivs: np.ndarray
-    curvature: np.ndarray
-    sign: float
-
-
-def arc_nodes(sub: SubArc, p: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> ArcNodes:
-    """ArcNodes of sub-arc sub from its position and first and second
-    derivatives.  The diagonal value is half the signed curvature
-    numerator over the squared speed, with CCW orientation."""
-    sign = -1.0 if sub.reversed else 1.0
-    num = d1[..., 1] * d2[..., 0] - d1[..., 0] * d2[..., 1]
-    return ArcNodes(p, d1, sign * 0.5 * num / (d1 * d1).sum(-1), sign)
 
 
 def as_complex(p: np.ndarray) -> np.ndarray:
@@ -91,9 +67,11 @@ def double_layer(fld, src, q, exempt=None, out=None, work=None):
     weighted tangents q = (qx, qy), each a pair of 1-D arrays:
     k[r, c] = Im(q_c / (z_r - w_c)) = (qy dx - qx dy) / (dx^2 + dy^2),
     with (dx, dy) the offset from source c to field point r, is the
-    kernel K(t_c, s_r) times w_c for q = w sigma'; d2 = dx^2 + dy^2.
-    Exempt pairs (coincident nodes, whose value the caller supplies) get
-    k = 0 and d2 = inf; callers check d2 before they use k.  The grid is
+    kernel K(t_c, s_r) times w_c for the counterclockwise q = w sigma' of
+    UnknownMap; d2 = dx^2 + dy^2.  Exempt pairs (coincident nodes, whose
+    value the caller supplies) get k = 0 and d2 = inf, and a pair at
+    distance 0 that is not exempt gets a non-finite k; callers check d2
+    before they use k.  The grid is
     written into out, and work holds two more arrays of its shape; both
     are allocated when not given, and d2 is work[0]."""
     (xf, yf), (xs, ys), (qx, qy) = fld, src, q
@@ -150,32 +128,3 @@ def mellin_corner_coefficient(chi: float) -> float:
     _check_chi(chi)
     return -chi * math.pi
 
-
-def field_kernel_at(x: float, y: float, src: np.ndarray, dsrc: np.ndarray,
-                    bounds: np.ndarray) -> np.ndarray:
-    """Exterior-field kernel at (x, y) from the source points src with
-    sub-arc derivatives dsrc, both (2, m) arrays of x and y rows, where
-    sub-arc i owns the sources bounds[i]:bounds[i + 1]: the raw formula,
-    whose sign on reversed arcs the exterior evaluator corrects when it
-    sums over arcs.  Raises, naming the first such sub-arc, when (x, y) is
-    within 1e-12 of a source point.
-
-    This is one row of double_layer in plain temporaries: at a single
-    field point the per-call cost of its in-place form outweighs what
-    the work arrays save, and the distance test comes before the
-    division."""
-    (xs, ys), (qx, qy) = src, dsrc
-    dx, dy = x - xs, y - ys
-    d2 = dx * dx
-    d2 += dy * dy
-    if d2.min() < _FIELD_DISTANCE_TOL ** 2:
-        near = int(np.argmax(d2 < _FIELD_DISTANCE_TOL ** 2))
-        raise ExteriorDomainError(
-            f"field point ({x}, {y}) within {_FIELD_DISTANCE_TOL} "
-            f"of sub-arc {int(np.searchsorted(bounds, near, 'right')) - 1}"
-        )
-    k = qy * dx
-    dy *= qx
-    k -= dy
-    k /= d2
-    return k

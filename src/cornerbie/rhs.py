@@ -26,7 +26,6 @@ from .quadrature import MAX_MOMENTS, gauss_legendre, legendre_table, log_moments
 __all__ = [
     "NeumannDatum",
     "normal_derivative",
-    "log_chord_ratio",
     "RhsRule",
     "rhs_approx",
 ]
@@ -107,17 +106,6 @@ def _log_ratio(chord, gap, speed):
     near = gap < _EPS_BRANCH
     return np.where(near, np.log(speed),
                     np.log(np.where(near, 1.0, chord) / np.where(near, 1.0, gap)))
-
-
-def log_chord_ratio(boundary: Boundary, ell: int, t, s):
-    """log(|sigma_l(s) - sigma_l(t)| / |t - s|), safe at t = s, with the
-    limit |sigma_l'(t)| on the diagonal; t and s broadcast."""
-    t, s, arc = np.asarray(t, float), np.asarray(s, float), boundary.arcs[ell]
-    chord = np.linalg.norm(np.asarray(arc.position(t), float)
-                           - np.asarray(arc.position(s), float), axis=-1)
-    speed = np.linalg.norm(np.asarray(arc.first_derivative(t), float), axis=-1)
-    out = _log_ratio(chord, np.abs(t - s), speed)
-    return out if out.ndim else float(out)
 
 
 class RhsRule:

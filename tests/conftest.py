@@ -1,6 +1,7 @@
 """Shared fixtures: benchmark domains, cached table sweeps, oracles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,15 +20,8 @@ from cornerbie.geometry import (
     make_smooth_boundary,
     subarc_eval,
 )
-from cornerbie.kernels import (
-    arc_nodes,
-    check_separation,
-    double_layer,
-    field_kernel_at,
-    mellin_chi,
-    mellin_kernel,
-)
-from cornerbie.quadrature import gauss_legendre
+from cornerbie.kernels import check_separation, double_layer, mellin_chi, mellin_kernel
+from cornerbie.quadrature import gauss_legendre, gauss_radau_left
 from cornerbie.rhs import NeumannDatum
 
 # published reference values: per example, error cells for the evaluation
@@ -155,9 +149,16 @@ def example_tables():
 # --------------------------------------------------------------------------
 
 def arc_nodes_at(dec, i, t):
-    """Node geometry of sub-arc i at the parameters t."""
+    """Node geometry of sub-arc i at the parameters t, built here from
+    subarc_eval and the sub-arc's orientation: positions and tangents as
+    (2, m) arrays of x and y rows, the tangent and the diagonal kernel
+    value taken with the boundary's counterclockwise orientation."""
     t = np.atleast_1d(np.asarray(t, float))
-    return arc_nodes(dec.subarcs[i], *subarc_eval(dec, i, t))
+    p, d1, d2 = subarc_eval(dec, i, t)
+    sign = -1.0 if dec.subarcs[i].reversed else 1.0
+    num = d1[:, 1] * d2[:, 0] - d1[:, 0] * d2[:, 1]
+    return SimpleNamespace(points=p.T, tangent=sign * d1.T,
+                           curvature=sign * 0.5 * num / (d1 * d1).sum(-1))
 
 
 def _kernel_grid(dec, i, j, t, s, coincide):
@@ -165,8 +166,7 @@ def _kernel_grid(dec, i, j, t, s, coincide):
     kernels.double_layer; where coincide holds, the source's curvature
     value, and every other pair checked for separation."""
     fld, src = arc_nodes_at(dec, i, s), arc_nodes_at(dec, j, t)
-    k, d2 = double_layer(fld.points.T, src.points.T, src.sign * src.derivs.T,
-                         np.nonzero(coincide))
+    k, d2 = double_layer(fld.points, src.points, src.tangent, np.nonzero(coincide))
     check_separation(d2, dec.scale, (np.full(len(s), i), s), (np.full(len(t), j), t))
     return np.where(coincide, src.curvature[None, :], k)
 
@@ -264,15 +264,15 @@ def oracle_single_layer(dec, datum, s_macro: float, ell: int = 0,
 def eval_exterior_per_point(fld, x: float, y: float) -> float:
     """Exterior field value with all geometry recomputed per point.
 
-    The polyline, the macro-arc rule positions, the datum densities and
-    the sub-arc geometry are rebuilt for every point, and the winding
-    angles are wrapped with the remainder operator; otherwise the
+    The polyline, the macro-arc rule positions, the datum densities, and
+    the node geometry and weights (arc_nodes_at and gauss_radau_left on
+    the map's per-sub-arc nodes) are rebuilt for every point, and the
+    winding angles are wrapped with the remainder operator; otherwise the
     arithmetic and its order are those of eval_exterior, so the two agree
     bit for bit (non-finite input and output aside).
     """
     p = np.array([float(x), float(y)])
-    umap = fld.system.unknown_map
-    dec = umap.dec
+    dec = fld.system.unknown_map.dec
     polyline = boundary_polyline(dec.boundary, 4096)
     d = polyline - p
     if float((d * d).sum(axis=1).min()) < 1e-9 ** 2:
@@ -283,19 +283,19 @@ def eval_exterior_per_point(fld, x: float, y: float) -> float:
     if int(round(float(turns.sum()) / (2.0 * np.pi))) != 0:
         raise ExteriorDomainError(f"point ({x}, {y}) lies inside the domain")
 
-    rule = gauss_legendre(fld.N)
-    single = 0.0
-    for k in range(len(dec.boundary.arcs)):
-        pts = np.asarray(dec.boundary.arcs[k].position(rule.nodes), float)
-        dist = np.linalg.norm(pts - p, axis=-1)
-        dens = fld.datum.arc_density(k, rule.nodes)
-        single += float(np.sum(rule.weights * dens * np.log(dist)))
-    geom = [arc_nodes_at(dec, i, t) for i, t in enumerate(umap.nodes)]
-    bounds = np.cumsum([0] + [len(g.points) for g in geom])
-    h = field_kernel_at(p[0], p[1], np.concatenate([g.points for g in geom]).T.copy(),
-                        np.concatenate([g.derivs for g in geom]).T.copy(), bounds)
-    double = 0.0
-    for i, g in enumerate(geom):
-        terms = umap.weights[i] * h[bounds[i]:bounds[i + 1]] * fld.values[i]
-        double += g.sign * float(np.sum(terms))
-    return -(single - double) / (2.0 * math.pi)
+    nodes = fld.system.unknown_map.nodes
+    geom = [arc_nodes_at(dec, i, t) for i, t in enumerate(nodes)]
+    weights = [gauss_radau_left(len(t) - 1).weights for t in nodes]
+    src = np.concatenate([g.points for g in geom], axis=1)
+    q = np.concatenate([w * g.tangent for w, g in zip(weights, geom)], axis=1)
+    k, d2 = double_layer((p[:1], p[1:]), src, q)
+    if d2.min() < 1e-12 ** 2:
+        near = int(np.argmax(d2[0] < 1e-12 ** 2))
+        i = int(np.searchsorted(np.cumsum([len(t) for t in nodes]), near, "right"))
+        raise ExteriorDomainError(f"field point ({p[0]}, {p[1]}) within 1e-12 of sub-arc {i}")
+    rule, arcs = gauss_legendre(fld.N), dec.boundary.arcs
+    pts = np.concatenate([np.asarray(arc.position(rule.nodes), float) for arc in arcs])
+    dens = np.concatenate([rule.weights * fld.datum.arc_density(j, rule.nodes)
+                           for j in range(len(arcs))])
+    single = float(dens @ np.log(np.linalg.norm(pts - p, axis=-1)))
+    return -(single - float(k[0] @ fld.values)) / (2.0 * math.pi)

@@ -9,12 +9,15 @@ from cornerbie import AssemblyError, CoincidentPointError, ParameterError
 from cornerbie.assembly import (
     DiscretizationParams,
     UnknownMap,
-    _Rows,
+    _fill_rows,
     build_system,
     modified_wedge_rows,
 )
+from cornerbie.geometry import CENTRAL
 from cornerbie.kernels import mellin_chi, mellin_corner_coefficient, mellin_kernel
 from cornerbie.quadrature import gauss_radau_left
+
+from conftest import arc_nodes_at
 
 
 def _zero_rhs(i, s):
@@ -71,10 +74,9 @@ def test_unknown_counts_heart(heart_dec):
 def test_corner_merge_indexing(heart_dec):
     params = DiscretizationParams(mu=8, nu=32, c=300.0, eps=1e-3)
     umap = UnknownMap(heart_dec, params)
-    assert umap.col_index[1][0] == umap.col_index[0][0] == umap.corner_col[0]
-    assert umap.row_index[1][0] == -1
-    flat = np.concatenate(umap.col_index)
-    assert sorted(set(flat.tolist())) == list(range(umap.reduced_size))
+    assert umap.col[umap.bounds[1]] == umap.col[umap.bounds[0]] == umap.corner_col[0]
+    assert umap.row[umap.bounds[1]] == -1
+    assert sorted(set(umap.col.tolist())) == list(range(umap.reduced_size))
 
 
 def test_circle_sanity_matrix(circle_dec):
@@ -82,7 +84,7 @@ def test_circle_sanity_matrix(circle_dec):
     params = DiscretizationParams(mu=16, nu=16, c=100.0, eps=1e-3)
     system = build_system(circle_dec, params, _zero_rhs)
     umap = system.unknown_map
-    want = -math.pi * np.eye(17) - math.pi * np.tile(umap.weights[0], (17, 1))
+    want = -math.pi * np.eye(17) - math.pi * np.tile(umap.w, (17, 1))
     assert np.abs(system.matrix - want).max() <= 1e-12
     ones = np.ones(17)
     assert np.abs(system.matrix @ ones + 2 * math.pi).max() <= 1e-10
@@ -95,11 +97,10 @@ def test_duplicate_corner_rows_identical(all_corner_decs):
                                       c=300.0 if name == "heart" else 100.0,
                                       eps=1e-3 if name != "triangle" else 1e-6)
         umap = UnknownMap(dec, params)
-        writer = _Rows(umap)
         for k in range(dec.n_corners):
             rows = np.zeros((2, umap.reduced_size))
-            writer.fill(rows[:1], [umap.bounds[3 * k]])
-            writer.fill(rows[1:], [umap.bounds[3 * k + 1]])
+            _fill_rows(umap, rows[:1], [umap.bounds[3 * k]])
+            _fill_rows(umap, rows[1:], [umap.bounds[3 * k + 1]])
             diff = np.abs(rows[0] - rows[1]).max()
             assert diff <= 1e-13, (name, k, diff)
 
@@ -109,31 +110,39 @@ def _entrywise_matrix(dec, params):
     every (row node, source node) pair, the curvature value where the two
     nodes coincide, the Mellin split K - L + wedge on the corner pairs
     with L = 0 at the corner node pair, the corner coefficient, and each
-    source's weight added on its merged column."""
+    source's weight added on its merged column.  Nodes, weights and node
+    geometry are built here from the Radau rules, subarc_eval and the
+    sub-arcs' orientation; only the row and column numbers are read from
+    the unknown map."""
     umap = UnknownMap(dec, params)
+    rules = [gauss_radau_left(params.nu if sub.kind == CENTRAL else params.mu)
+             for sub in dec.subarcs]
+    geom = [arc_nodes_at(dec, i, rule.nodes) for i, rule in enumerate(rules)]
+    rows = [umap.row[lo:hi] for lo, hi in zip(umap.bounds, umap.bounds[1:])]
+    cols = [umap.col[lo:hi] for lo, hi in zip(umap.bounds, umap.bounds[1:])]
     ref = np.zeros((umap.reduced_size, umap.reduced_size))
-    for i, fld in enumerate(umap.geometry):
-        for l, s in enumerate(umap.nodes[i]):
-            r = umap.row_index[i][l]
+    for i, fld in enumerate(geom):
+        for l, s in enumerate(rules[i].nodes):
+            r = rows[i][l]
             if r < 0:
                 continue
-            ref[r, umap.col_index[i][l]] -= math.pi
-            for j, src in enumerate(umap.geometry):
+            ref[r, cols[i][l]] -= math.pi
+            for j, src in enumerate(geom):
                 chi = mellin_chi(dec, i, j)
                 if chi is not None:
-                    wedge, coeff = modified_wedge_rows(chi, umap.nodes[j], [s], params.tau)
+                    wedge, coeff = modified_wedge_rows(chi, rules[j].nodes, [s], params.tau)
                     ref[r, umap.corner_col[i // 3]] += coeff[0]
-                for h, t in enumerate(umap.nodes[j]):
+                for h, t in enumerate(rules[j].nodes):
                     corner_pair = chi is not None and s == t == 0.0
                     if (i == j and s == t) or corner_pair:
                         k = src.curvature[h]
                     else:
-                        dx, dy = fld.points[l] - src.points[h]
-                        d = src.derivs[h]
-                        k = src.sign * (d[1] * dx - d[0] * dy) / (dx * dx + dy * dy)
+                        dx, dy = fld.points[:, l] - src.points[:, h]
+                        qx, qy = src.tangent[:, h]
+                        k = (qy * dx - qx * dy) / (dx * dx + dy * dy)
                     if chi is not None:
                         k += wedge[0, h] - (0.0 if corner_pair else mellin_kernel(chi, t, s))
-                    ref[r, umap.col_index[j][h]] += k * umap.weights[j][h]
+                    ref[r, cols[j][h]] += k * rules[j].weights[h]
     return ref
 
 
@@ -222,8 +231,8 @@ def test_rhs_provider_values_land_in_rows(heart_dec):
     params = DiscretizationParams(mu=4, nu=16, c=300.0, eps=1e-3)
     system = build_system(heart_dec, params, lambda i, s: float(i) + s)
     umap = system.unknown_map
-    assert system.rhs[umap.row_index[0][0]] == 0.0  # gamma arc, s = 0
-    assert system.rhs[umap.row_index[2][3]] == pytest.approx(
+    assert system.rhs[umap.row[umap.bounds[0]]] == 0.0  # gamma arc, s = 0
+    assert system.rhs[umap.row[umap.bounds[2] + 3]] == pytest.approx(
         2.0 + umap.nodes[2][3], rel=1e-15)
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornerbie import CoincidentPointError, ExteriorDomainError, ParameterError
+from cornerbie import CoincidentPointError, ParameterError
+from cornerbie.assembly import DiscretizationParams, UnknownMap
 from cornerbie.geometry import (
     GAMMA,
     UPSILON,
@@ -20,7 +21,7 @@ from cornerbie.geometry import (
     subarc_eval,
 )
 from cornerbie.kernels import (
-    field_kernel_at,
+    double_layer,
     mellin_chi,
     mellin_corner_coefficient,
     mellin_kernel,
@@ -56,8 +57,8 @@ def corner_value(dec, i, j):
 def field_kernel(dec, i, x, y, t):
     """Exterior-field kernel at (x, y) from sub-arc i at parameters t."""
     g = arc_nodes_at(dec, i, t)
-    return field_kernel_at(x, y, g.points.T, g.derivs.T,
-                           np.array([0, len(g.points)]))
+    k, _ = double_layer((np.array([x]), np.array([y])), g.points, g.tangent)
+    return k[0]
 
 
 def test_circle_kernel_is_minus_pi(circle_dec):
@@ -285,17 +286,24 @@ def test_field_kernel_values_and_reversal(triangle_dec):
     val = (d[1] * (0.0 - p[0]) - d[0] * (1.0 - p[1])) / ((0.0 - p[0]) ** 2 + (1.0 - p[1]) ** 2)
     assert val == -1.0
 
-    t = np.array([0.25, 0.6])
-    h_gamma = field_kernel(triangle_dec, 0, 5.0, 4.0, t)
-    # same physical points through the macro parametrization, forward sense
-    sub = triangle_dec.subarcs[0]
-    arc = triangle_dec.boundary.arcs[sub.macro_index]
-    tm = sub.b - (sub.b - sub.a) * t
-    pm = np.asarray(arc.position(tm), float)
-    dm = (sub.b - sub.a) * np.asarray(arc.first_derivative(tm), float)
-    dx, dy = 5.0 - pm[:, 0], 4.0 - pm[:, 1]
-    h_forward = (dm[:, 1] * dx - dm[:, 0] * dy) / (dx**2 + dy**2)
-    np.testing.assert_allclose(h_gamma, -h_forward, rtol=1e-13)
+    # on the reversed gamma arcs the node table's weighted tangent q is w
+    # times the forward tangent, so the field kernel built from it is the
+    # forward formula, not its negative
+    umap = UnknownMap(triangle_dec, DiscretizationParams(mu=8, nu=32, c=100.0, eps=1e-6))
+    for i, sub in enumerate(triangle_dec.subarcs):
+        if sub.kind != GAMMA:
+            continue
+        own = slice(umap.bounds[i], umap.bounds[i + 1])
+        arc = triangle_dec.boundary.arcs[sub.macro_index]
+        tm = sub.b - (sub.b - sub.a) * umap.t[own]
+        pm = np.asarray(arc.position(tm), float)
+        dm = (sub.b - sub.a) * np.asarray(arc.first_derivative(tm), float)
+        np.testing.assert_allclose(umap.q[:, own] / umap.w[own], dm.T, rtol=1e-15)
+        k, _ = double_layer((np.array([5.0]), np.array([4.0])), umap.points[:, own],
+                            umap.q[:, own])
+        dx, dy = 5.0 - pm[:, 0], 4.0 - pm[:, 1]
+        h_forward = (dm[:, 1] * dx - dm[:, 0] * dy) / (dx**2 + dy**2)
+        np.testing.assert_allclose(k[0] / umap.w[own], h_forward, rtol=1e-13)
 
 
 def test_field_kernel_far_bound(heart_dec):
@@ -305,28 +313,6 @@ def test_field_kernel_far_bound(heart_dec):
     pts, _, _ = subarc_eval(heart_dec, 2, t)
     dist = np.hypot(30.0 - pts[:, 0], 40.0 - pts[:, 1])
     assert np.all(np.abs(vals) <= np.linalg.norm(d1, axis=-1) / dist * (1 + 1e-12))
-
-
-def test_field_kernel_near_singularity_error(heart_dec):
-    p, _, _ = subarc_eval(heart_dec, 2, 0.5)
-    with pytest.raises(ExteriorDomainError):
-        field_kernel(heart_dec, 2, float(p[0]), float(p[1]), np.array([0.5]))
-
-
-@pytest.mark.parametrize("offset, raises", [(0.5e-12, True), (2e-12, False)])
-def test_field_kernel_distance_threshold(offset, raises):
-    # the test runs on squared distances against (1e-12)^2; offsets on
-    # either side of 1e-12, off a source node along each axis
-    t = np.array([0.0, 0.25, 0.5])
-    src = np.stack([t, np.zeros(3)])
-    dsrc = np.stack([np.ones(3), np.zeros(3)])
-    bounds = np.array([0, 2, 3])
-    for x, y in ((0.5, offset), (0.5 + offset, 0.0)):
-        if raises:
-            with pytest.raises(ExteriorDomainError, match="of sub-arc 1$"):
-                field_kernel_at(x, y, src, dsrc, bounds)
-        else:
-            assert np.all(np.isfinite(field_kernel_at(x, y, src, dsrc, bounds)))
 
 
 def test_coincidence_guard():

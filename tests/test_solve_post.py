@@ -172,13 +172,31 @@ def test_eval_exterior_matches_per_point_loop(fields_16_64, name):
 
 @pytest.mark.parametrize("name", ["heart", "triangle"])
 def test_eval_exterior_rejects_collocation_nodes(fields_16_64, name):
-    # these nodes pass the polyline tests, so only the sub-arc guard of
-    # the field kernel stops them
+    # these nodes pass the polyline tests, so only the node guard on the
+    # kernel's squared distances stops them
     fld = fields_16_64[name]
+    umap = fld.system.unknown_map
     for i, h in ((0, 1), (1, 1), (2, 0), (2, 32)):
-        p = fld.system.unknown_map.geometry[i].points[h]
+        p = umap.points[:, umap.bounds[i] + h]
         with pytest.raises(ExteriorDomainError, match=rf"within 1e-12 of sub-arc {i}$"):
             eval_exterior(fld, float(p[0]), float(p[1]))
+
+
+@pytest.mark.parametrize("offset, raises", [(0.5e-12, True), (2e-12, False)])
+def test_eval_exterior_node_distance_threshold(fields_16_64, offset, raises):
+    # the node guard runs on squared distances against (1e-12)^2: offsets
+    # on either side of 1e-12 from a node on the triangle's hypotenuse
+    # (central sub-arc 8), along each axis in its outward sense, where
+    # the polyline tests let the point through
+    fld = fields_16_64["triangle"]
+    umap = fld.system.unknown_map
+    x, y = umap.points[:, umap.bounds[8] + 5]
+    for px, py in ((x - offset, y), (x, y + offset)):
+        if raises:
+            with pytest.raises(ExteriorDomainError, match="within 1e-12 of sub-arc 8$"):
+                eval_exterior(fld, px, py)
+        else:
+            assert math.isfinite(eval_exterior(fld, px, py))
 
 
 def test_eval_exterior_does_only_per_point_work(heart_field, monkeypatch):
@@ -255,8 +273,9 @@ def test_smooth_circle_pipeline(circle_dec):
 
 def test_solution_field_nodal_values_shared_at_corner(heart_field):
     fld, _ = heart_field
-    assert fld.values[0][0] == fld.values[1][0]  # merged corner unknown
-    assert all(np.all(np.isfinite(v)) for v in fld.values)
+    bounds = fld.system.unknown_map.bounds
+    assert fld.values[bounds[0]] == fld.values[bounds[1]]  # merged corner unknown
+    assert np.all(np.isfinite(fld.values))
 
 
 def test_reentrant_polygon_pipeline():

@@ -278,14 +278,18 @@ def test_corner_coefficient_matches_integral_limit(chi):
     assert abs(numeric - mellin_corner_coefficient(chi)) <= 1e-4
 
 
-def test_field_kernel_values_and_reversal(triangle_dec):
+def test_field_kernel_values_and_reversal():
     # segment (t, 0) with field point (0, 1) at t = 0 gives -1
     seg = line_arc((0.0, 0.0), (1.0, 0.0))
     d = np.asarray(seg.first_derivative(0.0), float)
     p = np.asarray(seg.position(0.0), float)
     val = (d[1] * (0.0 - p[0]) - d[0] * (1.0 - p[1])) / ((0.0 - p[0]) ** 2 + (1.0 - p[1]) ** 2)
     assert val == -1.0
+    k, _ = double_layer((np.array([0.0]), np.array([1.0])), p[:, None], d[:, None])
+    assert k[0, 0] == -1.0
 
+
+def test_node_table_tangent_is_forward_on_reversed_arcs(triangle_dec):
     # on the reversed gamma arcs the node table's weighted tangent q is w
     # times the forward tangent, so the field kernel built from it is the
     # forward formula, not its negative

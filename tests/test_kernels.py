@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornerbie import CoincidentPointError, ParameterError
-from cornerbie.assembly import DiscretizationParams, UnknownMap
+from cornerbie import CoincidentPointError, ExteriorDomainError, ParameterError
+from cornerbie.assembly import DiscretizationParams, UnknownMap, build_system
 from cornerbie.geometry import (
     GAMMA,
     UPSILON,
@@ -27,6 +27,8 @@ from cornerbie.kernels import (
     mellin_kernel,
 )
 from cornerbie.quadrature import gauss_radau_left
+from cornerbie.rhs import RhsRule, rhs_approx
+from cornerbie.solve_post import eval_exterior, solve_field
 
 from conftest import arc_nodes_at, kernel_block, remainder_at
 
@@ -317,6 +319,24 @@ def test_field_kernel_far_bound(heart_dec):
     pts, _, _ = subarc_eval(heart_dec, 2, t)
     dist = np.hypot(30.0 - pts[:, 0], 40.0 - pts[:, 1])
     assert np.all(np.abs(vals) <= np.linalg.norm(d1, axis=-1) / dist * (1 + 1e-12))
+
+
+def test_field_kernel_near_singularity_error(heart_dec, heart_datum):
+    # a field point on a node of sub-arc 2: the kernel there is not finite
+    # and its squared distance is 0, which eval_exterior turns into an error
+    datum, _ = heart_datum
+    params = DiscretizationParams(mu=8, nu=32, c=300.0, eps=1e-3)
+    rule = RhsRule(heart_dec, datum, 16)
+    fld = solve_field(build_system(heart_dec, params, lambda i, s: rhs_approx(rule, i, s)),
+                      datum, 16)
+    umap = fld.system.unknown_map
+    own = np.flatnonzero(umap.arc == 2)
+    c = own[np.argmin(np.abs(umap.t[own] - 0.5))]
+    x, y = umap.points[:, c]
+    k, d2 = double_layer((np.array([x]), np.array([y])), umap.points, umap.q)
+    assert d2[0, c] == 0.0 and not np.isfinite(k[0, c])
+    with pytest.raises(ExteriorDomainError, match="within 1e-12 of sub-arc 2$"):
+        eval_exterior(fld, float(x), float(y))
 
 
 def test_coincidence_guard():

@@ -40,6 +40,7 @@ __all__ = [
     "macro_param_of",
     "boundary_polyline",
     "winding_number",
+    "PointLocator",
 ]
 
 GAMMA = "gamma"      # trailing corner arc, reversed parametrization
@@ -53,6 +54,8 @@ _FD_STEP = 1e-5
 _FD_RTOL = 1e-6
 _N_DEVIATION_SAMPLES = 201
 _TWO_PI = 2.0 * math.pi
+_LOCATOR_CHUNK = 64  # polyline edges per chunk of PointLocator
+_BOUNDARY_DISTANCE_TOL = 1e-9  # PointLocator's distance for "on the boundary"
 
 
 @dataclass(frozen=True, eq=False)
@@ -594,15 +597,76 @@ def winding_number(polyline: np.ndarray, point) -> int:
     p = np.asarray(point, float)
     if not np.isfinite(p).all():
         raise ParameterError(f"winding number needs a finite point, got {point}")
-    return _winding_of_offsets(polyline - p)
-
-
-def _winding_of_offsets(d: np.ndarray) -> int:
-    """Winding number about a point of a closed polyline given as its
-    offsets d (shape (N, 2)) from that point."""
+    d = polyline - p
     ang = np.arctan2(d[:, 1], d[:, 0])
-    x = np.diff(np.concatenate([ang, ang[:1]])) + np.pi
-    # x lies in [-pi, 3 pi], where this equals x % (2 pi) bit for bit at
-    # a fraction of its cost
-    x = np.where(x < 0.0, x + _TWO_PI, np.where(x >= _TWO_PI, x - _TWO_PI, x))
-    return int(round(float((x - np.pi).sum()) / _TWO_PI))
+    return int(round(float(_turns(np.concatenate([ang, ang[:1]])).sum()) / _TWO_PI))
+
+
+def _turns(ang: np.ndarray) -> np.ndarray:
+    """Turns between consecutive angles along the last axis, wrapped
+    into [-pi, pi)."""
+    x = ang[..., 1:] - ang[..., :-1]
+    x += np.pi
+    # x lies in [-pi, 3 pi], where these two steps, in this order, equal
+    # x % (2 pi) bit for bit at a fraction of its cost
+    x -= _TWO_PI * (x >= _TWO_PI)
+    x += _TWO_PI * (x < 0.0)
+    x -= np.pi
+    return x
+
+
+class PointLocator:
+    """Point location against a closed polyline in two levels.
+
+    The polyline's edges are split into chunks of _LOCATOR_CHUNK that
+    share their end vertices; the chunk ends form a coarse polygon, and
+    each chunk keeps its vertices and its bounding box grown by
+    _BOUNDARY_DISTANCE_TOL.  A point outside a chunk's box lies in an
+    open half-plane away from all of the chunk's vertices, so the chunk
+    turns about it by exactly its chord's angle and none of its vertices
+    is within the tolerance.  locate therefore sums the coarse polygon's
+    turns with the chord turn of every chunk whose box holds the point
+    replaced by the sum of its edge turns, and tests distances on those
+    chunks' vertices only.  The decisions are those of the full sweep
+    over every vertex: winding_number, and the squared distance to the
+    nearest vertex against the squared tolerance.
+    """
+
+    def __init__(self, polyline: np.ndarray):
+        n = len(polyline)
+        closed = np.concatenate([polyline, polyline[:1]]).T
+        starts = np.arange(0, n, _LOCATOR_CHUNK)
+        # (2, chunks, _LOCATOR_CHUNK + 1); the short last chunk repeats its
+        # end vertex, which adds turns of exactly 0 and no new distance
+        self._fine = closed[:, np.minimum(starts[:, None] + np.arange(_LOCATOR_CHUNK + 1), n)]
+        self._coarse = closed[:, None, np.append(starts, n)]
+        # a float outside lo - tol or hi + tol as rounded is at least tol
+        # from lo or hi, and so are its offsets from the chunk's vertices
+        # as the full sweep rounds them
+        tol = _BOUNDARY_DISTANCE_TOL
+        self._lo = self._fine.min(axis=2, keepdims=True).transpose(0, 2, 1) - tol
+        self._hi = self._fine.max(axis=2, keepdims=True).transpose(0, 2, 1) + tol
+        self._box = (float(self._lo[0].min()), float(self._hi[0].max()),
+                     float(self._lo[1].min()), float(self._hi[1].max()))
+
+    def locate(self, points) -> tuple:
+        """(near, winding) of finite points given as a (P, 2) array: whether
+        a polyline vertex lies within _BOUNDARY_DISTANCE_TOL of each point
+        (on squared distances), and the polyline's winding number about
+        it.  A single point outside the polyline's grown box costs no
+        array work beyond the result's."""
+        p = np.asarray(points, float).reshape(-1, 2)
+        x0, x1, y0, y1 = self._box
+        if len(p) == 1 and not (x0 <= p[0, 0] <= x1 and y0 <= p[0, 1] <= y1):
+            return np.zeros(1, bool), np.zeros(1, int)
+        q = p.T[:, :, None]
+        d = self._coarse - q
+        turns = _turns(np.arctan2(d[1], d[0]))
+        held = (q >= self._lo) & (q <= self._hi)
+        point, chunk = np.nonzero(held[0] & held[1])
+        d = self._fine[:, chunk] - q[:, point]
+        turns[point, chunk] = _turns(np.arctan2(d[1], d[0])).sum(axis=1)
+        close = (d[0] * d[0] + d[1] * d[1]).min(axis=1, initial=np.inf)
+        near = np.zeros(len(p), bool)
+        near[point[close < _BOUNDARY_DISTANCE_TOL ** 2]] = True
+        return near, np.rint(turns.sum(axis=1) / _TWO_PI).astype(int)

@@ -20,11 +20,11 @@ from .assembly import DiscretizationParams, build_system
 from .errors import ConfigError, CornerBieError, ParameterError
 from .geometry import (
     Boundary,
+    PointLocator,
     boundary_polyline,
     decompose,
     make_example_domain,
     make_polygon,
-    winding_number,
 )
 from .quadrature import MAX_MOMENTS, MAX_RULE_ORDER
 from .rhs import NeumannDatum, RhsRule, rhs_approx
@@ -173,16 +173,22 @@ class RunConfig:
                     f"pair ({mu}, {nu}): need integers 1 <= M <= {MAX_MOMENTS} and "
                     f"1 <= N <= {MAX_RULE_ORDER}, got M={m_rhs}, N={n_outer}"
                 )
-        boundary = self.build_boundary()
-        polyline = boundary_polyline(boundary)
-        for q in self.solution.singular_points:
-            if not np.isfinite(q).all() or winding_number(polyline, q) == 0:
+        # the singular points, then the evaluation points, located in one call
+        singular = tuple(self.solution.singular_points)
+        located = singular + tuple(self.points)
+        xy = np.array(located, float).reshape(len(located), 2)
+        finite = np.isfinite(xy).all(axis=1)
+        winding = np.zeros(len(xy), int)
+        winding[finite] = PointLocator(boundary_polyline(self.build_boundary())).locate(
+            xy[finite])[1]
+        for q, ok, w in zip(singular, finite, winding):
+            if not ok or w == 0:
                 raise ConfigError(
                     f"singular point {q} of solution {self.solution.name!r} "
                     f"must be a finite point inside the domain"
                 )
-        for p in self.points:
-            if not np.isfinite(p).all() or winding_number(polyline, p) != 0:
+        for p, ok, w in zip(self.points, finite[len(singular):], winding[len(singular):]):
+            if not ok or w != 0:
                 raise ConfigError(f"evaluation point {p} is not a finite exterior point")
 
 

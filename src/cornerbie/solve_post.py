@@ -23,7 +23,7 @@ from scipy.linalg.lapack import dgetri, dgetri_lwork
 
 from .assembly import DenseSystem
 from .errors import ExteriorDomainError, SingularMatrixError, SolveError
-from .geometry import _winding_of_offsets, boundary_polyline
+from .geometry import PointLocator, boundary_polyline
 from .kernels import double_layer
 from .quadrature import gauss_legendre
 from .rhs import NeumannDatum
@@ -31,8 +31,6 @@ from .rhs import NeumannDatum
 __all__ = ["solve_dense", "cond_inf", "SolutionField", "solve_field", "eval_exterior"]
 
 _RESIDUAL_TOL = 1e-10
-_BOUNDARY_SAMPLES = 4096
-_BOUNDARY_DISTANCE_TOL = 1e-9
 _NODE_DISTANCE_TOL = 1e-12
 
 
@@ -75,7 +73,7 @@ class SolutionField:
     values holds the solution at every node of the system's unknown map,
     in its node order, and the double-layer sources are those nodes.
     Construction computes the other data that do not depend on the field
-    point: the boundary polyline for point location, and the N-point
+    point: the point locator of the boundary polyline, and the N-point
     Gauss-Legendre source positions and weighted datum densities of all
     macro arcs, arc after arc.
     """
@@ -85,13 +83,13 @@ class SolutionField:
     N: int
     values: np.ndarray
     residual: float
-    _polyline: np.ndarray = field(init=False, repr=False)
+    _locator: PointLocator = field(init=False, repr=False)
     _arc_points: np.ndarray = field(init=False, repr=False)
     _arc_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         boundary = self.system.unknown_map.dec.boundary
-        self._polyline = boundary_polyline(boundary, _BOUNDARY_SAMPLES)
+        self._locator = PointLocator(boundary_polyline(boundary))
         rule = gauss_legendre(self.N)
         self._arc_points = np.concatenate([np.asarray(arc.position(rule.nodes), float)
                                            for arc in boundary.arcs])
@@ -108,19 +106,19 @@ def solve_field(system: DenseSystem, datum: NeumannDatum, N: int) -> SolutionFie
 def eval_exterior(fld: SolutionField, x: float, y: float) -> float:
     """Approximate harmonic solution at a strictly exterior point.
 
-    Raises for non-finite points, for points inside the domain
-    (winding-number test against a dense boundary sampling) or within
-    1e-9 of the sampled boundary, for points within 1e-12 of a node, and
-    when the value is not finite.  The decay condition pins the value at
-    infinity to zero.
+    Raises for non-finite points, for points inside the domain or within
+    1e-9 of a dense boundary sampling (both decided by the field's
+    PointLocator), for points within 1e-12 of a node, and when the value
+    is not finite.  The decay condition pins the value at infinity to
+    zero.
     """
     p = np.array([float(x), float(y)])
     if not np.isfinite(p).all():
         raise ExteriorDomainError(f"point ({x}, {y}) is not finite")
-    d = fld._polyline - p
-    if float((d * d).sum(axis=1).min()) < _BOUNDARY_DISTANCE_TOL ** 2:
+    near, winding = fld._locator.locate(p)
+    if near[0]:
         raise ExteriorDomainError(f"point ({x}, {y}) is on or next to the boundary")
-    if _winding_of_offsets(d) != 0:
+    if winding[0] != 0:
         raise ExteriorDomainError(f"point ({x}, {y}) lies inside the domain")
 
     umap = fld.system.unknown_map

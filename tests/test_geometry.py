@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from cornerbie import GeometryError, ParameterError, example_config
+from cornerbie.assembly import DiscretizationParams, UnknownMap
 from cornerbie.geometry import (
     CENTRAL,
     GAMMA,
     UPSILON,
     MacroArc,
+    PointLocator,
     boundary_polyline,
     decompose,
     line_arc,
@@ -326,3 +328,74 @@ def test_winding_number_rejects_non_finite_point(point):
     pts = boundary_polyline(make_example_domain("heart", 5 * math.pi / 3), 4096)
     with pytest.raises(ParameterError):
         winding_number(pts, point)
+
+
+def _full_sweep(polyline, points, batch=128):
+    """(near, winding) of each point by the sweep over every vertex: the
+    squared distance to the nearest vertex against (1e-9)^2, and
+    winding_number's angle sum in its crossing form.  The turns x - pi of
+    winding_number, with x = (difference of consecutive angles) + pi, sum
+    to 0 before wrapping, so the wrapped sum is 2 pi times the number of
+    x < 0 (wrapped up) less the number of x >= 2 pi (wrapped down)."""
+    near, winding = [], []
+    vx, vy = np.append(polyline[:, 0], polyline[0, 0]), np.append(polyline[:, 1], polyline[0, 1])
+    for k in range(0, len(points), batch):
+        dx = vx - points[k:k + batch, :1]
+        dy = vy - points[k:k + batch, 1:]
+        d2 = dx * dx
+        d2 += dy * dy
+        near.append(d2.min(axis=1) < 1e-9 ** 2)
+        ang = np.arctan2(dy, dx)
+        x = ang[:, 1:] - ang[:, :-1] + np.pi
+        winding.append(np.count_nonzero(x < 0.0, axis=1)
+                       - np.count_nonzero(x >= 2.0 * np.pi, axis=1))
+    return np.concatenate(near), np.concatenate(winding)
+
+
+def _locator_test_points(polyline, dec, cfg):
+    """Every vertex and edge midpoint; vertices offset by 0.5e-9, 0.999e-9,
+    1.001e-9 and 2e-9 in 8 directions (all 32 offsets at every 64th vertex
+    and at the local extremes in x or y, where a chunk's box is tight, one
+    offset each at every fourth vertex); the collocation nodes at (8, 32)
+    and (16, 64); random points in the box grown by 0.1."""
+    n = len(polyline)
+    nxt, prev = np.roll(polyline, -1, axis=0), np.roll(polyline, 1, axis=0)
+    unit = np.array([(math.cos(a), math.sin(a)) for a in np.arange(8) * math.pi / 4])
+    offsets = (np.array([0.5e-9, 0.999e-9, 1.001e-9, 2e-9])[:, None, None] * unit).reshape(-1, 2)
+    # extremes, not plateaus: a straight side parallel to an axis is one
+    extreme = (((polyline >= nxt) & (polyline >= prev)) | ((polyline <= nxt) & (polyline <= prev))) \
+        & ((polyline != nxt) | (polyline != prev))
+    full = np.flatnonzero((np.arange(n) % 64 == 0) | extreme.any(axis=1))
+    nodes = [UnknownMap(dec, DiscretizationParams(mu, nu, cfg.c, cfg.eps)).points.T
+             for mu, nu in ((8, 32), (16, 64))]
+    lo, hi = polyline.min(axis=0) - 0.1, polyline.max(axis=0) + 0.1
+    return np.concatenate([
+        polyline, 0.5 * (polyline + nxt),
+        (polyline[full, None] + offsets).reshape(-1, 2),
+        polyline[2::4] + offsets[np.arange(len(polyline[2::4])) % len(offsets)],
+        *nodes,
+        np.random.default_rng(9).uniform(lo, hi, (500, 2)),
+    ])
+
+
+@pytest.mark.parametrize("name", ["heart", "teardrop", "boomerang", "triangle"])
+def test_point_locator_matches_full_sweep(all_corner_decs, name):
+    dec, cfg = all_corner_decs[name], example_config(name)
+    polyline = boundary_polyline(dec.boundary)
+    points = _locator_test_points(polyline, dec, cfg)
+    near, winding = _full_sweep(polyline, points)
+    got_near, got_winding = PointLocator(polyline).locate(points)
+    assert np.array_equal(got_near, near)
+    assert np.array_equal(got_winding, winding)
+    # the reference is winding_number's sweep, and a single point takes
+    # the same path as a batch
+    rng = np.random.default_rng(3)
+    sample = np.concatenate([rng.choice(len(points), 150, replace=False),
+                             rng.choice(np.flatnonzero(near), 50, replace=False)])
+    assert [winding_number(polyline, points[i]) for i in sample] == list(winding[sample])
+    one = [PointLocator(polyline).locate(points[i]) for i in sample[:20]]
+    assert [(bool(a[0]), int(w[0])) for a, w in one] == list(zip(near[sample[:20]],
+                                                                winding[sample[:20]]))
+    assert near.sum() > len(polyline) and 0 < np.count_nonzero(winding) < len(points)
+    if name == "triangle":
+        assert len(polyline) % 64 != 0  # a short last chunk

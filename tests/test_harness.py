@@ -78,6 +78,28 @@ def test_config_validation_catches_bad_points():
         cfg.validate()
 
 
+def test_config_validation_names_the_first_failing_point():
+    # exterior, interior, interior again: the first interior point is named
+    cfg = example_config("heart", points=((3.0, 3.0), (0.5, 0.0), (0.3, 0.0)))
+    with pytest.raises(ConfigError) as info:
+        cfg.validate()
+    assert str(info.value) == "evaluation point (0.5, 0.0) is not a finite exterior point"
+    # a singular point outside the domain is reported before any evaluation point
+    bad_sol = make_exact_solution("log_pair", q1=(0.5, 0.0), q2=(5.0, 5.0))
+    with pytest.raises(ConfigError) as info:
+        example_config("heart", solution=bad_sol, points=cfg.points).validate()
+    assert str(info.value) == (f"singular point {bad_sol.singular_points[1]} of solution "
+                               f"'log_pair' must be a finite point inside the domain")
+    # non-finite and interior points are named in their order
+    cfg = example_config("heart", points=((3.0, 3.0), (0.3, 0.0), (math.nan, 0.0)))
+    with pytest.raises(ConfigError, match=r"^evaluation point \(0\.3, 0\.0\) is not"):
+        cfg.validate()
+    cfg = example_config("heart", points=((3.0, 3.0), (math.nan, 0.0), (0.3, 0.0)))
+    with pytest.raises(ConfigError, match=r"^evaluation point \(nan, 0\.0\) is not"):
+        cfg.validate()
+    example_config("heart", points=((3.0, 3.0), (-0.1, 0.0))).validate()
+
+
 @pytest.mark.parametrize("point", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
 def test_non_finite_points_are_config_errors(point):
     cfg = example_config("heart", pairs=((8, 32),), points=(point,))

@@ -213,6 +213,10 @@ def test_eval_exterior_does_only_per_point_work(heart_field, monkeypatch):
         if getattr(module, "subarc_eval", None) is geometry.subarc_eval:
             monkeypatch.setattr(module, "subarc_eval", counting(geometry.subarc_eval))
     monkeypatch.setattr(NeumannDatum, "arc_density", counting(NeumannDatum.arc_density))
+    for module in (geometry, solve_post):
+        monkeypatch.setattr(module, "boundary_polyline", counting(geometry.boundary_polyline))
+    monkeypatch.setattr(geometry.PointLocator, "__init__",
+                        counting(geometry.PointLocator.__init__))
     angles = np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False)
     values = [eval_exterior(fld, 5.0 * np.cos(a), 5.0 * np.sin(a)) for a in angles]
     assert all(math.isfinite(v) for v in values)

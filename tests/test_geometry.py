@@ -334,9 +334,10 @@ def _full_sweep(polyline, points, batch=128):
     """(near, winding) of each point by the sweep over every vertex: the
     squared distance to the nearest vertex against (1e-9)^2, and
     winding_number's angle sum in its crossing form.  The turns x - pi of
-    winding_number, with x = (difference of consecutive angles) + pi, sum
-    to 0 before wrapping, so the wrapped sum is 2 pi times the number of
-    x < 0 (wrapped up) less the number of x >= 2 pi (wrapped down)."""
+    winding_number, with x = (difference of consecutive angles) + pi,
+    telescope to 0 before wrapping (up to rounding far below pi), so the
+    wrapped sum is 2 pi times the number of x < 0 (wrapped up) less the
+    number of x >= 2 pi (wrapped down)."""
     near, winding = [], []
     vx, vy = np.append(polyline[:, 0], polyline[0, 0]), np.append(polyline[:, 1], polyline[0, 1])
     for k in range(0, len(points), batch):
@@ -384,7 +385,8 @@ def test_point_locator_matches_full_sweep(all_corner_decs, name):
     polyline = boundary_polyline(dec.boundary)
     points = _locator_test_points(polyline, dec, cfg)
     near, winding = _full_sweep(polyline, points)
-    got_near, got_winding = PointLocator(polyline).locate(points)
+    locator = PointLocator(polyline)
+    got_near, got_winding = locator.locate(points)
     assert np.array_equal(got_near, near)
     assert np.array_equal(got_winding, winding)
     # the reference is winding_number's sweep, and a single point takes
@@ -393,9 +395,8 @@ def test_point_locator_matches_full_sweep(all_corner_decs, name):
     sample = np.concatenate([rng.choice(len(points), 150, replace=False),
                              rng.choice(np.flatnonzero(near), 50, replace=False)])
     assert [winding_number(polyline, points[i]) for i in sample] == list(winding[sample])
-    one = [PointLocator(polyline).locate(points[i]) for i in sample[:20]]
-    assert [(bool(a[0]), int(w[0])) for a, w in one] == list(zip(near[sample[:20]],
-                                                                winding[sample[:20]]))
+    one = [locator.locate(points[i]) for i in sample]
+    assert [(bool(a[0]), int(w[0])) for a, w in one] == list(zip(near[sample], winding[sample]))
     assert near.sum() > len(polyline) and 0 < np.count_nonzero(winding) < len(points)
     if name == "triangle":
         assert len(polyline) % 64 != 0  # a short last chunk

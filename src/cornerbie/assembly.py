@@ -25,13 +25,13 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor
 
 from .errors import AssemblyError, ParameterError, SingularMatrixError
-from .geometry import CENTRAL, GAMMA, UPSILON, Decomposition, subarc_eval
+from .geometry import CENTRAL, GAMMA, UPSILON, Decomposition, macro_param_of, subarc_eval
 from .kernels import (
     check_separation,
     double_layer,
@@ -107,13 +107,14 @@ def modified_wedge_rows(chi: float, t_nodes: np.ndarray, s_values: np.ndarray,
 @dataclass
 class UnknownMap:
     """The node table: every Radau node of every sub-arc, arc-major, with
-    its sub-arc arc and parameter t, its weight w, position points, the
-    weighted tangent q = w sign sigma' (sign = -1 on reversed arcs, so q
-    follows the boundary's counterclockwise orientation), the diagonal
-    kernel value curvature with the same orientation, its unknown column
-    col and its collocation row (-1 for a dropped row).  points and q are
-    (2, m) arrays of x and y rows; sub-arc i owns bounds[i]:bounds[i + 1]
-    and was built on the rule nodes[i]."""
+    its sub-arc arc and parameter t, its macro arc macro_arc and parameter
+    macro_t there, its weight w, position points, the weighted tangent
+    q = w sign sigma' (sign = -1 on reversed arcs, so q follows the
+    boundary's counterclockwise orientation), the diagonal kernel value
+    curvature with the same orientation, its unknown column col and its
+    collocation row (-1 for a dropped row).  points and q are (2, m)
+    arrays of x and y rows; sub-arc i owns bounds[i]:bounds[i + 1] and was
+    built on the rule nodes[i]."""
 
     dec: Decomposition
     params: DiscretizationParams
@@ -121,6 +122,8 @@ class UnknownMap:
     bounds: np.ndarray = field(init=False)
     arc: np.ndarray = field(init=False)
     t: np.ndarray = field(init=False)
+    macro_arc: np.ndarray = field(init=False)
+    macro_t: np.ndarray = field(init=False)
     w: np.ndarray = field(init=False)
     points: np.ndarray = field(init=False)
     q: np.ndarray = field(init=False)
@@ -141,6 +144,8 @@ class UnknownMap:
         self.bounds = np.cumsum([0] + sizes)
         self.arc = np.repeat(np.arange(len(sizes)), sizes)
         self.t = np.concatenate(self.nodes)
+        ell, tm = zip(*(macro_param_of(dec, i, t) for i, t in enumerate(self.nodes)))
+        self.macro_arc, self.macro_t = np.repeat(ell, sizes), np.concatenate(tm)
         self.w = np.concatenate([rule.weights for rule in rules])
         p, d1, d2 = (np.concatenate(g) for g in
                      zip(*(subarc_eval(dec, i, t) for i, t in enumerate(self.nodes))))
@@ -163,7 +168,7 @@ class UnknownMap:
 
 @dataclass
 class DenseSystem:
-    """Reduced collocation matrix, right-hand side and unknown map.
+    """Reduced collocation matrix and unknown map.
 
     The system owns the one LU factorization of its matrix, computed on
     first use of lu_factors and shared by the condition number and the
@@ -171,7 +176,6 @@ class DenseSystem:
     """
 
     matrix: np.ndarray
-    rhs: np.ndarray
     unknown_map: UnknownMap
 
     @cached_property
@@ -243,26 +247,13 @@ def _fill_rows(umap: UnknownMap, out: np.ndarray, f) -> None:
             out[sel, umap.corner_col[i // 3]] += corner_coeff
 
 
-def build_system(dec: Decomposition, params: DiscretizationParams,
-                 rhs_provider: Callable[[int, np.ndarray], np.ndarray]) -> DenseSystem:
-    """Assemble the collocated system A a = b on the reduced unknowns.
-
-    rhs_provider(i, s) is called once per sub-arc i with the 1-D array s
-    of its collocation parameters (the kept rows) and must return the
-    values gbar_i(s) as an array of the same length.
-    """
+def build_system(dec: Decomposition, params: DiscretizationParams) -> DenseSystem:
+    """Assemble the matrix A of the collocated system A a = b on the
+    reduced unknowns; reduced row r collocates at the node of column r."""
     umap = UnknownMap(dec, params)
-    n = umap.reduced_size
-    A, b = np.empty((n, n)), np.empty(n)
-    _fill_rows(umap, A, np.flatnonzero(umap.row >= 0))  # reduced row r is column r's node
-    for i in range(dec.n_subarcs):
-        row, t = umap.row[umap.bounds[i]:umap.bounds[i + 1]], umap.nodes[i]
-        b[row[row >= 0]] = rhs_provider(i, t[row >= 0])
-
+    A = np.empty((umap.reduced_size, umap.reduced_size))
+    _fill_rows(umap, A, np.flatnonzero(umap.row >= 0))
     if not np.all(np.isfinite(A)):
         bad = np.argwhere(~np.isfinite(A))[0]
         raise AssemblyError(f"non-finite matrix entry at reduced index {tuple(bad)}")
-    if not np.all(np.isfinite(b)):
-        bad = int(np.nonzero(~np.isfinite(b))[0][0])
-        raise AssemblyError(f"non-finite right-hand side entry at reduced row {bad}")
-    return DenseSystem(A, b, umap)
+    return DenseSystem(A, umap)

@@ -61,6 +61,8 @@ def _load_points(path: str):
 def _config_from_json(path: str) -> RunConfig:
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError("config JSON must be an object")
     sol_raw = raw.pop("solution", None)
     domain = raw.pop("domain", None)
     if domain is None:
@@ -73,12 +75,21 @@ def _config_from_json(path: str) -> RunConfig:
     for key in ("phi", "c", "eps", "delta", "M", "N"):
         if key in raw:
             kwargs[key] = raw[key]
-    if "pairs" in raw:
-        kwargs["pairs"] = tuple((int(m), int(n)) for m, n in raw["pairs"])
-    if "points" in raw:
-        kwargs["points"] = tuple((float(p[0]), float(p[1])) for p in raw["points"])
-    if "vertices" in raw:
-        kwargs["vertices"] = tuple((float(v[0]), float(v[1])) for v in raw["vertices"])
+    for key in ("phi", "c", "eps", "delta"):
+        value = kwargs.get(key, 0.0)
+        if key == "phi" and value is None:
+            continue  # polygons have no angle parameter
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
+    try:
+        if "pairs" in raw:
+            kwargs["pairs"] = tuple((int(m), int(n)) for m, n in raw["pairs"])
+        if "points" in raw:
+            kwargs["points"] = tuple((float(p[0]), float(p[1])) for p in raw["points"])
+        if "vertices" in raw:
+            kwargs["vertices"] = tuple((float(v[0]), float(v[1])) for v in raw["vertices"])
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"malformed pairs, points or vertices in config JSON: {exc}") from None
     if base is not None:
         return replace(base, **kwargs)
     required = ("solution", "pairs", "c", "eps", "delta", "points")

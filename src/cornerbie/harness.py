@@ -265,10 +265,12 @@ class RowResult:
 def _run_row(dec, datum, cfg: RunConfig, mu: int, nu: int) -> RowResult:
     params = DiscretizationParams(mu=mu, nu=nu, c=cfg.c, eps=cfg.eps)
     m_rhs, n_outer = cfg.rule_orders(nu)
-    rule = RhsRule(dec, datum, m_rhs)
-    system = build_system(dec, params, lambda i, s: rhs_approx(rule, i, s))
+    system = build_system(dec, params)
     cond = cond_inf(system)
-    fld = solve_field(system, datum, n_outer)
+    umap = system.unknown_map
+    keep = umap.row >= 0  # reduced row r collocates at the r-th kept node
+    b = rhs_approx(RhsRule(dec, datum, m_rhs), umap.macro_arc[keep], umap.macro_t[keep])
+    fld = solve_field(system, b, datum, n_outer)
     values, errors = [], []
     for p in cfg.points:
         approx = eval_exterior(fld, p[0], p[1])
@@ -306,8 +308,7 @@ def _sweep_cond(family: str, phi: float, params: DiscretizationParams,
                 delta: float) -> float:
     # the system and its LU are local here, so neither outlives its angle
     dec = decompose(make_example_domain(family, phi), delta)
-    system = build_system(dec, params, lambda i, s: np.zeros(len(s)))
-    return cond_inf(system)
+    return cond_inf(build_system(dec, params))
 
 
 def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
@@ -315,9 +316,8 @@ def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
                 delta: Optional[float] = None) -> List[SweepPoint]:
     """Condition number of the collocation matrix across corner angles.
 
-    Only the matrix is needed, so the sweep assembles with a zero
-    right-hand side; per-angle failures are recorded and the sweep
-    continues.
+    Only the matrix is needed, so the sweep builds no right-hand side;
+    per-angle failures are recorded and the sweep continues.
     """
     if family not in ("heart", "teardrop", "boomerang"):
         raise ConfigError(f"angle sweeps need a parametric family, got {family!r}")

@@ -1,7 +1,8 @@
 """Right-hand side: single-layer logarithmic integrals of the Neumann datum.
 
-gbar_i(s) = int_Sigma f(Q) log|sigma_i(s) - Q| dSigma_Q is computed on
-the macro arcs.  The self-arc integral splits the kernel as
+gbar(P) = int_Sigma f(Q) log|P - Q| dSigma_Q is computed at boundary points
+P = sigma_ell(s) given by macro arc and parameter; the self-arc integral
+splits the kernel as
 
     log|sig_l(s) - sig_l(t)| = log|t - s| + delta_l(t, s),
 
@@ -19,16 +20,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import Boundary, Decomposition, macro_param_of
+from .geometry import Boundary, Decomposition
 from .kernels import as_complex
 from .quadrature import MAX_MOMENTS, gauss_legendre, legendre_table, log_moments
 
-__all__ = [
-    "NeumannDatum",
-    "normal_derivative",
-    "RhsRule",
-    "rhs_approx",
-]
+__all__ = ["NeumannDatum", "normal_derivative", "single_layer_sources", "RhsRule",
+           "rhs_approx"]
 
 _EPS_BRANCH = 8.0 * np.finfo(float).eps
 _COMPATIBILITY_TOL = 1e-8
@@ -79,25 +76,22 @@ class NeumannDatum:
                 f"integral = {resid:.3e}"
             )
 
-    def f_value(self, k: int, t):
-        """Datum value f at sigma_k(t)."""
-        if self.u_grad is not None:
-            return normal_derivative(self.u_grad, self.boundary, k, t)
-        p = np.asarray(self.boundary.arcs[k].position(np.asarray(t, float)), float)
-        return self.f(p)
-
     def arc_density(self, k: int, t):
-        """Parameter-space density f(sigma_k(t)) |sigma_k'(t)|."""
-        t = np.asarray(t, float)
-        d = np.asarray(self.boundary.arcs[k].first_derivative(t), float)
-        return self.f_value(k, t) * np.linalg.norm(d, axis=-1)
+        """Parameter-space density f(sigma_k(t)) |sigma_k'(t)|; from u_grad
+        it is the cross product g_y x' - g_x y' of the gradient g with the
+        tangent, the inward normal derivative times the speed."""
+        arc, t = self.boundary.arcs[k], np.asarray(t, float)
+        p = np.asarray(arc.position(t), float)
+        d = np.asarray(arc.first_derivative(t), float)
+        if self.u_grad is None:
+            return self.f(p) * np.linalg.norm(d, axis=-1)
+        g = np.asarray(self.u_grad(p), float)
+        return g[..., 1] * d[..., 0] - g[..., 0] * d[..., 1]
 
     def compatibility_residual(self) -> float:
         rule = gauss_legendre(_COMPATIBILITY_RULE)
-        total = 0.0
-        for k in range(len(self.boundary.arcs)):
-            total += float(rule.weights @ self.arc_density(k, rule.nodes))
-        return total
+        return sum(float(rule.weights @ self.arc_density(k, rule.nodes))
+                   for k in range(len(self.boundary.arcs)))
 
 
 def _log_ratio(chord, gap, speed):
@@ -106,6 +100,17 @@ def _log_ratio(chord, gap, speed):
     near = gap < _EPS_BRANCH
     return np.where(near, np.log(speed),
                     np.log(np.where(near, 1.0, chord) / np.where(near, 1.0, gap)))
+
+
+def single_layer_sources(datum: NeumannDatum, n: int):
+    """Sources of an n-point Gauss-Legendre single-layer sum over the
+    boundary: the rule's positions on every macro arc, shape (arcs, n, 2),
+    and the weighted datum densities w f_k |sigma_k'| there, (arcs, n)."""
+    rule, arcs = gauss_legendre(n), datum.boundary.arcs
+    points = np.stack([np.asarray(arc.position(rule.nodes), float) for arc in arcs])
+    density = np.stack([rule.weights * datum.arc_density(k, rule.nodes)
+                        for k in range(len(arcs))])
+    return points, density
 
 
 class RhsRule:
@@ -117,29 +122,33 @@ class RhsRule:
     def __init__(self, dec: Decomposition, datum: NeumannDatum, M: int):
         if not 1 <= M <= MAX_MOMENTS:
             raise ParameterError(f"rhs rule order must be in [1, {MAX_MOMENTS}], got {M}")
-        rule, arcs = gauss_legendre(M), dec.boundary.arcs
-        x = rule.nodes
+        x = gauss_legendre(M).nodes
         self.dec, self.M, self.nodes = dec, M, x
-        self.density = np.stack([rule.weights * datum.arc_density(k, x) for k in range(len(arcs))])
+        points, self.density = single_layer_sources(datum, M)
+        self.points = as_complex(points)
         self.coef = self.density @ legendre_table(M, x).T
-        self.points = np.stack([as_complex(np.asarray(arc.position(x), float)) for arc in arcs])
-        self.speeds = np.linalg.norm(
-            np.stack([np.asarray(arc.first_derivative(x), float) for arc in arcs]), axis=-1)
+        self.speeds = np.linalg.norm(np.stack(
+            [np.asarray(arc.first_derivative(x), float) for arc in dec.boundary.arcs]), axis=-1)
 
 
-def rhs_approx(rule: RhsRule, i: int, s):
-    """Product-rule approximation of gbar_i(s) with the row's rule at a float
-    s (giving a float) or 1-D array of parameters on sub-arc i, each mapped
-    to its macro arc (ell, s_macro): plain Gauss-Legendre log sums over the
-    other arcs, log moments and the chord-ratio sum over the self arc."""
-    ell, sm = macro_param_of(rule.dec, i, np.atleast_1d(np.asarray(s, float)))
-    base = as_complex(np.asarray(rule.dec.boundary.arcs[ell].position(sm), float))
-    out = np.zeros(len(sm))
-    for k, density in enumerate(rule.density):
-        chord = np.abs(rule.points[k] - base[:, None])
-        if k == ell:
-            ratio = _log_ratio(chord, np.abs(rule.nodes - sm[:, None]), rule.speeds[k])
-            out += log_moments(sm, rule.M) @ rule.coef[k] + ratio @ density
-        else:
-            out += np.log(chord) @ density
-    return out if np.ndim(s) else float(out[0])
+def rhs_approx(rule: RhsRule, ell, t) -> np.ndarray:
+    """Product-rule approximation of gbar with the row's rule at the
+    boundary points sigma_ell(t), given as 1-D arrays of macro-arc indices
+    ell and macro parameters t.  The points of each macro arc get the plain
+    Gauss-Legendre log sums over the other arcs, and the log moments and
+    the chord-ratio sum over their own arc."""
+    ell, t = np.asarray(ell), np.asarray(t, float)
+    out = np.empty(len(t))
+    for m, arc in enumerate(rule.dec.boundary.arcs):
+        own = np.flatnonzero(ell == m)
+        s, acc = t[own], np.zeros(len(own))
+        base = as_complex(np.asarray(arc.position(s), float))
+        for k, density in enumerate(rule.density):
+            chord = np.abs(rule.points[k] - base[:, None])
+            if k == m:
+                ratio = _log_ratio(chord, np.abs(rule.nodes - s[:, None]), rule.speeds[k])
+                acc += log_moments(s, rule.M) @ rule.coef[k] + ratio @ density
+            else:
+                acc += np.log(chord) @ density
+        out[own] = acc
+    return out

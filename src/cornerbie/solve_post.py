@@ -22,11 +22,10 @@ from scipy.linalg import lu_solve
 from scipy.linalg.lapack import dgetri, dgetri_lwork
 
 from .assembly import DenseSystem
-from .errors import ExteriorDomainError, SingularMatrixError, SolveError
+from .errors import AssemblyError, ExteriorDomainError, SingularMatrixError, SolveError
 from .geometry import PointLocator, boundary_polyline
 from .kernels import double_layer
-from .quadrature import gauss_legendre
-from .rhs import NeumannDatum
+from .rhs import NeumannDatum, single_layer_sources
 
 __all__ = ["solve_dense", "cond_inf", "SolutionField", "solve_field", "eval_exterior"]
 
@@ -34,16 +33,19 @@ _RESIDUAL_TOL = 1e-10
 _NODE_DISTANCE_TOL = 1e-12
 
 
-def solve_dense(system: DenseSystem):
-    """Solve the reduced system with its LU; returns (solution, residual_inf).
+def solve_dense(system: DenseSystem, b: np.ndarray):
+    """Solve A x = b with the system's LU; returns (solution, residual_inf).
 
-    The residual must satisfy r <= 1e-10 (|A| |x| + |b|) in infinity
-    norms, otherwise the solve is rejected.
+    b must be finite and the residual r <= 1e-10 (|A| |x| + |b|) in
+    infinity norms, otherwise the solve is rejected.
     """
-    a, b = system.matrix, system.rhs
+    b = np.asarray(b, float)
+    if not np.all(np.isfinite(b)):
+        bad = int(np.flatnonzero(~np.isfinite(b))[0])
+        raise AssemblyError(f"non-finite right-hand side entry at reduced row {bad}")
     lu, piv, norm_a = system.lu_factors
     x = lu_solve((lu, piv), b)
-    residual = float(np.abs(a @ x - b).max())
+    residual = float(np.abs(system.matrix @ x - b).max())
     bound = _RESIDUAL_TOL * (norm_a * float(np.abs(x).max()) + float(np.abs(b).max()))
     if residual > bound:
         raise SolveError(f"residual {residual:.3e} exceeds contract {bound:.3e}")
@@ -88,18 +90,15 @@ class SolutionField:
     _arc_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        boundary = self.system.unknown_map.dec.boundary
-        self._locator = PointLocator(boundary_polyline(boundary))
-        rule = gauss_legendre(self.N)
-        self._arc_points = np.concatenate([np.asarray(arc.position(rule.nodes), float)
-                                           for arc in boundary.arcs])
-        self._arc_weights = np.concatenate([rule.weights * self.datum.arc_density(k, rule.nodes)
-                                            for k in range(len(boundary.arcs))])
+        self._locator = PointLocator(boundary_polyline(self.system.unknown_map.dec.boundary))
+        points, density = single_layer_sources(self.datum, self.N)
+        self._arc_points, self._arc_weights = points.reshape(-1, 2), density.ravel()
 
 
-def solve_field(system: DenseSystem, datum: NeumannDatum, N: int) -> SolutionField:
-    """Solve the system and package the nodal values for evaluation."""
-    x, residual = solve_dense(system)
+def solve_field(system: DenseSystem, b: np.ndarray, datum: NeumannDatum,
+                N: int) -> SolutionField:
+    """Solve A x = b and package the nodal values for evaluation."""
+    x, residual = solve_dense(system, b)
     return SolutionField(system, datum, N, x[system.unknown_map.col], residual)
 
 

@@ -22,7 +22,7 @@ from cornerbie.geometry import (
 )
 from cornerbie.kernels import check_separation, double_layer, mellin_chi, mellin_kernel
 from cornerbie.quadrature import gauss_legendre, gauss_radau_left
-from cornerbie.rhs import NeumannDatum
+from cornerbie.rhs import NeumannDatum, RhsRule, rhs_approx
 
 # published reference values: per example, error cells for the evaluation
 # points (nearest ... farthest) and the matrix condition number per row
@@ -142,6 +142,26 @@ def example_tables():
     for name in cb.harness.EXAMPLE_NAMES:
         tables[name] = cb.run_example(cb.example_config(name))
     return tables
+
+
+# --------------------------------------------------------------------------
+# right-hand side at the node table or at sub-arc parameters
+# --------------------------------------------------------------------------
+
+def row_rhs(system, datum, M: int) -> np.ndarray:
+    """b of a built system as the harness makes it: gbar with the M-point
+    row rule at the kept nodes, which is reduced-row order."""
+    umap = system.unknown_map
+    keep = umap.row >= 0
+    return rhs_approx(RhsRule(umap.dec, datum, M), umap.macro_arc[keep], umap.macro_t[keep])
+
+
+def gbar_at(rule, i: int, s):
+    """rhs_approx at a float (giving a float) or 1-D array s of parameters
+    on sub-arc i, mapped to its macro arc with macro_param_of."""
+    ell, sm = macro_param_of(rule.dec, i, np.atleast_1d(np.asarray(s, float)))
+    out = rhs_approx(rule, np.full(len(sm), ell), sm)
+    return out if np.ndim(s) else float(out[0])
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import cornerbie as cb
 from cornerbie.assembly import DiscretizationParams, UnknownMap, build_system
 from cornerbie.kernels import mellin_corner_coefficient
 from cornerbie.quadrature import gauss_legendre, gauss_radau_left, log_moments
-from cornerbie.rhs import NeumannDatum, RhsRule, rhs_approx
+from cornerbie.rhs import NeumannDatum, RhsRule
 from cornerbie.solve_post import eval_exterior, solve_field
 
 from conftest import (
@@ -25,8 +25,10 @@ from conftest import (
     NEAREST_POINT,
     PAIRS,
     REFERENCE_TABLES,
+    gbar_at,
     oracle_log_moments,
     remainder_at,
+    row_rhs,
 )
 
 
@@ -92,10 +94,8 @@ def test_criterion_04_smooth_circle_pipeline(circle_dec):
     sol = cb.make_exact_solution("log_pair", q1=(0.5, 0.0), q2=(0.2, 0.0))
     datum = NeumannDatum(circle_dec.boundary, u_grad=sol.grad)
     params = DiscretizationParams(mu=64, nu=64, c=100.0, eps=1e-3)
-    rule = RhsRule(circle_dec, datum, 256)
-    system = build_system(circle_dec, params,
-                          lambda i, s: rhs_approx(rule, i, s))
-    fld = solve_field(system, datum, 256)
+    system = build_system(circle_dec, params)
+    fld = solve_field(system, row_rhs(system, datum, 256), datum, 256)
     err = abs(eval_exterior(fld, 3.0, 3.0) - float(sol.u(np.array([3.0, 3.0]))))
     elapsed = time.perf_counter() - start
     assert err <= 1e-8
@@ -178,7 +178,7 @@ def test_criterion_10_rhs_rate(heart_dec, heart_datum, heart_deviation_points,
     datum, _ = heart_datum
     points, oracle = heart_deviation_points, heart_rhs_oracle
     rules = {M: RhsRule(heart_dec, datum, M) for M in (32, 64)}
-    devs = {M: max(abs(rhs_approx(rule, i, s) - oracle[(i, s)]) for i, s in points)
+    devs = {M: max(abs(gbar_at(rule, i, s) - oracle[(i, s)]) for i, s in points)
             for M, rule in rules.items()}
     ratio = devs[32] / devs[64]
     assert 2.0 / 3.0 <= ratio <= 6.0

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cornerbie import AssemblyError, CoincidentPointError, ParameterError
+from cornerbie import CoincidentPointError, ParameterError
 from cornerbie.assembly import (
     DiscretizationParams,
     UnknownMap,
@@ -18,10 +18,6 @@ from cornerbie.kernels import mellin_chi, mellin_corner_coefficient, mellin_kern
 from cornerbie.quadrature import gauss_radau_left
 
 from conftest import arc_nodes_at
-
-
-def _zero_rhs(i, s):
-    return 0.0
 
 
 def test_params_validation():
@@ -82,7 +78,7 @@ def test_corner_merge_indexing(heart_dec):
 def test_circle_sanity_matrix(circle_dec):
     # constant kernel -pi: A = -pi I - pi (weights row-replicated)
     params = DiscretizationParams(mu=16, nu=16, c=100.0, eps=1e-3)
-    system = build_system(circle_dec, params, _zero_rhs)
+    system = build_system(circle_dec, params)
     umap = system.unknown_map
     want = -math.pi * np.eye(17) - math.pi * np.tile(umap.w, (17, 1))
     assert np.abs(system.matrix - want).max() <= 1e-12
@@ -151,7 +147,7 @@ def test_matrix_matches_entrywise_reference(all_corner_decs, name):
     dec = all_corner_decs[name]
     params = DiscretizationParams(mu=8, nu=32, c=300.0 if name == "heart" else 100.0,
                                   eps=1e-3 if name == "heart" else 1e-6)
-    a = build_system(dec, params, _zero_rhs).matrix
+    a = build_system(dec, params).matrix
     ref = _entrywise_matrix(dec, params)
     assert np.abs(a - ref).max() <= 1e-13 * np.abs(a).max()
 
@@ -162,7 +158,7 @@ def test_build_system_peak_memory(triangle_dec):
     params = DiscretizationParams(mu=128, nu=512, c=100.0, eps=1e-6)
     tracemalloc.start()
     try:
-        system = build_system(triangle_dec, params, _zero_rhs)
+        system = build_system(triangle_dec, params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -180,7 +176,7 @@ def test_build_system_names_coincident_nodes(triangle_dec, mu, nu):
     dec = dataclasses.replace(triangle_dec, subarcs=tuple(subarcs))
     params = DiscretizationParams(mu=mu, nu=nu, c=100.0, eps=1e-6)
     with pytest.raises(CoincidentPointError) as err:
-        build_system(dec, params, _zero_rhs)
+        build_system(dec, params)
     assert str(err.value) == "sub-arcs 2, 5: field s=0.0 and source t=0.0 coincide"
 
 
@@ -222,21 +218,6 @@ def test_wedge_block_row_norms(all_corner_decs):
 
 def test_assembly_deterministic(heart_dec):
     params = DiscretizationParams(mu=4, nu=16, c=300.0, eps=1e-3)
-    a1 = build_system(heart_dec, params, _zero_rhs).matrix
-    a2 = build_system(heart_dec, params, _zero_rhs).matrix
+    a1 = build_system(heart_dec, params).matrix
+    a2 = build_system(heart_dec, params).matrix
     assert np.array_equal(a1, a2)
-
-
-def test_rhs_provider_values_land_in_rows(heart_dec):
-    params = DiscretizationParams(mu=4, nu=16, c=300.0, eps=1e-3)
-    system = build_system(heart_dec, params, lambda i, s: float(i) + s)
-    umap = system.unknown_map
-    assert system.rhs[umap.row[umap.bounds[0]]] == 0.0  # gamma arc, s = 0
-    assert system.rhs[umap.row[umap.bounds[2] + 3]] == pytest.approx(
-        2.0 + umap.nodes[2][3], rel=1e-15)
-
-
-def test_non_finite_rhs_rejected(heart_dec):
-    params = DiscretizationParams(mu=4, nu=16, c=300.0, eps=1e-3)
-    with pytest.raises(AssemblyError):
-        build_system(heart_dec, params, lambda i, s: math.inf if i == 2 else 0.0)

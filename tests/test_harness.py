@@ -279,6 +279,20 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    {"domain": "heart", "points": [[1]]},
+    {"domain": "heart", "points": [["a", "b"]]},
+    {"domain": "heart", "pairs": [[8]]},
+    {"domain": "heart", "phi": "5pi/3"},
+    [{"domain": "heart"}],
+], ids=["short-point", "string-point", "short-pair", "string-phi", "top-level-list"])
+def test_cli_malformed_config_json_exits_2(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["solve", "--config", str(path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_empty_config_points_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"domain": "heart", "points": []}))

@@ -27,10 +27,9 @@ from cornerbie.kernels import (
     mellin_kernel,
 )
 from cornerbie.quadrature import gauss_radau_left
-from cornerbie.rhs import RhsRule, rhs_approx
 from cornerbie.solve_post import eval_exterior, solve_field
 
-from conftest import arc_nodes_at, kernel_block, remainder_at
+from conftest import arc_nodes_at, kernel_block, remainder_at, row_rhs
 
 
 def corner_remainder_richardson(dec, i, j, steps=(1e-4, 5e-5, 2.5e-5)):
@@ -326,9 +325,8 @@ def test_field_kernel_near_singularity_error(heart_dec, heart_datum):
     # and its squared distance is 0, which eval_exterior turns into an error
     datum, _ = heart_datum
     params = DiscretizationParams(mu=8, nu=32, c=300.0, eps=1e-3)
-    rule = RhsRule(heart_dec, datum, 16)
-    fld = solve_field(build_system(heart_dec, params, lambda i, s: rhs_approx(rule, i, s)),
-                      datum, 16)
+    system = build_system(heart_dec, params)
+    fld = solve_field(system, row_rhs(system, datum, 16), datum, 16)
     umap = fld.system.unknown_map
     own = np.flatnonzero(umap.arc == 2)
     c = own[np.argmin(np.abs(umap.t[own] - 0.5))]

@@ -10,10 +10,12 @@ from cornerbie.geometry import circle_arc, make_example_domain, make_smooth_boun
 from cornerbie.quadrature import gauss_legendre, gauss_radau_left, legendre_table
 from cornerbie.rhs import NeumannDatum, RhsRule, _log_ratio, normal_derivative, rhs_approx
 
+from conftest import gbar_at
+
 
 def _max_deviation(dec, datum, M, points, oracle):
     rule = RhsRule(dec, datum, M)
-    return max(abs(rhs_approx(rule, i, s) - oracle[(i, s)]) for i, s in points)
+    return max(abs(gbar_at(rule, i, s) - oracle[(i, s)]) for i, s in points)
 
 
 def test_arc_density_constant_on_straight_side():
@@ -120,26 +122,74 @@ def test_moment_path_equivalence():
 def test_rhs_single_arc_uses_product_rule_only(heart_dec, heart_datum):
     # n = 1: the cross-arc sum is empty; the value is finite and reproducible
     datum, _ = heart_datum
-    v = rhs_approx(RhsRule(heart_dec, datum, 16), 2, 0.25)
+    v = gbar_at(RhsRule(heart_dec, datum, 16), 2, 0.25)
     assert math.isfinite(v)
-    assert v == rhs_approx(RhsRule(heart_dec, datum, 16), 2, 0.25)
+    assert v == gbar_at(RhsRule(heart_dec, datum, 16), 2, 0.25)
 
 
 def test_rhs_array_matches_per_node_calls(all_corner_decs):
-    # one whole-array call per sub-arc equals its per-node float calls up to
-    # the summation order of the matrix products: 1e-14 relative to the
-    # largest value on the sub-arc, since single values can sit near zero
+    # one whole-row call over the node table equals per-node float calls at
+    # the sub-arc parameters up to the summation order of the matrix
+    # products: 1e-14 relative to the largest value on the sub-arc, since
+    # single values can sit near zero
     for name, dec in all_corner_decs.items():
         cfg = cb.example_config(name)
         datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
         umap = UnknownMap(dec, DiscretizationParams(mu=8, nu=32, c=cfg.c, eps=cfg.eps))
         rule = RhsRule(dec, datum, 16)
+        got = rhs_approx(rule, umap.macro_arc, umap.macro_t)
+        assert got.shape == umap.t.shape
         for i in range(dec.n_subarcs):
-            nodes = umap.nodes[i]
-            got = rhs_approx(rule, i, nodes)
-            want = np.array([rhs_approx(rule, i, float(s)) for s in nodes])
-            assert got.shape == nodes.shape
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (name, i)
+            want = np.array([gbar_at(rule, i, float(s)) for s in umap.nodes[i]])
+            part = got[umap.bounds[i]:umap.bounds[i + 1]]
+            assert np.abs(part - want).max() <= 1e-14 * np.abs(want).max(), (name, i)
+
+
+def test_rhs_entries_are_gbar_at_row_nodes(monkeypatch):
+    # the harness's b holds at reduced row r the value gbar at the node of
+    # row r, the gamma s = 0 corner row included, as evaluated here one
+    # node at a time from its sub-arc parameter
+    seen = {}
+    solve = cb.harness.solve_field
+
+    def capture(system, b, datum, N):
+        seen.update(system=system, b=b, datum=datum)
+        return solve(system, b, datum, N)
+
+    monkeypatch.setattr(cb.harness, "solve_field", capture)
+    rows = cb.run_example(cb.example_config("heart", pairs=((4, 16),)))
+    assert not rows[0].failed
+    umap, b = seen["system"].unknown_map, seen["b"]
+    rule = RhsRule(umap.dec, seen["datum"], 8)
+    want = np.array([gbar_at(rule, int(umap.arc[c]), float(umap.t[c]))
+                     for c in np.flatnonzero(umap.row >= 0)])
+    assert b.shape == (umap.reduced_size,)
+    assert np.abs(b - want).max() <= 1e-14 * np.abs(want).max()
+    corner = umap.row[umap.bounds[0]]  # gamma arc, s = 0
+    assert umap.t[umap.bounds[0]] == 0.0
+    assert b[corner] == pytest.approx(want[corner], rel=1e-14)
+
+
+@pytest.mark.parametrize("name, pairs", [("heart", cb.harness.DEFAULT_PAIRS),
+                                         ("triangle", ((8, 32), (16, 64)))])
+def test_rhs_once_per_row_and_moments_once_per_macro_arc(monkeypatch, name, pairs):
+    # the right-hand side is one call per (mu, nu) row, and the log-moment
+    # recurrence runs once per macro arc of the row, not once per sub-arc
+    rhs_calls, moment_calls = [], []
+
+    def counting(fn, calls):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(cb.harness, "rhs_approx", counting(cb.harness.rhs_approx, rhs_calls))
+    monkeypatch.setattr(cb.rhs, "log_moments", counting(cb.rhs.log_moments, moment_calls))
+    cfg = cb.example_config(name, pairs=pairs)
+    rows = cb.run_example(cfg)
+    assert not any(row.failed for row in rows)
+    assert len(rhs_calls) == len(pairs)
+    assert len(moment_calls) == len(cfg.build_boundary().arcs) * len(pairs)
 
 
 def test_rhs_oracle_agreement_decreases(heart_dec, heart_datum,
@@ -169,8 +219,8 @@ def test_rhs_cancellation_safety(heart_dec, heart_datum):
     nodes = gauss_radau_left(8).nodes
     s = float(nodes[3])
     rule = RhsRule(heart_dec, datum, 32)
-    a = rhs_approx(rule, 1, s)
-    b = rhs_approx(rule, 1, s + 1e-15)
+    a = gbar_at(rule, 1, s)
+    b = gbar_at(rule, 1, s + 1e-15)
     assert abs(a - b) <= 1e-10
 
 

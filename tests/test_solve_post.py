@@ -8,6 +8,7 @@ from scipy.linalg import lu_factor
 
 import cornerbie as cb
 from cornerbie import (
+    AssemblyError,
     ExteriorDomainError,
     SingularMatrixError,
     assembly,
@@ -17,28 +18,26 @@ from cornerbie import (
 )
 from cornerbie.assembly import DenseSystem, DiscretizationParams, build_system
 from cornerbie.geometry import decompose, make_polygon, subarc_eval
-from cornerbie.rhs import NeumannDatum, RhsRule, rhs_approx
+from cornerbie.rhs import NeumannDatum
 from cornerbie.solve_post import cond_inf, eval_exterior, solve_dense, solve_field
-from conftest import eval_exterior_per_point
+from conftest import eval_exterior_per_point, row_rhs
 
 
-def _system_from(matrix, rhs=None):
-    """A DenseSystem holding only a matrix and a right-hand side: the LU
-    solve and cond_inf read nothing else."""
-    a = np.asarray(matrix, float)
-    b = np.zeros(len(a)) if rhs is None else np.asarray(rhs, float)
-    return DenseSystem(a, b, unknown_map=None)
+def _system_from(matrix):
+    """A DenseSystem holding only a matrix: the LU solve and cond_inf read
+    nothing else."""
+    return DenseSystem(np.asarray(matrix, float), unknown_map=None)
 
 
 def test_solve_identity():
     b = np.array([3.0, -1.0, 0.5])
-    x, residual = solve_dense(_system_from(np.eye(3), b))
+    x, residual = solve_dense(_system_from(np.eye(3)), b)
     assert np.array_equal(x, b)
     assert residual == 0.0
 
 
 def test_solve_diagonal():
-    x, _ = solve_dense(_system_from([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0]))
+    x, _ = solve_dense(_system_from([[2.0, 0.0], [0.0, 4.0]]), [2.0, 8.0])
     np.testing.assert_allclose(x, [1.0, 2.0], rtol=1e-15)
 
 
@@ -46,8 +45,8 @@ def test_solve_manufactured_random():
     rng = np.random.default_rng(42)
     a = rng.normal(size=(50, 50))
     x_true = rng.normal(size=50)
-    system = _system_from(a, a @ x_true)
-    x, residual = solve_dense(system)
+    system = _system_from(a)
+    x, residual = solve_dense(system, a @ x_true)
     rel = np.abs(x - x_true).max() / np.abs(x_true).max()
     assert rel <= 1e-10 * cond_inf(system)
     norm_a = np.abs(a).sum(axis=1).max()
@@ -57,7 +56,17 @@ def test_solve_manufactured_random():
 def test_solve_singular_matrix():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrixError):
-        solve_dense(_system_from(a, [1.0, 2.0]))
+        solve_dense(_system_from(a), [1.0, 2.0])
+
+
+def test_non_finite_rhs_rejected():
+    # a NaN or inf entry of b is named by its reduced row before the LU
+    # solve sees it, as a package error that run_example records
+    system = _system_from(np.eye(3))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(AssemblyError,
+                           match="^non-finite right-hand side entry at reduced row 1$"):
+            solve_dense(system, [1.0, bad, 0.0])
 
 
 def test_cond_inf_examples():
@@ -97,10 +106,8 @@ def test_one_factorization_per_row_and_per_angle(monkeypatch):
 def heart_field(heart_dec, heart_datum):
     datum, sol = heart_datum
     params = DiscretizationParams(mu=16, nu=64, c=300.0, eps=1e-3)
-    rule = RhsRule(heart_dec, datum, 32)
-    system = build_system(heart_dec, params,
-                          lambda i, s: rhs_approx(rule, i, s))
-    return solve_field(system, datum, 32), sol
+    system = build_system(heart_dec, params)
+    return solve_field(system, row_rhs(system, datum, 32), datum, 32), sol
 
 
 def test_eval_exterior_rejects_interior_point(heart_field):
@@ -135,9 +142,9 @@ def fields_16_64(all_corner_decs):
         cfg = cb.example_config(name)
         datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
         params = DiscretizationParams(mu=16, nu=64, c=cfg.c, eps=cfg.eps)
-        rule = RhsRule(dec, datum, 32)
-        system = build_system(dec, params, lambda i, s: rhs_approx(rule, i, s))
-        fields[name] = solve_field(system, datum, 64 if cfg.N == -1 else 32)
+        system = build_system(dec, params)
+        fields[name] = solve_field(system, row_rhs(system, datum, 32), datum,
+                                   64 if cfg.N == -1 else 32)
     return fields
 
 
@@ -238,11 +245,10 @@ def test_node_geometry_evaluated_once_per_subarc(all_corner_decs, monkeypatch):
         dec, cfg = all_corner_decs[name], cb.example_config(name)
         datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
         params = DiscretizationParams(mu=8, nu=32, c=cfg.c, eps=cfg.eps)
-        rule = RhsRule(dec, datum, 16)
-        system = build_system(dec, params, lambda i, s: rhs_approx(rule, i, s))
+        system = build_system(dec, params)
         assert calls == list(range(n_subarcs)), name
         calls.clear()
-        solve_field(system, datum, 16)
+        solve_field(system, row_rhs(system, datum, 16), datum, 16)
         assert calls == [], name
 
 
@@ -267,10 +273,8 @@ def test_smooth_circle_pipeline(circle_dec):
     sol = cb.make_exact_solution("log_pair", q1=(0.5, 0.0), q2=(0.2, 0.0))
     datum = NeumannDatum(circle_dec.boundary, u_grad=sol.grad)
     params = DiscretizationParams(mu=64, nu=64, c=100.0, eps=1e-3)
-    rule = RhsRule(circle_dec, datum, 256)
-    system = build_system(circle_dec, params,
-                          lambda i, s: rhs_approx(rule, i, s))
-    fld = solve_field(system, datum, 256)
+    system = build_system(circle_dec, params)
+    fld = solve_field(system, row_rhs(system, datum, 256), datum, 256)
     err = abs(eval_exterior(fld, 3.0, 3.0) - float(sol.u(np.array([3.0, 3.0]))))
     assert err <= 1e-8
 
@@ -294,11 +298,9 @@ def test_reentrant_polygon_pipeline():
     errs, conds = [], []
     for mu, nu in ((8, 32), (16, 64)):
         params = DiscretizationParams(mu=mu, nu=nu, c=100.0, eps=1e-3)
-        rule = RhsRule(dec, datum, nu // 2)
-        system = build_system(dec, params,
-                              lambda i, s: rhs_approx(rule, i, s))
+        system = build_system(dec, params)
         conds.append(cond_inf(system))
-        fld = solve_field(system, datum, nu // 2)
+        fld = solve_field(system, row_rhs(system, datum, nu // 2), datum, nu // 2)
         errs.append(abs(eval_exterior(fld, 3.0, 3.0) - float(sol.u(np.array([3.0, 3.0])))))
     assert errs[1] < errs[0] / 2
     assert errs[1] <= 1e-5

@@ -61,17 +61,14 @@ def _load_points(path: str):
 def _config_from_json(path: str) -> RunConfig:
     with open(path) as fh:
         raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError("config JSON must be an object")
+    if not isinstance(raw, dict) or not isinstance(raw.get("solution", {}), dict):
+        raise ConfigError("config JSON and its 'solution' field must be objects")
     sol_raw = raw.pop("solution", None)
     domain = raw.pop("domain", None)
     if domain is None:
         raise ConfigError("config JSON needs a 'domain' field")
     base = example_config(domain) if domain in EXAMPLE_NAMES and not raw.get("vertices") else None
     kwargs = {}
-    if sol_raw is not None:
-        params = {k: v for k, v in sol_raw.items() if k != "name"}
-        kwargs["solution"] = make_exact_solution(sol_raw["name"], **params)
     for key in ("phi", "c", "eps", "delta", "M", "N"):
         if key in raw:
             kwargs[key] = raw[key]
@@ -82,6 +79,9 @@ def _config_from_json(path: str) -> RunConfig:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
     try:
+        if sol_raw is not None:
+            params = {k: v for k, v in sol_raw.items() if k != "name"}
+            kwargs["solution"] = make_exact_solution(sol_raw["name"], **params)
         if "pairs" in raw:
             kwargs["pairs"] = tuple((int(m), int(n)) for m, n in raw["pairs"])
         if "points" in raw:
@@ -89,7 +89,7 @@ def _config_from_json(path: str) -> RunConfig:
         if "vertices" in raw:
             kwargs["vertices"] = tuple((float(v[0]), float(v[1])) for v in raw["vertices"])
     except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"malformed pairs, points or vertices in config JSON: {exc}") from None
+        raise ConfigError(f"malformed config JSON: {exc}") from None
     if base is not None:
         return replace(base, **kwargs)
     required = ("solution", "pairs", "c", "eps", "delta", "points")

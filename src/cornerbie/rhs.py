@@ -143,11 +143,12 @@ def rhs_approx(rule: RhsRule, ell, t) -> np.ndarray:
         own = np.flatnonzero(ell == m)
         s, acc = t[own], np.zeros(len(own))
         base = as_complex(np.asarray(arc.position(s), float))
+        moments = log_moments(s, rule.M) @ rule.coef[m]  # its work arrays freed before the chords
         for k, density in enumerate(rule.density):
             chord = np.abs(rule.points[k] - base[:, None])
             if k == m:
                 ratio = _log_ratio(chord, np.abs(rule.nodes - s[:, None]), rule.speeds[k])
-                acc += log_moments(s, rule.M) @ rule.coef[k] + ratio @ density
+                acc += moments + ratio @ density
             else:
                 acc += np.log(chord) @ density
         out[own] = acc

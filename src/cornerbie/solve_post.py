@@ -95,8 +95,7 @@ class SolutionField:
         self._arc_points, self._arc_weights = points.reshape(-1, 2), density.ravel()
 
 
-def solve_field(system: DenseSystem, b: np.ndarray, datum: NeumannDatum,
-                N: int) -> SolutionField:
+def solve_field(system: DenseSystem, b: np.ndarray, datum: NeumannDatum, N: int) -> SolutionField:
     """Solve A x = b and package the nodal values for evaluation."""
     x, residual = solve_dense(system, b)
     return SolutionField(system, datum, N, x[system.unknown_map.col], residual)

@@ -285,7 +285,9 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
     {"domain": "heart", "pairs": [[8]]},
     {"domain": "heart", "phi": "5pi/3"},
     [{"domain": "heart"}],
-], ids=["short-point", "string-point", "short-pair", "string-phi", "top-level-list"])
+    {"domain": "heart", "solution": "dipole"},
+], ids=["short-point", "string-point", "short-pair", "string-phi", "top-level-list",
+        "string-solution"])
 def test_cli_malformed_config_json_exits_2(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

@@ -39,6 +39,20 @@ def test_arc_density_circle():
     assert float(datum.arc_density(0, 0.0)) == pytest.approx(2 * math.pi, rel=1e-14)
 
 
+def test_arc_density_from_gradient_is_normal_derivative_times_speed(all_corner_decs):
+    # the cross product g_y x' - g_x y' equals the inward normal derivative
+    # times |sigma'| up to roundoff
+    t = np.linspace(0.0, 1.0, 101)
+    for name, dec in all_corner_decs.items():
+        grad = cb.example_config(name).solution.grad
+        datum = NeumannDatum(dec.boundary, u_grad=grad)
+        for k, arc in enumerate(dec.boundary.arcs):
+            speed = np.linalg.norm(np.asarray(arc.first_derivative(t), float), axis=-1)
+            want = normal_derivative(grad, dec.boundary, k, t) * speed
+            got = datum.arc_density(k, t)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (name, k)
+
+
 def test_normal_derivative_is_inward(heart_boundary):
     b = make_smooth_boundary(circle_arc())
     # constant gradient (1, 0): at t = 0 the inward normal is (-1, 0)

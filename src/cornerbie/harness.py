@@ -176,6 +176,8 @@ class RunConfig:
         # the singular points, then the evaluation points, located in one call
         singular = tuple(self.solution.singular_points)
         located = singular + tuple(self.points)
+        if any(np.shape(p) != (2,) for p in located):
+            raise ConfigError(f"singular points {singular} and evaluation points need (x, y)")
         xy = np.array(located, float).reshape(len(located), 2)
         finite = np.isfinite(xy).all(axis=1)
         winding = np.zeros(len(xy), int)
@@ -262,7 +264,7 @@ class RowResult:
         return self.error_message is not None
 
 
-def _run_row(dec, datum, cfg: RunConfig, mu: int, nu: int) -> RowResult:
+def _run_row(dec, datum, cfg: RunConfig, exact: np.ndarray, mu: int, nu: int) -> RowResult:
     params = DiscretizationParams(mu=mu, nu=nu, c=cfg.c, eps=cfg.eps)
     m_rhs, n_outer = cfg.rule_orders(nu)
     system = build_system(dec, params)
@@ -271,13 +273,8 @@ def _run_row(dec, datum, cfg: RunConfig, mu: int, nu: int) -> RowResult:
     keep = umap.row >= 0  # reduced row r collocates at the r-th kept node
     b = rhs_approx(RhsRule(dec, datum, m_rhs), umap.macro_arc[keep], umap.macro_t[keep])
     fld = solve_field(system, b, datum, n_outer)
-    values, errors = [], []
-    for p in cfg.points:
-        approx = eval_exterior(fld, p[0], p[1])
-        exact = float(cfg.solution.u(np.asarray(p, float)))
-        values.append(approx)
-        errors.append(abs(approx - exact))
-    return RowResult(mu, nu, values, errors, cond)
+    values = [eval_exterior(fld, x, y) for x, y in cfg.points]
+    return RowResult(mu, nu, values, np.abs(np.array(values) - exact).tolist(), cond)
 
 
 def run_example(cfg: RunConfig) -> List[RowResult]:
@@ -286,10 +283,11 @@ def run_example(cfg: RunConfig) -> List[RowResult]:
     boundary = cfg.build_boundary()
     dec = decompose(boundary, cfg.delta)
     datum = NeumannDatum(boundary, u_grad=cfg.solution.grad)
+    exact = cfg.solution.u(np.array(cfg.points, float).reshape(-1, 2))
     rows: List[RowResult] = []
     for mu, nu in cfg.pairs:
         try:
-            rows.append(_run_row(dec, datum, cfg, mu, nu))
+            rows.append(_run_row(dec, datum, cfg, exact, mu, nu))
         except CornerBieError as exc:
             nan_cells = [math.nan] * len(cfg.points)
             rows.append(RowResult(mu, nu, nan_cells, list(nan_cells), math.nan,

@@ -9,7 +9,9 @@ and reproducible.  The exterior harmonic field is recovered from the
 Green representation: an N-point Gauss-Legendre sum of the single-layer
 term over the macro arcs minus the Radau sum of the assembly's
 double-layer kernel over the node table against the solved nodal
-boundary values.
+boundary values.  Beyond twice the sources' radius both sums are taken
+from a P-term multipole expansion about the node table's centre,
+built once per field (Greengard & Rokhlin, J. Comput. Phys. 73, 1987).
 """
 
 from __future__ import annotations
@@ -24,13 +26,15 @@ from scipy.linalg.lapack import dgetri, dgetri_lwork
 from .assembly import DenseSystem
 from .errors import AssemblyError, ExteriorDomainError, SingularMatrixError, SolveError
 from .geometry import PointLocator, boundary_polyline
-from .kernels import double_layer
+from .kernels import as_complex, double_layer
 from .rhs import NeumannDatum, single_layer_sources
 
 __all__ = ["solve_dense", "cond_inf", "SolutionField", "solve_field", "eval_exterior"]
 
 _RESIDUAL_TOL = 1e-10
 _NODE_DISTANCE_TOL = 1e-12
+# beyond |z - c| = 2R the remainder is below 2^-56 of the coefficient scale
+_FAR_TERMS = 56
 
 
 def solve_dense(system: DenseSystem, b: np.ndarray):
@@ -77,7 +81,13 @@ class SolutionField:
     Construction computes the other data that do not depend on the field
     point: the point locator of the boundary polyline, and the N-point
     Gauss-Legendre source positions and weighted datum densities of all
-    macro arcs, arc after arc.
+    macro arcs, arc after arc; and the far-field expansion about the node
+    table's centre c, valid beyond 2R, R the largest distance from c to a
+    source or polyline vertex: u(z) = -(W log|z - c| - Re sum e_k zeta^k)
+    / 2 pi, zeta = 1 / (z - c), with the rule's flux residual W = sum w f,
+    e_k = a_k / k - i b_(k-1), a_k = sum w f (y - c)^k over the rule's
+    sources y and b_m = sum values q (w - c)^m over the nodes w.  _far
+    holds e_k / R^k, built from powers of (y - c) / R in the unit disk.
     """
 
     system: DenseSystem
@@ -88,11 +98,30 @@ class SolutionField:
     _locator: PointLocator = field(init=False, repr=False)
     _arc_points: np.ndarray = field(init=False, repr=False)
     _arc_weights: np.ndarray = field(init=False, repr=False)
+    _center: complex = field(init=False, repr=False)
+    _radius: float = field(init=False, repr=False)
+    _flux: float = field(init=False, repr=False)
+    _far: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._locator = PointLocator(boundary_polyline(self.system.unknown_map.dec.boundary))
+        umap = self.system.unknown_map
+        polyline = boundary_polyline(umap.dec.boundary)
+        self._locator = PointLocator(polyline)
         points, density = single_layer_sources(self.datum, self.N)
         self._arc_points, self._arc_weights = points.reshape(-1, 2), density.ravel()
+        nodes = as_complex(umap.points.T)
+        self._center = c = complex(nodes.mean())
+        rule, nodes = as_complex(self._arc_points) - c, nodes - c
+        r = self._radius = float(max(np.abs(rule).max(), np.abs(nodes).max(),
+                                     np.abs(as_complex(polyline) - c).max()))
+        self._flux = float(self._arc_weights.sum())
+        rule, nodes = rule / r, nodes / r
+        a_pow, b_pow = self._arc_weights.astype(complex), self.values * as_complex(umap.q.T)
+        self._far = []
+        for k in range(1, _FAR_TERMS + 1):
+            a_pow *= rule
+            self._far.append(complex(a_pow.sum() / k - 1j * b_pow.sum() / r))
+            b_pow *= nodes
 
 
 def solve_field(system: DenseSystem, b: np.ndarray, datum: NeumannDatum, N: int) -> SolutionField:
@@ -107,12 +136,22 @@ def eval_exterior(fld: SolutionField, x: float, y: float) -> float:
     Raises for non-finite points, for points inside the domain or within
     1e-9 of a dense boundary sampling (both decided by the field's
     PointLocator), for points within 1e-12 of a node, and when the value
-    is not finite.  The decay condition pins the value at infinity to
-    zero.
+    is not finite.  A point with |z - c| > 2R takes the field's
+    far-field expansion: it lies outside the locator's grown box and more
+    than R from every node, so none of those tests can reject it.  The
+    decay condition pins the value at infinity to zero.
     """
-    p = np.array([float(x), float(y)])
-    if not np.isfinite(p).all():
+    px, py = float(x), float(y)
+    if not (math.isfinite(px) and math.isfinite(py)):
         raise ExteriorDomainError(f"point ({x}, {y}) is not finite")
+    z = complex(px, py) - fld._center
+    dist = math.hypot(z.real, z.imag)
+    if dist > 2.0 * fld._radius:
+        zeta, acc = fld._radius / z, 0j
+        for e in reversed(fld._far):
+            acc = (acc + e) * zeta
+        return _finite(-(fld._flux * math.log(dist) - acc.real) / (2.0 * math.pi), x, y)
+    p = np.array([px, py])
     near, winding = fld._locator.locate(p)
     if near[0]:
         raise ExteriorDomainError(f"point ({x}, {y}) is on or next to the boundary")
@@ -126,7 +165,10 @@ def eval_exterior(fld: SolutionField, x: float, y: float) -> float:
         raise ExteriorDomainError(f"field point ({p[0]}, {p[1]}) within "
                                   f"{_NODE_DISTANCE_TOL} of sub-arc {umap.arc[c]}")
     single = float(fld._arc_weights @ np.log(np.linalg.norm(fld._arc_points - p, axis=-1)))
-    value = -(single - float(k[0] @ fld.values)) / (2.0 * math.pi)
+    return _finite(-(single - float(k[0] @ fld.values)) / (2.0 * math.pi), x, y)
+
+
+def _finite(value: float, x, y) -> float:
     if not math.isfinite(value):
         raise ExteriorDomainError(f"field value at ({x}, {y}) is not finite")
     return value

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,31 @@ def test_run_example_smoke():
     assert not row.failed
     assert row.cond < 1e3
     assert all(math.isfinite(e) for e in row.errors)
+
+
+def test_run_example_evaluates_exact_solution_once():
+    # one call on all points per run, whatever the number of rows
+    cfg = example_config("heart", pairs=((8, 32), (16, 64), (32, 128)))
+    seen = []
+
+    def u(p):
+        seen.append(np.shape(p))
+        return cfg.solution.u(p)
+
+    rows = run_example(replace(cfg, solution=replace(cfg.solution, u=u)))
+    assert len(rows) == 3 and not any(row.failed for row in rows)
+    assert seen == [(len(cfg.points), 2)]
+
+
+@pytest.mark.parametrize("name", ("heart", "teardrop", "boomerang", "triangle"))
+def test_row_errors_are_differences_from_exact_values(name, example_tables):
+    cfg = example_config(name)
+    exact = cfg.solution.u(np.array(cfg.points, float))
+    # the whole-array exact values are those of one point at a time
+    np.testing.assert_array_equal(
+        exact, [float(cfg.solution.u(np.asarray(p, float))) for p in cfg.points])
+    for row in example_tables[name]:
+        np.testing.assert_array_equal(row.errors, np.abs(np.array(row.values) - exact))
 
 
 def test_angle_sweep_records_failures_and_continues():
@@ -286,8 +312,9 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
     {"domain": "heart", "phi": "5pi/3"},
     [{"domain": "heart"}],
     {"domain": "heart", "solution": "dipole"},
+    {"domain": "heart", "solution": {"name": "log_pair", "q1": [0.5], "q2": [0.2, 0]}},
 ], ids=["short-point", "string-point", "short-pair", "string-phi", "top-level-list",
-        "string-solution"])
+        "string-solution", "ragged-singular-points"])
 def test_cli_malformed_config_json_exits_2(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

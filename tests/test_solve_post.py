@@ -17,8 +17,8 @@ from cornerbie import (
     solve_post,
 )
 from cornerbie.assembly import DenseSystem, DiscretizationParams, build_system
-from cornerbie.geometry import decompose, make_polygon, subarc_eval
-from cornerbie.rhs import NeumannDatum
+from cornerbie.geometry import boundary_polyline, decompose, make_polygon, subarc_eval
+from cornerbie.rhs import NeumannDatum, single_layer_sources
 from cornerbie.solve_post import cond_inf, eval_exterior, solve_dense, solve_field
 from conftest import eval_exterior_per_point, row_rhs
 
@@ -123,29 +123,53 @@ def test_eval_exterior_rejects_boundary_point(heart_field):
         eval_exterior(fld, float(p[0]), float(p[1]))
 
 
+def _far_disk(fld):
+    """Centre c and radius 2R of the far-field branch, rebuilt from their
+    definition: c is the mean of the node table, R the largest distance
+    from c to a node, a Gauss-Legendre source or a polyline vertex."""
+    umap = fld.system.unknown_map
+    c = umap.points.mean(axis=1)
+    sources = np.concatenate([umap.points.T,
+                              single_layer_sources(fld.datum, fld.N)[0].reshape(-1, 2),
+                              boundary_polyline(umap.dec.boundary)])
+    return c, 2.0 * float(np.linalg.norm(sources - c, axis=1).max())
+
+
 @pytest.mark.parametrize("x,y", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
-                                 (1e300, 1e300)])
+                                 (1.5e308, 1.5e308)])
 def test_eval_exterior_rejects_non_finite(heart_field, x, y):
-    # (1e300, 1e300) is finite, but its value overflows to NaN
+    # (1.5e308, 1.5e308) is finite, but its distance from the centre
+    # overflows, and so does its value
     fld, _ = heart_field
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ExteriorDomainError):
-            eval_exterior(fld, x, y)
+    with pytest.raises(ExteriorDomainError):
+        eval_exterior(fld, x, y)
+
+
+def test_eval_exterior_decay_value_at_huge_point(heart_field):
+    # the far branch keeps the rule's flux residual W as its own term, so
+    # at (1e300, 1e300), where the direct sums overflow, the value is
+    # -W log|z - c| / 2 pi to rounding
+    fld, _ = heart_field
+    (cx, cy), _ = _far_disk(fld)
+    flux = float(single_layer_sources(fld.datum, fld.N)[1].sum())
+    want = -flux * math.log(math.hypot(1e300 - cx, 1e300 - cy)) / (2.0 * math.pi)
+    assert eval_exterior(fld, 1e300, 1e300) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def _solved_field(dec, name, mu, nu):
+    """Field of one built-in example at (mu, nu) with the harness's datum
+    and rule orders."""
+    cfg = cb.example_config(name)
+    datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
+    system = build_system(dec, DiscretizationParams(mu=mu, nu=nu, c=cfg.c, eps=cfg.eps))
+    m_rhs, n_outer = cfg.rule_orders(nu)
+    return solve_field(system, row_rhs(system, datum, m_rhs), datum, n_outer)
 
 
 @pytest.fixture(scope="module")
 def fields_16_64(all_corner_decs):
-    """(16, 64) fields of the four benchmark domains with the harness's
-    datum and rule orders."""
-    fields = {}
-    for name, dec in all_corner_decs.items():
-        cfg = cb.example_config(name)
-        datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
-        params = DiscretizationParams(mu=16, nu=64, c=cfg.c, eps=cfg.eps)
-        system = build_system(dec, params)
-        fields[name] = solve_field(system, row_rhs(system, datum, 32), datum,
-                                   64 if cfg.N == -1 else 32)
-    return fields
+    """(16, 64) fields of the four benchmark domains."""
+    return {name: _solved_field(dec, name, 16, 64) for name, dec in all_corner_decs.items()}
 
 
 def _offset_points(boundary, n=40):
@@ -161,20 +185,74 @@ def _offset_points(boundary, n=40):
     return pts
 
 
+# the far branch against the direct sums: 1e-14 absolute is the field
+# gate's floor; relative error alone fails on the dipole's tiny values
+FAR_RTOL, FAR_ATOL = 1e-12, 1e-14
+
+
 @pytest.mark.parametrize("name", cb.harness.EXAMPLE_NAMES)
 def test_eval_exterior_matches_per_point_loop(fields_16_64, name):
+    # bit for bit where the direct sums run; within the far branch's
+    # tolerances beyond 2R
     fld = fields_16_64[name]
-    got, want, got_err, want_err = [], [], [], []
+    c, far_radius = _far_disk(fld)
+    got, want, got_err, want_err = {}, {}, [], []
     for x, y in _offset_points(fld.system.unknown_map.dec.boundary):
+        far = bool(np.hypot(x - c[0], y - c[1]) > far_radius)
         for fn, vals, errs in ((eval_exterior, got, got_err),
                                (eval_exterior_per_point, want, want_err)):
             try:
-                vals.append(fn(fld, x, y))
+                vals.setdefault(far, []).append(fn(fld, x, y))
             except ExteriorDomainError as exc:
                 errs.append(str(exc))
-    assert len(want) >= 30
-    np.testing.assert_array_equal(got, want)
+    assert len(want[False]) >= 20 and len(want[True]) >= 5
+    np.testing.assert_array_equal(got[False], want[False])
+    np.testing.assert_allclose(got[True], want[True], rtol=FAR_RTOL, atol=FAR_ATOL)
     assert got_err == want_err
+
+
+@pytest.fixture(scope="module")
+def far_fields(all_corner_decs):
+    return {(name, mu, nu): _solved_field(dec, name, mu, nu)
+            for name, dec in all_corner_decs.items()
+            for mu, nu in ((8, 32), (16, 64), (64, 256))}
+
+
+@pytest.mark.parametrize("pair", [(8, 32), (16, 64), (64, 256)], ids=str)
+@pytest.mark.parametrize("name", cb.harness.EXAMPLE_NAMES)
+def test_eval_exterior_far_branch_on_random_points(far_fields, name, pair):
+    fld = far_fields[(name, *pair)]
+    (cx, cy), far_radius = _far_disk(fld)
+    rng = np.random.default_rng(list(pair))
+    # the worst ratio 1/2 just outside 2R, then out to 100 R
+    radius = far_radius * np.concatenate([np.full(4, 1.0 + 1e-12),
+                                          np.geomspace(1.0001, 50.0, 16)])
+    angle = rng.uniform(0.0, 2.0 * np.pi, len(radius))
+    pts = np.stack([cx + radius * np.cos(angle), cy + radius * np.sin(angle)], axis=1)
+    got = [eval_exterior(fld, x, y) for x, y in pts]
+    want = [eval_exterior_per_point(fld, x, y) for x, y in pts]
+    np.testing.assert_allclose(got, want, rtol=FAR_RTOL, atol=FAR_ATOL)
+
+
+def test_far_point_skips_location_and_kernel(heart_field, monkeypatch):
+    fld, _ = heart_field
+    (cx, cy), far_radius = _far_disk(fld)
+    calls = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(geometry.PointLocator, "locate", counting(geometry.PointLocator.locate))
+    monkeypatch.setattr(solve_post, "double_layer", counting(kernels.double_layer))
+    for a in np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False):
+        for r in (1.0 + 1e-12, 3.0, 1e3):
+            eval_exterior(fld, cx + r * far_radius * np.cos(a), cy + r * far_radius * np.sin(a))
+    assert calls == []
+    eval_exterior(fld, cx + 0.9 * far_radius, cy)
+    assert calls == ["locate", "double_layer"]
 
 
 @pytest.mark.parametrize("name", ["heart", "triangle"])
@@ -208,6 +286,7 @@ def test_eval_exterior_node_distance_threshold(fields_16_64, offset, raises):
 
 def test_eval_exterior_does_only_per_point_work(heart_field, monkeypatch):
     fld, _ = heart_field
+    (cx, cy), far_radius = _far_disk(fld)
     calls = []
 
     def counting(fn):
@@ -224,8 +303,13 @@ def test_eval_exterior_does_only_per_point_work(heart_field, monkeypatch):
         monkeypatch.setattr(module, "boundary_polyline", counting(geometry.boundary_polyline))
     monkeypatch.setattr(geometry.PointLocator, "__init__",
                         counting(geometry.PointLocator.__init__))
+    # radius 5 is beyond the heart's 2R = 3.56 and takes the far branch;
+    # the ring at 0.7 (2R) about the centre is exterior and takes the direct
+    # sums
     angles = np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False)
-    values = [eval_exterior(fld, 5.0 * np.cos(a), 5.0 * np.sin(a)) for a in angles]
+    rings = [(0.0, 0.0, 5.0), (cx, cy, 0.7 * far_radius)]
+    values = [eval_exterior(fld, x0 + r * np.cos(a), y0 + r * np.sin(a))
+              for x0, y0, r in rings for a in angles]
     assert all(math.isfinite(v) for v in values)
     assert calls == []
 

@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+from functools import partial
 
 import numpy as np
 import pytest
@@ -234,17 +235,19 @@ def test_eval_exterior_far_branch_on_random_points(far_fields, name, pair):
     np.testing.assert_allclose(got, want, rtol=FAR_RTOL, atol=FAR_ATOL)
 
 
+def _counting(calls, fn):
+    """fn, recording its name in calls at each call."""
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return counted
+
+
 def test_far_point_skips_location_and_kernel(heart_field, monkeypatch):
     fld, _ = heart_field
     (cx, cy), far_radius = _far_disk(fld)
     calls = []
-
-    def counting(fn):
-        def counted(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return counted
-
+    counting = partial(_counting, calls)
     monkeypatch.setattr(geometry.PointLocator, "locate", counting(geometry.PointLocator.locate))
     monkeypatch.setattr(solve_post, "double_layer", counting(kernels.double_layer))
     for a in np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False):
@@ -288,13 +291,7 @@ def test_eval_exterior_does_only_per_point_work(heart_field, monkeypatch):
     fld, _ = heart_field
     (cx, cy), far_radius = _far_disk(fld)
     calls = []
-
-    def counting(fn):
-        def counted(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return counted
-
+    counting = partial(_counting, calls)
     for module in (geometry, kernels, solve_post, assembly):
         if getattr(module, "subarc_eval", None) is geometry.subarc_eval:
             monkeypatch.setattr(module, "subarc_eval", counting(geometry.subarc_eval))

@@ -29,6 +29,7 @@ from typing import List
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor
+from scipy.linalg.lapack import dgetri, dgetri_lwork
 
 from .errors import AssemblyError, ParameterError, SingularMatrixError
 from .geometry import CENTRAL, GAMMA, UPSILON, Decomposition, macro_param_of, subarc_eval
@@ -51,6 +52,7 @@ __all__ = [
 
 _PIVOT_TOL = 1e-14
 _CHUNK = 128  # rows per kernel grid, which bounds its work arrays to 128 x n
+_NORM_BLOCK = 256  # rows per |.| temporary of inf_norm
 
 
 @dataclass(frozen=True)
@@ -166,36 +168,45 @@ class UnknownMap:
         self.reduced_size = int(keep.sum())
 
 
+def inf_norm(a: np.ndarray) -> float:
+    """Largest absolute row sum of a, np.abs(a).sum(axis=1).max() bit for
+    bit, with |a| formed over _NORM_BLOCK rows at a time."""
+    return max(float(np.abs(a[lo:lo + _NORM_BLOCK]).sum(axis=1).max())
+               for lo in range(0, len(a), _NORM_BLOCK))
+
+
 @dataclass
 class DenseSystem:
     """Reduced collocation matrix and unknown map.
 
-    The system owns the one LU factorization of its matrix, computed on
-    first use of lu_factors and shared by the condition number and the
-    solve.
+    Besides its matrix the system holds one n x n buffer, made on first
+    use of inverse: lu_factor's copy of the matrix, which LAPACK getri
+    overwrites with the inverse, shared by the condition number and solve.
     """
 
     matrix: np.ndarray
     unknown_map: UnknownMap
 
     @cached_property
-    def lu_factors(self):
-        """(lu, piv, norm_a): partial-pivoting LU factors and |A|_inf.
+    def inverse(self):
+        """(inv, norm_a): the explicit inverse of A and |A|_inf.
 
         Raises SingularMatrixError when a pivot falls below 1e-14 |A|_inf.
         """
-        a = self.matrix
-        norm_a = float(np.abs(a).sum(axis=1).max())
+        norm_a = inf_norm(self.matrix)
         with warnings.catch_warnings():
             # exact singularity is reported through SingularMatrixError below
             warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(a, check_finite=True)
+            lu, piv = lu_factor(self.matrix, check_finite=True)
         pivots = np.abs(np.diag(lu))
         if norm_a == 0.0 or pivots.min() < _PIVOT_TOL * norm_a:
             raise SingularMatrixError(
                 f"numerically singular pivot {pivots.min():.3e} (|A|_inf = {norm_a:.3e})"
             )
-        return lu, piv, norm_a
+        inv, info = dgetri(lu, piv, lwork=int(dgetri_lwork(len(lu))[0]), overwrite_lu=1)
+        if info != 0:
+            raise SingularMatrixError(f"getri failed with info = {info}")
+        return inv, norm_a
 
 
 def _fill_rows(umap: UnknownMap, out: np.ndarray, f) -> None:

@@ -135,6 +135,11 @@ class Boundary:
     def n_corners(self) -> int:
         return len(self.corners)
 
+    @cached_property
+    def locator(self) -> "PointLocator":
+        """PointLocator of the boundary's 4096-point polyline, built once."""
+        return PointLocator(boundary_polyline(self))
+
 
 def _interior_angle_from_tangents(d_in: np.ndarray, d_out: np.ndarray) -> float:
     """Interior angle of a CCW boundary from the one-sided tangents.
@@ -633,6 +638,7 @@ class PointLocator:
     """
 
     def __init__(self, polyline: np.ndarray):
+        self.polyline = polyline
         n = len(polyline)
         closed = np.concatenate([polyline, polyline[:1]]).T
         starts = np.arange(0, n, _LOCATOR_CHUNK)

@@ -18,14 +18,7 @@ import numpy as np
 
 from .assembly import DiscretizationParams, build_system
 from .errors import ConfigError, CornerBieError, ParameterError
-from .geometry import (
-    Boundary,
-    PointLocator,
-    boundary_polyline,
-    decompose,
-    make_example_domain,
-    make_polygon,
-)
+from .geometry import Boundary, decompose, make_example_domain, make_polygon
 from .quadrature import MAX_MOMENTS, MAX_RULE_ORDER
 from .rhs import NeumannDatum, RhsRule, rhs_approx
 from .solve_post import cond_inf, eval_exterior, solve_field
@@ -181,8 +174,7 @@ class RunConfig:
         xy = np.array(located, float).reshape(len(located), 2)
         finite = np.isfinite(xy).all(axis=1)
         winding = np.zeros(len(xy), int)
-        winding[finite] = PointLocator(boundary_polyline(self.build_boundary())).locate(
-            xy[finite])[1]
+        winding[finite] = self.build_boundary().locator.locate(xy[finite])[1]
         for q, ok, w in zip(singular, finite, winding):
             if not ok or w == 0:
                 raise ConfigError(

@@ -154,14 +154,16 @@ def log_moments(s, M: int) -> np.ndarray:
     c[at0 | at1, 0] = -1.0
     c[at0, 1:] = root * (-1.0) ** (nu - 1) / (nu * (nu + 1))
     c[at1, 1:] = -root / (nu * (nu + 1))
-    inner = ~(at0 | at1)
-    si = sv[inner]
+    rows = np.flatnonzero(~(at0 | at1))
+    si = sv[rows]
     y = 2.0 * si - 1.0
-    c[inner, 0] = si * np.log(si) + (1.0 - si) * np.log(1.0 - si) - 1.0
-    q = np.empty((M + 1, si.size))
-    q[0] = np.arctanh(y)
-    q[1] = y * q[0] - 1.0
+    c[rows, 0] = si * np.log(si) + (1.0 - si) * np.log(1.0 - si) - 1.0
+    # the recurrence keeps only Q_(n-2) and Q_(n-1) and writes each moment
+    # into its column as it goes, so c is its only n x M array
+    q0 = np.arctanh(y)
+    q1 = y * q0 - 1.0
     for n in range(2, M + 1):
-        q[n] = ((2 * n - 1) * y * q[n - 1] - (n - 1) * q[n - 2]) / n
-    c[inner, 1:] = ((q[nu + 1] - q[nu - 1]) / root[:, None]).T
+        q2 = ((2 * n - 1) * y * q1 - (n - 1) * q0) / n
+        c[rows, n - 1] = (q2 - q0) / root[n - 2]
+        q0, q1 = q1, q2
     return c if np.ndim(s) else c[0]

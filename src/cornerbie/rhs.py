@@ -30,6 +30,7 @@ __all__ = ["NeumannDatum", "normal_derivative", "single_layer_sources", "RhsRule
 _EPS_BRANCH = 8.0 * np.finfo(float).eps
 _COMPATIBILITY_TOL = 1e-8
 _COMPATIBILITY_RULE = 256
+_CHORD_CHUNK = 256
 
 
 def normal_derivative(u_grad: Callable, boundary: Boundary, ell: int, t):
@@ -141,15 +142,19 @@ def rhs_approx(rule: RhsRule, ell, t) -> np.ndarray:
     out = np.empty(len(t))
     for m, arc in enumerate(rule.dec.boundary.arcs):
         own = np.flatnonzero(ell == m)
-        s, acc = t[own], np.zeros(len(own))
+        s = t[own]
         base = as_complex(np.asarray(arc.position(s), float))
         moments = log_moments(s, rule.M) @ rule.coef[m]  # its work arrays freed before the chords
-        for k, density in enumerate(rule.density):
-            chord = np.abs(rule.points[k] - base[:, None])
-            if k == m:
-                ratio = _log_ratio(chord, np.abs(rule.nodes - s[:, None]), rule.speeds[k])
-                acc += moments + ratio @ density
-            else:
-                acc += np.log(chord) @ density
-        out[own] = acc
+        # _CHORD_CHUNK points at a time bound the chord arrays to that many rows
+        for lo in range(0, len(own), _CHORD_CHUNK):
+            pts = slice(lo, lo + _CHORD_CHUNK)
+            acc = np.zeros(len(s[pts]))
+            for k, density in enumerate(rule.density):
+                chord = np.abs(rule.points[k] - base[pts, None])
+                if k == m:
+                    ratio = _log_ratio(chord, np.abs(rule.nodes - s[pts, None]), rule.speeds[k])
+                    acc += moments[pts] + ratio @ density
+                else:
+                    acc += np.log(chord) @ density
+            out[own[pts]] = acc
     return out

@@ -1,12 +1,11 @@
 """Direct solve, conditioning, and exterior field evaluation.
 
-The reduced collocation system is solved with the one LU factorization
-(partial pivoting) that the system owns.  Condition numbers are the
-infinity-norm kind with the inverse formed explicitly from the same LU
-factors (LAPACK getri writes it into a new array, so the LU survives
-for the solve): at the dense sizes used here the exact number is cheap
-and reproducible.  The exterior harmonic field is recovered from the
-Green representation: an N-point Gauss-Legendre sum of the single-layer
+The reduced collocation system is solved through the explicit inverse
+the system owns (LAPACK getri over its partial-pivoting LU, in place),
+refined once against the matrix.  Condition numbers are the infinity-norm
+kind from the same inverse: at the dense sizes used here the exact number
+is cheap and reproducible.  The exterior harmonic field is recovered from
+the Green representation: an N-point Gauss-Legendre sum of the single-layer
 term over the macro arcs minus the Radau sum of the assembly's
 double-layer kernel over the node table against the solved nodal
 boundary values.  Beyond twice the sources' radius both sums are taken
@@ -20,12 +19,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_solve
-from scipy.linalg.lapack import dgetri, dgetri_lwork
 
-from .assembly import DenseSystem
-from .errors import AssemblyError, ExteriorDomainError, SingularMatrixError, SolveError
-from .geometry import PointLocator, boundary_polyline
+from .assembly import DenseSystem, inf_norm
+from .errors import AssemblyError, ExteriorDomainError, SolveError
+from .geometry import PointLocator
 from .kernels import as_complex, double_layer
 from .rhs import NeumannDatum, single_layer_sources
 
@@ -38,7 +35,7 @@ _FAR_TERMS = 56
 
 
 def solve_dense(system: DenseSystem, b: np.ndarray):
-    """Solve A x = b with the system's LU; returns (solution, residual_inf).
+    """Solve A x = b with the system's inverse, refined once; returns (solution, residual_inf).
 
     b must be finite and the residual r <= 1e-10 (|A| |x| + |b|) in
     infinity norms, otherwise the solve is rejected.
@@ -47,8 +44,9 @@ def solve_dense(system: DenseSystem, b: np.ndarray):
     if not np.all(np.isfinite(b)):
         bad = int(np.flatnonzero(~np.isfinite(b))[0])
         raise AssemblyError(f"non-finite right-hand side entry at reduced row {bad}")
-    lu, piv, norm_a = system.lu_factors
-    x = lu_solve((lu, piv), b)
+    inv, norm_a = system.inverse
+    x = inv @ b
+    x += inv @ (b - system.matrix @ x)  # one fixed-precision refinement step against A
     residual = float(np.abs(system.matrix @ x - b).max())
     bound = _RESIDUAL_TOL * (norm_a * float(np.abs(x).max()) + float(np.abs(b).max()))
     if residual > bound:
@@ -57,19 +55,10 @@ def solve_dense(system: DenseSystem, b: np.ndarray):
 
 
 def cond_inf(system: DenseSystem) -> float:
-    """Infinity-norm condition number of the system matrix.
-
-    The inverse is formed exactly from the system's LU factors by LAPACK
-    getri with its optimal workspace, into a new array; the factors are
-    left as they are for solve_dense.
-    """
-    lu, piv, norm_a = system.lu_factors
-    lwork, _ = dgetri_lwork(lu.shape[0])
-    inv, info = dgetri(lu, piv, lwork=int(lwork))
-    if info != 0:
-        raise SingularMatrixError(f"getri failed with info = {info}")
-    np.abs(inv, out=inv)
-    return norm_a * float(inv.sum(axis=1).max())
+    """Infinity-norm condition number |A|_inf |A^-1|_inf of the system
+    matrix, from the system's explicit inverse."""
+    inv, norm_a = system.inverse
+    return norm_a * inf_norm(inv)
 
 
 @dataclass
@@ -79,7 +68,7 @@ class SolutionField:
     values holds the solution at every node of the system's unknown map,
     in its node order, and the double-layer sources are those nodes.
     Construction computes the other data that do not depend on the field
-    point: the point locator of the boundary polyline, and the N-point
+    point: the point locator, which the boundary builds once, the N-point
     Gauss-Legendre source positions and weighted datum densities of all
     macro arcs, arc after arc; and the far-field expansion about the node
     table's centre c, valid beyond 2R, R the largest distance from c to a
@@ -105,15 +94,14 @@ class SolutionField:
 
     def __post_init__(self):
         umap = self.system.unknown_map
-        polyline = boundary_polyline(umap.dec.boundary)
-        self._locator = PointLocator(polyline)
+        self._locator = umap.dec.boundary.locator
         points, density = single_layer_sources(self.datum, self.N)
         self._arc_points, self._arc_weights = points.reshape(-1, 2), density.ravel()
         nodes = as_complex(umap.points.T)
         self._center = c = complex(nodes.mean())
         rule, nodes = as_complex(self._arc_points) - c, nodes - c
         r = self._radius = float(max(np.abs(rule).max(), np.abs(nodes).max(),
-                                     np.abs(as_complex(polyline) - c).max()))
+                                     np.abs(as_complex(self._locator.polyline) - c).max()))
         self._flux = float(self._arc_weights.sum())
         rule, nodes = rule / r, nodes / r
         a_pow, b_pow = self._arc_weights.astype(complex), self.values * as_complex(umap.q.T)

@@ -9,6 +9,7 @@ import pytest
 
 from cornerbie import ConfigError
 from cornerbie.cli import main as cli_main
+from cornerbie.geometry import PointLocator
 from cornerbie.harness import angle_sweep, example_config, make_exact_solution, run_example
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -135,6 +136,22 @@ def test_run_example_evaluates_exact_solution_once():
     rows = run_example(replace(cfg, solution=replace(cfg.solution, u=u)))
     assert len(rows) == 3 and not any(row.failed for row in rows)
     assert seen == [(len(cfg.points), 2)]
+
+
+def test_run_example_builds_one_locator_per_boundary(monkeypatch):
+    # validate locates on its own boundary; the rows share run_example's
+    built = []
+    init = PointLocator.__init__
+
+    def counting_init(self, polyline):
+        built.append(self)
+        init(self, polyline)
+
+    monkeypatch.setattr(PointLocator, "__init__", counting_init)
+    pairs = ((4, 16), (8, 32), (12, 48), (16, 64), (24, 96))
+    rows = run_example(example_config("heart", pairs=pairs))
+    assert len(rows) == 5 and not any(row.failed for row in rows)
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("name", ("heart", "teardrop", "boomerang", "triangle"))

@@ -1,11 +1,12 @@
 import importlib
 import math
 import pkgutil
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor
+from scipy.linalg import lu_factor, lu_solve
 
 import cornerbie as cb
 from cornerbie import (
@@ -25,7 +26,7 @@ from conftest import eval_exterior_per_point, row_rhs
 
 
 def _system_from(matrix):
-    """A DenseSystem holding only a matrix: the LU solve and cond_inf read
+    """A DenseSystem holding only a matrix: the solve and cond_inf read
     nothing else."""
     return DenseSystem(np.asarray(matrix, float), unknown_map=None)
 
@@ -101,6 +102,48 @@ def test_one_factorization_per_row_and_per_angle(monkeypatch):
     points = cb.angle_sweep("boomerang", [1.3 * np.pi, 1.5 * np.pi, 1.7 * np.pi], 4, 16)
     assert not any(pt.error_message for pt in points)
     assert len(calls) == 3
+
+
+def _example_system(dec, name, mu, nu):
+    """System and harness b of one built-in example at (mu, nu)."""
+    cfg = cb.example_config(name)
+    datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
+    system = build_system(dec, DiscretizationParams(mu=mu, nu=nu, c=cfg.c, eps=cfg.eps))
+    return system, row_rhs(system, datum, cfg.rule_orders(nu)[0])
+
+
+def test_cond_and_solve_hold_one_factor_buffer(triangle_dec):
+    # getri writes the inverse over lu_factor's copy of the matrix, so
+    # besides the matrix only one n x n buffer is ever alive
+    system, b = _example_system(triangle_dec, "triangle", 64, 256)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cond_inf(system)
+        solve_dense(system, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * system.matrix.nbytes
+
+
+def test_solve_and_cond_do_not_depend_on_call_order(triangle_dec):
+    system, b = _example_system(triangle_dec, "triangle", 16, 64)
+    other = DenseSystem(system.matrix.copy(), system.unknown_map)
+    cond = cond_inf(system)
+    x, residual = solve_dense(system, b)
+    x_first, residual_first = solve_dense(other, b)
+    assert cond_inf(other) == cond
+    np.testing.assert_array_equal(x_first, x)
+    assert residual_first == residual
+
+
+@pytest.mark.parametrize("name", ["heart", "triangle"])
+def test_solve_matches_lu_solve(all_corner_decs, name):
+    system, b = _example_system(all_corner_decs[name], name, 64, 256)
+    x, _ = solve_dense(system, b)
+    want = lu_solve(lu_factor(system.matrix), b)
+    assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.fixture(scope="module")
@@ -296,8 +339,7 @@ def test_eval_exterior_does_only_per_point_work(heart_field, monkeypatch):
         if getattr(module, "subarc_eval", None) is geometry.subarc_eval:
             monkeypatch.setattr(module, "subarc_eval", counting(geometry.subarc_eval))
     monkeypatch.setattr(NeumannDatum, "arc_density", counting(NeumannDatum.arc_density))
-    for module in (geometry, solve_post):
-        monkeypatch.setattr(module, "boundary_polyline", counting(geometry.boundary_polyline))
+    monkeypatch.setattr(geometry, "boundary_polyline", counting(geometry.boundary_polyline))
     monkeypatch.setattr(geometry.PointLocator, "__init__",
                         counting(geometry.PointLocator.__init__))
     # radius 5 is beyond the heart's 2R = 3.56 and takes the far branch;

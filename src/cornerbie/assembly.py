@@ -213,32 +213,31 @@ def _fill_rows(umap: UnknownMap, out: np.ndarray, f) -> None:
     """Write the collocation rows at the nodes f (indices into the node
     table) into out.
 
-    The sources are the reduced nodes in column order, then the merged
-    upsilon s = 0 nodes, one per corner.  The kernel grid against the
-    reduced sources goes straight into out, _CHUNK rows at a time through
-    two work arrays of that many rows; the merged corner columns, the
-    self terms and the wedge rows are then added once for all rows.  A
-    field node coincides with the sources of its own column, where the
-    kernel is the source's curvature value (at a corner, the remainder's
-    limit along s = 0); those values and the -pi identity form the self
-    term on the diagonal."""
-    n, f, scale = umap.reduced_size, np.asarray(f), umap.dec.scale
+    The sources are the reduced nodes in column order.  The merged
+    upsilon s = 0 node of a corner is the corner point, as is the node
+    of the corner's column, so its weighted tangent is added to that
+    column's.  The kernel grid goes straight into out, _CHUNK rows at a
+    time through two work arrays of that many rows; the self terms and
+    the wedge rows are then added once for all rows.  A field node
+    coincides with the sources of its own column, where the kernel is
+    the source's curvature value (at a corner, the remainder's limit
+    along s = 0); those values and the -pi identity form the self term
+    on the diagonal.  Other pairs closer than 1e-14 times the node
+    table's extent are rejected."""
+    n, f = umap.reduced_size, np.asarray(f)
     arc, t, col = umap.arc[f], umap.t[f], umap.col[f]
     fx, fy = umap.points[:, f]
     kept, merged = np.flatnonzero(umap.row >= 0), np.flatnonzero(umap.row < 0)
     work = np.empty((2, min(len(f), _CHUNK), n))
-    src, q = umap.points[:, kept], umap.q[:, kept]
+    src, q = umap.points[:, kept], umap.q[:, kept].copy()
+    q[:, umap.corner_col] += umap.q[:, merged]
+    scale = float(np.ptp(umap.points, axis=1).max())
     for lo in range(0, len(f), _CHUNK):
         hi = min(lo + _CHUNK, len(f))
         rows = np.arange(hi - lo)
         _, d2 = double_layer((fx[lo:hi], fy[lo:hi]), src, q, (rows, col[lo:hi]),
                              out[lo:hi], work[:, :hi - lo])
         check_separation(d2, scale, (arc[lo:hi], t[lo:hi]), (umap.arc[kept], umap.t[kept]))
-    if umap.dec.n_corners:
-        pair = np.nonzero(col[:, None] == umap.corner_col[None, :])
-        k, d2 = double_layer((fx, fy), umap.points[:, merged], umap.q[:, merged], pair)
-        check_separation(d2, scale, (arc, t), (umap.arc[merged], umap.t[merged]))
-        out[:, umap.corner_col] += k
     self_term = np.bincount(umap.col, umap.w * umap.curvature, n) - math.pi
     out[np.arange(len(f)), col] += self_term[col]
     # on a Mellin pair the partner's kernel becomes remainder plus

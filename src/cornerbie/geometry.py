@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GeometryError, ParameterError
+from .quadrature import gauss_legendre
 
 __all__ = [
     "GAMMA",
@@ -38,6 +39,7 @@ __all__ = [
     "decompose",
     "subarc_eval",
     "macro_param_of",
+    "as_complex",
     "boundary_polyline",
     "winding_number",
     "PointLocator",
@@ -54,7 +56,11 @@ _FD_STEP = 1e-5
 _FD_RTOL = 1e-6
 _N_DEVIATION_SAMPLES = 201
 _TWO_PI = 2.0 * math.pi
-_LOCATOR_CHUNK = 64  # polyline edges per chunk of PointLocator
+_AREA_ORDER = 64  # Gauss-Legendre points per arc of the signed area
+_LOCATOR_PANELS = 128  # chord panels per macro arc of PointLocator
+_SAGITTA_SAMPLES = 8  # sigma'' samples per panel for its strip half-width
+_MAX_SPLITS = 20  # halvings of a locator panel until its arc piece is a graph
+_NEWTON_STEPS = 6  # steps of PointLocator's foot solve
 _BOUNDARY_DISTANCE_TOL = 1e-9  # PointLocator's distance for "on the boundary"
 
 
@@ -137,8 +143,8 @@ class Boundary:
 
     @cached_property
     def locator(self) -> "PointLocator":
-        """PointLocator of the boundary's 4096-point polyline, built once."""
-        return PointLocator(boundary_polyline(self))
+        """PointLocator of the boundary, built once."""
+        return PointLocator(self)
 
 
 def _interior_angle_from_tangents(d_in: np.ndarray, d_out: np.ndarray) -> float:
@@ -153,11 +159,17 @@ def _interior_angle_from_tangents(d_in: np.ndarray, d_out: np.ndarray) -> float:
     return ang % (2.0 * math.pi)
 
 
-def _signed_area(boundary: Boundary, per_arc: int = 2048) -> float:
-    pts = boundary_polyline(boundary, per_arc * max(1, len(boundary.arcs)))
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return 0.5 * float(np.sum(x * yn - y * xn))
+def _counterclockwise(boundary: Boundary) -> Boundary:
+    """The boundary, checked to have positive signed area: 1/2 the integral
+    of Im(conj(sigma) sigma') = x y' - y x' by Gauss-Legendre on each arc
+    (exact on line arcs)."""
+    rule = gauss_legendre(_AREA_ORDER)
+    area = 0.5 * sum(float(rule.weights @ (as_complex(arc.position(rule.nodes)).conj()
+                                           * as_complex(arc.first_derivative(rule.nodes))).imag)
+                     for arc in boundary.arcs)
+    if area <= 0.0:
+        raise GeometryError("boundary must be counterclockwise (positive signed area)")
+    return boundary
 
 
 def make_boundary(arcs: Sequence[MacroArc], corner_angles: Sequence[float]) -> Boundary:
@@ -189,10 +201,7 @@ def make_boundary(arcs: Sequence[MacroArc], corner_angles: Sequence[float]) -> B
                 f"disagrees with tangents ({measured:.12f})"
             )
         corners.append(Corner(k, p_start.copy(), float(corner_angles[k])))
-    boundary = Boundary(tuple(arcs), tuple(corners))
-    if _signed_area(boundary) <= 0.0:
-        raise GeometryError("boundary must be counterclockwise (positive signed area)")
-    return boundary
+    return _counterclockwise(Boundary(tuple(arcs), tuple(corners)))
 
 
 def make_smooth_boundary(arc: MacroArc) -> Boundary:
@@ -202,10 +211,7 @@ def make_smooth_boundary(arc: MacroArc) -> Boundary:
     p1 = np.asarray(arc.position(1.0), float)
     if np.linalg.norm(p1 - p0) > _CLOSURE_TOL:
         raise GeometryError("smooth boundary curve must close up")
-    boundary = Boundary((arc,), ())
-    if _signed_area(boundary) <= 0.0:
-        raise GeometryError("boundary must be counterclockwise (positive signed area)")
-    return boundary
+    return _counterclockwise(Boundary((arc,), ()))
 
 
 @dataclass(frozen=True)
@@ -244,13 +250,6 @@ class Decomposition:
     @property
     def n_corners(self) -> int:
         return self.boundary.n_corners
-
-    @cached_property
-    def scale(self) -> float:
-        """Extent of the boundary, the length scale of the kernels' test
-        for coincident field and source points."""
-        pts = boundary_polyline(self.boundary, 1024)
-        return float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
 
 
 _SAMPLE_INDEX = np.arange(float(_N_DEVIATION_SAMPLES))
@@ -437,6 +436,12 @@ def line_arc(p0, p1) -> MacroArc:
     return MacroArc(position, first, second)
 
 
+def as_complex(p) -> np.ndarray:
+    """Points or vectors with a trailing coordinate axis of length 2 as x + iy."""
+    p = np.asarray(p, float)
+    return p[..., 0] + 1j * p[..., 1]
+
+
 def _xy(x, y) -> np.ndarray:
     """x and y on a trailing coordinate axis: np.stack(axis=-1) for two
     arrays of one shape, at a fraction of its cost on short arrays."""
@@ -578,23 +583,14 @@ def make_example_domain(name: str, phi: float | None = None) -> Boundary:
 
 
 # --------------------------------------------------------------------------
-# point-location helpers
+# point location
 # --------------------------------------------------------------------------
 
 def boundary_polyline(boundary: Boundary, total: int = 4096) -> np.ndarray:
-    """Dense sample of the whole boundary as an (N, 2) closed polyline.
-
-    The array is column-major, and so are a point's offsets from it: the
-    per-point distance and angle passes of point location then read
-    contiguous columns.
-    """
-    n_arcs = len(boundary.arcs)
-    per_arc = max(8, total // n_arcs)
-    pts = []
-    for arc in boundary.arcs:
-        t = np.linspace(0.0, 1.0, per_arc, endpoint=False)
-        pts.append(np.asarray(arc.position(t), float))
-    return np.asfortranarray(np.concatenate(pts, axis=0))
+    """Dense sample of the whole boundary as an (N, 2) closed polyline,
+    a reference for tests and benchmarks; point location uses the arcs."""
+    t = np.linspace(0.0, 1.0, max(8, total // len(boundary.arcs)), endpoint=False)
+    return np.concatenate([np.asarray(arc.position(t), float) for arc in boundary.arcs])
 
 
 def winding_number(polyline: np.ndarray, point) -> int:
@@ -602,77 +598,104 @@ def winding_number(polyline: np.ndarray, point) -> int:
     p = np.asarray(point, float)
     if not np.isfinite(p).all():
         raise ParameterError(f"winding number needs a finite point, got {point}")
-    d = polyline - p
-    ang = np.arctan2(d[:, 1], d[:, 0])
-    return int(round(float(_turns(np.concatenate([ang, ang[:1]])).sum()) / _TWO_PI))
-
-
-def _turns(ang: np.ndarray) -> np.ndarray:
-    """Turns between consecutive angles along the last axis, wrapped
-    into [-pi, pi)."""
-    x = ang[..., 1:] - ang[..., :-1]
-    x += np.pi
-    # x lies in [-pi, 3 pi], where these two steps, in this order, equal
-    # x % (2 pi) bit for bit at a fraction of its cost
-    x -= _TWO_PI * (x >= _TWO_PI)
-    x += _TWO_PI * (x < 0.0)
-    x -= np.pi
-    return x
+    d = as_complex(polyline - p)
+    return int(round(float(np.angle(np.roll(d, -1) * d.conj()).sum()) / _TWO_PI))
 
 
 class PointLocator:
-    """Point location against a closed polyline in two levels.
+    """Point location against the macro arcs through a table of chord panels.
 
-    The polyline's edges are split into chunks of _LOCATOR_CHUNK that
-    share their end vertices; the chunk ends form a coarse polygon, and
-    each chunk keeps its vertices and its bounding box grown by
-    _BOUNDARY_DISTANCE_TOL.  A point outside a chunk's box lies in an
-    open half-plane away from all of the chunk's vertices, so the chunk
-    turns about it by exactly its chord's angle and none of its vertices
-    is within the tolerance.  locate therefore sums the coarse polygon's
-    turns with the chord turn of every chunk whose box holds the point
-    replaced by the sum of its edge turns, and tests distances on those
-    chunks' vertices only.  The decisions are those of the full sweep
-    over every vertex: winding_number, and the squared distance to the
-    nearest vertex against the squared tolerance.
+    Each macro arc is cut into _LOCATOR_PANELS panels with ends at
+    sigma(k / _LOCATOR_PANELS); a panel is halved until sigma' has a
+    positive component along its chord at _SAGITTA_SAMPLES points, so its
+    arc piece is a graph over the chord (the boomerang's tight turns at
+    1.98 pi need this).  A panel keeps its complex ends, the conjugate of
+    its unit chord, its length L and a strip half-width s: twice the
+    sagitta bound (h^2 / 8) max|sigma''| over its parameter width h, plus
+    _BOUNDARY_DISTANCE_TOL.
+
+    In a panel's frame a point is w = x + i y, x along the chord and y to
+    its left, and the chord turns about it by arg(conj(w) (w - L)).
+    Unless |y| <= s and -tol < x < L + tol, the arc piece and its chord
+    are homotopic away from the point, so that is the arc piece's turn.
+    Otherwise Newton's method finds the foot f on the arc at chord
+    coordinate x clipped to [0, L]; the path start -> f -> end is again
+    homotopic to the arc piece, and the point is near the boundary when
+    such a foot lies within the tolerance.
     """
 
-    def __init__(self, polyline: np.ndarray):
-        self.polyline = polyline
-        n = len(polyline)
-        closed = np.concatenate([polyline, polyline[:1]]).T
-        starts = np.arange(0, n, _LOCATOR_CHUNK)
-        # (2, chunks, _LOCATOR_CHUNK + 1); the short last chunk repeats its
-        # end vertex, which adds turns of exactly 0 and no new distance
-        self._fine = closed[:, np.minimum(starts[:, None] + np.arange(_LOCATOR_CHUNK + 1), n)]
-        self._coarse = closed[:, None, np.append(starts, n)]
-        # a float outside lo - tol or hi + tol as rounded is at least tol
-        # from lo or hi, and so are its offsets from the chunk's vertices
-        # as the full sweep rounds them
-        tol = _BOUNDARY_DISTANCE_TOL
-        self._lo = self._fine.min(axis=2, keepdims=True).transpose(0, 2, 1) - tol
-        self._hi = self._fine.max(axis=2, keepdims=True).transpose(0, 2, 1) + tol
-        self._box = (float(self._lo[0].min()), float(self._hi[0].max()),
-                     float(self._lo[1].min()), float(self._hi[1].max()))
+    def __init__(self, boundary: Boundary):
+        self.arcs = boundary.arcs
+        t0, width, start, end, second = [], [], [], [], []
+        for k, arc in enumerate(self.arcs):
+            t = np.linspace(0.0, 1.0, _LOCATOR_PANELS + 1)
+            for _ in range(_MAX_SPLITS + 1):
+                h = np.diff(t)
+                samples = t[:-1, None] + h[:, None] * np.linspace(0.0, 1.0, _SAGITTA_SAMPLES)
+                p = as_complex(arc.position(t))
+                along = (as_complex(arc.first_derivative(samples)) * np.diff(p).conj()[:, None]).real
+                bad = ~np.all(along > 0.0, axis=1)
+                if not bad.any():
+                    break
+                t = np.sort(np.append(t, t[:-1][bad] + 0.5 * h[bad]))
+            else:
+                raise GeometryError(f"arc {k}: locator panels halved {_MAX_SPLITS} times")
+            t0.append(t[:-1])
+            width.append(h)
+            start.append(p[:-1])
+            end.append(p[1:])
+            second.append(np.abs(as_complex(arc.second_derivative(samples))).max(axis=1))
+        self.arc = np.repeat(np.arange(len(t0)), [len(t) for t in t0])
+        self.t0, self.width = np.concatenate(t0), np.concatenate(width)
+        self.start, self.end = np.concatenate(start), np.concatenate(end)
+        self.length = np.abs(self.end - self.start)
+        self.frame = (self.end - self.start).conj() / self.length
+        self.strip = self.width ** 2 / 4.0 * np.concatenate(second) + _BOUNDARY_DISTANCE_TOL
+        # every panel's rectangle [-tol, L + tol] x [-s, s], hence the
+        # boundary and every point near it, lies in this box
+        ends, grow = np.concatenate([self.start, self.end]), self.strip.max() + _BOUNDARY_DISTANCE_TOL
+        lo = np.array([ends.real.min(), ends.imag.min()]) - grow
+        hi = np.array([ends.real.max(), ends.imag.max()]) + grow
+        self._box = ((lo + hi) / 2.0, (hi - lo) / 2.0)  # centre and half-sides
 
     def locate(self, points) -> tuple:
-        """(near, winding) of finite points given as a (P, 2) array: whether
-        a polyline vertex lies within _BOUNDARY_DISTANCE_TOL of each point
-        (on squared distances), and the polyline's winding number about
-        it.  A single point outside the polyline's grown box costs no
-        array work beyond the result's."""
+        """(near, winding) of points given as a (P, 2) array: whether each
+        point lies within _BOUNDARY_DISTANCE_TOL of the boundary (measured
+        across a panel's chord), and the boundary's winding number about
+        it.  Points outside the box of the panels' rectangles, non-finite
+        ones included, get (False, 0) and no further work."""
         p = np.asarray(points, float).reshape(-1, 2)
-        x0, x1, y0, y1 = self._box
-        if len(p) == 1 and not (x0 <= p[0, 0] <= x1 and y0 <= p[0, 1] <= y1):
-            return np.zeros(1, bool), np.zeros(1, int)
-        q = p.T[:, :, None]
-        d = self._coarse - q
-        turns = _turns(np.arctan2(d[1], d[0]))
-        held = (q >= self._lo) & (q <= self._hi)
-        point, chunk = np.nonzero(held[0] & held[1])
-        d = self._fine[:, chunk] - q[:, point]
-        turns[point, chunk] = _turns(np.arctan2(d[1], d[0])).sum(axis=1)
-        close = (d[0] * d[0] + d[1] * d[1]).min(axis=1, initial=np.inf)
-        near = np.zeros(len(p), bool)
-        near[point[close < _BOUNDARY_DISTANCE_TOL ** 2]] = True
-        return near, np.rint(turns.sum(axis=1) / _TWO_PI).astype(int)
+        near, winding = np.zeros(len(p), bool), np.zeros(len(p), int)
+        mid, half = self._box
+        held = np.flatnonzero((np.abs(p - mid) <= half).all(axis=1))
+        if not len(held):
+            return near, winding
+        z = as_complex(p[held])
+        w = (z[:, None] - self.start) * self.frame
+        turns = np.angle(w.conj() * (w - self.length))
+        point, panel = np.nonzero(np.abs(w.imag) <= self.strip)
+        x, tol = w.real[point, panel], _BOUNDARY_DISTANCE_TOL
+        keep = (x > -tol) & (x < self.length[panel] + tol)
+        point, panel, x = point[keep], panel[keep], x[keep]
+        if len(point):
+            a, b = self.start[panel] - z[point], self.end[panel] - z[point]
+            f = self._foot(panel, np.clip(x, 0.0, self.length[panel])) - z[point]
+            turns[point, panel] = np.angle(f * a.conj()) + np.angle(b * f.conj())
+            near[held[point[np.abs(f) < tol]]] = True
+        winding[held] = np.rint(turns.sum(axis=1) / _TWO_PI)
+        return near, winding
+
+    def _foot(self, panel: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Points of the given panels' arcs at chord coordinates x, by
+        Newton's method on the arc parameter from the chord's linear map;
+        the derivative along the chord is positive on the panel."""
+        t = self.t0[panel] + self.width[panel] * x / self.length[panel]
+        foot = np.empty(len(panel), complex)
+        for k in np.unique(self.arc[panel]):
+            sel = np.flatnonzero(self.arc[panel] == k)
+            arc, tk, a, frame = self.arcs[k], t[sel], self.start[panel[sel]], self.frame[panel[sel]]
+            for _ in range(_NEWTON_STEPS):
+                g = ((as_complex(arc.position(tk)) - a) * frame).real - x[sel]
+                tk = tk - g / (as_complex(arc.first_derivative(tk)) * frame).real
+            foot[sel] = as_complex(arc.position(tk))
+        return foot

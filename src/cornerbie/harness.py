@@ -172,17 +172,17 @@ class RunConfig:
         if any(np.shape(p) != (2,) for p in located):
             raise ConfigError(f"singular points {singular} and evaluation points need (x, y)")
         xy = np.array(located, float).reshape(len(located), 2)
-        finite = np.isfinite(xy).all(axis=1)
-        winding = np.zeros(len(xy), int)
-        winding[finite] = self.build_boundary().locator.locate(xy[finite])[1]
-        for q, ok, w in zip(singular, finite, winding):
-            if not ok or w == 0:
+        near, winding = self.build_boundary().locator.locate(xy)
+        # a point on or next to the boundary is neither inside nor exterior
+        bad = ~np.isfinite(xy).all(axis=1) | near
+        for q, no, w in zip(singular, bad, winding):
+            if no or w == 0:
                 raise ConfigError(
                     f"singular point {q} of solution {self.solution.name!r} "
                     f"must be a finite point inside the domain"
                 )
-        for p, ok, w in zip(self.points, finite[len(singular):], winding[len(singular):]):
-            if not ok or w != 0:
+        for p, no, w in zip(self.points, bad[len(singular):], winding[len(singular):]):
+            if no or w != 0:
                 raise ConfigError(f"evaluation point {p} is not a finite exterior point")
 
 

@@ -32,7 +32,6 @@ from .errors import CoincidentPointError, ParameterError
 from .geometry import CENTRAL, Decomposition
 
 __all__ = [
-    "as_complex",
     "mellin_chi",
     "double_layer",
     "check_separation",
@@ -46,11 +45,6 @@ _COINCIDENCE_FACTOR = 1e-14
 def _check_chi(chi: float) -> None:
     if not 0.0 < abs(chi) < 1.0:
         raise ParameterError(f"corner parameter chi must be in (-1,0) or (0,1), got {chi}")
-
-
-def as_complex(p: np.ndarray) -> np.ndarray:
-    """Points or vectors with a trailing coordinate axis of length 2 as x + iy."""
-    return p[..., 0] + 1j * p[..., 1]
 
 
 def mellin_chi(dec: Decomposition, i: int, j: int) -> Optional[float]:

@@ -20,8 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import Boundary, Decomposition
-from .kernels import as_complex
+from .geometry import Boundary, Decomposition, as_complex
 from .quadrature import MAX_MOMENTS, gauss_legendre, legendre_table, log_moments
 
 __all__ = ["NeumannDatum", "normal_derivative", "single_layer_sources", "RhsRule",
@@ -143,7 +142,7 @@ def rhs_approx(rule: RhsRule, ell, t) -> np.ndarray:
     for m, arc in enumerate(rule.dec.boundary.arcs):
         own = np.flatnonzero(ell == m)
         s = t[own]
-        base = as_complex(np.asarray(arc.position(s), float))
+        base = as_complex(arc.position(s))
         moments = log_moments(s, rule.M) @ rule.coef[m]  # its work arrays freed before the chords
         # _CHORD_CHUNK points at a time bound the chord arrays to that many rows
         for lo in range(0, len(own), _CHORD_CHUNK):

@@ -22,8 +22,8 @@ import numpy as np
 
 from .assembly import DenseSystem, inf_norm
 from .errors import AssemblyError, ExteriorDomainError, SolveError
-from .geometry import PointLocator
-from .kernels import as_complex, double_layer
+from .geometry import PointLocator, as_complex
+from .kernels import double_layer
 from .rhs import NeumannDatum, single_layer_sources
 
 __all__ = ["solve_dense", "cond_inf", "SolutionField", "solve_field", "eval_exterior"]
@@ -71,8 +71,10 @@ class SolutionField:
     point: the point locator, which the boundary builds once, the N-point
     Gauss-Legendre source positions and weighted datum densities of all
     macro arcs, arc after arc; and the far-field expansion about the node
-    table's centre c, valid beyond 2R, R the largest distance from c to a
-    source or polyline vertex: u(z) = -(W log|z - c| - Re sum e_k zeta^k)
+    table's centre c, valid beyond 2R, R the largest distance from c to
+    a locator panel's end plus the largest strip half-width, which bounds
+    the distance to every point of the boundary and so to every source:
+    u(z) = -(W log|z - c| - Re sum e_k zeta^k)
     / 2 pi, zeta = 1 / (z - c), with the rule's flux residual W = sum w f,
     e_k = a_k / k - i b_(k-1), a_k = sum w f (y - c)^k over the rule's
     sources y and b_m = sum values q (w - c)^m over the nodes w.  _far
@@ -94,14 +96,14 @@ class SolutionField:
 
     def __post_init__(self):
         umap = self.system.unknown_map
-        self._locator = umap.dec.boundary.locator
+        loc = self._locator = umap.dec.boundary.locator
         points, density = single_layer_sources(self.datum, self.N)
         self._arc_points, self._arc_weights = points.reshape(-1, 2), density.ravel()
         nodes = as_complex(umap.points.T)
         self._center = c = complex(nodes.mean())
         rule, nodes = as_complex(self._arc_points) - c, nodes - c
-        r = self._radius = float(max(np.abs(rule).max(), np.abs(nodes).max(),
-                                     np.abs(as_complex(self._locator.polyline) - c).max()))
+        ends = np.concatenate([loc.start, loc.end])
+        r = self._radius = float(np.abs(ends - c).max() + loc.strip.max())
         self._flux = float(self._arc_weights.sum())
         rule, nodes = rule / r, nodes / r
         a_pow, b_pow = self._arc_weights.astype(complex), self.values * as_complex(umap.q.T)
@@ -122,12 +124,12 @@ def eval_exterior(fld: SolutionField, x: float, y: float) -> float:
     """Approximate harmonic solution at a strictly exterior point.
 
     Raises for non-finite points, for points inside the domain or within
-    1e-9 of a dense boundary sampling (both decided by the field's
-    PointLocator), for points within 1e-12 of a node, and when the value
-    is not finite.  A point with |z - c| > 2R takes the field's
-    far-field expansion: it lies outside the locator's grown box and more
-    than R from every node, so none of those tests can reject it.  The
-    decay condition pins the value at infinity to zero.
+    1e-9 of the boundary (both decided by the field's PointLocator), for
+    points within 1e-12 of a node, and when the value is not finite.  A
+    point with |z - c| > 2R takes the field's far-field expansion: it
+    lies outside every locator panel's strip and more than R from every
+    node, so none of those tests can reject it.  The decay condition pins
+    the value at infinity to zero.
     """
     px, py = float(x), float(y)
     if not (math.isfinite(px) and math.isfinite(py)):

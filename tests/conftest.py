@@ -11,6 +11,7 @@ import cornerbie as cb
 from cornerbie import ExteriorDomainError
 from cornerbie.assembly import DiscretizationParams, UnknownMap
 from cornerbie.geometry import (
+    PointLocator,
     boundary_polyline,
     circle_arc,
     decompose,
@@ -184,10 +185,12 @@ def arc_nodes_at(dec, i, t):
 def _kernel_grid(dec, i, j, t, s, coincide):
     """K[l, h] = K(t[h], s[l]) from sub-arc j to sub-arc i through
     kernels.double_layer; where coincide holds, the source's curvature
-    value, and every other pair checked for separation."""
+    value, and every other pair checked for separation against the
+    boundary's extent."""
     fld, src = arc_nodes_at(dec, i, s), arc_nodes_at(dec, j, t)
     k, d2 = double_layer(fld.points, src.points, src.tangent, np.nonzero(coincide))
-    check_separation(d2, dec.scale, (np.full(len(s), i), s), (np.full(len(t), j), t))
+    scale = float(np.ptp(boundary_polyline(dec.boundary, 1024), axis=0).max())
+    check_separation(d2, scale, (np.full(len(s), i), s), (np.full(len(t), j), t))
     return np.where(coincide, src.curvature[None, :], k)
 
 
@@ -284,23 +287,19 @@ def oracle_single_layer(dec, datum, s_macro: float, ell: int = 0,
 def eval_exterior_per_point(fld, x: float, y: float) -> float:
     """Exterior field value with all geometry recomputed per point.
 
-    The polyline, the macro-arc rule positions, the datum densities, and
-    the node geometry and weights (arc_nodes_at and gauss_radau_left on
-    the map's per-sub-arc nodes) are rebuilt for every point, and the
-    winding angles are wrapped with the remainder operator; otherwise the
-    arithmetic and its order are those of eval_exterior, so the two agree
-    bit for bit (non-finite input and output aside).
+    A fresh PointLocator of the boundary, the macro-arc rule positions,
+    the datum densities, and the node geometry and weights (arc_nodes_at
+    and gauss_radau_left on the map's per-sub-arc nodes) are rebuilt for
+    every point; otherwise the arithmetic and its order are those of
+    eval_exterior, so the two agree bit for bit (non-finite input and
+    output aside).
     """
     p = np.array([float(x), float(y)])
     dec = fld.system.unknown_map.dec
-    polyline = boundary_polyline(dec.boundary, 4096)
-    d = polyline - p
-    if float((d * d).sum(axis=1).min()) < 1e-9 ** 2:
+    near, winding = PointLocator(dec.boundary).locate(p)
+    if near[0]:
         raise ExteriorDomainError(f"point ({x}, {y}) is on or next to the boundary")
-    ang = np.arctan2(d[:, 1], d[:, 0])
-    turns = np.diff(np.concatenate([ang, ang[:1]]))
-    turns = (turns + np.pi) % (2.0 * np.pi) - np.pi
-    if int(round(float(turns.sum()) / (2.0 * np.pi))) != 0:
+    if winding[0] != 0:
         raise ExteriorDomainError(f"point ({x}, {y}) lies inside the domain")
 
     nodes = fld.system.unknown_map.nodes

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from cornerbie import GeometryError, ParameterError, example_config
-from cornerbie.assembly import DiscretizationParams, UnknownMap
 from cornerbie.geometry import (
     CENTRAL,
     GAMMA,
     UPSILON,
     MacroArc,
     PointLocator,
+    as_complex,
     boundary_polyline,
     decompose,
     line_arc,
@@ -330,73 +331,128 @@ def test_winding_number_rejects_non_finite_point(point):
         winding_number(pts, point)
 
 
-def _full_sweep(polyline, points, batch=128):
-    """(near, winding) of each point by the sweep over every vertex: the
-    squared distance to the nearest vertex against (1e-9)^2, and
-    winding_number's angle sum in its crossing form.  The turns x - pi of
-    winding_number, with x = (difference of consecutive angles) + pi,
-    telescope to 0 before wrapping (up to rounding far below pi), so the
-    wrapped sum is 2 pi times the number of x < 0 (wrapped up) less the
-    number of x >= 2 pi (wrapped down)."""
-    near, winding = [], []
-    vx, vy = np.append(polyline[:, 0], polyline[0, 0]), np.append(polyline[:, 1], polyline[0, 1])
-    for k in range(0, len(points), batch):
-        dx = vx - points[k:k + batch, :1]
-        dy = vy - points[k:k + batch, 1:]
-        d2 = dx * dx
-        d2 += dy * dy
-        near.append(d2.min(axis=1) < 1e-9 ** 2)
-        ang = np.arctan2(dy, dx)
-        x = ang[:, 1:] - ang[:, :-1] + np.pi
-        winding.append(np.count_nonzero(x < 0.0, axis=1)
-                       - np.count_nonzero(x >= 2.0 * np.pi, axis=1))
-    return np.concatenate(near), np.concatenate(winding)
+def _polyline_sweep(polyline, points, batch=64):
+    """Inside flag of each point, from the parity of the polyline edges a
+    horizontal ray from it crosses, and a lower bound on its distance to
+    the closed polyline: the nearest vertex's distance less half the
+    longest edge, and the exact distance to the nearest edge where the
+    vertex is within one longest edge."""
+    ax, ay = polyline[:, 0], polyline[:, 1]
+    ex, ey = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
+    inside = []
+    for lo in range(0, len(points), batch):
+        px, py = points[lo:lo + batch, :1], points[lo:lo + batch, 1:]
+        above = ay > py
+        row, col = np.nonzero(above != np.roll(above, -1, axis=1))
+        cross = ax[col] + (py[row, 0] - ay[col]) / ey[col] * ex[col] > px[row, 0]
+        inside.append(np.bincount(row[cross], minlength=len(px)) % 2)
+    edge = np.hypot(ex, ey).max()
+    dist = cKDTree(polyline).query(points)[0]
+    close = np.flatnonzero(dist < edge)
+    dist -= edge / 2.0
+    dx, dy = points[close, :1] - ax, points[close, 1:] - ay
+    s = np.clip((dx * ex + dy * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+    dist[close] = np.hypot(dx - s * ex, dy - s * ey).min(axis=1)
+    return np.concatenate(inside), dist
 
 
-def _locator_test_points(polyline, dec, cfg):
-    """Every vertex and edge midpoint; vertices offset by 0.5e-9, 0.999e-9,
-    1.001e-9 and 2e-9 in 8 directions (all 32 offsets at every 64th vertex
-    and at the local extremes in x or y, where a chunk's box is tight, one
-    offset each at every fourth vertex); the collocation nodes at (8, 32)
-    and (16, 64); random points in the box grown by 0.1."""
-    n = len(polyline)
-    nxt, prev = np.roll(polyline, -1, axis=0), np.roll(polyline, 1, axis=0)
-    unit = np.array([(math.cos(a), math.sin(a)) for a in np.arange(8) * math.pi / 4])
-    offsets = (np.array([0.5e-9, 0.999e-9, 1.001e-9, 2e-9])[:, None, None] * unit).reshape(-1, 2)
-    # extremes, not plateaus: a straight side parallel to an axis is one
-    extreme = (((polyline >= nxt) & (polyline >= prev)) | ((polyline <= nxt) & (polyline <= prev))) \
-        & ((polyline != nxt) | (polyline != prev))
-    full = np.flatnonzero((np.arange(n) % 64 == 0) | extreme.any(axis=1))
-    nodes = [UnknownMap(dec, DiscretizationParams(mu, nu, cfg.c, cfg.eps)).points.T
-             for mu, nu in ((8, 32), (16, 64))]
-    lo, hi = polyline.min(axis=0) - 0.1, polyline.max(axis=0) + 0.1
-    return np.concatenate([
-        polyline, 0.5 * (polyline + nxt),
-        (polyline[full, None] + offsets).reshape(-1, 2),
-        polyline[2::4] + offsets[np.arange(len(polyline[2::4])) % len(offsets)],
-        *nodes,
-        np.random.default_rng(9).uniform(lo, hi, (500, 2)),
-    ])
+def _field_map_candidates(boundary, k):
+    """The first round of bench/workloads.py::exterior_points for field_map
+    domain k at seeds 101-110: 1600 candidates per seed, one step out along
+    the outward normal from a uniform boundary point, log-uniform over
+    1e-3 to 1e2.  At these seeds the first round keeps all 800 points."""
+    out = []
+    for seed in range(101, 111):
+        rng = np.random.default_rng([seed, k])
+        arc = rng.integers(len(boundary.arcs), size=1600)
+        t = rng.uniform(0.0, 1.0, size=1600)
+        d = 10.0 ** rng.uniform(-3.0, 2.0, size=1600)
+        for ell, macro in enumerate(boundary.arcs):
+            sel = arc == ell
+            tangent = macro.first_derivative(t[sel])
+            normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+            normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+            out.append(macro.position(t[sel]) + d[sel, None] * normal)
+    return np.concatenate(out)
 
 
 @pytest.mark.parametrize("name", ["heart", "teardrop", "boomerang", "triangle"])
 def test_point_locator_matches_full_sweep(all_corner_decs, name):
-    dec, cfg = all_corner_decs[name], example_config(name)
-    polyline = boundary_polyline(dec.boundary)
-    points = _locator_test_points(polyline, dec, cfg)
-    near, winding = _full_sweep(polyline, points)
-    locator = PointLocator(polyline)
-    got_near, got_winding = locator.locate(points)
-    assert np.array_equal(got_near, near)
-    assert np.array_equal(got_winding, winding)
-    # the reference is winding_number's sweep, and a single point takes
-    # the same path as a batch
-    rng = np.random.default_rng(3)
-    sample = np.concatenate([rng.choice(len(points), 150, replace=False),
-                             rng.choice(np.flatnonzero(near), 50, replace=False)])
-    assert [winding_number(polyline, points[i]) for i in sample] == list(winding[sample])
-    one = [locator.locate(points[i]) for i in sample]
-    assert [(bool(a[0]), int(w[0])) for a, w in one] == list(zip(near[sample], winding[sample]))
-    assert near.sum() > len(polyline) and 0 < np.count_nonzero(winding) < len(points)
-    if name == "triangle":
-        assert len(polyline) % 64 != 0  # a short last chunk
+    # field_map's points (heart and boomerang) and random points, all at
+    # least 1e-6 off the boundary: the sweep over the 4096-point polyline,
+    # within 1e-7 of the arcs, decides them as the arcs do
+    boundary = all_corner_decs[name].boundary
+    polyline = boundary_polyline(boundary)
+    lo, hi = polyline.min(axis=0) - 0.1, polyline.max(axis=0) + 0.1
+    points = [np.random.default_rng(9).uniform(lo, hi, (2000, 2))]
+    if name in ("heart", "boomerang"):
+        points.append(_field_map_candidates(boundary, ("heart", "boomerang").index(name)))
+    points = np.concatenate(points)
+    inside, dist = _polyline_sweep(polyline, points)
+    points, inside = points[dist >= 2e-6], inside[dist >= 2e-6]
+    near, winding = PointLocator(boundary).locate(points)
+    assert not near.any()
+    assert np.array_equal(winding, inside)
+    assert 0.05 * len(points) < inside.sum() < len(points)
+
+
+_EXTREME_DOMAINS = [("heart", 1.98 * math.pi), ("boomerang", 1.98 * math.pi),
+                    ("teardrop", 0.02 * math.pi)]
+
+
+@pytest.mark.parametrize("name, phi", [("heart", 5 * math.pi / 3), ("teardrop", 2 * math.pi / 3),
+                                       ("boomerang", 1.5 * math.pi), ("triangle", None),
+                                       *_EXTREME_DOMAINS])
+def test_point_locator_panels_hold_their_arc_pieces(name, phi):
+    # 64 samples per panel: in the chord frame the arc piece runs forward
+    # along the chord and stays within the strip half-width
+    boundary = make_example_domain(name, phi)
+    loc = PointLocator(boundary)
+    t = loc.t0[:, None] + loc.width[:, None] * np.linspace(0.0, 1.0, 64)
+    for k, arc in enumerate(boundary.arcs):
+        own = loc.arc == k
+        z = as_complex(arc.position(t[own]))
+        w = (z - loc.start[own, None]) * loc.frame[own, None]
+        assert np.all(np.abs(w.imag) <= loc.strip[own, None])
+        assert np.all(np.diff(w.real, axis=1) > 0.0)
+    assert len(loc.length) >= 128 * len(boundary.arcs)
+
+
+def _offset_probes(boundary, offset):
+    """Points offset from the boundary by offset: along both normals at
+    every panel end and panel middle of a 128-panel split of each arc,
+    and, at each corner, along the bisector of the larger of the two
+    wedges there, where the corner is the nearest boundary point.  Returns
+    the points and their winding numbers (0 outward, 1 inward)."""
+    pts, wind = [], []
+    t = np.linspace(0.0, 1.0, 257)[1:-1]
+    for arc in boundary.arcs:
+        d1 = arc.first_derivative(t)
+        normal = np.stack([d1[:, 1], -d1[:, 0]], axis=1) / np.linalg.norm(d1, axis=1)[:, None]
+        p = arc.position(t)
+        pts += [p + offset * normal, p - offset * normal]
+        wind += [np.zeros(len(t), int), np.ones(len(t), int)]
+    n = len(boundary.arcs)
+    for k, corner in enumerate(boundary.corners):
+        out = boundary.arcs[k].first_derivative(0.0)
+        back = -boundary.arcs[(k - 1) % n].first_derivative(1.0)
+        b = out / np.linalg.norm(out) + back / np.linalg.norm(back)
+        pts.append(corner.point - offset * b[None] / np.linalg.norm(b))
+        # the larger wedge is the exterior one at a convex corner
+        wind.append(np.array([0 if corner.interior_angle < math.pi else 1]))
+    return np.concatenate(pts), np.concatenate(wind)
+
+
+@pytest.mark.parametrize("name", ["heart", "teardrop", "boomerang", "triangle"])
+def test_point_locator_near_tolerance(all_corner_decs, name):
+    boundary = all_corner_decs[name].boundary
+    loc = PointLocator(boundary)
+    probes, _ = _offset_probes(boundary, 0.5e-9)
+    units = np.exp(1j * np.pi / 4 * np.arange(8))
+    at_corners = np.concatenate([c.point + 0.5e-9 * np.stack([units.real, units.imag], 1)
+                                 for c in boundary.corners])
+    assert loc.locate(np.concatenate([probes, at_corners]))[0].all()
+    probes, winding = _offset_probes(boundary, 2e-9)
+    near, got = loc.locate(probes)
+    assert not near.any()
+    assert np.array_equal(got, winding)

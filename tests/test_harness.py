@@ -143,9 +143,9 @@ def test_run_example_builds_one_locator_per_boundary(monkeypatch):
     built = []
     init = PointLocator.__init__
 
-    def counting_init(self, polyline):
+    def counting_init(self, boundary):
         built.append(self)
-        init(self, polyline)
+        init(self, boundary)
 
     monkeypatch.setattr(PointLocator, "__init__", counting_init)
     pairs = ((4, 16), (8, 32), (12, 48), (16, 64), (24, 96))
@@ -279,13 +279,18 @@ def test_cli_config_errors_exit_2(tmp_path):
 
 
 def test_cli_numerical_failure_exit_3(tmp_path):
-    # the corner point itself passes the winding test (it is exterior-ish by
-    # zero winding) but field evaluation rejects it, failing every row
+    # c = 1e-300 passes validation, but the blend threshold tau underflows
+    # to 0, where the wedge kernel is undefined, failing every row; the
+    # heart's corner point is on the boundary, a configuration error
     pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([[3.0, 3.0]]))
+    code = cli_main(["solve", "--example", "heart", "--mu", "8", "--nu", "32",
+                     "--c", "1e-300", "--points", str(pts)])
+    assert code == 3
     pts.write_text(json.dumps([[0.0, 0.0]]))
     code = cli_main(["solve", "--example", "heart", "--mu", "8", "--nu", "32",
                      "--points", str(pts)])
-    assert code == 3
+    assert code == 2
 
 
 def test_cli_restores_numpy_error_state(tmp_path):

@@ -322,7 +322,8 @@ def test_field_kernel_far_bound(heart_dec):
 
 def test_field_kernel_near_singularity_error(heart_dec, heart_datum):
     # a field point on a node of sub-arc 2: the kernel there is not finite
-    # and its squared distance is 0, which eval_exterior turns into an error
+    # and its squared distance is 0; eval_exterior's point locator rejects
+    # the point before the kernel is formed
     datum, _ = heart_datum
     params = DiscretizationParams(mu=8, nu=32, c=300.0, eps=1e-3)
     system = build_system(heart_dec, params)
@@ -333,7 +334,7 @@ def test_field_kernel_near_singularity_error(heart_dec, heart_datum):
     x, y = umap.points[:, c]
     k, d2 = double_layer((np.array([x]), np.array([y])), umap.points, umap.q)
     assert d2[0, c] == 0.0 and not np.isfinite(k[0, c])
-    with pytest.raises(ExteriorDomainError, match="within 1e-12 of sub-arc 2$"):
+    with pytest.raises(ExteriorDomainError, match="is on or next to the boundary$"):
         eval_exterior(fld, float(x), float(y))
 
 

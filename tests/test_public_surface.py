@@ -21,7 +21,7 @@ ROOT_NAMES = {
     # run entry points used by the command line and the README
     "RunConfig", "example_config", "make_exact_solution", "run_example", "angle_sweep",
     "write_table_csv", "write_sweep_csv", "harness",
-    # point location
+    # polyline reference helpers, imported by the benchmark
     "boundary_polyline", "winding_number",
 }
 
@@ -48,3 +48,17 @@ def test_bench_imports_only_root_names():
                 imported.update(alias.name for alias in node.names)
     assert imported, "no 'from cornerbie import' found under bench/"
     assert imported <= set(cornerbie.__all__), sorted(imported - set(cornerbie.__all__))
+
+
+def test_package_does_not_use_the_polyline_helpers():
+    # boundary_polyline and winding_number are reference helpers that the
+    # root re-exports for the benchmark; the package locates points against
+    # the arcs, so no module calls them or imports them for its own use
+    helpers = {"boundary_polyline", "winding_number"}
+    for path in sorted(Path(cornerbie.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            used = (isinstance(node, ast.Name) and node.id in helpers
+                    or isinstance(node, ast.Attribute) and node.attr in helpers)
+            imported = (isinstance(node, ast.ImportFrom) and path.name != "__init__.py"
+                        and any(alias.name in helpers for alias in node.names))
+            assert not (used or imported), (path.name, node.lineno)

@@ -19,7 +19,7 @@ from cornerbie import (
     solve_post,
 )
 from cornerbie.assembly import DenseSystem, DiscretizationParams, build_system
-from cornerbie.geometry import boundary_polyline, decompose, make_polygon, subarc_eval
+from cornerbie.geometry import PointLocator, decompose, make_polygon, subarc_eval
 from cornerbie.rhs import NeumannDatum, single_layer_sources
 from cornerbie.solve_post import cond_inf, eval_exterior, solve_dense, solve_field
 from conftest import eval_exterior_per_point, row_rhs
@@ -170,13 +170,17 @@ def test_eval_exterior_rejects_boundary_point(heart_field):
 def _far_disk(fld):
     """Centre c and radius 2R of the far-field branch, rebuilt from their
     definition: c is the mean of the node table, R the largest distance
-    from c to a node, a Gauss-Legendre source or a polyline vertex."""
+    from c to a locator panel's end plus the largest strip half-width,
+    which bounds the distance to every node and Gauss-Legendre source."""
     umap = fld.system.unknown_map
     c = umap.points.mean(axis=1)
+    loc = PointLocator(umap.dec.boundary)
+    ends = np.concatenate([loc.start, loc.end])
+    r = float(np.abs(ends - complex(c[0], c[1])).max() + loc.strip.max())
     sources = np.concatenate([umap.points.T,
-                              single_layer_sources(fld.datum, fld.N)[0].reshape(-1, 2),
-                              boundary_polyline(umap.dec.boundary)])
-    return c, 2.0 * float(np.linalg.norm(sources - c, axis=1).max())
+                              single_layer_sources(fld.datum, fld.N)[0].reshape(-1, 2)])
+    assert np.linalg.norm(sources - c, axis=1).max() < r
+    return c, 2.0 * r
 
 
 @pytest.mark.parametrize("x,y", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
@@ -303,28 +307,55 @@ def test_far_point_skips_location_and_kernel(heart_field, monkeypatch):
 
 @pytest.mark.parametrize("name", ["heart", "triangle"])
 def test_eval_exterior_rejects_collocation_nodes(fields_16_64, name):
-    # these nodes pass the polyline tests, so only the node guard on the
-    # kernel's squared distances stops them
+    # the point locator finds these nodes on the boundary before the node
+    # guard on the kernel's squared distances sees them
     fld = fields_16_64[name]
     umap = fld.system.unknown_map
     for i, h in ((0, 1), (1, 1), (2, 0), (2, 32)):
         p = umap.points[:, umap.bounds[i] + h]
-        with pytest.raises(ExteriorDomainError, match=rf"within 1e-12 of sub-arc {i}$"):
+        with pytest.raises(ExteriorDomainError, match="is on or next to the boundary$"):
             eval_exterior(fld, float(p[0]), float(p[1]))
 
 
-@pytest.mark.parametrize("offset, raises", [(0.5e-12, True), (2e-12, False)])
+@pytest.mark.parametrize("name, point", [("triangle", (0.75, 0.0)),
+                                         ("triangle", (0.75, 0.1234567)),
+                                         ("triangle", (-0.25, -0.75)),
+                                         ("heart", (0.0, 0.0))])
+def test_points_on_the_boundary_are_rejected(fields_16_64, name, point):
+    # on two sides of the triangle and at the heart's corner: neither an
+    # evaluation point nor a singular point may lie there, and the field
+    # is not evaluated there
+    with pytest.raises(cb.ConfigError, match="is not a finite exterior point$"):
+        cb.example_config(name, points=(point,)).validate()
+    inside = {"triangle": (0.25, -0.25), "heart": (0.2, 0.0)}[name]
+    solution = cb.make_exact_solution("log_pair", q1=point, q2=inside)
+    with pytest.raises(cb.ConfigError, match="must be a finite point inside the domain$"):
+        cb.example_config(name, solution=solution).validate()
+    with pytest.raises(ExteriorDomainError, match="is on or next to the boundary$"):
+        eval_exterior(fields_16_64[name], *point)
+
+
+@pytest.mark.parametrize("pair", [(8, 32), (16, 64)], ids=str)
+@pytest.mark.parametrize("name", cb.harness.EXAMPLE_NAMES)
+def test_every_collocation_node_is_on_the_boundary(far_fields, name, pair):
+    fld = far_fields[(name, *pair)]
+    for x, y in fld.system.unknown_map.points.T:
+        with pytest.raises(ExteriorDomainError, match="is on or next to the boundary$"):
+            eval_exterior(fld, x, y)
+
+
+@pytest.mark.parametrize("offset, raises", [(0.5e-12, True), (2e-12, True), (2e-9, False)])
 def test_eval_exterior_node_distance_threshold(fields_16_64, offset, raises):
-    # the node guard runs on squared distances against (1e-12)^2: offsets
-    # on either side of 1e-12 from a node on the triangle's hypotenuse
-    # (central sub-arc 8), along each axis in its outward sense, where
-    # the polyline tests let the point through
+    # offsets from a node on the triangle's hypotenuse (central sub-arc 8),
+    # along each axis in its outward sense: within 1e-9 of the side they
+    # are on or next to the boundary; 2e-9 along an axis is 1.41e-9 from
+    # the side, and the point is evaluated
     fld = fields_16_64["triangle"]
     umap = fld.system.unknown_map
     x, y = umap.points[:, umap.bounds[8] + 5]
     for px, py in ((x - offset, y), (x, y + offset)):
         if raises:
-            with pytest.raises(ExteriorDomainError, match="within 1e-12 of sub-arc 8$"):
+            with pytest.raises(ExteriorDomainError, match="is on or next to the boundary$"):
                 eval_exterior(fld, px, py)
         else:
             assert math.isfinite(eval_exterior(fld, px, py))
@@ -339,7 +370,6 @@ def test_eval_exterior_does_only_per_point_work(heart_field, monkeypatch):
         if getattr(module, "subarc_eval", None) is geometry.subarc_eval:
             monkeypatch.setattr(module, "subarc_eval", counting(geometry.subarc_eval))
     monkeypatch.setattr(NeumannDatum, "arc_density", counting(NeumannDatum.arc_density))
-    monkeypatch.setattr(geometry, "boundary_polyline", counting(geometry.boundary_polyline))
     monkeypatch.setattr(geometry.PointLocator, "__init__",
                         counting(geometry.PointLocator.__init__))
     # radius 5 is beyond the heart's 2R = 3.56 and takes the far branch;

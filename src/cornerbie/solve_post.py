@@ -74,10 +74,10 @@ class SolutionField:
     table's centre c, valid beyond 2R, R the largest distance from c to
     a locator panel's end plus the largest strip half-width, which bounds
     the distance to every point of the boundary and so to every source:
-    u(z) = -(W log|z - c| - Re sum e_k zeta^k)
-    / 2 pi, zeta = 1 / (z - c), with the rule's flux residual W = sum w f,
-    e_k = a_k / k - i b_(k-1), a_k = sum w f (y - c)^k over the rule's
-    sources y and b_m = sum values q (w - c)^m over the nodes w.  _far
+    u(z) = -(W log|z - c| - Re sum e_k zeta^k) / 2 pi, zeta = 1 / (z - c),
+    with the rule's flux residual W = sum w f, e_k = a_k / k - i b_(k-1),
+    a_k = sum w f (y - c)^k over the rule's sources y and
+    b_m = sum values q (w - c)^m over the nodes w.  _far
     holds e_k / R^k, built from powers of (y - c) / R in the unit disk.
     """
 

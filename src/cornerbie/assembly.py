@@ -2,19 +2,18 @@
 
 The boundary equation (-pi I + Ltilde + K) ubar = gbar is collocated at
 the left-Radau quadrature nodes of every sub-arc: order mu on the short
-corner arcs, order nu on the central arcs.  Rows and columns are indexed
-arc-major by node; the two corner arcs of each corner share their s = 0
-node, so their unknown columns are merged and the duplicate corner
-collocation row (the upsilon one) is dropped, giving a square system of
-dimension n (2 mu + nu + 3) - n.  Reduced row r and column r are then the
-same node, so the weighted kernel between all node pairs is written into
-the matrix 128 rows at a time, and the merged corner columns, -pi I with
-the self terms on the diagonal, and the wedge terms are added once.
+corner arcs, order nu on the central arcs.  The two corner arcs of each
+corner share their s = 0 node, which is one unknown with one equation, so
+the node table keeps it once and the system is square of dimension
+n (2 mu + nu + 3) - n.  Row r and column r of the matrix are table row r,
+so the weighted kernel between all node pairs is written into the matrix
+128 rows at a time, and -pi I with the self terms on the diagonal and the
+wedge terms are added once.
 
 The wedge blocks are assembled in modified form: for collocation points
 below the threshold tau = min(1, c / nu^(2 - 2 eps)) the row is the
 linear blend of the discrete row at tau and the exact corner row, which
-is the single coefficient -chi pi on the merged corner column.  The
+is the single coefficient -chi pi on the corner node's column.  The
 (-pi + angle) diagonal term never appears explicitly: it vanishes for
 s > 0 and is already inside the corner coefficient at s = 0.
 """
@@ -62,7 +61,7 @@ class DiscretizationParams:
     mu is the corner-arc rule order, nu the central-arc one (mu < nu in
     corner runs; equality is only meaningful for boundaries without
     corners, where mu is unused).  The blend threshold is
-    tau = min(1, c / nu^(2 - 2 eps)).
+    tau = min(1, c / nu^(2 - 2 eps)), and tau^2 must not underflow.
     """
 
     mu: int
@@ -77,6 +76,10 @@ class DiscretizationParams:
             raise ParameterError(f"blend constant must be positive, got {self.c}")
         if not 0.0 < self.eps < 0.5:
             raise ParameterError(f"blend exponent must be in (0, 1/2), got {self.eps}")
+        if self.tau * self.tau == 0.0:
+            # the wedge kernel at (0, tau) divides by tau^2
+            raise ParameterError(f"blend threshold tau = {self.tau:.3e} is too small: "
+                                 f"tau^2 underflows to 0")
 
     @property
     def tau(self) -> float:
@@ -88,8 +91,8 @@ def modified_wedge_rows(chi: float, t_nodes: np.ndarray, s_values: np.ndarray,
     """Row coefficients of the modified wedge block.
 
     Returns (rows, corner_coeff): rows[l, h] multiplies the density value
-    at node t_nodes[h] of the partner arc, corner_coeff[l] the merged
-    corner unknown.  Rows with s >= tau are the plain kernel rows; below
+    at node t_nodes[h] of the partner arc, corner_coeff[l] the corner
+    unknown.  Rows with s >= tau are the plain kernel rows; below
     tau they blend the row at tau with the exact corner row value
     -chi pi, reaching it exactly at s = 0.
     """
@@ -108,15 +111,19 @@ def modified_wedge_rows(chi: float, t_nodes: np.ndarray, s_values: np.ndarray,
 
 @dataclass
 class UnknownMap:
-    """The node table: every Radau node of every sub-arc, arc-major, with
-    its sub-arc arc and parameter t, its macro arc macro_arc and parameter
-    macro_t there, its weight w, position points, the weighted tangent
-    q = w sign sigma' (sign = -1 on reversed arcs, so q follows the
-    boundary's counterclockwise orientation), the diagonal kernel value
-    curvature with the same orientation, its unknown column col and its
-    collocation row (-1 for a dropped row).  points and q are (2, m)
-    arrays of x and y rows; sub-arc i owns bounds[i]:bounds[i + 1] and was
-    built on the rule nodes[i]."""
+    """The node table: one row per unknown, arc-major, so that table row r
+    is matrix row r and column r.  Each row holds its node's sub-arc arc
+    and parameter t, macro arc macro_arc and parameter macro_t there,
+    weight w, position points, weighted tangent q = w sign sigma' (sign =
+    -1 on reversed arcs, so q follows the boundary's counterclockwise
+    orientation) and weighted diagonal kernel value diagonal = w times the
+    curvature value, with the same orientation.  The s = 0 node of each
+    upsilon arc is its gamma partner's node, the corner point: its q and
+    diagonal are added onto that node's and it has no row of its own;
+    corner[k] is the row of corner k's node.  points and q are (2, m)
+    arrays of x and y rows; sub-arc i owns the rows bounds[i]:bounds[i + 1]
+    and was built on the full rule nodes[i], which on an upsilon arc also
+    holds the t = 0 node."""
 
     dec: Decomposition
     params: DiscretizationParams
@@ -129,11 +136,8 @@ class UnknownMap:
     w: np.ndarray = field(init=False)
     points: np.ndarray = field(init=False)
     q: np.ndarray = field(init=False)
-    curvature: np.ndarray = field(init=False)
-    col: np.ndarray = field(init=False)
-    row: np.ndarray = field(init=False)
-    corner_col: np.ndarray = field(init=False)
-    reduced_size: int = field(init=False)
+    diagonal: np.ndarray = field(init=False)
+    corner: np.ndarray = field(init=False)
 
     def __post_init__(self):
         dec, params = self.dec, self.params
@@ -143,29 +147,29 @@ class UnknownMap:
                  for sub in dec.subarcs]
         self.nodes = [rule.nodes for rule in rules]
         sizes = [len(t) for t in self.nodes]
-        self.bounds = np.cumsum([0] + sizes)
-        self.arc = np.repeat(np.arange(len(sizes)), sizes)
-        self.t = np.concatenate(self.nodes)
+        arc = np.repeat(np.arange(len(sizes)), sizes)
+        t = np.concatenate(self.nodes)
         ell, tm = zip(*(macro_param_of(dec, i, t) for i, t in enumerate(self.nodes)))
-        self.macro_arc, self.macro_t = np.repeat(ell, sizes), np.concatenate(tm)
-        self.w = np.concatenate([rule.weights for rule in rules])
+        macro_arc, macro_t = np.repeat(ell, sizes), np.concatenate(tm)
+        w = np.concatenate([rule.weights for rule in rules])
         p, d1, d2 = (np.concatenate(g) for g in
                      zip(*(subarc_eval(dec, i, t) for i, t in enumerate(self.nodes))))
         sign = np.repeat([-1.0 if sub.reversed else 1.0 for sub in dec.subarcs], sizes)
-        self.points = p.T.copy()
-        self.q = (self.w * sign) * d1.T
+        q = (w * sign) * d1.T
         num = d1[:, 1] * d2[:, 0] - d1[:, 0] * d2[:, 1]
-        self.curvature = sign * 0.5 * num / (d1 * d1).sum(-1)
-        # columns and rows run arc-major by node; the s = 0 node of an
-        # upsilon arc takes its gamma partner's column and drops its row
-        kinds = np.array([sub.kind for sub in dec.subarcs])
-        keep = np.ones(len(self.t), bool)
-        keep[self.bounds[:-1][kinds == UPSILON]] = False
-        self.row = np.where(keep, np.cumsum(keep) - 1, -1)
-        self.corner_col = self.row[self.bounds[:-1][kinds == GAMMA]]
-        self.col = self.row.copy()
-        self.col[~keep] = self.corner_col
-        self.reduced_size = int(keep.sum())
+        diagonal = w * (sign * 0.5 * num / (d1 * d1).sum(-1))
+        # fold each upsilon arc's s = 0 node into its gamma partner's
+        starts, kinds = np.cumsum([0] + sizes), np.array([sub.kind for sub in dec.subarcs])
+        gamma, upsilon = starts[:-1][kinds == GAMMA], starts[:-1][kinds == UPSILON]
+        q[:, gamma] += q[:, upsilon]
+        diagonal[gamma] += diagonal[upsilon]
+        keep = np.ones(len(t), bool)
+        keep[upsilon] = False
+        kept_before = np.concatenate([[0], np.cumsum(keep)])
+        self.bounds, self.corner = kept_before[starts], kept_before[gamma]
+        self.arc, self.t, self.w, self.diagonal = arc[keep], t[keep], w[keep], diagonal[keep]
+        self.macro_arc, self.macro_t = macro_arc[keep], macro_t[keep]
+        self.points, self.q = p[keep].T.copy(), q[:, keep]
 
 
 def inf_norm(a: np.ndarray) -> float:
@@ -177,7 +181,7 @@ def inf_norm(a: np.ndarray) -> float:
 
 @dataclass
 class DenseSystem:
-    """Reduced collocation matrix and unknown map.
+    """Collocation matrix and unknown map.
 
     Besides its matrix the system holds one n x n buffer, made on first
     use of inverse: lu_factor's copy of the matrix, which LAPACK getri
@@ -209,61 +213,55 @@ class DenseSystem:
         return inv, norm_a
 
 
-def _fill_rows(umap: UnknownMap, out: np.ndarray, f) -> None:
-    """Write the collocation rows at the nodes f (indices into the node
-    table) into out.
+def _fill_rows(umap: UnknownMap, out: np.ndarray) -> None:
+    """Write the collocation row of every node of the table into out.
 
-    The sources are the reduced nodes in column order.  The merged
-    upsilon s = 0 node of a corner is the corner point, as is the node
-    of the corner's column, so its weighted tangent is added to that
-    column's.  The kernel grid goes straight into out, _CHUNK rows at a
-    time through two work arrays of that many rows; the self terms and
-    the wedge rows are then added once for all rows.  A field node
-    coincides with the sources of its own column, where the kernel is
-    the source's curvature value (at a corner, the remainder's limit
-    along s = 0); those values and the -pi identity form the self term
-    on the diagonal.  Other pairs closer than 1e-14 times the node
-    table's extent are rejected."""
-    n, f = umap.reduced_size, np.asarray(f)
-    arc, t, col = umap.arc[f], umap.t[f], umap.col[f]
-    fx, fy = umap.points[:, f]
-    kept, merged = np.flatnonzero(umap.row >= 0), np.flatnonzero(umap.row < 0)
-    work = np.empty((2, min(len(f), _CHUNK), n))
-    src, q = umap.points[:, kept], umap.q[:, kept].copy()
-    q[:, umap.corner_col] += umap.q[:, merged]
+    The sources are the same nodes.  The kernel grid goes straight into
+    out, _CHUNK rows at a time through two work arrays of that many rows;
+    the self terms and the wedge rows are then added once for all rows.
+    A node's kernel value on itself is its curvature value (at a corner,
+    the remainder's limit along s = 0); the table's weighted diagonal and
+    the -pi identity form the self term.  Other pairs closer than 1e-14
+    times the node table's extent are rejected."""
+    n, arc, t = len(umap.t), umap.arc, umap.t
+    fx, fy = umap.points
+    work = np.empty((2, min(n, _CHUNK), n))
     scale = float(np.ptp(umap.points, axis=1).max())
-    for lo in range(0, len(f), _CHUNK):
-        hi = min(lo + _CHUNK, len(f))
-        rows = np.arange(hi - lo)
-        _, d2 = double_layer((fx[lo:hi], fy[lo:hi]), src, q, (rows, col[lo:hi]),
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        self_pairs = (np.arange(hi - lo), np.arange(lo, hi))
+        _, d2 = double_layer((fx[lo:hi], fy[lo:hi]), umap.points, umap.q, self_pairs,
                              out[lo:hi], work[:, :hi - lo])
-        check_separation(d2, scale, (arc[lo:hi], t[lo:hi]), (umap.arc[kept], umap.t[kept]))
-    self_term = np.bincount(umap.col, umap.w * umap.curvature, n) - math.pi
-    out[np.arange(len(f)), col] += self_term[col]
+        check_separation(d2, scale, (arc[lo:hi], t[lo:hi]), (arc, t))
+    out[np.diag_indices(n)] += umap.diagonal - math.pi
     # on a Mellin pair the partner's kernel becomes remainder plus
     # modified wedge: add (wedge - L) w, with L = 0 at the corner pair;
-    # rows at s >= tau are the plain wedge rows, where this is zero
+    # rows at s >= tau are the plain wedge rows, where this is zero.  An
+    # upsilon partner's t = 0 node is the corner's row, whose weight is
+    # the same Radau weight.
     low = t < umap.params.tau
     for i in np.unique(arc[low]):
         j = i + 1 if umap.dec.subarcs[i].kind == GAMMA else i - 1
         chi = mellin_chi(umap.dec, i, j)
         if chi is not None:
             sel, tj = np.flatnonzero(low & (arc == i)), umap.nodes[j]
-            nj = slice(umap.bounds[j], umap.bounds[j + 1])
+            cols = np.arange(umap.bounds[j], umap.bounds[j + 1])
+            if umap.dec.subarcs[j].kind == UPSILON:
+                cols = np.r_[umap.corner[j // 3], cols]
             wedge, corner_coeff = modified_wedge_rows(chi, tj, t[sel], umap.params.tau)
             corner_pair = (t[sel, None] == 0.0) & (tj == 0.0)
             wedge -= mellin_kernel(chi, np.where(corner_pair, 1.0, tj), t[sel, None])
-            out[np.ix_(sel, umap.col[nj])] += wedge * umap.w[nj]
-            out[sel, umap.corner_col[i // 3]] += corner_coeff
+            out[np.ix_(sel, cols)] += wedge * umap.w[cols]
+            out[sel, umap.corner[i // 3]] += corner_coeff
 
 
 def build_system(dec: Decomposition, params: DiscretizationParams) -> DenseSystem:
-    """Assemble the matrix A of the collocated system A a = b on the
-    reduced unknowns; reduced row r collocates at the node of column r."""
+    """Assemble the matrix A of the collocated system A a = b; row r
+    collocates at table row r, whose unknown is column r."""
     umap = UnknownMap(dec, params)
-    A = np.empty((umap.reduced_size, umap.reduced_size))
-    _fill_rows(umap, A, np.flatnonzero(umap.row >= 0))
+    A = np.empty((len(umap.t), len(umap.t)))
+    _fill_rows(umap, A)
     if not np.all(np.isfinite(A)):
         bad = np.argwhere(~np.isfinite(A))[0]
-        raise AssemblyError(f"non-finite matrix entry at reduced index {tuple(bad)}")
+        raise AssemblyError(f"non-finite matrix entry at index {tuple(bad)}")
     return DenseSystem(A, umap)

@@ -72,12 +72,6 @@ def _config_from_json(path: str) -> RunConfig:
     for key in ("phi", "c", "eps", "delta", "M", "N"):
         if key in raw:
             kwargs[key] = raw[key]
-    for key in ("phi", "c", "eps", "delta"):
-        value = kwargs.get(key, 0.0)
-        if key == "phi" and value is None:
-            continue  # polygons have no angle parameter
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
     try:
         if sol_raw is not None:
             params = {k: v for k, v in sol_raw.items() if k != "name"}

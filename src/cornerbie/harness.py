@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -152,6 +153,12 @@ class RunConfig:
         return m_rhs, self.N if self.N is not None else nu // 2
 
     def validate(self) -> None:
+        for key in ("phi", "c", "eps", "delta"):
+            value = getattr(self, key)
+            if key == "phi" and value is None:
+                continue  # polygons have no angle parameter
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
         for mu, nu in self.pairs:
             if mu >= nu:
                 raise ConfigError(f"need mu < nu in every pair, got ({mu}, {nu})")
@@ -169,9 +176,13 @@ class RunConfig:
         # the singular points, then the evaluation points, located in one call
         singular = tuple(self.solution.singular_points)
         located = singular + tuple(self.points)
-        if any(np.shape(p) != (2,) for p in located):
-            raise ConfigError(f"singular points {singular} and evaluation points need (x, y)")
-        xy = np.array(located, float).reshape(len(located), 2)
+        try:
+            if any(np.shape(p) != (2,) for p in located):
+                raise ValueError
+            xy = np.array(located, float).reshape(len(located), 2)
+        except (TypeError, ValueError):
+            raise ConfigError(f"singular points {singular} and evaluation points need "
+                              f"(x, y) numbers") from None
         near, winding = self.build_boundary().locator.locate(xy)
         # a point on or next to the boundary is neither inside nor exterior
         bad = ~np.isfinite(xy).all(axis=1) | near
@@ -262,8 +273,7 @@ def _run_row(dec, datum, cfg: RunConfig, exact: np.ndarray, mu: int, nu: int) ->
     system = build_system(dec, params)
     cond = cond_inf(system)
     umap = system.unknown_map
-    keep = umap.row >= 0  # reduced row r collocates at the r-th kept node
-    b = rhs_approx(RhsRule(dec, datum, m_rhs), umap.macro_arc[keep], umap.macro_t[keep])
+    b = rhs_approx(RhsRule(dec, datum, m_rhs), umap.macro_arc, umap.macro_t)
     fld = solve_field(system, b, datum, n_outer)
     values = [eval_exterior(fld, x, y) for x, y in cfg.points]
     return RowResult(mu, nu, values, np.abs(np.array(values) - exact).tolist(), cond)
@@ -275,7 +285,12 @@ def run_example(cfg: RunConfig) -> List[RowResult]:
     boundary = cfg.build_boundary()
     dec = decompose(boundary, cfg.delta)
     datum = NeumannDatum(boundary, u_grad=cfg.solution.grad)
-    exact = cfg.solution.u(np.array(cfg.points, float).reshape(-1, 2))
+    with np.errstate(all="ignore"):
+        exact = cfg.solution.u(np.array(cfg.points, float).reshape(-1, 2))
+    if not np.all(np.isfinite(exact)):
+        bad = cfg.points[int(np.flatnonzero(~np.isfinite(exact))[0])]
+        raise ConfigError(f"exact solution {cfg.solution.name!r} is not finite at "
+                          f"evaluation point {bad}")
     rows: List[RowResult] = []
     for mu, nu in cfg.pairs:
         try:

@@ -54,21 +54,16 @@ class NeumannDatum:
     Either a pointwise boundary function f or the gradient of an exact
     potential may back the datum; arc_density(k, t) always returns
     f(sigma_k(t)) |sigma_k'(t)|.  Construction checks the compatibility
-    condition int_Sigma f dSigma = 0 with a 256-point rule per arc;
-    check_compatibility=False skips it for data that are not meant to
-    feed the solvability-constrained problem.
+    condition int_Sigma f dSigma = 0 with a 256-point rule per arc.
     """
 
     boundary: Boundary
     f: Optional[Callable] = None
     u_grad: Optional[Callable] = None
-    check_compatibility: bool = True
 
     def __post_init__(self):
         if (self.f is None) == (self.u_grad is None):
             raise ParameterError("provide exactly one of f or u_grad")
-        if not self.check_compatibility:
-            return
         resid = self.compatibility_residual()
         if abs(resid) > _COMPATIBILITY_TOL:
             raise ParameterError(

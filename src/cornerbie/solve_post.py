@@ -1,7 +1,7 @@
 """Direct solve, conditioning, and exterior field evaluation.
 
-The reduced collocation system is solved through the explicit inverse
-the system owns (LAPACK getri over its partial-pivoting LU, in place),
+The collocation system is solved through the explicit inverse the
+system owns (LAPACK getri over its partial-pivoting LU, in place),
 refined once against the matrix.  Condition numbers are the infinity-norm
 kind from the same inverse: at the dense sizes used here the exact number
 is cheap and reproducible.  The exterior harmonic field is recovered from
@@ -43,7 +43,7 @@ def solve_dense(system: DenseSystem, b: np.ndarray):
     b = np.asarray(b, float)
     if not np.all(np.isfinite(b)):
         bad = int(np.flatnonzero(~np.isfinite(b))[0])
-        raise AssemblyError(f"non-finite right-hand side entry at reduced row {bad}")
+        raise AssemblyError(f"non-finite right-hand side entry at row {bad}")
     inv, norm_a = system.inverse
     x = inv @ b
     x += inv @ (b - system.matrix @ x)  # one fixed-precision refinement step against A
@@ -65,8 +65,8 @@ def cond_inf(system: DenseSystem) -> float:
 class SolutionField:
     """Solved nodal boundary values plus everything needed for field eval.
 
-    values holds the solution at every node of the system's unknown map,
-    in its node order, and the double-layer sources are those nodes.
+    values holds the solution at every row of the system's node table,
+    one per unknown, and the double-layer sources are those rows.
     Construction computes the other data that do not depend on the field
     point: the point locator, which the boundary builds once, the N-point
     Gauss-Legendre source positions and weighted datum densities of all
@@ -117,7 +117,7 @@ class SolutionField:
 def solve_field(system: DenseSystem, b: np.ndarray, datum: NeumannDatum, N: int) -> SolutionField:
     """Solve A x = b and package the nodal values for evaluation."""
     x, residual = solve_dense(system, b)
-    return SolutionField(system, datum, N, x[system.unknown_map.col], residual)
+    return SolutionField(system, datum, N, x, residual)
 
 
 def eval_exterior(fld: SolutionField, x: float, y: float) -> float:

@@ -11,6 +11,7 @@ import cornerbie as cb
 from cornerbie import ExteriorDomainError
 from cornerbie.assembly import DiscretizationParams, UnknownMap
 from cornerbie.geometry import (
+    UPSILON,
     PointLocator,
     boundary_polyline,
     circle_arc,
@@ -151,10 +152,9 @@ def example_tables():
 
 def row_rhs(system, datum, M: int) -> np.ndarray:
     """b of a built system as the harness makes it: gbar with the M-point
-    row rule at the kept nodes, which is reduced-row order."""
+    row rule at every row of the node table."""
     umap = system.unknown_map
-    keep = umap.row >= 0
-    return rhs_approx(RhsRule(umap.dec, datum, M), umap.macro_arc[keep], umap.macro_t[keep])
+    return rhs_approx(RhsRule(umap.dec, datum, M), umap.macro_arc, umap.macro_t)
 
 
 def gbar_at(rule, i: int, s):
@@ -289,10 +289,11 @@ def eval_exterior_per_point(fld, x: float, y: float) -> float:
 
     A fresh PointLocator of the boundary, the macro-arc rule positions,
     the datum densities, and the node geometry and weights (arc_nodes_at
-    and gauss_radau_left on the map's per-sub-arc nodes) are rebuilt for
-    every point; otherwise the arithmetic and its order are those of
-    eval_exterior, so the two agree bit for bit (non-finite input and
-    output aside).
+    and gauss_radau_left on the map's per-sub-arc nodes, each upsilon
+    arc's s = 0 node folded into its gamma partner's, the corner point)
+    are rebuilt for every point; otherwise the arithmetic and its order
+    are those of eval_exterior, so the two agree bit for bit (non-finite
+    input and output aside).
     """
     p = np.array([float(x), float(y)])
     dec = fld.system.unknown_map.dec
@@ -305,12 +306,16 @@ def eval_exterior_per_point(fld, x: float, y: float) -> float:
     nodes = fld.system.unknown_map.nodes
     geom = [arc_nodes_at(dec, i, t) for i, t in enumerate(nodes)]
     weights = [gauss_radau_left(len(t) - 1).weights for t in nodes]
-    src = np.concatenate([g.points for g in geom], axis=1)
-    q = np.concatenate([w * g.tangent for w, g in zip(weights, geom)], axis=1)
-    k, d2 = double_layer((p[:1], p[1:]), src, q)
+    src = [g.points for g in geom]
+    q = [w * g.tangent for w, g in zip(weights, geom)]
+    for i, sub in enumerate(dec.subarcs):
+        if sub.kind == UPSILON:
+            q[i - 1][:, 0] += q[i][:, 0]
+            src[i], q[i] = src[i][:, 1:], q[i][:, 1:]
+    k, d2 = double_layer((p[:1], p[1:]), np.concatenate(src, axis=1), np.concatenate(q, axis=1))
     if d2.min() < 1e-12 ** 2:
         near = int(np.argmax(d2[0] < 1e-12 ** 2))
-        i = int(np.searchsorted(np.cumsum([len(t) for t in nodes]), near, "right"))
+        i = int(np.searchsorted(np.cumsum([g.shape[1] for g in src]), near, "right"))
         raise ExteriorDomainError(f"field point ({p[0]}, {p[1]}) within 1e-12 of sub-arc {i}")
     rule, arcs = gauss_legendre(fld.N), dec.boundary.arcs
     pts = np.concatenate([np.asarray(arc.position(rule.nodes), float) for arc in arcs])

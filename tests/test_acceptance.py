@@ -149,7 +149,7 @@ def test_criterion_08_table_triangle(example_tables, triangle_dec):
     row128 = rows[4]
     assert row128.errors[1] <= 10.0 * 1.20e-09
     umap = UnknownMap(triangle_dec, DiscretizationParams(mu=8, nu=32, c=100.0, eps=1e-6))
-    assert umap.reduced_size == 150
+    assert len(umap.t) == 150
     _report(8, f"triangle table: (2,2) error at mu=128 is {row128.errors[1]:.2e} "
                f"(<= {10 * 1.2e-09:.2e}), cond {row128.cond:.2f} (<= {3 * 8.81:.2f}), "
                f"reduced dimension 150 at (8,32)")

@@ -9,11 +9,10 @@ from cornerbie import CoincidentPointError, ParameterError
 from cornerbie.assembly import (
     DiscretizationParams,
     UnknownMap,
-    _fill_rows,
     build_system,
     modified_wedge_rows,
 )
-from cornerbie.geometry import CENTRAL
+from cornerbie.geometry import CENTRAL, UPSILON
 from cornerbie.kernels import mellin_chi, mellin_corner_coefficient, mellin_kernel
 from cornerbie.quadrature import gauss_radau_left
 
@@ -34,6 +33,11 @@ def test_params_validation():
     assert p.tau == pytest.approx(300.0 / 32 ** (2 - 2e-3), rel=1e-14)
     # huge blend constant saturates the threshold at 1
     assert DiscretizationParams(mu=2, nu=4, c=1e9, eps=1e-3).tau == 1.0
+    # a threshold whose square underflows leaves the wedge kernel at
+    # (0, tau) undefined
+    with pytest.raises(ParameterError, match="tau\\^2 underflows"):
+        DiscretizationParams(mu=8, nu=32, c=1e-300, eps=1e-3)
+    assert DiscretizationParams(mu=8, nu=32, c=1e-152, eps=1e-3).tau ** 2 > 0.0
 
 
 def test_corner_runs_require_strict_order(heart_dec):
@@ -53,26 +57,45 @@ def test_collocation_points(heart_dec):
 
 
 def test_unknown_counts_triangle(triangle_dec):
+    # one table row per unknown: n (2 mu + nu + 3) nodes less one per corner
     params = DiscretizationParams(mu=8, nu=32, c=100.0, eps=1e-6)
-    umap = UnknownMap(triangle_dec, params)
+    system = build_system(triangle_dec, params)
+    umap = system.unknown_map
     n = triangle_dec.n_corners
-    assert umap.bounds[-1] == n * (2 * 8 + 32 + 3) == 153
-    assert umap.reduced_size == umap.bounds[-1] - n == 150
+    assert sum(len(t) for t in umap.nodes) == n * (2 * 8 + 32 + 3) == 153
+    assert len(umap.t) == umap.bounds[-1] == system.matrix.shape[0] == 153 - n == 150
 
 
 def test_unknown_counts_heart(heart_dec):
     params = DiscretizationParams(mu=128, nu=512, c=300.0, eps=1e-3)
-    umap = UnknownMap(heart_dec, params)
-    assert umap.bounds[-1] == 2 * 129 + 513 == 771
-    assert umap.reduced_size == 770
+    system = build_system(heart_dec, params)
+    umap = system.unknown_map
+    assert sum(len(t) for t in umap.nodes) == 2 * 129 + 513 == 771
+    assert len(umap.t) == umap.bounds[-1] == system.matrix.shape[0] == 770
 
 
-def test_corner_merge_indexing(heart_dec):
-    params = DiscretizationParams(mu=8, nu=32, c=300.0, eps=1e-3)
-    umap = UnknownMap(heart_dec, params)
-    assert umap.col[umap.bounds[1]] == umap.col[umap.bounds[0]] == umap.corner_col[0]
-    assert umap.row[umap.bounds[1]] == -1
-    assert sorted(set(umap.col.tolist())) == list(range(umap.reduced_size))
+def test_corner_merge_indexing(heart_dec, triangle_dec):
+    # a corner's row is its gamma arc's first row; it holds the corner
+    # point, the sum of both arcs' s = 0 weighted tangents and the sum of
+    # their weighted curvature values, and the upsilon arc's rows start at
+    # its second node
+    w0 = gauss_radau_left(8).weights[0]
+    for dec in (heart_dec, triangle_dec):
+        umap = UnknownMap(dec, DiscretizationParams(mu=8, nu=32, c=100.0, eps=1e-3))
+        assert len(umap.corner) == dec.n_corners
+        for k, corner in enumerate(dec.boundary.corners):
+            r, g, u = umap.corner[k], 3 * k, 3 * k + 1
+            gamma, upsilon = arc_nodes_at(dec, g, [0.0]), arc_nodes_at(dec, u, [0.0])
+            assert r == umap.bounds[g] and umap.arc[r] == g and umap.t[r] == 0.0
+            assert umap.t[umap.bounds[u]] == umap.nodes[u][1]
+            assert umap.bounds[u + 1] - umap.bounds[u] == 8
+            for p in (umap.points[:, r], gamma.points[:, 0], upsilon.points[:, 0]):
+                np.testing.assert_array_equal(p, corner.point)
+            q = w0 * (gamma.tangent + upsilon.tangent)[:, 0]
+            np.testing.assert_allclose(umap.q[:, r], q, rtol=1e-15,
+                                       atol=1e-15 * np.abs(q).max())
+            diagonal = w0 * (gamma.curvature[0] + upsilon.curvature[0])
+            assert umap.diagonal[r] == pytest.approx(diagonal, rel=1e-14, abs=1e-15)
 
 
 def test_circle_sanity_matrix(circle_dec):
@@ -87,59 +110,72 @@ def test_circle_sanity_matrix(circle_dec):
 
 
 def test_duplicate_corner_rows_identical(all_corner_decs):
-    # the upsilon corner row that assembly drops equals the gamma one it keeps
+    # the upsilon corner row that the table does not keep, built entry by
+    # entry, equals the matrix's corner row, the gamma one
     for name, dec in all_corner_decs.items():
         params = DiscretizationParams(mu=4, nu=16,
                                       c=300.0 if name == "heart" else 100.0,
                                       eps=1e-3 if name != "triangle" else 1e-6)
-        umap = UnknownMap(dec, params)
+        a = build_system(dec, params)
+        dropped = _entrywise_rows(dec, params, [(3 * k + 1, 0) for k in range(dec.n_corners)])
         for k in range(dec.n_corners):
-            rows = np.zeros((2, umap.reduced_size))
-            _fill_rows(umap, rows[:1], [umap.bounds[3 * k]])
-            _fill_rows(umap, rows[1:], [umap.bounds[3 * k + 1]])
-            diff = np.abs(rows[0] - rows[1]).max()
+            diff = np.abs(a.matrix[a.unknown_map.corner[k]] - dropped[k]).max()
             assert diff <= 1e-13, (name, k, diff)
 
 
-def _entrywise_matrix(dec, params):
-    """The reduced matrix entry by entry: the scalar real-form kernel on
-    every (row node, source node) pair, the curvature value where the two
-    nodes coincide, the Mellin split K - L + wedge on the corner pairs
+def _radau_rules(dec, params):
+    return [gauss_radau_left(params.nu if sub.kind == CENTRAL else params.mu)
+            for sub in dec.subarcs]
+
+
+def _entrywise_rows(dec, params, fields):
+    """The collocation rows at the field nodes fields, (sub-arc, index in
+    its Radau rule) pairs, entry by entry: the scalar real-form kernel on
+    every (field node, source node) pair, the curvature value where the
+    two nodes coincide, the Mellin split K - L + wedge on the corner pairs
     with L = 0 at the corner node pair, the corner coefficient, and each
-    source's weight added on its merged column.  Nodes, weights and node
+    source's weight added on its column.  Nodes, weights and node
     geometry are built here from the Radau rules, subarc_eval and the
-    sub-arcs' orientation; only the row and column numbers are read from
-    the unknown map."""
+    sub-arcs' orientation; only the column numbers are read from the
+    unknown map: each sub-arc's table rows, with the corner's row for an
+    upsilon arc's s = 0 node."""
     umap = UnknownMap(dec, params)
-    rules = [gauss_radau_left(params.nu if sub.kind == CENTRAL else params.mu)
-             for sub in dec.subarcs]
+    rules = _radau_rules(dec, params)
     geom = [arc_nodes_at(dec, i, rule.nodes) for i, rule in enumerate(rules)]
-    rows = [umap.row[lo:hi] for lo, hi in zip(umap.bounds, umap.bounds[1:])]
-    cols = [umap.col[lo:hi] for lo, hi in zip(umap.bounds, umap.bounds[1:])]
-    ref = np.zeros((umap.reduced_size, umap.reduced_size))
-    for i, fld in enumerate(geom):
-        for l, s in enumerate(rules[i].nodes):
-            r = rows[i][l]
-            if r < 0:
-                continue
-            ref[r, cols[i][l]] -= math.pi
-            for j, src in enumerate(geom):
-                chi = mellin_chi(dec, i, j)
+    cols = [np.arange(lo, hi) for lo, hi in zip(umap.bounds, umap.bounds[1:])]
+    for i, sub in enumerate(dec.subarcs):
+        if sub.kind == UPSILON:
+            cols[i] = np.r_[umap.corner[i // 3], cols[i]]
+    ref = np.zeros((len(fields), len(umap.t)))
+    for r, (i, l) in enumerate(fields):
+        fld, s = geom[i], rules[i].nodes[l]
+        ref[r, cols[i][l]] -= math.pi
+        for j, src in enumerate(geom):
+            chi = mellin_chi(dec, i, j)
+            if chi is not None:
+                wedge, coeff = modified_wedge_rows(chi, rules[j].nodes, [s], params.tau)
+                ref[r, umap.corner[i // 3]] += coeff[0]
+            for h, t in enumerate(rules[j].nodes):
+                corner_pair = chi is not None and s == t == 0.0
+                if (i == j and s == t) or corner_pair:
+                    k = src.curvature[h]
+                else:
+                    dx, dy = fld.points[:, l] - src.points[:, h]
+                    qx, qy = src.tangent[:, h]
+                    k = (qy * dx - qx * dy) / (dx * dx + dy * dy)
                 if chi is not None:
-                    wedge, coeff = modified_wedge_rows(chi, rules[j].nodes, [s], params.tau)
-                    ref[r, umap.corner_col[i // 3]] += coeff[0]
-                for h, t in enumerate(rules[j].nodes):
-                    corner_pair = chi is not None and s == t == 0.0
-                    if (i == j and s == t) or corner_pair:
-                        k = src.curvature[h]
-                    else:
-                        dx, dy = fld.points[:, l] - src.points[:, h]
-                        qx, qy = src.tangent[:, h]
-                        k = (qy * dx - qx * dy) / (dx * dx + dy * dy)
-                    if chi is not None:
-                        k += wedge[0, h] - (0.0 if corner_pair else mellin_kernel(chi, t, s))
-                    ref[r, cols[j][h]] += k * rules[j].weights[h]
+                    k += wedge[0, h] - (0.0 if corner_pair else mellin_kernel(chi, t, s))
+                ref[r, cols[j][h]] += k * rules[j].weights[h]
     return ref
+
+
+def _entrywise_matrix(dec, params):
+    """The matrix by _entrywise_rows at every node but the upsilon s = 0
+    ones, in arc-major order."""
+    rules = _radau_rules(dec, params)
+    return _entrywise_rows(dec, params, [
+        (i, l) for i, sub in enumerate(dec.subarcs) for l in range(len(rules[i].nodes))
+        if sub.kind != UPSILON or l > 0])
 
 
 @pytest.mark.parametrize("name", ["heart", "triangle"])

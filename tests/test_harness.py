@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cornerbie import ConfigError
+from cornerbie import ConfigError, SingularMatrixError, harness
 from cornerbie.cli import main as cli_main
 from cornerbie.geometry import PointLocator
 from cornerbie.harness import angle_sweep, example_config, make_exact_solution, run_example
@@ -112,6 +112,34 @@ def test_non_finite_points_are_config_errors(point):
     sol = make_exact_solution("log_pair", q1=point, q2=(0.2, 0.0))
     with pytest.raises(ConfigError):
         example_config("heart", solution=sol).validate()
+
+
+@pytest.mark.parametrize("override", [
+    dict(c="300"), dict(delta="1e-6"), dict(eps=None), dict(phi="5"), dict(c=True),
+    dict(points=(("a", 1.0),)), dict(c=1e-300),
+], ids=["string-c", "string-delta", "none-eps", "string-phi", "bool-c", "string-point",
+        "tau-underflow"])
+def test_config_field_errors_are_config_errors(override):
+    # at c = 1e-300 and nu = 32, tau^2 underflows to 0 and the wedge
+    # kernel at (0, tau) is undefined
+    with pytest.raises(ConfigError):
+        run_example(example_config("heart", pairs=((8, 32),), **override))
+
+
+def test_huge_evaluation_point_is_config_error(tmp_path, capsys):
+    # the exact solution overflows at a finite exterior point: the point is
+    # named, and the CLI reports a configuration error
+    cfg = example_config("heart", pairs=((8, 32),), points=((3.0, 3.0), (1.5e308, 1.5e308)))
+    cfg.validate()
+    with pytest.raises(ConfigError, match=r"not finite at evaluation point \(1\.5e\+308, "):
+        run_example(cfg)
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([[1.5e308, 1.5e308]]))
+    assert cli_main(["solve", "--example", "heart", "--mu", "8", "--nu", "32",
+                     "--points", str(pts)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert cli_main(["solve", "--example", "heart", "--mu", "8", "--nu", "32",
+                     "--c", "1e-300"]) == 2
 
 
 def test_run_example_smoke():
@@ -278,14 +306,18 @@ def test_cli_config_errors_exit_2(tmp_path):
                      "--points", str(bad_points)]) == 2
 
 
-def test_cli_numerical_failure_exit_3(tmp_path):
-    # c = 1e-300 passes validation, but the blend threshold tau underflows
-    # to 0, where the wedge kernel is undefined, failing every row; the
-    # heart's corner point is on the boundary, a configuration error
+def test_cli_numerical_failure_exit_3(tmp_path, monkeypatch):
+    # a singular matrix fails every row, a numerical failure; the heart's
+    # corner point is on the boundary, a configuration error
+    def singular(system):
+        raise SingularMatrixError("numerically singular pivot")
+
     pts = tmp_path / "pts.json"
     pts.write_text(json.dumps([[3.0, 3.0]]))
-    code = cli_main(["solve", "--example", "heart", "--mu", "8", "--nu", "32",
-                     "--c", "1e-300", "--points", str(pts)])
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "cond_inf", singular)
+        code = cli_main(["solve", "--example", "heart", "--mu", "8", "--nu", "32",
+                         "--points", str(pts)])
     assert code == 3
     pts.write_text(json.dumps([[0.0, 0.0]]))
     code = cli_main(["solve", "--example", "heart", "--mu", "8", "--nu", "32",

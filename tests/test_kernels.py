@@ -293,12 +293,13 @@ def test_field_kernel_values_and_reversal():
 def test_node_table_tangent_is_forward_on_reversed_arcs(triangle_dec):
     # on the reversed gamma arcs the node table's weighted tangent q is w
     # times the forward tangent, so the field kernel built from it is the
-    # forward formula, not its negative
+    # forward formula, not its negative; the arc's first row is the corner
+    # node, which also holds its upsilon partner's tangent
     umap = UnknownMap(triangle_dec, DiscretizationParams(mu=8, nu=32, c=100.0, eps=1e-6))
     for i, sub in enumerate(triangle_dec.subarcs):
         if sub.kind != GAMMA:
             continue
-        own = slice(umap.bounds[i], umap.bounds[i + 1])
+        own = slice(umap.bounds[i] + 1, umap.bounds[i + 1])
         arc = triangle_dec.boundary.arcs[sub.macro_index]
         tm = sub.b - (sub.b - sub.a) * umap.t[own]
         pm = np.asarray(arc.position(tm), float)

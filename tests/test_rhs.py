@@ -19,12 +19,13 @@ def _max_deviation(dec, datum, M, points, oracle):
 
 
 def test_arc_density_constant_on_straight_side():
+    # u = y has gradient (0, 1) and the inward normal derivative 1 on the
+    # bottom side, which has length 2
     tri = make_example_domain("triangle")
-    datum = NeumannDatum(tri, f=lambda p: np.ones(np.asarray(p).shape[:-1]),
-                         check_compatibility=False)
+    datum = NeumannDatum(tri, u_grad=lambda p: np.broadcast_to([0.0, 1.0], np.shape(p)))
     t = np.linspace(0.0, 1.0, 9)
     dens = datum.arc_density(0, t)
-    np.testing.assert_allclose(dens, 2.0, rtol=1e-14)  # bottom side has length 2
+    np.testing.assert_allclose(dens, 2.0, rtol=1e-14)
 
 
 def test_arc_density_zero_datum(heart_boundary):
@@ -154,15 +155,16 @@ def test_rhs_array_matches_per_node_calls(all_corner_decs):
         got = rhs_approx(rule, umap.macro_arc, umap.macro_t)
         assert got.shape == umap.t.shape
         for i in range(dec.n_subarcs):
-            want = np.array([gbar_at(rule, i, float(s)) for s in umap.nodes[i]])
-            part = got[umap.bounds[i]:umap.bounds[i + 1]]
+            own = slice(umap.bounds[i], umap.bounds[i + 1])
+            want = np.array([gbar_at(rule, i, float(s)) for s in umap.t[own]])
+            part = got[own]
             assert np.abs(part - want).max() <= 1e-14 * np.abs(want).max(), (name, i)
 
 
 def test_rhs_entries_are_gbar_at_row_nodes(monkeypatch):
-    # the harness's b holds at reduced row r the value gbar at the node of
-    # row r, the gamma s = 0 corner row included, as evaluated here one
-    # node at a time from its sub-arc parameter
+    # the harness's b holds at row r the value gbar at the node of table
+    # row r, the corner rows included, as evaluated here one node at a
+    # time from its sub-arc parameter
     seen = {}
     solve = cb.harness.solve_field
 
@@ -175,12 +177,11 @@ def test_rhs_entries_are_gbar_at_row_nodes(monkeypatch):
     assert not rows[0].failed
     umap, b = seen["system"].unknown_map, seen["b"]
     rule = RhsRule(umap.dec, seen["datum"], 8)
-    want = np.array([gbar_at(rule, int(umap.arc[c]), float(umap.t[c]))
-                     for c in np.flatnonzero(umap.row >= 0)])
-    assert b.shape == (umap.reduced_size,)
+    want = np.array([gbar_at(rule, int(i), float(s)) for i, s in zip(umap.arc, umap.t)])
+    assert b.shape == umap.t.shape == (len(seen["system"].matrix),)
     assert np.abs(b - want).max() <= 1e-14 * np.abs(want).max()
-    corner = umap.row[umap.bounds[0]]  # gamma arc, s = 0
-    assert umap.t[umap.bounds[0]] == 0.0
+    corner = umap.corner[0]  # gamma arc, s = 0
+    assert umap.t[corner] == 0.0
     assert b[corner] == pytest.approx(want[corner], rel=1e-14)
 
 

@@ -7,7 +7,7 @@ corner share their s = 0 node, which is one unknown with one equation, so
 the node table keeps it once and the system is square of dimension
 n (2 mu + nu + 3) - n.  Row r and column r of the matrix are table row r,
 so the weighted kernel between all node pairs is written into the matrix
-128 rows at a time, and -pi I with the self terms on the diagonal and the
+a few rows at a time, and -pi I with the self terms on the diagonal and the
 wedge terms are added once.
 
 The wedge blocks are assembled in modified form: for collocation points
@@ -50,8 +50,14 @@ __all__ = [
 ]
 
 _PIVOT_TOL = 1e-14
-_CHUNK = 128  # rows per kernel grid, which bounds its work arrays to 128 x n
+_CHUNK_ENTRIES = 2 ** 15  # entries per row chunk of the kernel grid or a Woodbury update
 _NORM_BLOCK = 256  # rows per |.| temporary of inf_norm
+_LEAF = 800  # rows up to which a block of the inverse is formed by LU and getri
+_LOW_RANK_TOL = 1e-14  # off-diagonal compression tolerance, relative to |A|_inf
+_SKETCH = 64  # first sketch width of an off-diagonal block
+_RANK_CAP = 8  # a sketch wider than 1/8 of its block's rows ends compression
+_PROBES = 8  # random probe vectors per check
+_PROBE_TOL = 1e-12  # largest |A X w - w|_inf / |w|_inf a compressed inverse X may leave
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,7 @@ class DiscretizationParams:
     def __post_init__(self):
         if not 1 <= self.mu <= self.nu:
             raise ParameterError(f"need 1 <= mu <= nu, got mu={self.mu}, nu={self.nu}")
-        if self.c <= 0.0:
+        if not self.c > 0.0:  # NaN too
             raise ParameterError(f"blend constant must be positive, got {self.c}")
         if not 0.0 < self.eps < 0.5:
             raise ParameterError(f"blend exponent must be in (0, 1/2), got {self.eps}")
@@ -179,13 +185,124 @@ def inf_norm(a: np.ndarray) -> float:
                for lo in range(0, len(a), _NORM_BLOCK))
 
 
+class _Uncompressed(Exception):
+    """A check of the compressed inverse failed; the dense path takes over."""
+
+
+def _lu_inverse(a: np.ndarray, norm_a: float, overwrite: bool = False) -> np.ndarray:
+    """Inverse of a by lu_factor and LAPACK getri in place, which needs a
+    pivot of at least 1e-14 norm_a; raises SingularMatrixError."""
+    with warnings.catch_warnings():
+        # exact singularity is reported through SingularMatrixError below
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(a, overwrite_a=overwrite, check_finite=True)
+    pivots = np.abs(np.diag(lu))
+    if norm_a == 0.0 or pivots.min() < _PIVOT_TOL * norm_a:
+        raise SingularMatrixError(
+            f"numerically singular pivot {pivots.min():.3e} (|A|_inf = {norm_a:.3e})"
+        )
+    inv, info = dgetri(lu, piv, lwork=int(dgetri_lwork(len(lu))[0]), overwrite_lu=1)
+    if info != 0:
+        raise SingularMatrixError(f"getri failed with info = {info}")
+    return inv
+
+
+def _compress(block: np.ndarray, tol: float, rng) -> tuple:
+    """(Q, R) with orthonormal columns Q and Q R = block to tol: a randomized
+    range finder (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011) truncated
+    at the singular values of R above tol, its sketch doubled until random
+    probes pass.  Raises _Uncompressed once the sketch is wider than
+    1/_RANK_CAP of the block's rows."""
+    probe = rng.standard_normal((block.shape[1], _PROBES))
+    image, width = block @ probe, _SKETCH
+    while width <= len(block) // _RANK_CAP:
+        q = np.linalg.qr(block @ rng.standard_normal((block.shape[1], width)))[0]
+        u, s, vt = np.linalg.svd(q.T @ block, full_matrices=False)
+        rank = int(np.count_nonzero(s > tol))
+        q, r = q @ u[:, :rank], s[:rank, None] * vt[:rank]
+        if np.abs(image - q @ (r @ probe)).max() <= tol * np.abs(probe).max():
+            return q, r
+        width *= 2
+    raise _Uncompressed
+
+
+def _invert_block(a: np.ndarray, out: np.ndarray, lo: int, hi: int, norm_a: float,
+                  rng) -> None:
+    """Write the inverse of a[lo:hi, lo:hi] into out[lo:hi, lo:hi]; the rest of
+    out[lo:hi] is scratch.  A leaf is inverted in the first (hi - lo)^2
+    entries of those rows and moved into place; a larger block is split in
+    half, with off-diagonal blocks Q_i R_i, and is the inverse X_1 (+) X_2 of
+    its halves plus the Woodbury term -Y S^-1 Z, where Y = X_i Q_i, Z = R_i
+    X_j and S = I + R_i Y_j (Martinsson & Rokhlin, J. Comput. Phys. 205,
+    2005)."""
+    m = hi - lo
+    if m <= _LEAF:
+        flat = out[lo:hi].reshape(-1)
+        scratch = flat[:m * m].reshape(m, m)
+        scratch[...] = a[lo:hi, lo:hi]
+        # scratch.T is Fortran-ordered, so LAPACK inverts it in place
+        _lu_inverse(scratch.T, norm_a, overwrite=True)
+        # last rows first: a row's place starts at or after its scratch row
+        rows = max(1, _CHUNK_ENTRIES // m)
+        for top in range(m, 0, -rows):
+            bottom = max(0, top - rows)
+            out[lo + bottom:lo + top, lo:hi] = flat[bottom * m:top * m].reshape(-1, m)
+        return
+    mid = lo + m // 2
+    q1, r1 = _compress(a[lo:mid, mid:hi], _LOW_RANK_TOL * norm_a, rng)
+    q2, r2 = _compress(a[mid:hi, lo:mid], _LOW_RANK_TOL * norm_a, rng)
+    _invert_block(a, out, lo, mid, norm_a, rng)
+    _invert_block(a, out, mid, hi, norm_a, rng)
+    x1, x2 = out[lo:mid, lo:mid], out[mid:hi, mid:hi]
+    y1, y2 = x1 @ q1, x2 @ q2
+    del q1, q2  # each factor is freed once used, to bound the memory beyond out
+    k1, k = len(r1), len(r1) + len(r2)
+    s = np.eye(k)
+    s[:k1, k1:] += r1 @ y2
+    s[k1:, :k1] += r2 @ y1
+    s_inv = -np.linalg.inv(s)
+    t = np.empty((k, m))
+    np.matmul(s_inv[:, k1:], r2 @ x1, out=t[:, :mid - lo])
+    np.matmul(s_inv[:, :k1], r1 @ x2, out=t[:, mid - lo:])
+    del r1, r2
+    # X_i's rows: the term adds to the diagonal block and is the off-diagonal one
+    rows = max(1, _CHUNK_ENTRIES // m)
+    update = np.empty((rows, m))
+    for y, start, stop, t_rows in ((y1, lo, mid, t[:k1]), (y2, mid, hi, t[k1:])):
+        for i in range(start, stop, rows):
+            term = np.matmul(y[i - start:i - start + rows], t_rows,
+                             out=update[:min(rows, stop - i)])
+            block = out[i:i + len(term), lo:hi]
+            block[:, :start - lo] = term[:, :start - lo]
+            block[:, start - lo:stop - lo] += term[:, start - lo:stop - lo]
+            block[:, stop - lo:] = term[:, stop - lo:]
+
+
+def _compressed_inverse(a: np.ndarray, norm_a: float):
+    """A^-1 through _invert_block, or None when one of its checks fails or a
+    probe residual |A X w - w|_inf exceeds _PROBE_TOL |w|_inf."""
+    rng = np.random.default_rng(0)
+    out = np.empty_like(a)
+    try:
+        _invert_block(a, out, 0, len(a), norm_a, rng)
+    except (_Uncompressed, SingularMatrixError, np.linalg.LinAlgError):
+        return None
+    probe = rng.standard_normal((len(a), _PROBES))
+    residual = np.abs(a @ (out @ probe) - probe).max()
+    return out if residual <= _PROBE_TOL * np.abs(probe).max() else None
+
+
 @dataclass
 class DenseSystem:
     """Collocation matrix and unknown map.
 
     Besides its matrix the system holds one n x n buffer, made on first
-    use of inverse: lu_factor's copy of the matrix, which LAPACK getri
-    overwrites with the inverse, shared by the condition number and solve.
+    use of inverse and shared by the condition number and solve.  Up to
+    _LEAF rows it is lu_factor's copy of the matrix, which LAPACK getri
+    overwrites with the inverse.  Above that the inverse is built
+    recursively in the buffer from compressed off-diagonal blocks (see
+    _invert_block), and the whole matrix takes the dense path when a
+    block does not compress or the result fails its probe.
     """
 
     matrix: np.ndarray
@@ -198,26 +315,16 @@ class DenseSystem:
         Raises SingularMatrixError when a pivot falls below 1e-14 |A|_inf.
         """
         norm_a = inf_norm(self.matrix)
-        with warnings.catch_warnings():
-            # exact singularity is reported through SingularMatrixError below
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(self.matrix, check_finite=True)
-        pivots = np.abs(np.diag(lu))
-        if norm_a == 0.0 or pivots.min() < _PIVOT_TOL * norm_a:
-            raise SingularMatrixError(
-                f"numerically singular pivot {pivots.min():.3e} (|A|_inf = {norm_a:.3e})"
-            )
-        inv, info = dgetri(lu, piv, lwork=int(dgetri_lwork(len(lu))[0]), overwrite_lu=1)
-        if info != 0:
-            raise SingularMatrixError(f"getri failed with info = {info}")
-        return inv, norm_a
+        inv = _compressed_inverse(self.matrix, norm_a) if len(self.matrix) > _LEAF else None
+        return (_lu_inverse(self.matrix, norm_a) if inv is None else inv), norm_a
 
 
 def _fill_rows(umap: UnknownMap, out: np.ndarray) -> None:
     """Write the collocation row of every node of the table into out.
 
     The sources are the same nodes.  The kernel grid goes straight into
-    out, _CHUNK rows at a time through two work arrays of that many rows;
+    out, _CHUNK_ENTRIES // n rows at a time (14 at n = 2310, so that the
+    chunk stays in cache) through two work arrays of that many rows;
     the self terms and the wedge rows are then added once for all rows.
     A node's kernel value on itself is its curvature value (at a corner,
     the remainder's limit along s = 0); the table's weighted diagonal and
@@ -225,10 +332,11 @@ def _fill_rows(umap: UnknownMap, out: np.ndarray) -> None:
     times the node table's extent are rejected."""
     n, arc, t = len(umap.t), umap.arc, umap.t
     fx, fy = umap.points
-    work = np.empty((2, min(n, _CHUNK), n))
+    rows = max(1, _CHUNK_ENTRIES // n)
+    work = np.empty((2, min(n, rows), n))
     scale = float(np.ptp(umap.points, axis=1).max())
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
         self_pairs = (np.arange(hi - lo), np.arange(lo, hi))
         _, d2 = double_layer((fx[lo:hi], fy[lo:hi]), umap.points, umap.q, self_pairs,
                              out[lo:hi], work[:, :hi - lo])

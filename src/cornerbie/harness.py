@@ -68,7 +68,7 @@ def _log_pair(q1, q2) -> ExactSolution:
         b = p - q2
         return a / (a * a).sum(-1, keepdims=True) - b / (b * b).sum(-1, keepdims=True)
 
-    return ExactSolution("log_pair", u, grad, (tuple(q1), tuple(q2)))
+    return ExactSolution("log_pair", u, grad, (tuple(q1.tolist()), tuple(q2.tolist())))
 
 
 def _arctan_pair() -> ExactSolution:

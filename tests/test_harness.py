@@ -90,8 +90,13 @@ def test_config_validation_names_the_first_failing_point():
     bad_sol = make_exact_solution("log_pair", q1=(0.5, 0.0), q2=(5.0, 5.0))
     with pytest.raises(ConfigError) as info:
         example_config("heart", solution=bad_sol, points=cfg.points).validate()
-    assert str(info.value) == (f"singular point {bad_sol.singular_points[1]} of solution "
-                               f"'log_pair' must be a finite point inside the domain")
+    assert str(info.value) == ("singular point (5.0, 5.0) of solution "
+                               "'log_pair' must be a finite point inside the domain")
+    # a point that is not an (x, y) pair of numbers; singular points print as floats
+    with pytest.raises(ConfigError) as info:
+        example_config("heart", points=(("a", 1.0),)).validate()
+    assert str(info.value) == ("singular points ((0.5, 0.0), (0.2, 0.0)) and evaluation "
+                               "points need (x, y) numbers")
     # non-finite and interior points are named in their order
     cfg = example_config("heart", points=((3.0, 3.0), (0.3, 0.0), (math.nan, 0.0)))
     with pytest.raises(ConfigError, match=r"^evaluation point \(0\.3, 0\.0\) is not"):
@@ -116,12 +121,12 @@ def test_non_finite_points_are_config_errors(point):
 
 @pytest.mark.parametrize("override", [
     dict(c="300"), dict(delta="1e-6"), dict(eps=None), dict(phi="5"), dict(c=True),
-    dict(points=(("a", 1.0),)), dict(c=1e-300),
+    dict(points=(("a", 1.0),)), dict(c=1e-300), dict(c=math.nan),
 ], ids=["string-c", "string-delta", "none-eps", "string-phi", "bool-c", "string-point",
-        "tau-underflow"])
+        "tau-underflow", "nan-c"])
 def test_config_field_errors_are_config_errors(override):
     # at c = 1e-300 and nu = 32, tau^2 underflows to 0 and the wedge
-    # kernel at (0, tau) is undefined
+    # kernel at (0, tau) is undefined; c = nan would run as tau = 1
     with pytest.raises(ConfigError):
         run_example(example_config("heart", pairs=((8, 32),), **override))
 
@@ -304,6 +309,8 @@ def test_cli_config_errors_exit_2(tmp_path):
     bad_points.write_text(json.dumps([[0.5, 0.0]]))  # interior point
     assert cli_main(["solve", "--example", "heart", "--mu", "8", "--nu", "32",
                      "--points", str(bad_points)]) == 2
+    assert cli_main(["solve", "--example", "heart", "--mu", "8", "--nu", "32",
+                     "--c", "nan"]) == 2
 
 
 def test_cli_numerical_failure_exit_3(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetri, dgetri_lwork
 
 import cornerbie as cb
 from cornerbie import (
@@ -18,7 +19,7 @@ from cornerbie import (
     kernels,
     solve_post,
 )
-from cornerbie.assembly import DenseSystem, DiscretizationParams, build_system
+from cornerbie.assembly import DenseSystem, DiscretizationParams, build_system, inf_norm
 from cornerbie.geometry import PointLocator, decompose, make_polygon, subarc_eval
 from cornerbie.rhs import NeumannDatum, single_layer_sources
 from cornerbie.solve_post import cond_inf, eval_exterior, solve_dense, solve_field
@@ -116,6 +117,98 @@ def test_cond_and_solve_hold_one_factor_buffer(triangle_dec):
     # getri writes the inverse over lu_factor's copy of the matrix, so
     # besides the matrix only one n x n buffer is ever alive
     system, b = _example_system(triangle_dec, "triangle", 64, 256)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cond_inf(system)
+        solve_dense(system, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * system.matrix.nbytes
+
+
+def _lu_getri(a):
+    """The dense inverse: lu_factor, then LAPACK getri at its optimal workspace."""
+    lu, piv = lu_factor(a)
+    inv, info = dgetri(lu, piv, lwork=int(dgetri_lwork(len(a))[0]))
+    assert info == 0
+    return inv
+
+
+@pytest.fixture(scope="module")
+def triangle_large(triangle_dec):
+    """The triangle's matrices at (64, 256) and (128, 512): n = 1158 and 2310,
+    both above assembly._LEAF."""
+    cfg = cb.example_config("triangle")
+    return {(mu, nu): build_system(triangle_dec, DiscretizationParams(
+        mu=mu, nu=nu, c=cfg.c, eps=cfg.eps)).matrix for mu, nu in ((64, 256), (128, 512))}
+
+
+@pytest.mark.parametrize("pair", [(64, 256), (128, 512)])
+def test_compressed_inverse_matches_lu_and_getri(triangle_large, monkeypatch, pair):
+    # no lu_factor call sees more than a leaf, so the compressed path ran
+    a, rows = triangle_large[pair], []
+
+    def spying_lu_factor(m, *args, **kwargs):
+        rows.append(len(m))
+        return lu_factor(m, *args, **kwargs)
+
+    monkeypatch.setattr(assembly, "lu_factor", spying_lu_factor)
+    system = _system_from(a)
+    inv, norm_a = system.inverse
+    assert len(a) > assembly._LEAF >= max(rows)
+    want = _lu_getri(a)
+    assert np.abs(inv - want).max() <= 1e-13 * inf_norm(want)
+    assert cond_inf(system) == pytest.approx(norm_a * inf_norm(want), rel=1e-13, abs=0.0)
+
+
+def test_compressed_inverse_is_deterministic(triangle_large):
+    # the sketches are seeded per call: equal matrices give equal bits
+    a = triangle_large[(64, 256)]
+    first, second = _system_from(a.copy()), _system_from(a.copy())
+    assert np.array_equal(first.inverse[0], second.inverse[0])
+    assert cond_inf(first) == cond_inf(second)
+
+
+def test_leaf_sized_inverse_is_lu_and_getri(heart_dec):
+    # up to _LEAF rows the inverse is lu_factor plus getri, bit for bit
+    cfg = cb.example_config("heart")
+    heart = build_system(heart_dec, DiscretizationParams(mu=128, nu=512, c=cfg.c, eps=cfg.eps))
+    leaf = np.random.default_rng(3).normal(size=(assembly._LEAF, assembly._LEAF))
+    for a in (heart.matrix, leaf):
+        assert np.array_equal(_system_from(a).inverse[0], _lu_getri(a))
+
+
+def test_incompressible_matrix_takes_dense_path():
+    # a random matrix's off-diagonal blocks have full rank: the sketch
+    # passes its cap and the whole matrix is inverted densely
+    a = np.random.default_rng(11).normal(size=(1200, 1200))
+    assert len(a) > assembly._LEAF
+    assert np.array_equal(_system_from(a).inverse[0], _lu_getri(a))
+
+
+@pytest.mark.parametrize("kind", ["same-leaf", "other-half", "singular-capacitance"])
+def test_large_singular_matrix_raises(triangle_large, kind):
+    # a repeated row in one leaf fails its pivot check; one in the other
+    # half leaves the result failing its probe; rows 0 and n/2 equal to
+    # e_0 + e_(n/2) make the Woodbury capacitance exactly singular
+    a = triangle_large[(128, 512)]
+    n = len(a)
+    if kind == "singular-capacitance":
+        a = np.eye(n)
+        a[0, n // 2] = a[n // 2, 0] = 1.0
+    else:
+        a = a.copy()
+        a[1 if kind == "same-leaf" else n - 1] = a[0]
+    with pytest.raises(SingularMatrixError):
+        cond_inf(_system_from(a))
+
+
+def test_compressed_cond_and_solve_stay_within_a_quarter_of_the_matrix(triangle_dec):
+    # the leaves are inverted in the buffer's own rows and every factor
+    # and update chunk is small, so besides the buffer little is alive
+    system, b = _example_system(triangle_dec, "triangle", 128, 512)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -1,14 +1,15 @@
 """Direct solve, conditioning, and exterior field evaluation.
 
 The collocation system is solved through the explicit inverse the
-system owns (LAPACK getri over its partial-pivoting LU, in place),
-refined once against the matrix.  Condition numbers are the infinity-norm
-kind from the same inverse: at the dense sizes used here the exact number
-is cheap and reproducible.  The exterior harmonic field is recovered from
-the Green representation: an N-point Gauss-Legendre sum of the single-layer
-term over the macro arcs minus the Radau sum of the assembly's
-double-layer kernel over the node table against the solved nodal
-boundary values.  Beyond twice the sources' radius both sums are taken
+system owns (LAPACK getri over its partial-pivoting LU, in place; above
+800 rows a hierarchical inverse whose off-diagonal blocks are compressed
+to 1e-14 |A|_inf), refined once against the matrix.  Condition numbers
+are the infinity-norm kind from the same inverse: at the sizes used here
+the exact number is cheap and reproducible.  The exterior harmonic field
+is recovered from the Green representation: an N-point Gauss-Legendre sum
+of the single-layer term over the macro arcs minus the Radau sum of the
+assembly's double-layer kernel over the node table against the solved
+nodal boundary values.  Beyond twice the sources' radius both sums are taken
 from a P-term multipole expansion about the node table's centre,
 built once per field (Greengard & Rokhlin, J. Comput. Phys. 73, 1987).
 """

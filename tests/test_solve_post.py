@@ -190,17 +190,21 @@ def test_incompressible_matrix_takes_dense_path():
 
 @pytest.mark.parametrize("kind", ["same-leaf", "other-half", "singular-capacitance"])
 def test_large_singular_matrix_raises(triangle_large, kind):
-    # a repeated row in one leaf fails its pivot check; one in the other
-    # half leaves the result failing its probe; rows 0 and n/2 equal to
-    # e_0 + e_(n/2) make the Woodbury capacitance exactly singular
+    # a repeated row in one leaf fails its pivot check; row 300 repeated
+    # as the last row passes every block check and leaves the result
+    # failing its probe; rows 0 and n/2 equal to e_0 + e_(n/2) make the
+    # Woodbury capacitance exactly singular
     a = triangle_large[(128, 512)]
     n = len(a)
     if kind == "singular-capacitance":
         a = np.eye(n)
         a[0, n // 2] = a[n // 2, 0] = 1.0
+    elif kind == "same-leaf":
+        a = a.copy()
+        a[1] = a[0]
     else:
         a = a.copy()
-        a[1 if kind == "same-leaf" else n - 1] = a[0]
+        a[n - 1] = a[300]
     with pytest.raises(SingularMatrixError):
         cond_inf(_system_from(a))
 

@@ -24,7 +24,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor
@@ -32,13 +31,7 @@ from scipy.linalg.lapack import dgetri, dgetri_lwork
 
 from .errors import AssemblyError, ParameterError, SingularMatrixError
 from .geometry import CENTRAL, GAMMA, UPSILON, Decomposition, macro_param_of, subarc_eval
-from .kernels import (
-    check_separation,
-    double_layer,
-    mellin_chi,
-    mellin_corner_coefficient,
-    mellin_kernel,
-)
+from .kernels import check_separation, double_layer, mellin_corner_coefficient, mellin_kernel
 from .quadrature import gauss_radau_left
 
 __all__ = [
@@ -51,7 +44,6 @@ __all__ = [
 
 _PIVOT_TOL = 1e-14
 _CHUNK_ENTRIES = 2 ** 15  # entries per row chunk of the kernel grid or a Woodbury update
-_NORM_BLOCK = 256  # rows per |.| temporary of inf_norm
 _LEAF = 800  # rows up to which a block of the inverse is formed by LU and getri
 _LOW_RANK_TOL = 1e-14  # off-diagonal compression tolerance, relative to |A|_inf
 _SKETCH = 64  # first sketch width of an off-diagonal block
@@ -128,12 +120,11 @@ class UnknownMap:
     diagonal are added onto that node's and it has no row of its own;
     corner[k] is the row of corner k's node.  points and q are (2, m)
     arrays of x and y rows; sub-arc i owns the rows bounds[i]:bounds[i + 1]
-    and was built on the full rule nodes[i], which on an upsilon arc also
+    and was built on its full Radau rule, which on an upsilon arc also
     holds the t = 0 node."""
 
     dec: Decomposition
     params: DiscretizationParams
-    nodes: List[np.ndarray] = field(init=False)
     bounds: np.ndarray = field(init=False)
     arc: np.ndarray = field(init=False)
     t: np.ndarray = field(init=False)
@@ -151,15 +142,15 @@ class UnknownMap:
             raise ParameterError("corner runs require mu < nu")
         rules = [gauss_radau_left(params.nu if sub.kind == CENTRAL else params.mu)
                  for sub in dec.subarcs]
-        self.nodes = [rule.nodes for rule in rules]
-        sizes = [len(t) for t in self.nodes]
+        nodes = [rule.nodes for rule in rules]
+        sizes = [len(t) for t in nodes]
         arc = np.repeat(np.arange(len(sizes)), sizes)
-        t = np.concatenate(self.nodes)
-        ell, tm = zip(*(macro_param_of(dec, i, t) for i, t in enumerate(self.nodes)))
+        t = np.concatenate(nodes)
+        ell, tm = zip(*(macro_param_of(dec, i, t) for i, t in enumerate(nodes)))
         macro_arc, macro_t = np.repeat(ell, sizes), np.concatenate(tm)
         w = np.concatenate([rule.weights for rule in rules])
         p, d1, d2 = (np.concatenate(g) for g in
-                     zip(*(subarc_eval(dec, i, t) for i, t in enumerate(self.nodes))))
+                     zip(*(subarc_eval(dec, i, t) for i, t in enumerate(nodes))))
         sign = np.repeat([-1.0 if sub.reversed else 1.0 for sub in dec.subarcs], sizes)
         q = (w * sign) * d1.T
         num = d1[:, 1] * d2[:, 0] - d1[:, 0] * d2[:, 1]
@@ -180,9 +171,12 @@ class UnknownMap:
 
 def inf_norm(a: np.ndarray) -> float:
     """Largest absolute row sum of a, np.abs(a).sum(axis=1).max() bit for
-    bit, with |a| formed over _NORM_BLOCK rows at a time."""
-    return max(float(np.abs(a[lo:lo + _NORM_BLOCK]).sum(axis=1).max())
-               for lo in range(0, len(a), _NORM_BLOCK))
+    bit, with |a| formed over near-equal blocks of at most _CHUNK_ENTRIES // n
+    rows: no block is a lone row, which numpy sums pairwise, not in the
+    column order of a Fortran-ordered a."""
+    rows = max(1, _CHUNK_ENTRIES // a.shape[1])
+    return max(float(np.abs(block).sum(axis=1).max())
+               for block in np.array_split(a, -(-len(a) // rows)))
 
 
 class _Uncompressed(Exception):
@@ -278,20 +272,6 @@ def _invert_block(a: np.ndarray, out: np.ndarray, lo: int, hi: int, norm_a: floa
             block[:, stop - lo:] = term[:, stop - lo:]
 
 
-def _compressed_inverse(a: np.ndarray, norm_a: float):
-    """A^-1 through _invert_block, or None when one of its checks fails or a
-    probe residual |A X w - w|_inf exceeds _PROBE_TOL |w|_inf."""
-    rng = np.random.default_rng(0)
-    out = np.empty_like(a)
-    try:
-        _invert_block(a, out, 0, len(a), norm_a, rng)
-    except (_Uncompressed, SingularMatrixError, np.linalg.LinAlgError):
-        return None
-    probe = rng.standard_normal((len(a), _PROBES))
-    residual = np.abs(a @ (out @ probe) - probe).max()
-    return out if residual <= _PROBE_TOL * np.abs(probe).max() else None
-
-
 @dataclass
 class DenseSystem:
     """Collocation matrix and unknown map.
@@ -314,9 +294,21 @@ class DenseSystem:
 
         Raises SingularMatrixError when a pivot falls below 1e-14 |A|_inf.
         """
-        norm_a = inf_norm(self.matrix)
-        inv = _compressed_inverse(self.matrix, norm_a) if len(self.matrix) > _LEAF else None
-        return (_lu_inverse(self.matrix, norm_a) if inv is None else inv), norm_a
+        a = self.matrix
+        norm_a = inf_norm(a)
+        if len(a) > _LEAF:
+            rng = np.random.default_rng(0)
+            out = np.empty_like(a)
+            try:
+                _invert_block(a, out, 0, len(a), norm_a, rng)
+                # the probe residual |A X w - w|_inf must stay within _PROBE_TOL |w|_inf
+                probe = rng.standard_normal((len(a), _PROBES))
+                if np.abs(a @ (out @ probe) - probe).max() <= _PROBE_TOL * np.abs(probe).max():
+                    return out, norm_a
+            except (_Uncompressed, SingularMatrixError, np.linalg.LinAlgError):
+                pass
+            del out
+        return _lu_inverse(a, norm_a), norm_a
 
 
 def _fill_rows(umap: UnknownMap, out: np.ndarray) -> None:
@@ -342,25 +334,24 @@ def _fill_rows(umap: UnknownMap, out: np.ndarray) -> None:
                              out[lo:hi], work[:, :hi - lo])
         check_separation(d2, scale, (arc[lo:hi], t[lo:hi]), (arc, t))
     out[np.diag_indices(n)] += umap.diagonal - math.pi
-    # on a Mellin pair the partner's kernel becomes remainder plus
-    # modified wedge: add (wedge - L) w, with L = 0 at the corner pair;
-    # rows at s >= tau are the plain wedge rows, where this is zero.  An
-    # upsilon partner's t = 0 node is the corner's row, whose weight is
-    # the same Radau weight.
-    low = t < umap.params.tau
-    for i in np.unique(arc[low]):
-        j = i + 1 if umap.dec.subarcs[i].kind == GAMMA else i - 1
-        chi = mellin_chi(umap.dec, i, j)
-        if chi is not None:
-            sel, tj = np.flatnonzero(low & (arc == i)), umap.nodes[j]
+    # on the Mellin pairs of corner k, its arcs 3k and 3k + 1 each with the
+    # other as partner, the partner's kernel becomes remainder plus modified
+    # wedge: add (wedge - L) w, with L = 0 at the corner pair; rows at
+    # s >= tau are the plain wedge rows, where this is zero.  The partner's
+    # columns follow its full corner rule, so an upsilon partner's t = 0
+    # node is the corner's row, whose weight is the same Radau weight.
+    tau, tj = umap.params.tau, gauss_radau_left(umap.params.mu).nodes
+    for k, corner in enumerate(umap.dec.boundary.corners):
+        for i, j in ((3 * k, 3 * k + 1), (3 * k + 1, 3 * k)):
+            sel = umap.bounds[i] + np.flatnonzero(t[umap.bounds[i]:umap.bounds[i + 1]] < tau)
             cols = np.arange(umap.bounds[j], umap.bounds[j + 1])
-            if umap.dec.subarcs[j].kind == UPSILON:
-                cols = np.r_[umap.corner[j // 3], cols]
-            wedge, corner_coeff = modified_wedge_rows(chi, tj, t[sel], umap.params.tau)
+            if j == 3 * k + 1:
+                cols = np.r_[umap.corner[k], cols]
+            wedge, corner_coeff = modified_wedge_rows(corner.chi, tj, t[sel], tau)
             corner_pair = (t[sel, None] == 0.0) & (tj == 0.0)
-            wedge -= mellin_kernel(chi, np.where(corner_pair, 1.0, tj), t[sel, None])
+            wedge -= mellin_kernel(corner.chi, np.where(corner_pair, 1.0, tj), t[sel, None])
             out[np.ix_(sel, cols)] += wedge * umap.w[cols]
-            out[sel, umap.corner[i // 3]] += corner_coeff
+            out[sel, umap.corner[k]] += corner_coeff
 
 
 def build_system(dec: Decomposition, params: DiscretizationParams) -> DenseSystem:

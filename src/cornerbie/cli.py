@@ -44,18 +44,23 @@ def _parse_phi(text: str) -> float:
 
 
 def _load_points(path: str):
-    """Evaluation points from a JSON list of pairs or from 'x y' lines."""
+    """Evaluation points from a JSON list of pairs or from 'x y' lines; the
+    rows are kept whole, and RunConfig.validate checks that each is a pair
+    of numbers."""
     with open(path) as fh:
         text = fh.read()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        data = [line.split() for line in text.splitlines()
-                if line.strip() and not line.lstrip().startswith("#")]
-    try:
-        return tuple((float(p[0]), float(p[1])) for p in data)
-    except (TypeError, IndexError, ValueError) as exc:
+        try:
+            return tuple(map(tuple, json.loads(text)))
+        except json.JSONDecodeError:
+            return tuple(tuple(map(float, line.split())) for line in text.splitlines()
+                         if line.strip() and not line.lstrip().startswith("#"))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed evaluation points in {path}: {exc}") from None
+
+
+_CONFIG_KEYS = {"domain", "solution", "phi", "c", "eps", "delta", "M", "N", "pairs", "points",
+                "vertices"}
 
 
 def _config_from_json(path: str) -> RunConfig:
@@ -63,6 +68,9 @@ def _config_from_json(path: str) -> RunConfig:
         raw = json.load(fh)
     if not isinstance(raw, dict) or not isinstance(raw.get("solution", {}), dict):
         raise ConfigError("config JSON and its 'solution' field must be objects")
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config JSON fields: {unknown}")
     sol_raw = raw.pop("solution", None)
     domain = raw.pop("domain", None)
     if domain is None:
@@ -76,13 +84,10 @@ def _config_from_json(path: str) -> RunConfig:
         if sol_raw is not None:
             params = {k: v for k, v in sol_raw.items() if k != "name"}
             kwargs["solution"] = make_exact_solution(sol_raw["name"], **params)
-        if "pairs" in raw:
-            kwargs["pairs"] = tuple((int(m), int(n)) for m, n in raw["pairs"])
-        if "points" in raw:
-            kwargs["points"] = tuple((float(p[0]), float(p[1])) for p in raw["points"])
-        if "vertices" in raw:
-            kwargs["vertices"] = tuple((float(v[0]), float(v[1])) for v in raw["vertices"])
-    except (TypeError, ValueError, IndexError) as exc:
+        for key in ("pairs", "points", "vertices"):  # validate checks each row
+            if key in raw:
+                kwargs[key] = tuple(map(tuple, raw[key]))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config JSON: {exc}") from None
     if base is not None:
         return replace(base, **kwargs)
@@ -195,8 +200,8 @@ def _cmd_angle_sweep(args) -> int:
         raise ConfigError(f"no angles found in --phi-grid {args.phi_grid!r}")
     mu = args.mu if args.mu is not None else 16
     nu = args.nu if args.nu is not None else 64
-    eps = args.epsilon if args.epsilon is not None else example_config(args.example).eps
-    points = angle_sweep(args.example, phis, mu, nu, c=args.c, eps=eps, delta=args.delta)
+    points = angle_sweep(args.example, phis, mu, nu, c=args.c, eps=args.epsilon,
+                         delta=args.delta)
     for pt in points:
         if pt.error_message:
             print(f"phi={pt.phi:.6f}: failed: {pt.error_message}", file=sys.stderr)

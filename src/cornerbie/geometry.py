@@ -55,6 +55,9 @@ _N_VALIDATION_SAMPLES = 1024
 _FD_STEP = 1e-5
 _FD_RTOL = 1e-6
 _N_DEVIATION_SAMPLES = 201
+# largest corner fraction of a macro interval: the two corner sections of
+# one macro arc cover at most half of it, so they never overlap
+_FRACTION_CAP = 0.25
 _TWO_PI = 2.0 * math.pi
 _AREA_ORDER = 64  # Gauss-Legendre points per arc of the signed area
 _LOCATOR_PANELS = 128  # chord panels per macro arc of PointLocator
@@ -218,7 +221,6 @@ def make_smooth_boundary(arc: MacroArc) -> Boundary:
 class SubArc:
     """One of the 3n sections: an affine window [a, b] of a macro arc."""
 
-    index: int
     kind: str
     macro_index: int
     a: float
@@ -290,10 +292,11 @@ class _CornerSides:
             out[k] = float(dev)
         return out
 
-    def largest_fractions(self, delta: float, cap: float) -> list:
-        """Per side, the largest fraction up to cap whose deviation stays
-        below delta: cap itself if it does, else 60 bisection steps, the
-        two sides' steps taken together."""
+    def largest_fractions(self, delta: float) -> list:
+        """Per side, the largest fraction up to _FRACTION_CAP whose deviation
+        stays below delta: the cap itself if it does, else 60 bisection
+        steps, the two sides' steps taken together."""
+        cap = _FRACTION_CAP
         dev = self.deviations(cap, cap)
         open_sides = [k for k in (0, 1) if not dev[k] <= delta]
         lo, hi = [0.0, 0.0], [cap, cap]
@@ -312,23 +315,21 @@ class _CornerSides:
         return [lo[k] if k in open_sides else cap for k in (0, 1)]
 
 
-def decompose(boundary: Boundary, delta: float, cap: float = 0.25) -> Decomposition:
+def decompose(boundary: Boundary, delta: float) -> Decomposition:
     """Split every macro arc into (upsilon, central, gamma) sections.
 
-    Corner sub-arc fractions are the largest (up to `cap`) for which the
-    perpendicular deviation from the corner tangent line stays below
-    `delta`, then one side is shrunk so the corner parametrization
+    Corner sub-arc fractions are the largest (up to _FRACTION_CAP) for
+    which the perpendicular deviation from the corner tangent line stays
+    below `delta`, then one side is shrunk so the corner parametrization
     speeds match exactly.  A boundary without corners yields one central
     sub-arc per macro arc.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:  # NaN too
         raise ParameterError(f"delta must be positive, got {delta}")
-    if not 0.0 < cap <= 0.5:
-        raise ParameterError(f"fraction cap must be in (0, 1/2], got {cap}")
     n = boundary.n_corners
     if n == 0:
         subarcs = tuple(
-            SubArc(i, CENTRAL, i, 0.0, 1.0, False) for i in range(len(boundary.arcs))
+            SubArc(CENTRAL, i, 0.0, 1.0, False) for i in range(len(boundary.arcs))
         )
         empty = np.zeros(0)
         return Decomposition(boundary, subarcs, empty, empty.copy(), empty.copy(),
@@ -348,7 +349,7 @@ def decompose(boundary: Boundary, delta: float, cap: float = 0.25) -> Decomposit
         if v_head <= 0.0 or v_tail <= 0.0:
             raise GeometryError(f"degenerate tangent at corner {k}")
         sides = _CornerSides(boundary.arcs[k], boundary.arcs[prev], corner, d_head, d_tail)
-        e_head, e_tail = sides.largest_fractions(delta, cap)
+        e_head, e_tail = sides.largest_fractions(delta)
         # shrink one side so e_tail * v_tail == e_head * v_head
         e_head_m = min(e_head, e_tail * v_tail / v_head)
         e_tail_m = e_head_m * v_head / v_tail
@@ -367,20 +368,12 @@ def decompose(boundary: Boundary, delta: float, cap: float = 0.25) -> Decomposit
         head[k], tail[k] = e_head_m, e_tail_m
         speed[k] = e_head_m * v_head
         achieved[k] = got
-    for ell in range(n):
-        nxt = (ell + 1) % n
-        if head[ell] > 0.5 or tail[nxt] > 0.5:
-            raise GeometryError("corner fraction exceeds half of its macro interval")
-        if head[ell] + tail[nxt] >= 1.0:
-            raise GeometryError(
-                f"macro arc {ell}: corner sections overlap (delta too large)"
-            )
     subarcs = []
     for k in range(n):
         prev = (k - 1) % n
-        subarcs.append(SubArc(3 * k, GAMMA, prev, 1.0 - tail[k], 1.0, True))
-        subarcs.append(SubArc(3 * k + 1, UPSILON, k, 0.0, head[k], False))
-        subarcs.append(SubArc(3 * k + 2, CENTRAL, k, head[k], 1.0 - tail[(k + 1) % n], False))
+        subarcs.append(SubArc(GAMMA, prev, 1.0 - tail[k], 1.0, True))
+        subarcs.append(SubArc(UPSILON, k, 0.0, head[k], False))
+        subarcs.append(SubArc(CENTRAL, k, head[k], 1.0 - tail[(k + 1) % n], False))
     return Decomposition(boundary, tuple(subarcs), head, tail, speed, achieved, delta)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,6 +119,19 @@ def make_exact_solution(name: str, **params) -> ExactSolution:
     raise ConfigError(f"unknown exact solution {name!r}")
 
 
+def _is_number(value, kind) -> bool:
+    """Whether value is a number of kind (Integral or Real), bools excluded."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_two(values, kind) -> bool:
+    """Whether values holds exactly two numbers of kind, bools excluded."""
+    try:
+        return len(values) == 2 and all(_is_number(v, kind) for v in values)
+    except TypeError:  # no length
+        return False
+
+
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     """One experiment: a domain, an exact solution, and sweep parameters.
@@ -157,9 +170,12 @@ class RunConfig:
             value = getattr(self, key)
             if key == "phi" and value is None:
                 continue  # polygons have no angle parameter
-            if isinstance(value, bool) or not isinstance(value, Real):
+            if not _is_number(value, Real):
                 raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
-        for mu, nu in self.pairs:
+        for pair in self.pairs:
+            if not _is_two(pair, Integral):
+                raise ConfigError(f"every pair must be two integers (mu, nu), got {pair!r}")
+            mu, nu = pair
             if mu >= nu:
                 raise ConfigError(f"need mu < nu in every pair, got ({mu}, {nu})")
             try:
@@ -168,21 +184,20 @@ class RunConfig:
                 raise ConfigError(f"pair ({mu}, {nu}): {exc}") from None
             m_rhs, n_outer = self.rule_orders(nu)
             orders = ((m_rhs, MAX_MOMENTS), (n_outer, MAX_RULE_ORDER))
-            if not all(isinstance(k, (int, np.integer)) and 1 <= k <= top for k, top in orders):
+            if not all(_is_number(k, Integral) and 1 <= k <= top for k, top in orders):
                 raise ConfigError(
                     f"pair ({mu}, {nu}): need integers 1 <= M <= {MAX_MOMENTS} and "
                     f"1 <= N <= {MAX_RULE_ORDER}, got M={m_rhs}, N={n_outer}"
                 )
+        if self.vertices is not None and not all(_is_two(v, Real) for v in self.vertices):
+            raise ConfigError(f"polygon vertices need (x, y) numbers, got {self.vertices!r}")
         # the singular points, then the evaluation points, located in one call
         singular = tuple(self.solution.singular_points)
         located = singular + tuple(self.points)
-        try:
-            if any(np.shape(p) != (2,) for p in located):
-                raise ValueError
-            xy = np.array(located, float).reshape(len(located), 2)
-        except (TypeError, ValueError):
+        if not all(_is_two(p, Real) for p in located):
             raise ConfigError(f"singular points {singular} and evaluation points need "
-                              f"(x, y) numbers") from None
+                              f"(x, y) numbers")
+        xy = np.array(located, float).reshape(len(located), 2)
         near, winding = self.build_boundary().locator.locate(xy)
         # a point on or next to the boundary is neither inside nor exterior
         bad = ~np.isfinite(xy).all(axis=1) | near
@@ -317,12 +332,13 @@ def _sweep_cond(family: str, phi: float, params: DiscretizationParams,
 
 
 def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
-                c: Optional[float] = None, eps: float = 1e-3,
+                c: Optional[float] = None, eps: Optional[float] = None,
                 delta: Optional[float] = None) -> List[SweepPoint]:
     """Condition number of the collocation matrix across corner angles.
 
-    Only the matrix is needed, so the sweep builds no right-hand side;
-    per-angle failures are recorded and the sweep continues.
+    c, eps and delta default to the family's sweep values.  Only the
+    matrix is needed, so the sweep builds no right-hand side; per-angle
+    failures are recorded and the sweep continues.
     """
     if family not in ("heart", "teardrop", "boomerang"):
         raise ConfigError(f"angle sweeps need a parametric family, got {family!r}")
@@ -330,6 +346,8 @@ def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
         raise ConfigError(f"corner runs require mu < nu, got ({mu}, {nu})")
     if c is None:
         c = _EXAMPLES[family]["sweep_c"]
+    if eps is None:
+        eps = _EXAMPLES[family]["eps"]
     if delta is None:
         delta = _EXAMPLES[family]["delta"]
     params = DiscretizationParams(mu=mu, nu=nu, c=c, eps=eps)

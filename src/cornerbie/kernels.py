@@ -24,15 +24,12 @@ field.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from .errors import CoincidentPointError, ParameterError
-from .geometry import CENTRAL, Decomposition
 
 __all__ = [
-    "mellin_chi",
     "double_layer",
     "check_separation",
     "mellin_kernel",
@@ -45,15 +42,6 @@ _COINCIDENCE_FACTOR = 1e-14
 def _check_chi(chi: float) -> None:
     if not 0.0 < abs(chi) < 1.0:
         raise ParameterError(f"corner parameter chi must be in (-1,0) or (0,1), got {chi}")
-
-
-def mellin_chi(dec: Decomposition, i: int, j: int) -> Optional[float]:
-    """chi of the corner that sub-arcs i and j flank from its two sides,
-    or None when they are not such a Mellin pair."""
-    sub_i, sub_j = dec.subarcs[i], dec.subarcs[j]
-    if CENTRAL in (sub_i.kind, sub_j.kind) or abs(i - j) != 1 or i // 3 != j // 3:
-        return None
-    return dec.boundary.corners[i // 3].chi
 
 
 def double_layer(fld, src, q, exempt=None, out=None, work=None):

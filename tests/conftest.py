@@ -9,8 +9,9 @@ from scipy.integrate import quad
 
 import cornerbie as cb
 from cornerbie import ExteriorDomainError
-from cornerbie.assembly import DiscretizationParams, UnknownMap
+from cornerbie.assembly import DiscretizationParams
 from cornerbie.geometry import (
+    CENTRAL,
     UPSILON,
     PointLocator,
     boundary_polyline,
@@ -22,7 +23,7 @@ from cornerbie.geometry import (
     make_smooth_boundary,
     subarc_eval,
 )
-from cornerbie.kernels import check_separation, double_layer, mellin_chi, mellin_kernel
+from cornerbie.kernels import check_separation, double_layer, mellin_kernel
 from cornerbie.quadrature import gauss_legendre, gauss_radau_left
 from cornerbie.rhs import NeumannDatum, RhsRule, rhs_approx
 
@@ -122,8 +123,8 @@ def heart_datum(heart_dec):
 def heart_deviation_points(heart_dec):
     """All collocation points (i, s) of the coarse (8, 32) heart discretization."""
     params = DiscretizationParams(mu=8, nu=32, c=300.0, eps=1e-3)
-    umap = UnknownMap(heart_dec, params)
-    return [(i, float(s)) for i in range(heart_dec.n_subarcs) for s in umap.nodes[i]]
+    return [(i, float(s)) for i, rule in enumerate(radau_rules(heart_dec, params))
+            for s in rule.nodes]
 
 
 @pytest.fixture(scope="session")
@@ -169,6 +170,14 @@ def gbar_at(rule, i: int, s):
 # kernels at arbitrary parameters
 # --------------------------------------------------------------------------
 
+def radau_rules(dec, params):
+    """The full left-Radau rule of every sub-arc: order mu on the corner
+    arcs, nu on the central ones; an upsilon arc's rule holds its t = 0
+    node, which the node table keeps as the corner's row."""
+    return [gauss_radau_left(params.nu if sub.kind == CENTRAL else params.mu)
+            for sub in dec.subarcs]
+
+
 def arc_nodes_at(dec, i, t):
     """Node geometry of sub-arc i at the parameters t, built here from
     subarc_eval and the sub-arc's orientation: positions and tangents as
@@ -203,14 +212,15 @@ def kernel_block(dec, i, j, t, s):
 
 
 def remainder_at(dec, i, j, t, s):
-    """Remainder (K - L)(t[h], s[l]) on the Mellin pair (i, j), parameters
-    as in kernel_block; at the corner node pair t = s = 0 it is the limit
-    along the s = 0 edge, the source's curvature value, with L = 0."""
+    """Remainder (K - L)(t[h], s[l]) on the Mellin pair (i, j), the two
+    corner arcs of corner i // 3, parameters as in kernel_block; at the
+    corner node pair t = s = 0 it is the limit along the s = 0 edge, the
+    source's curvature value, with L = 0."""
     t, s = np.atleast_1d(np.asarray(t, float)), np.atleast_1d(np.asarray(s, float))
     corner_pair = (s[:, None] == 0.0) & (t[None, :] == 0.0)
     k = _kernel_grid(dec, i, j, t, s, corner_pair)
-    return k - mellin_kernel(mellin_chi(dec, i, j), np.where(corner_pair, 1.0, t[None, :]),
-                             s[:, None])
+    chi = dec.boundary.corners[i // 3].chi
+    return k - mellin_kernel(chi, np.where(corner_pair, 1.0, t[None, :]), s[:, None])
 
 
 # --------------------------------------------------------------------------
@@ -289,8 +299,8 @@ def eval_exterior_per_point(fld, x: float, y: float) -> float:
 
     A fresh PointLocator of the boundary, the macro-arc rule positions,
     the datum densities, and the node geometry and weights (arc_nodes_at
-    and gauss_radau_left on the map's per-sub-arc nodes, each upsilon
-    arc's s = 0 node folded into its gamma partner's, the corner point)
+    on each sub-arc's full Radau rule, each upsilon arc's s = 0 node
+    folded into its gamma partner's, the corner point)
     are rebuilt for every point; otherwise the arithmetic and its order
     are those of eval_exterior, so the two agree bit for bit (non-finite
     input and output aside).
@@ -303,11 +313,10 @@ def eval_exterior_per_point(fld, x: float, y: float) -> float:
     if winding[0] != 0:
         raise ExteriorDomainError(f"point ({x}, {y}) lies inside the domain")
 
-    nodes = fld.system.unknown_map.nodes
-    geom = [arc_nodes_at(dec, i, t) for i, t in enumerate(nodes)]
-    weights = [gauss_radau_left(len(t) - 1).weights for t in nodes]
+    rules = radau_rules(dec, fld.system.unknown_map.params)
+    geom = [arc_nodes_at(dec, i, rule.nodes) for i, rule in enumerate(rules)]
     src = [g.points for g in geom]
-    q = [w * g.tangent for w, g in zip(weights, geom)]
+    q = [rule.weights * g.tangent for rule, g in zip(rules, geom)]
     for i, sub in enumerate(dec.subarcs):
         if sub.kind == UPSILON:
             q[i - 1][:, 0] += q[i][:, 0]

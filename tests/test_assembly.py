@@ -12,11 +12,11 @@ from cornerbie.assembly import (
     build_system,
     modified_wedge_rows,
 )
-from cornerbie.geometry import CENTRAL, UPSILON
-from cornerbie.kernels import mellin_chi, mellin_corner_coefficient, mellin_kernel
+from cornerbie.geometry import UPSILON
+from cornerbie.kernels import mellin_corner_coefficient, mellin_kernel
 from cornerbie.quadrature import gauss_radau_left
 
-from conftest import arc_nodes_at
+from conftest import arc_nodes_at, radau_rules
 
 
 def test_params_validation():
@@ -49,11 +49,13 @@ def test_corner_runs_require_strict_order(heart_dec):
 def test_collocation_points(heart_dec):
     params = DiscretizationParams(mu=8, nu=32, c=300.0, eps=1e-3)
     umap = UnknownMap(heart_dec, params)
-    for i, count in ((0, 9), (1, 9), (2, 33)):
-        nodes = umap.nodes[i]
-        assert len(nodes) == count
-        assert nodes[0] == 0.0
-        assert nodes[-1] < 1.0  # the right endpoint is never a collocation point
+    # the gamma and central arcs start at t = 0; the upsilon arc's t = 0
+    # node is the corner's row, so its rows start at its rule's second node
+    for i, count, first in ((0, 9, 0.0), (1, 8, gauss_radau_left(8).nodes[1]), (2, 33, 0.0)):
+        t = umap.t[umap.bounds[i]:umap.bounds[i + 1]]
+        assert len(t) == count
+        assert t[0] == first
+        assert t[-1] < 1.0  # the right endpoint is never a collocation point
 
 
 def test_unknown_counts_triangle(triangle_dec):
@@ -62,7 +64,8 @@ def test_unknown_counts_triangle(triangle_dec):
     system = build_system(triangle_dec, params)
     umap = system.unknown_map
     n = triangle_dec.n_corners
-    assert sum(len(t) for t in umap.nodes) == n * (2 * 8 + 32 + 3) == 153
+    rule_nodes = sum(len(r.nodes) for r in radau_rules(triangle_dec, params))
+    assert rule_nodes == n * (2 * 8 + 32 + 3) == 153
     assert len(umap.t) == umap.bounds[-1] == system.matrix.shape[0] == 153 - n == 150
 
 
@@ -70,7 +73,7 @@ def test_unknown_counts_heart(heart_dec):
     params = DiscretizationParams(mu=128, nu=512, c=300.0, eps=1e-3)
     system = build_system(heart_dec, params)
     umap = system.unknown_map
-    assert sum(len(t) for t in umap.nodes) == 2 * 129 + 513 == 771
+    assert sum(len(r.nodes) for r in radau_rules(heart_dec, params)) == 2 * 129 + 513 == 771
     assert len(umap.t) == umap.bounds[-1] == system.matrix.shape[0] == 770
 
 
@@ -87,7 +90,7 @@ def test_corner_merge_indexing(heart_dec, triangle_dec):
             r, g, u = umap.corner[k], 3 * k, 3 * k + 1
             gamma, upsilon = arc_nodes_at(dec, g, [0.0]), arc_nodes_at(dec, u, [0.0])
             assert r == umap.bounds[g] and umap.arc[r] == g and umap.t[r] == 0.0
-            assert umap.t[umap.bounds[u]] == umap.nodes[u][1]
+            assert umap.t[umap.bounds[u]] == gauss_radau_left(8).nodes[1]
             assert umap.bounds[u + 1] - umap.bounds[u] == 8
             for p in (umap.points[:, r], gamma.points[:, 0], upsilon.points[:, 0]):
                 np.testing.assert_array_equal(p, corner.point)
@@ -123,11 +126,6 @@ def test_duplicate_corner_rows_identical(all_corner_decs):
             assert diff <= 1e-13, (name, k, diff)
 
 
-def _radau_rules(dec, params):
-    return [gauss_radau_left(params.nu if sub.kind == CENTRAL else params.mu)
-            for sub in dec.subarcs]
-
-
 def _entrywise_rows(dec, params, fields):
     """The collocation rows at the field nodes fields, (sub-arc, index in
     its Radau rule) pairs, entry by entry: the scalar real-form kernel on
@@ -140,7 +138,7 @@ def _entrywise_rows(dec, params, fields):
     unknown map: each sub-arc's table rows, with the corner's row for an
     upsilon arc's s = 0 node."""
     umap = UnknownMap(dec, params)
-    rules = _radau_rules(dec, params)
+    rules = radau_rules(dec, params)
     geom = [arc_nodes_at(dec, i, rule.nodes) for i, rule in enumerate(rules)]
     cols = [np.arange(lo, hi) for lo, hi in zip(umap.bounds, umap.bounds[1:])]
     for i, sub in enumerate(dec.subarcs):
@@ -151,7 +149,9 @@ def _entrywise_rows(dec, params, fields):
         fld, s = geom[i], rules[i].nodes[l]
         ref[r, cols[i][l]] -= math.pi
         for j, src in enumerate(geom):
-            chi = mellin_chi(dec, i, j)
+            # a Mellin pair: the two corner arcs 3k and 3k + 1 of corner k
+            pair = i // 3 == j // 3 and {i % 3, j % 3} == {0, 1}
+            chi = dec.boundary.corners[i // 3].chi if pair else None
             if chi is not None:
                 wedge, coeff = modified_wedge_rows(chi, rules[j].nodes, [s], params.tau)
                 ref[r, umap.corner[i // 3]] += coeff[0]
@@ -172,7 +172,7 @@ def _entrywise_rows(dec, params, fields):
 def _entrywise_matrix(dec, params):
     """The matrix by _entrywise_rows at every node but the upsilon s = 0
     ones, in arc-major order."""
-    rules = _radau_rules(dec, params)
+    rules = radau_rules(dec, params)
     return _entrywise_rows(dec, params, [
         (i, l) for i, sub in enumerate(dec.subarcs) for l in range(len(rules[i].nodes))
         if sub.kind != UPSILON or l > 0])
@@ -208,7 +208,7 @@ def test_build_system_names_coincident_nodes(triangle_dec, mu, nu):
     # coincide, which the squared-distance test reports by sub-arc and
     # parameter
     subarcs = list(triangle_dec.subarcs)
-    subarcs[5] = dataclasses.replace(subarcs[2], index=5)
+    subarcs[5] = subarcs[2]
     dec = dataclasses.replace(triangle_dec, subarcs=tuple(subarcs))
     params = DiscretizationParams(mu=mu, nu=nu, c=100.0, eps=1e-6)
     with pytest.raises(CoincidentPointError) as err:

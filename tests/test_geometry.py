@@ -228,12 +228,20 @@ def test_macro_param_of(triangle_dec):
 def test_decompose_errors(heart_boundary):
     with pytest.raises(ParameterError):
         decompose(heart_boundary, 0.0)
-    with pytest.raises(ParameterError):
-        decompose(heart_boundary, 1e-7, cap=0.6)
-    # with the cap at exactly 1/2 a single-arc domain has no room for a
-    # central section once the deviation allows full-cap corner arcs
-    with pytest.raises(GeometryError):
-        decompose(heart_boundary, 1e3, cap=0.5)
+    # a NaN deviation bound would let every bisection step fail
+    with pytest.raises(ParameterError, match="delta must be positive, got nan"):
+        decompose(heart_boundary, math.nan)
+
+
+def test_infinite_delta_takes_the_fraction_cap(heart_boundary):
+    # every deviation passes, so one side of the corner keeps the 1/4 cap
+    # and the other is shrunk to match its speed; the heart's one macro
+    # arc keeps a central section of at least half its interval
+    dec = decompose(heart_boundary, math.inf)
+    head, tail = float(dec.head_fraction[0]), float(dec.tail_fraction[0])
+    assert max(head, tail) == pytest.approx(0.25, rel=1e-15, abs=0.0)
+    central = dec.subarcs[2]
+    assert central.b - central.a >= 0.5 - 1e-15
 
 
 def _sequential_fraction(arc, at_head, corner, tangent, delta, cap):

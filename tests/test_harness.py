@@ -122,13 +122,18 @@ def test_non_finite_points_are_config_errors(point):
 @pytest.mark.parametrize("override", [
     dict(c="300"), dict(delta="1e-6"), dict(eps=None), dict(phi="5"), dict(c=True),
     dict(points=(("a", 1.0),)), dict(c=1e-300), dict(c=math.nan),
+    dict(pairs=((8.5, 32),)), dict(pairs=(("8", "32"),)), dict(pairs=((8, 32, 1),)),
+    dict(pairs=((True, 32),)), dict(points=((True, 3.0),)), dict(points=((3.0, 3.0, 7.0),)),
+    dict(vertices=((-1.25, -0.75), (0.75, -0.75), (0.75, 1.25, 0.0))),
 ], ids=["string-c", "string-delta", "none-eps", "string-phi", "bool-c", "string-point",
-        "tau-underflow", "nan-c"])
+        "tau-underflow", "nan-c", "float-pair", "string-pair", "three-value-pair",
+        "bool-pair", "bool-point", "three-value-point", "three-coordinate-vertex"])
 def test_config_field_errors_are_config_errors(override):
     # at c = 1e-300 and nu = 32, tau^2 underflows to 0 and the wedge
-    # kernel at (0, tau) is undefined; c = nan would run as tau = 1
+    # kernel at (0, tau) is undefined; c = nan would run as tau = 1; a pair
+    # or point is never truncated or converted to fit
     with pytest.raises(ConfigError):
-        run_example(example_config("heart", pairs=((8, 32),), **override))
+        run_example(example_config("heart", **{"pairs": ((8, 32),), **override}))
 
 
 def test_huge_evaluation_point_is_config_error(tmp_path, capsys):
@@ -354,9 +359,13 @@ def test_cli_restores_numpy_error_state(tmp_path):
     (["solve", "--example", "heart", "--mu", "8", "--nu", "32", "--outer-N", "0"], None),
     (["angle-sweep", "--example", "heart", "--phi-grid", "1.5pi", "--mu", "64", "--nu", "64"],
      None),
+    (["solve", "--example", "heart", "--mu", "8", "--nu", "32"], "[[3.0, 3.0, 99.0]]"),
+    (["solve", "--example", "heart", "--mu", "8", "--nu", "32"], "3 3 7\n"),
+    (["solve", "--example", "heart", "--mu", "8", "--nu", "32", "--delta", "nan"], None),
 ], ids=["phi", "phi-grid", "points", "empty-phi-grid", "empty-points-json",
         "empty-points-lines", "nan-point", "negative-c", "epsilon", "rhs-M-zero",
-        "rhs-M-too-large", "outer-N-zero", "sweep-mu-equals-nu"])
+        "rhs-M-too-large", "outer-N-zero", "sweep-mu-equals-nu", "three-value-point-json",
+        "three-value-point-lines", "nan-delta"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
     if points_text is not None:
         pts = tmp_path / "pts.json"
@@ -374,8 +383,17 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
     [{"domain": "heart"}],
     {"domain": "heart", "solution": "dipole"},
     {"domain": "heart", "solution": {"name": "log_pair", "q1": [0.5], "q2": [0.2, 0]}},
+    {"domain": "heart", "delt": 1.0, "mu": 8, "pairs": [[8, 32]], "points": [[3, 3]]},
+    {"domain": "heart", "pairs": [[8.7, 32]], "points": [[3, 3]]},
+    {"domain": "heart", "pairs": [[8, 32, 1]], "points": [[3, 3]]},
+    {"domain": "heart", "pairs": [[8, 32]], "points": [[3.0, 3.0, 99.0]]},
+    {"domain": "heart", "pairs": [[8, 32]], "points": [[True, 3]]},
+    {"domain": "polygon", "solution": {"name": "dipole"}, "pairs": [[8, 32]], "c": 100.0,
+     "eps": 1e-6, "delta": 1e-6, "points": [[2.0, 2.0]],
+     "vertices": [[-1.25, -0.75], [0.75, -0.75], [0.75, 1.25, 0.0]]},
 ], ids=["short-point", "string-point", "short-pair", "string-phi", "top-level-list",
-        "string-solution", "ragged-singular-points"])
+        "string-solution", "ragged-singular-points", "unknown-keys", "float-pair",
+        "three-value-pair", "three-value-point", "bool-point", "three-coordinate-vertex"])
 def test_cli_malformed_config_json_exits_2(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

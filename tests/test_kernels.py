@@ -20,12 +20,7 @@ from cornerbie.geometry import (
     make_polygon,
     subarc_eval,
 )
-from cornerbie.kernels import (
-    double_layer,
-    mellin_chi,
-    mellin_corner_coefficient,
-    mellin_kernel,
-)
+from cornerbie.kernels import double_layer, mellin_corner_coefficient, mellin_kernel
 from cornerbie.quadrature import gauss_radau_left
 from cornerbie.solve_post import eval_exterior, solve_field
 
@@ -42,7 +37,7 @@ def corner_remainder_richardson(dec, i, j, steps=(1e-4, 5e-5, 2.5e-5)):
     roundoff floor of the near-singular difference, which is why the
     closed form is what enters the matrix.
     """
-    chi = mellin_chi(dec, i, j)
+    chi = dec.boundary.corners[i // 3].chi
     h = np.asarray(steps, float)
     f = np.diag(kernel_block(dec, i, j, h, h)) - mellin_kernel(chi, h, h)
     first = 2.0 * f[1:] - f[:-1]
@@ -164,14 +159,6 @@ def test_remainder_bounded_on_teardrop_grid(teardrop_dec):
     assert worst <= 1e-2
 
 
-def test_remainder_rejects_non_mellin_pairs(heart_dec):
-    # assembly takes the remainder only where the pair test names a corner
-    assert mellin_chi(heart_dec, 0, 2) is None
-    assert mellin_chi(heart_dec, 0, 0) is None
-    chi = heart_dec.boundary.corners[0].chi
-    assert mellin_chi(heart_dec, 0, 1) == mellin_chi(heart_dec, 1, 0) == chi
-
-
 def test_corner_limit_square_is_zero(square_dec):
     assert arc_nodes_at(square_dec, 1, [0.0]).curvature[0] == 0.0
     est, tol = corner_remainder_richardson(square_dec, 0, 1)
@@ -227,8 +214,8 @@ def _parabolic_corner(curvature_scale):
                            (Corner(0, np.zeros(2), omega),))
     for arc in boundary.arcs:
         arc.validate()
-    subarcs = (SubArc(0, GAMMA, 0, 0.0, 1.0, True),
-               SubArc(1, UPSILON, 1, 0.0, 1.0, False))
+    subarcs = (SubArc(GAMMA, 0, 0.0, 1.0, True),
+               SubArc(UPSILON, 1, 0.0, 1.0, False))
     return Decomposition(boundary, subarcs, np.array([1.0]), np.array([1.0]),
                          np.array([1.0]), np.array([0.0]), 1.0)
 

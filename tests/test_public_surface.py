@@ -62,3 +62,14 @@ def test_package_does_not_use_the_polyline_helpers():
             imported = (isinstance(node, ast.ImportFrom) and path.name != "__init__.py"
                         and any(alias.name in helpers for alias in node.names))
             assert not (used or imported), (path.name, node.lineno)
+
+
+def test_kernels_do_not_import_geometry():
+    # the kernels work on node arrays and corner parameters that assembly
+    # hands them; which sub-arcs form a corner pair is assembly's to know
+    path = Path(cornerbie.__file__).resolve().parent / "kernels.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            paths = [f"{module}.{alias.name}".split(".") for alias in node.names]
+            assert not any("geometry" in p for p in paths), node.lineno

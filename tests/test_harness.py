@@ -124,10 +124,10 @@ def test_non_finite_points_are_config_errors(point):
     dict(points=(("a", 1.0),)), dict(c=1e-300), dict(c=math.nan),
     dict(pairs=((8.5, 32),)), dict(pairs=(("8", "32"),)), dict(pairs=((8, 32, 1),)),
     dict(pairs=((True, 32),)), dict(points=((True, 3.0),)), dict(points=((3.0, 3.0, 7.0),)),
-    dict(vertices=((-1.25, -0.75), (0.75, -0.75), (0.75, 1.25, 0.0))),
+    dict(vertices=((-1.25, -0.75), (0.75, -0.75), (0.75, 1.25, 0.0))), dict(M=True),
 ], ids=["string-c", "string-delta", "none-eps", "string-phi", "bool-c", "string-point",
         "tau-underflow", "nan-c", "float-pair", "string-pair", "three-value-pair",
-        "bool-pair", "bool-point", "three-value-point", "three-coordinate-vertex"])
+        "bool-pair", "bool-point", "three-value-point", "three-coordinate-vertex", "bool-M"])
 def test_config_field_errors_are_config_errors(override):
     # at c = 1e-300 and nu = 32, tau^2 underflows to 0 and the wedge
     # kernel at (0, tau) is undefined; c = nan would run as tau = 1; a pair

@@ -56,10 +56,10 @@ _PROBE_TOL = 1e-12  # largest |A X w - w|_inf / |w|_inf a compressed inverse X m
 class DiscretizationParams:
     """Rule orders and wedge-modification constants.
 
-    mu is the corner-arc rule order, nu the central-arc one (mu < nu in
-    corner runs; equality is only meaningful for boundaries without
-    corners, where mu is unused).  The blend threshold is
-    tau = min(1, c / nu^(2 - 2 eps)), and tau^2 must not underflow.
+    mu is the corner-arc rule order and nu the central-arc one, with
+    1 <= mu < nu; a boundary without corners never reads mu.  The blend
+    threshold is tau = min(1, c / nu^(2 - 2 eps)), and tau^2 must not
+    underflow.
     """
 
     mu: int
@@ -68,8 +68,8 @@ class DiscretizationParams:
     eps: float
 
     def __post_init__(self):
-        if not 1 <= self.mu <= self.nu:
-            raise ParameterError(f"need 1 <= mu <= nu, got mu={self.mu}, nu={self.nu}")
+        if not 1 <= self.mu < self.nu:
+            raise ParameterError(f"need 1 <= mu < nu, got mu={self.mu}, nu={self.nu}")
         if not self.c > 0.0:  # NaN too
             raise ParameterError(f"blend constant must be positive, got {self.c}")
         if not 0.0 < self.eps < 0.5:
@@ -138,8 +138,6 @@ class UnknownMap:
 
     def __post_init__(self):
         dec, params = self.dec, self.params
-        if dec.n_corners > 0 and params.mu >= params.nu:
-            raise ParameterError("corner runs require mu < nu")
         rules = [gauss_radau_left(params.nu if sub.kind == CENTRAL else params.mu)
                  for sub in dec.subarcs]
         nodes = [rule.nodes for rule in rules]
@@ -183,22 +181,22 @@ class _Uncompressed(Exception):
     """A check of the compressed inverse failed; the dense path takes over."""
 
 
-def _lu_inverse(a: np.ndarray, norm_a: float, overwrite: bool = False) -> np.ndarray:
-    """Inverse of a by lu_factor and LAPACK getri in place, which needs a
-    pivot of at least 1e-14 norm_a; raises SingularMatrixError."""
+def _lu_inverse(a: np.ndarray, norm_a: float) -> None:
+    """Overwrite the C-ordered square a with its inverse: a.T is Fortran-
+    ordered, so lu_factor and LAPACK getri invert A^T in its place, which
+    needs a pivot of at least 1e-14 norm_a; raises SingularMatrixError."""
     with warnings.catch_warnings():
         # exact singularity is reported through SingularMatrixError below
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(a, overwrite_a=overwrite, check_finite=True)
+        lu, piv = lu_factor(a.T, overwrite_a=True, check_finite=True)
     pivots = np.abs(np.diag(lu))
     if norm_a == 0.0 or pivots.min() < _PIVOT_TOL * norm_a:
         raise SingularMatrixError(
             f"numerically singular pivot {pivots.min():.3e} (|A|_inf = {norm_a:.3e})"
         )
-    inv, info = dgetri(lu, piv, lwork=int(dgetri_lwork(len(lu))[0]), overwrite_lu=1)
+    _, info = dgetri(lu, piv, lwork=int(dgetri_lwork(len(lu))[0]), overwrite_lu=1)
     if info != 0:
         raise SingularMatrixError(f"getri failed with info = {info}")
-    return inv
 
 
 def _compress(block: np.ndarray, tol: float, rng) -> tuple:
@@ -234,8 +232,7 @@ def _invert_block(a: np.ndarray, out: np.ndarray, lo: int, hi: int, norm_a: floa
         flat = out[lo:hi].reshape(-1)
         scratch = flat[:m * m].reshape(m, m)
         scratch[...] = a[lo:hi, lo:hi]
-        # scratch.T is Fortran-ordered, so LAPACK inverts it in place
-        _lu_inverse(scratch.T, norm_a, overwrite=True)
+        _lu_inverse(scratch, norm_a)
         # last rows first: a row's place starts at or after its scratch row
         rows = max(1, _CHUNK_ENTRIES // m)
         for top in range(m, 0, -rows):
@@ -276,13 +273,13 @@ def _invert_block(a: np.ndarray, out: np.ndarray, lo: int, hi: int, norm_a: floa
 class DenseSystem:
     """Collocation matrix and unknown map.
 
-    Besides its matrix the system holds one n x n buffer, made on first
-    use of inverse and shared by the condition number and solve.  Up to
-    _LEAF rows it is lu_factor's copy of the matrix, which LAPACK getri
+    Besides its matrix the system holds one C-ordered n x n buffer, made
+    on first use of inverse and shared by the condition number and solve.
+    Up to _LEAF rows it is a copy of the matrix, which _lu_inverse
     overwrites with the inverse.  Above that the inverse is built
     recursively in the buffer from compressed off-diagonal blocks (see
-    _invert_block), and the whole matrix takes the dense path when a
-    block does not compress or the result fails its probe.
+    _invert_block), and the whole matrix takes the dense path in the same
+    buffer when a block does not compress or the result fails its probe.
     """
 
     matrix: np.ndarray
@@ -296,9 +293,9 @@ class DenseSystem:
         """
         a = self.matrix
         norm_a = inf_norm(a)
+        out = np.empty_like(a, order="C")
         if len(a) > _LEAF:
             rng = np.random.default_rng(0)
-            out = np.empty_like(a)
             try:
                 _invert_block(a, out, 0, len(a), norm_a, rng)
                 # the probe residual |A X w - w|_inf must stay within _PROBE_TOL |w|_inf
@@ -307,8 +304,9 @@ class DenseSystem:
                     return out, norm_a
             except (_Uncompressed, SingularMatrixError, np.linalg.LinAlgError):
                 pass
-            del out
-        return _lu_inverse(a, norm_a), norm_a
+        out[...] = a
+        _lu_inverse(out, norm_a)
+        return out, norm_a
 
 
 def _fill_rows(umap: UnknownMap, out: np.ndarray) -> None:

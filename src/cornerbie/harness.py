@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_PAIRS: Tuple[Tuple[int, int], ...] = ((8, 32), (16, 64), (32, 128), (64, 256), (128, 512))
-EXAMPLE_NAMES = ("heart", "teardrop", "boomerang", "triangle")
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,21 +53,20 @@ class ExactSolution:
 
 
 def _log_pair(q1, q2) -> ExactSolution:
-    q1 = np.asarray(q1, float)
-    q2 = np.asarray(q2, float)
+    # q1 and q2 stay as given, for RunConfig.validate; u and grad convert them
 
     def u(p):
         p = np.asarray(p, float)
-        return (np.log(np.linalg.norm(p - q1, axis=-1))
-                - np.log(np.linalg.norm(p - q2, axis=-1)))
+        return (np.log(np.linalg.norm(p - np.asarray(q1, float), axis=-1))
+                - np.log(np.linalg.norm(p - np.asarray(q2, float), axis=-1)))
 
     def grad(p):
         p = np.asarray(p, float)
-        a = p - q1
-        b = p - q2
+        a = p - np.asarray(q1, float)
+        b = p - np.asarray(q2, float)
         return a / (a * a).sum(-1, keepdims=True) - b / (b * b).sum(-1, keepdims=True)
 
-    return ExactSolution("log_pair", u, grad, (tuple(q1.tolist()), tuple(q2.tolist())))
+    return ExactSolution("log_pair", u, grad, (q1, q2))
 
 
 def _arctan_pair() -> ExactSolution:
@@ -108,15 +106,21 @@ def _dipole() -> ExactSolution:
     return ExactSolution("dipole", u, grad, ((0.0, 0.0),))
 
 
+# solution id -> (constructor, its parameter names)
+_SOLUTIONS = {"log_pair": (_log_pair, ("q1", "q2")), "arctan_pair": (_arctan_pair, ()),
+              "dipole": (_dipole, ())}
+
+
 def make_exact_solution(name: str, **params) -> ExactSolution:
     """Exact solutions by id: log_pair(q1, q2), arctan_pair, dipole."""
-    if name == "log_pair":
-        return _log_pair(params["q1"], params["q2"])
-    if name == "arctan_pair":
-        return _arctan_pair()
-    if name == "dipole":
-        return _dipole()
-    raise ConfigError(f"unknown exact solution {name!r}")
+    if name not in _SOLUTIONS:
+        raise ConfigError(f"unknown exact solution {name!r}")
+    make, keys = _SOLUTIONS[name]
+    missing, unknown = [k for k in keys if k not in params], sorted(set(params) - set(keys))
+    if missing or unknown:
+        raise ConfigError(f"exact solution {name!r} takes parameters {list(keys)}: "
+                          f"missing {missing}, unknown {unknown}")
+    return make(**params)
 
 
 def _is_number(value, kind) -> bool:
@@ -166,18 +170,20 @@ class RunConfig:
         return m_rhs, self.N if self.N is not None else nu // 2
 
     def validate(self) -> None:
+        """Check what needs no geometry: the number fields, the pairs, the
+        rule orders, and that each point is an (x, y) pair of numbers."""
         for key in ("phi", "c", "eps", "delta"):
             value = getattr(self, key)
             if key == "phi" and value is None:
                 continue  # polygons have no angle parameter
             if not _is_number(value, Real):
                 raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
+        if not self.delta > 0.0:  # NaN too
+            raise ConfigError(f"config field 'delta' must be positive, got {self.delta!r}")
         for pair in self.pairs:
             if not _is_two(pair, Integral):
                 raise ConfigError(f"every pair must be two integers (mu, nu), got {pair!r}")
             mu, nu = pair
-            if mu >= nu:
-                raise ConfigError(f"need mu < nu in every pair, got ({mu}, {nu})")
             try:
                 DiscretizationParams(mu=mu, nu=nu, c=self.c, eps=self.eps)
             except ParameterError as exc:
@@ -189,27 +195,33 @@ class RunConfig:
                     f"pair ({mu}, {nu}): need integers 1 <= M <= {MAX_MOMENTS} and "
                     f"1 <= N <= {MAX_RULE_ORDER}, got M={m_rhs}, N={n_outer}"
                 )
-        if self.vertices is not None and not all(_is_two(v, Real) for v in self.vertices):
-            raise ConfigError(f"polygon vertices need (x, y) numbers, got {self.vertices!r}")
-        # the singular points, then the evaluation points, located in one call
-        singular = tuple(self.solution.singular_points)
-        located = singular + tuple(self.points)
-        if not all(_is_two(p, Real) for p in located):
-            raise ConfigError(f"singular points {singular} and evaluation points need "
-                              f"(x, y) numbers")
-        xy = np.array(located, float).reshape(len(located), 2)
-        near, winding = self.build_boundary().locator.locate(xy)
-        # a point on or next to the boundary is neither inside nor exterior
-        bad = ~np.isfinite(xy).all(axis=1) | near
-        for q, no, w in zip(singular, bad, winding):
-            if no or w == 0:
-                raise ConfigError(
-                    f"singular point {q} of solution {self.solution.name!r} "
-                    f"must be a finite point inside the domain"
-                )
-        for p, no, w in zip(self.points, bad[len(singular):], winding[len(singular):]):
-            if no or w != 0:
-                raise ConfigError(f"evaluation point {p} is not a finite exterior point")
+        for kind, rows in (("polygon vertex", self.vertices or ()),
+                           ("singular point", self.solution.singular_points),
+                           ("evaluation point", self.points)):
+            for k, p in enumerate(rows):
+                if not _is_two(p, Real):
+                    raise ConfigError(f"{kind} {k} must be an (x, y) pair of numbers, "
+                                      f"got {p!r}")
+
+
+def _check_locations(cfg: RunConfig, boundary: Boundary) -> None:
+    """Raise ConfigError unless every singular point of the solution is a
+    finite interior point and every evaluation point a finite exterior one."""
+    singular = tuple(cfg.solution.singular_points)
+    located = singular + tuple(cfg.points)
+    xy = np.array(located, float).reshape(len(located), 2)
+    near, winding = boundary.locator.locate(xy)
+    # a point on or next to the boundary is neither inside nor exterior
+    bad = ~np.isfinite(xy).all(axis=1) | near
+    for q, no, w in zip(singular, bad, winding):
+        if no or w == 0:
+            raise ConfigError(
+                f"singular point {q} of solution {cfg.solution.name!r} "
+                f"must be a finite point inside the domain"
+            )
+    for p, no, w in zip(cfg.points, bad[len(singular):], winding[len(singular):]):
+        if no or w != 0:
+            raise ConfigError(f"evaluation point {p} is not a finite exterior point")
 
 
 _EXAMPLES = {
@@ -217,52 +229,41 @@ _EXAMPLES = {
         phi=5 * math.pi / 3, c=300.0, eps=1e-3, delta=3.87e-7,
         solution=("log_pair", dict(q1=(0.5, 0.0), q2=(0.2, 0.0))),
         points=((-0.1, 0.0), (3.0, 3.0), (-40.0, -50.0), (100.0, -100.0)),
-        outer_full=False, sweep_c=300.0,
+        sweep_c=300.0,
     ),
     "teardrop": dict(
         phi=2 * math.pi / 3, c=100.0, eps=1e-3, delta=5.37e-11,
         solution=("arctan_pair", {}),
         points=((-0.1, 0.0), (3.0, 3.0), (-40.0, -50.0), (100.0, -100.0)),
-        outer_full=False, sweep_c=100.0,
+        sweep_c=100.0,
     ),
     "boomerang": dict(
         phi=3 * math.pi / 2, c=100.0, eps=1e-3, delta=5.16e-8,
         solution=("log_pair", dict(q1=(-0.1, 0.0), q2=(-0.2, 0.0))),
         points=((0.2, 0.0), (3.0, 3.0), (-40.0, -50.0), (100.0, -100.0)),
+        N=-1,  # -1 marks "use nu" per row
         # the published conditioning figure for this family uses c = 300 even
         # though its error table uses c = 100; sweeps follow the figure
-        outer_full=True, sweep_c=300.0,
+        sweep_c=300.0,
     ),
     "triangle": dict(
         phi=None, c=100.0, eps=1e-6, delta=1e-6,
         solution=("dipole", {}),
         points=((-1.5, 1.5), (2.0, 2.0), (10.0, 20.0), (100.0, 100.0)),
-        outer_full=False,
     ),
 }
+EXAMPLE_NAMES = tuple(_EXAMPLES)
 
 
 def example_config(name: str, **overrides) -> RunConfig:
     """Benchmark configuration for a built-in example, field overrides allowed."""
     if name not in _EXAMPLES:
         raise ConfigError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
-    spec = _EXAMPLES[name]
-    sol_name, sol_params = spec["solution"]
-    outer_full = spec["outer_full"]
-    cfg = RunConfig(
-        domain=name,
-        phi=spec["phi"],
-        solution=make_exact_solution(sol_name, **sol_params),
-        pairs=DEFAULT_PAIRS,
-        c=spec["c"],
-        eps=spec["eps"],
-        delta=spec["delta"],
-        points=spec["points"],
-        N=-1 if outer_full else None,  # -1 marks "use nu" per row
-    )
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    spec = {key: value for key, value in _EXAMPLES[name].items() if key != "sweep_c"}
+    sol_name, sol_params = spec.pop("solution")
+    cfg = RunConfig(domain=name, solution=make_exact_solution(sol_name, **sol_params),
+                    pairs=DEFAULT_PAIRS, **spec)
+    return replace(cfg, **overrides) if overrides else cfg
 
 
 @dataclass
@@ -298,6 +299,7 @@ def run_example(cfg: RunConfig) -> List[RowResult]:
     """Full sweep over cfg.pairs; a failing row is recorded, not fatal."""
     cfg.validate()
     boundary = cfg.build_boundary()
+    _check_locations(cfg, boundary)
     dec = decompose(boundary, cfg.delta)
     datum = NeumannDatum(boundary, u_grad=cfg.solution.grad)
     with np.errstate(all="ignore"):
@@ -336,25 +338,22 @@ def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
                 delta: Optional[float] = None) -> List[SweepPoint]:
     """Condition number of the collocation matrix across corner angles.
 
-    c, eps and delta default to the family's sweep values.  Only the
-    matrix is needed, so the sweep builds no right-hand side; per-angle
+    c defaults to the family's sweep value, eps and delta to its example's;
+    the inputs are checked once, through the family's example_config.  Only
+    the matrix is needed, so the sweep builds no right-hand side; per-angle
     failures are recorded and the sweep continues.
     """
-    if family not in ("heart", "teardrop", "boomerang"):
+    if "sweep_c" not in _EXAMPLES.get(family, {}):
         raise ConfigError(f"angle sweeps need a parametric family, got {family!r}")
-    if mu >= nu:
-        raise ConfigError(f"corner runs require mu < nu, got ({mu}, {nu})")
-    if c is None:
-        c = _EXAMPLES[family]["sweep_c"]
-    if eps is None:
-        eps = _EXAMPLES[family]["eps"]
-    if delta is None:
-        delta = _EXAMPLES[family]["delta"]
-    params = DiscretizationParams(mu=mu, nu=nu, c=c, eps=eps)
+    given = dict(c=_EXAMPLES[family]["sweep_c"] if c is None else c, eps=eps, delta=delta)
+    cfg = example_config(family, pairs=((mu, nu),),
+                         **{key: value for key, value in given.items() if value is not None})
+    cfg.validate()
+    params = DiscretizationParams(mu=mu, nu=nu, c=cfg.c, eps=cfg.eps)
     out: List[SweepPoint] = []
     for phi in phis:
         try:
-            out.append(SweepPoint(float(phi), _sweep_cond(family, float(phi), params, delta)))
+            out.append(SweepPoint(float(phi), _sweep_cond(family, float(phi), params, cfg.delta)))
         except CornerBieError as exc:
             out.append(SweepPoint(float(phi), math.nan,
                                   error_message=f"{type(exc).__name__}: {exc}"))

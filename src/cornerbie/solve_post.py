@@ -1,7 +1,7 @@
 """Direct solve, conditioning, and exterior field evaluation.
 
 The collocation system is solved through the explicit inverse the
-system owns (LAPACK getri over its partial-pivoting LU, in place; above
+system owns (LAPACK getri over the partial-pivoting LU of A^T, in place; above
 800 rows a hierarchical inverse whose off-diagonal blocks are compressed
 to 1e-14 |A|_inf), refined once against the matrix.  Condition numbers
 are the infinity-norm kind from the same inverse: at the sizes used here

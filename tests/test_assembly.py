@@ -40,10 +40,10 @@ def test_params_validation():
     assert DiscretizationParams(mu=8, nu=32, c=1e-152, eps=1e-3).tau ** 2 > 0.0
 
 
-def test_corner_runs_require_strict_order(heart_dec):
-    params = DiscretizationParams(mu=8, nu=8, c=100.0, eps=1e-3)
-    with pytest.raises(ParameterError):
-        UnknownMap(heart_dec, params)
+def test_corner_runs_require_strict_order():
+    # DiscretizationParams is the one home of 1 <= mu < nu
+    with pytest.raises(ParameterError, match="need 1 <= mu < nu, got mu=8, nu=8"):
+        DiscretizationParams(mu=8, nu=8, c=100.0, eps=1e-3)
 
 
 def test_collocation_points(heart_dec):
@@ -103,7 +103,7 @@ def test_corner_merge_indexing(heart_dec, triangle_dec):
 
 def test_circle_sanity_matrix(circle_dec):
     # constant kernel -pi: A = -pi I - pi (weights row-replicated)
-    params = DiscretizationParams(mu=16, nu=16, c=100.0, eps=1e-3)
+    params = DiscretizationParams(mu=8, nu=16, c=100.0, eps=1e-3)  # no corner reads mu
     system = build_system(circle_dec, params)
     umap = system.unknown_map
     want = -math.pi * np.eye(17) - math.pi * np.tile(umap.w, (17, 1))

@@ -59,14 +59,20 @@ def test_arctan_pair_continuous_branch():
 def test_unknown_solution_and_example_rejected():
     with pytest.raises(ConfigError):
         make_exact_solution("vortex")
+    # a missing parameter is named, and an unknown one is not ignored
+    with pytest.raises(ConfigError, match=r"missing \['q2'\], unknown \[\]"):
+        make_exact_solution("log_pair", q1=(0.5, 0.0))
+    with pytest.raises(ConfigError, match=r"missing \[\], unknown \['q1'\]"):
+        make_exact_solution("dipole", q1=(0.5, 0.0))
     with pytest.raises(ConfigError):
         example_config("pentagon")
 
 
 def test_config_validation_catches_bad_points():
+    # points are located on the run's boundary, before any row
     cfg = example_config("heart", points=((0.5, 0.0),))  # interior point
     with pytest.raises(ConfigError):
-        cfg.validate()
+        run_example(cfg)
     cfg = example_config("heart", pairs=((32, 16),))
     with pytest.raises(ConfigError):
         cfg.validate()
@@ -77,46 +83,50 @@ def test_config_validation_catches_bad_points():
     bad_sol = make_exact_solution("log_pair", q1=(5.0, 5.0), q2=(0.2, 0.0))
     cfg = example_config("heart", solution=bad_sol)
     with pytest.raises(ConfigError):
-        cfg.validate()
+        run_example(cfg)
 
 
 def test_config_validation_names_the_first_failing_point():
     # exterior, interior, interior again: the first interior point is named
     cfg = example_config("heart", points=((3.0, 3.0), (0.5, 0.0), (0.3, 0.0)))
     with pytest.raises(ConfigError) as info:
-        cfg.validate()
+        run_example(cfg)
     assert str(info.value) == "evaluation point (0.5, 0.0) is not a finite exterior point"
     # a singular point outside the domain is reported before any evaluation point
     bad_sol = make_exact_solution("log_pair", q1=(0.5, 0.0), q2=(5.0, 5.0))
     with pytest.raises(ConfigError) as info:
-        example_config("heart", solution=bad_sol, points=cfg.points).validate()
+        run_example(example_config("heart", solution=bad_sol, points=cfg.points))
     assert str(info.value) == ("singular point (5.0, 5.0) of solution "
                                "'log_pair' must be a finite point inside the domain")
-    # a point that is not an (x, y) pair of numbers; singular points print as floats
+    # a row that is not an (x, y) pair of numbers is named with its index
     with pytest.raises(ConfigError) as info:
         example_config("heart", points=(("a", 1.0),)).validate()
-    assert str(info.value) == ("singular points ((0.5, 0.0), (0.2, 0.0)) and evaluation "
-                               "points need (x, y) numbers")
+    assert str(info.value) == ("evaluation point 0 must be an (x, y) pair of numbers, "
+                               "got ('a', 1.0)")
+    with pytest.raises(ConfigError) as info:
+        example_config("heart", points=((3.0, 3.0), (3.0, 3.0, 7.0))).validate()
+    assert str(info.value) == ("evaluation point 1 must be an (x, y) pair of numbers, "
+                               "got (3.0, 3.0, 7.0)")
     # non-finite and interior points are named in their order
     cfg = example_config("heart", points=((3.0, 3.0), (0.3, 0.0), (math.nan, 0.0)))
     with pytest.raises(ConfigError, match=r"^evaluation point \(0\.3, 0\.0\) is not"):
-        cfg.validate()
+        run_example(cfg)
     cfg = example_config("heart", points=((3.0, 3.0), (math.nan, 0.0), (0.3, 0.0)))
     with pytest.raises(ConfigError, match=r"^evaluation point \(nan, 0\.0\) is not"):
-        cfg.validate()
-    example_config("heart", points=((3.0, 3.0), (-0.1, 0.0))).validate()
+        run_example(cfg)
+    rows = run_example(example_config("heart", pairs=((4, 16),),
+                                      points=((3.0, 3.0), (-0.1, 0.0))))
+    assert not rows[0].failed
 
 
 @pytest.mark.parametrize("point", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
 def test_non_finite_points_are_config_errors(point):
     cfg = example_config("heart", pairs=((8, 32),), points=(point,))
     with pytest.raises(ConfigError):
-        cfg.validate()
-    with pytest.raises(ConfigError):
         run_example(cfg)
     sol = make_exact_solution("log_pair", q1=point, q2=(0.2, 0.0))
     with pytest.raises(ConfigError):
-        example_config("heart", solution=sol).validate()
+        run_example(example_config("heart", solution=sol))
 
 
 @pytest.mark.parametrize("override", [
@@ -177,19 +187,24 @@ def test_run_example_evaluates_exact_solution_once():
 
 
 def test_run_example_builds_one_locator_per_boundary(monkeypatch):
-    # validate locates on its own boundary; the rows share run_example's
-    built = []
-    init = PointLocator.__init__
+    # one boundary per run: the point checks and every row read its locator
+    built, boundaries = [], []
+    init, make_domain = PointLocator.__init__, harness.make_example_domain
 
     def counting_init(self, boundary):
         built.append(self)
         init(self, boundary)
 
+    def counting_domain(*args):
+        boundaries.append(make_domain(*args))
+        return boundaries[-1]
+
     monkeypatch.setattr(PointLocator, "__init__", counting_init)
+    monkeypatch.setattr(harness, "make_example_domain", counting_domain)
     pairs = ((4, 16), (8, 32), (12, 48), (16, 64), (24, 96))
     rows = run_example(example_config("heart", pairs=pairs))
     assert len(rows) == 5 and not any(row.failed for row in rows)
-    assert len(built) == 2
+    assert len(boundaries) == 1 and len(built) == 1
 
 
 @pytest.mark.parametrize("name", ("heart", "teardrop", "boomerang", "triangle"))
@@ -362,10 +377,11 @@ def test_cli_restores_numpy_error_state(tmp_path):
     (["solve", "--example", "heart", "--mu", "8", "--nu", "32"], "[[3.0, 3.0, 99.0]]"),
     (["solve", "--example", "heart", "--mu", "8", "--nu", "32"], "3 3 7\n"),
     (["solve", "--example", "heart", "--mu", "8", "--nu", "32", "--delta", "nan"], None),
+    (["angle-sweep", "--example", "heart", "--phi-grid", "1.5pi,1.6pi", "--delta", "nan"], None),
 ], ids=["phi", "phi-grid", "points", "empty-phi-grid", "empty-points-json",
         "empty-points-lines", "nan-point", "negative-c", "epsilon", "rhs-M-zero",
         "rhs-M-too-large", "outer-N-zero", "sweep-mu-equals-nu", "three-value-point-json",
-        "three-value-point-lines", "nan-delta"])
+        "three-value-point-lines", "nan-delta", "sweep-nan-delta"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
     if points_text is not None:
         pts = tmp_path / "pts.json"
@@ -391,9 +407,14 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
     {"domain": "polygon", "solution": {"name": "dipole"}, "pairs": [[8, 32]], "c": 100.0,
      "eps": 1e-6, "delta": 1e-6, "points": [[2.0, 2.0]],
      "vertices": [[-1.25, -0.75], [0.75, -0.75], [0.75, 1.25, 0.0]]},
+    {"domain": "heart", "solution": {"name": "log_pair", "q1": [True, 0], "q2": ["0.2", 0]}},
+    {"domain": "heart", "solution": {"name": "log_pair", "q1": [0.5, 0]}},
+    {"domain": "triangle", "solution": {"name": "dipole", "q1": [0.5, 0]}, "pairs": [[8, 32]]},
 ], ids=["short-point", "string-point", "short-pair", "string-phi", "top-level-list",
         "string-solution", "ragged-singular-points", "unknown-keys", "float-pair",
-        "three-value-pair", "three-value-point", "bool-point", "three-coordinate-vertex"])
+        "three-value-pair", "three-value-point", "bool-point", "three-coordinate-vertex",
+        "bool-and-string-singular-points", "missing-solution-parameter",
+        "unknown-solution-parameter"])
 def test_cli_malformed_config_json_exits_2(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

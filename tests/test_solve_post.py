@@ -114,7 +114,7 @@ def _example_system(dec, name, mu, nu):
 
 
 def test_cond_and_solve_hold_one_factor_buffer(triangle_dec):
-    # getri writes the inverse over lu_factor's copy of the matrix, so
+    # getri writes the inverse over the system's copy of the matrix, so
     # besides the matrix only one n x n buffer is ever alive
     system, b = _example_system(triangle_dec, "triangle", 64, 256)
     tracemalloc.start()
@@ -129,11 +129,12 @@ def test_cond_and_solve_hold_one_factor_buffer(triangle_dec):
 
 
 def _lu_getri(a):
-    """The dense inverse: lu_factor, then LAPACK getri at its optimal workspace."""
-    lu, piv = lu_factor(a)
+    """The dense inverse: lu_factor of A^T, then LAPACK getri at its optimal
+    workspace, transposed."""
+    lu, piv = lu_factor(a.T)
     inv, info = dgetri(lu, piv, lwork=int(dgetri_lwork(len(a))[0]))
     assert info == 0
-    return inv
+    return inv.T
 
 
 @pytest.fixture(scope="module")
@@ -172,12 +173,14 @@ def test_compressed_inverse_is_deterministic(triangle_large):
 
 
 def test_leaf_sized_inverse_is_lu_and_getri(heart_dec):
-    # up to _LEAF rows the inverse is lu_factor plus getri, bit for bit
+    # up to _LEAF rows the inverse is lu_factor plus getri of A^T, bit for
+    # bit, and C-ordered
     cfg = cb.example_config("heart")
     heart = build_system(heart_dec, DiscretizationParams(mu=128, nu=512, c=cfg.c, eps=cfg.eps))
     leaf = np.random.default_rng(3).normal(size=(assembly._LEAF, assembly._LEAF))
     for a in (heart.matrix, leaf):
-        assert np.array_equal(_system_from(a).inverse[0], _lu_getri(a))
+        inv = _system_from(a).inverse[0]
+        assert np.array_equal(inv, _lu_getri(a)) and inv.flags.c_contiguous
 
 
 def test_incompressible_matrix_takes_dense_path():
@@ -185,7 +188,8 @@ def test_incompressible_matrix_takes_dense_path():
     # passes its cap and the whole matrix is inverted densely
     a = np.random.default_rng(11).normal(size=(1200, 1200))
     assert len(a) > assembly._LEAF
-    assert np.array_equal(_system_from(a).inverse[0], _lu_getri(a))
+    inv = _system_from(a).inverse[0]
+    assert np.array_equal(inv, _lu_getri(a)) and inv.flags.c_contiguous
 
 
 @pytest.mark.parametrize("kind", ["same-leaf", "other-half", "singular-capacitance"])
@@ -439,11 +443,11 @@ def test_points_on_the_boundary_are_rejected(fields_16_64, name, point):
     # evaluation point nor a singular point may lie there, and the field
     # is not evaluated there
     with pytest.raises(cb.ConfigError, match="is not a finite exterior point$"):
-        cb.example_config(name, points=(point,)).validate()
+        cb.run_example(cb.example_config(name, points=(point,)))
     inside = {"triangle": (0.25, -0.25), "heart": (0.2, 0.0)}[name]
     solution = cb.make_exact_solution("log_pair", q1=point, q2=inside)
     with pytest.raises(cb.ConfigError, match="must be a finite point inside the domain$"):
-        cb.example_config(name, solution=solution).validate()
+        cb.run_example(cb.example_config(name, solution=solution))
     with pytest.raises(ExteriorDomainError, match="is on or next to the boundary$"):
         eval_exterior(fields_16_64[name], *point)
 
@@ -538,7 +542,7 @@ def test_smooth_circle_pipeline(circle_dec):
     # so their wrap-limited algebraic error stays below the target
     sol = cb.make_exact_solution("log_pair", q1=(0.5, 0.0), q2=(0.2, 0.0))
     datum = NeumannDatum(circle_dec.boundary, u_grad=sol.grad)
-    params = DiscretizationParams(mu=64, nu=64, c=100.0, eps=1e-3)
+    params = DiscretizationParams(mu=32, nu=64, c=100.0, eps=1e-3)  # no corner reads mu
     system = build_system(circle_dec, params)
     fld = solve_field(system, row_rhs(system, datum, 256), datum, 256)
     err = abs(eval_exterior(fld, 3.0, 3.0) - float(sol.u(np.array([3.0, 3.0]))))

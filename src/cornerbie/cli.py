@@ -6,7 +6,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -59,43 +59,36 @@ def _load_points(path: str):
         raise ConfigError(f"malformed evaluation points in {path}: {exc}") from None
 
 
-_CONFIG_KEYS = {"domain", "solution", "phi", "c", "eps", "delta", "M", "N", "pairs", "points",
-                "vertices"}
-
-
 def _config_from_json(path: str) -> RunConfig:
+    """A RunConfig from a JSON object of its fields; a built-in domain
+    without vertices starts from its example configuration."""
     with open(path) as fh:
         raw = json.load(fh)
-    if not isinstance(raw, dict) or not isinstance(raw.get("solution", {}), dict):
-        raise ConfigError("config JSON and its 'solution' field must be objects")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if not isinstance(raw, dict):
+        raise ConfigError("config JSON must be an object")
+    unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ConfigError(f"unknown config JSON fields: {unknown}")
-    sol_raw = raw.pop("solution", None)
-    domain = raw.pop("domain", None)
-    if domain is None:
+    if raw.get("domain") is None:
         raise ConfigError("config JSON needs a 'domain' field")
-    base = example_config(domain) if domain in EXAMPLE_NAMES and not raw.get("vertices") else None
-    kwargs = {}
-    for key in ("phi", "c", "eps", "delta", "M", "N"):
-        if key in raw:
-            kwargs[key] = raw[key]
+    sol = raw.get("solution")
+    if "solution" in raw and not (isinstance(sol, dict) and isinstance(sol.get("name"), str)):
+        raise ConfigError("config field 'solution' must be an object with a string 'name'")
     try:
-        if sol_raw is not None:
-            params = {k: v for k, v in sol_raw.items() if k != "name"}
-            kwargs["solution"] = make_exact_solution(sol_raw["name"], **params)
+        if "solution" in raw:
+            raw["solution"] = make_exact_solution(**sol)
         for key in ("pairs", "points", "vertices"):  # validate checks each row
             if key in raw:
-                kwargs[key] = tuple(map(tuple, raw[key]))
+                raw[key] = tuple(map(tuple, raw[key]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config JSON: {exc}") from None
-    if base is not None:
-        return replace(base, **kwargs)
-    required = ("solution", "pairs", "c", "eps", "delta", "points")
-    missing = [k for k in required if k not in kwargs]
+    if raw["domain"] in EXAMPLE_NAMES and not raw.get("vertices"):
+        return example_config(raw.pop("domain"), **raw)
+    raw.setdefault("phi", None)  # polygons have no angle parameter
+    missing = [f.name for f in fields(RunConfig) if f.name not in raw and f.default is MISSING]
     if missing:
         raise ConfigError(f"config JSON missing fields: {missing}")
-    return RunConfig(domain=domain, phi=kwargs.pop("phi", None), **kwargs)
+    return RunConfig(**raw)
 
 
 def _resolve_config(args) -> RunConfig:

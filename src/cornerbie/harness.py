@@ -21,7 +21,7 @@ from .assembly import DiscretizationParams, build_system
 from .errors import ConfigError, CornerBieError, ParameterError
 from .geometry import Boundary, decompose, make_example_domain, make_polygon
 from .quadrature import MAX_MOMENTS, MAX_RULE_ORDER
-from .rhs import NeumannDatum, RhsRule, rhs_approx
+from .rhs import NeumannDatum, rhs_approx
 from .solve_post import cond_inf, eval_exterior, solve_field
 
 __all__ = [
@@ -289,7 +289,7 @@ def _run_row(dec, datum, cfg: RunConfig, exact: np.ndarray, mu: int, nu: int) ->
     system = build_system(dec, params)
     cond = cond_inf(system)
     umap = system.unknown_map
-    b = rhs_approx(RhsRule(dec, datum, m_rhs), umap.macro_arc, umap.macro_t)
+    b = rhs_approx(datum, m_rhs, umap.macro_arc, umap.macro_t)
     fld = solve_field(system, b, datum, n_outer)
     values = [eval_exterior(fld, x, y) for x, y in cfg.points]
     return RowResult(mu, nu, values, np.abs(np.array(values) - exact).tolist(), cond)

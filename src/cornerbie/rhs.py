@@ -15,16 +15,15 @@ Gauss-Legendre of order M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import Boundary, Decomposition, as_complex
+from .geometry import Boundary, as_complex
 from .quadrature import MAX_MOMENTS, gauss_legendre, legendre_table, log_moments
 
-__all__ = ["NeumannDatum", "normal_derivative", "single_layer_sources", "RhsRule",
-           "rhs_approx"]
+__all__ = ["NeumannDatum", "single_layer_sources", "rhs_approx"]
 
 _EPS_BRANCH = 8.0 * np.finfo(float).eps
 _COMPATIBILITY_TOL = 1e-8
@@ -32,38 +31,19 @@ _COMPATIBILITY_RULE = 256
 _CHORD_CHUNK = 256
 
 
-def normal_derivative(u_grad: Callable, boundary: Boundary, ell: int, t):
-    """Inward normal derivative of a potential on macro arc ell.
-
-    The inward unit normal of a counterclockwise boundary is
-    (-eta', xi') / |sigma'|.
-    """
-    t = np.asarray(t, float)
-    arc = boundary.arcs[ell]
-    p = np.asarray(arc.position(t), float)
-    d = np.asarray(arc.first_derivative(t), float)
-    g = np.asarray(u_grad(p), float)
-    out = (-g[..., 0] * d[..., 1] + g[..., 1] * d[..., 0]) / np.linalg.norm(d, axis=-1)
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True, eq=False)
 class NeumannDatum:
-    """Boundary flux datum f with its per-arc parameter density.
-
-    Either a pointwise boundary function f or the gradient of an exact
-    potential may back the datum; arc_density(k, t) always returns
-    f(sigma_k(t)) |sigma_k'(t)|.  Construction checks the compatibility
-    condition int_Sigma f dSigma = 0 with a 256-point rule per arc.
+    """Boundary flux datum f, the inward normal derivative of a potential
+    given by its gradient u_grad, with its per-arc parameter density
+    arc_density(k, t) = f(sigma_k(t)) |sigma_k'(t)|.  Construction checks
+    the compatibility condition int_Sigma f dSigma = 0 with a 256-point
+    rule per arc.
     """
 
     boundary: Boundary
-    f: Optional[Callable] = None
-    u_grad: Optional[Callable] = None
+    u_grad: Callable
 
     def __post_init__(self):
-        if (self.f is None) == (self.u_grad is None):
-            raise ParameterError("provide exactly one of f or u_grad")
         resid = self.compatibility_residual()
         if abs(resid) > _COMPATIBILITY_TOL:
             raise ParameterError(
@@ -72,14 +52,12 @@ class NeumannDatum:
             )
 
     def arc_density(self, k: int, t):
-        """Parameter-space density f(sigma_k(t)) |sigma_k'(t)|; from u_grad
-        it is the cross product g_y x' - g_x y' of the gradient g with the
-        tangent, the inward normal derivative times the speed."""
+        """Parameter-space density f(sigma_k(t)) |sigma_k'(t)|: the cross
+        product g_y x' - g_x y' of the gradient g with the tangent, the
+        inward normal derivative times the speed."""
         arc, t = self.boundary.arcs[k], np.asarray(t, float)
         p = np.asarray(arc.position(t), float)
         d = np.asarray(arc.first_derivative(t), float)
-        if self.u_grad is None:
-            return self.f(p) * np.linalg.norm(d, axis=-1)
         g = np.asarray(self.u_grad(p), float)
         return g[..., 1] * d[..., 0] - g[..., 0] * d[..., 1]
 
@@ -108,45 +86,38 @@ def single_layer_sources(datum: NeumannDatum, n: int):
     return points, density
 
 
-class RhsRule:
-    """The M-point product rule of one row, built once: the Gauss-Legendre
-    nodes x and, per macro arc k, the weighted density w f_k, its
-    Legendre coefficients legendre_table(M, x) @ (w f_k), and the
-    positions and speeds at x."""
-
-    def __init__(self, dec: Decomposition, datum: NeumannDatum, M: int):
-        if not 1 <= M <= MAX_MOMENTS:
-            raise ParameterError(f"rhs rule order must be in [1, {MAX_MOMENTS}], got {M}")
-        x = gauss_legendre(M).nodes
-        self.dec, self.M, self.nodes = dec, M, x
-        points, self.density = single_layer_sources(datum, M)
-        self.points = as_complex(points)
-        self.coef = self.density @ legendre_table(M, x).T
-        self.speeds = np.linalg.norm(np.stack(
-            [np.asarray(arc.first_derivative(x), float) for arc in dec.boundary.arcs]), axis=-1)
-
-
-def rhs_approx(rule: RhsRule, ell, t) -> np.ndarray:
-    """Product-rule approximation of gbar with the row's rule at the
-    boundary points sigma_ell(t), given as 1-D arrays of macro-arc indices
-    ell and macro parameters t.  The points of each macro arc get the plain
-    Gauss-Legendre log sums over the other arcs, and the log moments and
-    the chord-ratio sum over their own arc."""
+def rhs_approx(datum: NeumannDatum, M: int, ell, t) -> np.ndarray:
+    """Product-rule approximation of gbar with the row's M-point rule at
+    the boundary points sigma_ell(t), given as 1-D arrays of macro-arc
+    indices ell and macro parameters t.  The rule is built once per call:
+    the Gauss-Legendre nodes x and, per macro arc k, the weighted density
+    w f_k, its Legendre coefficients legendre_table(M, x) @ (w f_k), and
+    the positions and speeds at x.  The points of each macro arc get the
+    plain Gauss-Legendre log sums over the other arcs, and the log moments
+    and the chord-ratio sum over their own arc."""
+    if not 1 <= M <= MAX_MOMENTS:
+        raise ParameterError(f"rhs rule order must be in [1, {MAX_MOMENTS}], got {M}")
+    arcs, x = datum.boundary.arcs, gauss_legendre(M).nodes
+    points, densities = single_layer_sources(datum, M)
+    points = as_complex(points)
+    coef = densities @ legendre_table(M, x).T
+    speeds = np.linalg.norm(np.stack(
+        [np.asarray(arc.first_derivative(x), float) for arc in arcs]), axis=-1)
     ell, t = np.asarray(ell), np.asarray(t, float)
     out = np.empty(len(t))
-    for m, arc in enumerate(rule.dec.boundary.arcs):
+    for m, arc in enumerate(arcs):
         own = np.flatnonzero(ell == m)
         s = t[own]
         base = as_complex(arc.position(s))
-        moments = log_moments(s, rule.M) @ rule.coef[m]  # its work arrays freed before the chords
+        moments = log_moments(s, M) @ coef[m]  # its work arrays freed before the chords
         # _CHORD_CHUNK points at a time bound the chord arrays to that many rows
         for lo in range(0, len(own), _CHORD_CHUNK):
             pts = slice(lo, lo + _CHORD_CHUNK)
             acc = np.zeros(len(s[pts]))
-            for k, density in enumerate(rule.density):
-                chord = np.abs(rule.points[k] - base[pts, None])
+            for k, density in enumerate(densities):
+                chord = np.abs(points[k] - base[pts, None])
                 if k == m:
-                    ratio = _log_ratio(chord, np.abs(rule.nodes - s[pts, None]), rule.speeds[k])
+                    ratio = _log_ratio(chord, np.abs(x - s[pts, None]), speeds[k])
                     acc += moments[pts] + ratio @ density
                 else:
                     acc += np.log(chord) @ density

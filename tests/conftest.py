@@ -25,7 +25,7 @@ from cornerbie.geometry import (
 )
 from cornerbie.kernels import check_separation, double_layer, mellin_kernel
 from cornerbie.quadrature import gauss_legendre, gauss_radau_left
-from cornerbie.rhs import NeumannDatum, RhsRule, rhs_approx
+from cornerbie.rhs import NeumannDatum, rhs_approx
 
 # published reference values: per example, error cells for the evaluation
 # points (nearest ... farthest) and the matrix condition number per row
@@ -155,15 +155,32 @@ def row_rhs(system, datum, M: int) -> np.ndarray:
     """b of a built system as the harness makes it: gbar with the M-point
     row rule at every row of the node table."""
     umap = system.unknown_map
-    return rhs_approx(RhsRule(umap.dec, datum, M), umap.macro_arc, umap.macro_t)
+    return rhs_approx(datum, M, umap.macro_arc, umap.macro_t)
 
 
-def gbar_at(rule, i: int, s):
-    """rhs_approx at a float (giving a float) or 1-D array s of parameters
-    on sub-arc i, mapped to its macro arc with macro_param_of."""
-    ell, sm = macro_param_of(rule.dec, i, np.atleast_1d(np.asarray(s, float)))
-    out = rhs_approx(rule, np.full(len(sm), ell), sm)
+def gbar_at(dec, datum, M: int, i: int, s):
+    """rhs_approx with the M-point rule at a float (giving a float) or 1-D
+    array s of parameters on sub-arc i of dec, mapped to its macro arc with
+    macro_param_of."""
+    ell, sm = macro_param_of(dec, i, np.atleast_1d(np.asarray(s, float)))
+    out = rhs_approx(datum, M, np.full(len(sm), ell), sm)
     return out if np.ndim(s) else float(out[0])
+
+
+def normal_derivative(u_grad, boundary, ell: int, t):
+    """Inward normal derivative of a potential on macro arc ell, the
+    reference for NeumannDatum.arc_density.
+
+    The inward unit normal of a counterclockwise boundary is
+    (-eta', xi') / |sigma'|.
+    """
+    t = np.asarray(t, float)
+    arc = boundary.arcs[ell]
+    p = np.asarray(arc.position(t), float)
+    d = np.asarray(arc.first_derivative(t), float)
+    g = np.asarray(u_grad(p), float)
+    out = (-g[..., 0] * d[..., 1] + g[..., 1] * d[..., 0]) / np.linalg.norm(d, axis=-1)
+    return out if out.ndim else float(out)
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import cornerbie as cb
 from cornerbie.assembly import DiscretizationParams, UnknownMap, build_system
 from cornerbie.kernels import mellin_corner_coefficient
 from cornerbie.quadrature import gauss_legendre, gauss_radau_left, log_moments
-from cornerbie.rhs import NeumannDatum, RhsRule
+from cornerbie.rhs import NeumannDatum
 from cornerbie.solve_post import eval_exterior, solve_field
 
 from conftest import (
@@ -177,9 +177,8 @@ def test_criterion_10_rhs_rate(heart_dec, heart_datum, heart_deviation_points,
                                heart_rhs_oracle):
     datum, _ = heart_datum
     points, oracle = heart_deviation_points, heart_rhs_oracle
-    rules = {M: RhsRule(heart_dec, datum, M) for M in (32, 64)}
-    devs = {M: max(abs(gbar_at(rule, i, s) - oracle[(i, s)]) for i, s in points)
-            for M, rule in rules.items()}
+    devs = {M: max(abs(gbar_at(heart_dec, datum, M, i, s) - oracle[(i, s)]) for i, s in points)
+            for M in (32, 64)}
     ratio = devs[32] / devs[64]
     assert 2.0 / 3.0 <= ratio <= 6.0
     _report(10, f"max-node rhs deviation {devs[32]:.2e} -> {devs[64]:.2e} "

@@ -391,6 +391,9 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
     assert "configuration error" in capsys.readouterr().err
 
 
+_BAD_SOLUTION_FIELD = {"string-solution", "solution-without-name", "non-string-solution-name"}
+
+
 @pytest.mark.parametrize("config", [
     {"domain": "heart", "points": [[1]]},
     {"domain": "heart", "points": [["a", "b"]]},
@@ -410,16 +413,21 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
     {"domain": "heart", "solution": {"name": "log_pair", "q1": [True, 0], "q2": ["0.2", 0]}},
     {"domain": "heart", "solution": {"name": "log_pair", "q1": [0.5, 0]}},
     {"domain": "triangle", "solution": {"name": "dipole", "q1": [0.5, 0]}, "pairs": [[8, 32]]},
+    {"domain": "heart", "solution": {"q1": [0.5, 0], "q2": [0.2, 0]}},
+    {"domain": "heart", "solution": {"name": ["log_pair"], "q1": [0.5, 0], "q2": [0.2, 0]}},
 ], ids=["short-point", "string-point", "short-pair", "string-phi", "top-level-list",
         "string-solution", "ragged-singular-points", "unknown-keys", "float-pair",
         "three-value-pair", "three-value-point", "bool-point", "three-coordinate-vertex",
         "bool-and-string-singular-points", "missing-solution-parameter",
-        "unknown-solution-parameter"])
-def test_cli_malformed_config_json_exits_2(tmp_path, capsys, config):
+        "unknown-solution-parameter", "solution-without-name", "non-string-solution-name"])
+def test_cli_malformed_config_json_exits_2(request, tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert cli_main(["solve", "--config", str(path)]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    if request.node.callspec.id in _BAD_SOLUTION_FIELD:
+        assert "'solution'" in err  # the message names the field
 
 
 def test_cli_empty_config_points_exits_2(tmp_path, capsys):

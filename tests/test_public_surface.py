@@ -73,3 +73,15 @@ def test_kernels_do_not_import_geometry():
             module = getattr(node, "module", None) or ""
             paths = [f"{module}.{alias.name}".split(".") for alias in node.names]
             assert not any("geometry" in p for p in paths), node.lineno
+
+
+def test_rhs_needs_only_the_boundary():
+    # the right-hand side reads its arcs from the datum's boundary; the
+    # sub-arc decomposition is not its to know
+    path = Path(cornerbie.__file__).resolve().parent / "rhs.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("geometry"):
+            names = {alias.name for alias in node.names}
+            assert names <= {"Boundary", "as_complex"}, (names, node.lineno)
+        elif isinstance(node, ast.Import):
+            assert not any("geometry" in alias.name for alias in node.names), node.lineno

@@ -8,14 +8,13 @@ from cornerbie import ParameterError
 from cornerbie.assembly import DiscretizationParams, UnknownMap
 from cornerbie.geometry import circle_arc, make_example_domain, make_smooth_boundary
 from cornerbie.quadrature import gauss_legendre, gauss_radau_left, legendre_table
-from cornerbie.rhs import NeumannDatum, RhsRule, _log_ratio, normal_derivative, rhs_approx
+from cornerbie.rhs import NeumannDatum, _log_ratio, rhs_approx
 
-from conftest import gbar_at
+from conftest import gbar_at, normal_derivative
 
 
 def _max_deviation(dec, datum, M, points, oracle):
-    rule = RhsRule(dec, datum, M)
-    return max(abs(gbar_at(rule, i, s) - oracle[(i, s)]) for i, s in points)
+    return max(abs(gbar_at(dec, datum, M, i, s) - oracle[(i, s)]) for i, s in points)
 
 
 def test_arc_density_constant_on_straight_side():
@@ -29,15 +28,8 @@ def test_arc_density_constant_on_straight_side():
 
 
 def test_arc_density_zero_datum(heart_boundary):
-    datum = NeumannDatum(heart_boundary, f=lambda p: np.zeros(np.asarray(p).shape[:-1]))
+    datum = NeumannDatum(heart_boundary, u_grad=lambda p: np.zeros(np.shape(p)))
     assert np.all(datum.arc_density(0, np.linspace(0, 1, 5)) == 0.0)
-
-
-def test_arc_density_circle():
-    b = make_smooth_boundary(circle_arc())
-    datum = NeumannDatum(b, f=lambda p: np.asarray(p)[..., 0])
-    # f(1, 0) = 1 and |sigma'| = 2 pi at t = 0
-    assert float(datum.arc_density(0, 0.0)) == pytest.approx(2 * math.pi, rel=1e-14)
 
 
 def test_arc_density_from_gradient_is_normal_derivative_times_speed(all_corner_decs):
@@ -137,9 +129,9 @@ def test_moment_path_equivalence():
 def test_rhs_single_arc_uses_product_rule_only(heart_dec, heart_datum):
     # n = 1: the cross-arc sum is empty; the value is finite and reproducible
     datum, _ = heart_datum
-    v = gbar_at(RhsRule(heart_dec, datum, 16), 2, 0.25)
+    v = gbar_at(heart_dec, datum, 16, 2, 0.25)
     assert math.isfinite(v)
-    assert v == gbar_at(RhsRule(heart_dec, datum, 16), 2, 0.25)
+    assert v == gbar_at(heart_dec, datum, 16, 2, 0.25)
 
 
 def test_rhs_array_matches_per_node_calls(all_corner_decs):
@@ -151,12 +143,11 @@ def test_rhs_array_matches_per_node_calls(all_corner_decs):
         cfg = cb.example_config(name)
         datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
         umap = UnknownMap(dec, DiscretizationParams(mu=8, nu=32, c=cfg.c, eps=cfg.eps))
-        rule = RhsRule(dec, datum, 16)
-        got = rhs_approx(rule, umap.macro_arc, umap.macro_t)
+        got = rhs_approx(datum, 16, umap.macro_arc, umap.macro_t)
         assert got.shape == umap.t.shape
         for i in range(dec.n_subarcs):
             own = slice(umap.bounds[i], umap.bounds[i + 1])
-            want = np.array([gbar_at(rule, i, float(s)) for s in umap.t[own]])
+            want = np.array([gbar_at(dec, datum, 16, i, float(s)) for s in umap.t[own]])
             part = got[own]
             assert np.abs(part - want).max() <= 1e-14 * np.abs(want).max(), (name, i)
 
@@ -176,8 +167,8 @@ def test_rhs_entries_are_gbar_at_row_nodes(monkeypatch):
     rows = cb.run_example(cb.example_config("heart", pairs=((4, 16),)))
     assert not rows[0].failed
     umap, b = seen["system"].unknown_map, seen["b"]
-    rule = RhsRule(umap.dec, seen["datum"], 8)
-    want = np.array([gbar_at(rule, int(i), float(s)) for i, s in zip(umap.arc, umap.t)])
+    want = np.array([gbar_at(umap.dec, seen["datum"], 8, int(i), float(s))
+                     for i, s in zip(umap.arc, umap.t)])
     assert b.shape == umap.t.shape == (len(seen["system"].matrix),)
     assert np.abs(b - want).max() <= 1e-14 * np.abs(want).max()
     corner = umap.corner[0]  # gamma arc, s = 0
@@ -233,18 +224,17 @@ def test_rhs_cancellation_safety(heart_dec, heart_datum):
     datum, _ = heart_datum
     nodes = gauss_radau_left(8).nodes
     s = float(nodes[3])
-    rule = RhsRule(heart_dec, datum, 32)
-    a = gbar_at(rule, 1, s)
-    b = gbar_at(rule, 1, s + 1e-15)
+    a = gbar_at(heart_dec, datum, 32, 1, s)
+    b = gbar_at(heart_dec, datum, 32, 1, s + 1e-15)
     assert abs(a - b) <= 1e-10
 
 
-def test_rhs_range_errors(heart_dec, heart_datum):
+def test_rhs_range_errors(heart_datum):
     datum, _ = heart_datum
     with pytest.raises(ParameterError):
-        RhsRule(heart_dec, datum, 513)
+        rhs_approx(datum, 513, [0], [0.5])
     with pytest.raises(ParameterError):
-        RhsRule(heart_dec, datum, 0)
+        rhs_approx(datum, 0, [0], [0.5])
 
 
 def test_rhs_tables_built_once_per_row(monkeypatch):
@@ -261,10 +251,3 @@ def test_rhs_tables_built_once_per_row(monkeypatch):
     rows = cb.run_example(cb.example_config("heart"))
     assert not any(row.failed for row in rows)
     assert calls == [nu // 2 for _, nu in cb.harness.DEFAULT_PAIRS]
-
-
-def test_datum_requires_exactly_one_source(heart_boundary):
-    with pytest.raises(ParameterError):
-        NeumannDatum(heart_boundary)
-    with pytest.raises(ParameterError):
-        NeumannDatum(heart_boundary, f=lambda p: 0.0, u_grad=lambda p: p)

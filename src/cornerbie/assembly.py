@@ -21,6 +21,7 @@ s > 0 and is already inside the corner coefficient at s = 0.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -43,13 +44,14 @@ __all__ = [
 ]
 
 _PIVOT_TOL = 1e-14
-_CHUNK_ENTRIES = 2 ** 15  # entries per row chunk of the kernel grid or a Woodbury update
-_LEAF = 800  # rows up to which a block of the inverse is formed by LU and getri
+_CHUNK_ENTRIES = 2 ** 15  # entries per chunk of the kernel grid or an in-place product
+_LEAF = 800  # rows up to which a block of the inverse is formed densely by _block_inverse
+_BASE = 128  # rows up to which _block_inverse runs LU and getri
 _LOW_RANK_TOL = 1e-14  # off-diagonal compression tolerance, relative to |A|_inf
 _SKETCH = 64  # first sketch width of an off-diagonal block
 _RANK_CAP = 8  # a sketch wider than 1/8 of its block's rows ends compression
 _PROBES = 8  # random probe vectors per check
-_PROBE_TOL = 1e-12  # largest |A X w - w|_inf / |w|_inf a compressed inverse X may leave
+_PROBE_TOL = 1e-12  # largest |A X w - w|_inf / |w|_inf a block inverse X may leave
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,9 @@ class _Uncompressed(Exception):
 def _lu_inverse(a: np.ndarray, norm_a: float) -> None:
     """Overwrite the C-ordered square a with its inverse: a.T is Fortran-
     ordered, so lu_factor and LAPACK getri invert A^T in its place, which
-    needs a pivot of at least 1e-14 norm_a; raises SingularMatrixError."""
+    needs a pivot of at least 1e-14 norm_a; raises SingularMatrixError.
+    It inverts the base blocks of _block_inverse and, as the fallback, a
+    whole matrix."""
     with warnings.catch_warnings():
         # exact singularity is reported through SingularMatrixError below
         warnings.simplefilter("ignore", LinAlgWarning)
@@ -218,32 +222,69 @@ def _compress(block: np.ndarray, tol: float, rng) -> tuple:
     raise _Uncompressed
 
 
+def _product_into(store, dst: np.ndarray, left: np.ndarray, right: np.ndarray,
+                  work: np.ndarray) -> None:
+    """store(dst[k], (left @ right)[k]) over chunks k of dst's columns when
+    dst is right, else of its rows, each product made in work: no product
+    writes over one of its own inputs, and no step makes a temporary the
+    size of dst."""
+    by_columns = dst is right
+    step = max(1, _CHUNK_ENTRIES // (len(dst) if by_columns else dst.shape[1]))
+    for i in range(0, dst.shape[by_columns], step):
+        k = (slice(None), slice(i, i + step)) if by_columns else slice(i, i + step)
+        chunk, factors = dst[k], (left, right[k]) if by_columns else (left[k], right)
+        store(chunk, np.matmul(*factors, out=work[:chunk.size].reshape(chunk.shape)))
+
+
+def _block_inverse(b: np.ndarray, norm_a: float, work: np.ndarray) -> None:
+    """Overwrite the square view b (any row stride) with its inverse.  Up to
+    _BASE rows, _lu_inverse runs on a contiguous copy in work (_BASE^2 <=
+    _CHUNK_ENTRIES).  Above, with halves P Q / R S, block Gauss-Jordan
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 14) forms
+    the inverse in place: P <- P^-1, Q <- P Q, S <- -(S - R Q)^-1,
+    R <- S R P, P <- P - Q R, Q <- Q S, S <- -S.  It does not pivot across
+    the halves: a singular P or Schur complement fails a base block's
+    pivot check, and a loss of accuracy the caller's probe."""
+    m = len(b)
+    if m <= _BASE:
+        scratch = work[:m * m].reshape(m, m)
+        scratch[...] = b
+        _lu_inverse(scratch, norm_a)
+        b[...] = scratch
+        return
+    h = m // 2
+    p, q, r, s = b[:h, :h], b[:h, h:], b[h:, :h], b[h:, h:]
+    _block_inverse(p, norm_a, work)
+    _product_into(np.copyto, q, p, q, work)
+    _product_into(operator.isub, s, r, q, work)
+    np.negative(s, out=s)
+    _block_inverse(s, norm_a, work)
+    _product_into(np.copyto, r, r, p, work)
+    _product_into(np.copyto, r, s, r, work)
+    _product_into(operator.isub, p, q, r, work)
+    _product_into(np.copyto, q, q, s, work)
+    np.negative(s, out=s)
+
+
 def _invert_block(a: np.ndarray, out: np.ndarray, lo: int, hi: int, norm_a: float,
-                  rng) -> None:
+                  rng, work: np.ndarray) -> None:
     """Write the inverse of a[lo:hi, lo:hi] into out[lo:hi, lo:hi]; the rest of
-    out[lo:hi] is scratch.  A leaf is inverted in the first (hi - lo)^2
-    entries of those rows and moved into place; a larger block is split in
-    half, with off-diagonal blocks Q_i R_i, and is the inverse X_1 (+) X_2 of
-    its halves plus the Woodbury term -Y S^-1 Z, where Y = X_i Q_i, Z = R_i
-    X_j and S = I + R_i Y_j (Martinsson & Rokhlin, J. Comput. Phys. 205,
-    2005)."""
+    out[lo:hi] is scratch, and so is work, of _CHUNK_ENTRIES entries.  A leaf
+    is copied into place and inverted there by _block_inverse; a larger
+    block is split in half, with off-diagonal blocks Q_i R_i, and is the
+    inverse X_1 (+) X_2 of its halves plus the Woodbury term -Y S^-1 Z, where
+    Y = X_i Q_i, Z = R_i X_j and S = I + R_i Y_j (Martinsson & Rokhlin,
+    J. Comput. Phys. 205, 2005)."""
     m = hi - lo
     if m <= _LEAF:
-        flat = out[lo:hi].reshape(-1)
-        scratch = flat[:m * m].reshape(m, m)
-        scratch[...] = a[lo:hi, lo:hi]
-        _lu_inverse(scratch, norm_a)
-        # last rows first: a row's place starts at or after its scratch row
-        rows = max(1, _CHUNK_ENTRIES // m)
-        for top in range(m, 0, -rows):
-            bottom = max(0, top - rows)
-            out[lo + bottom:lo + top, lo:hi] = flat[bottom * m:top * m].reshape(-1, m)
+        out[lo:hi, lo:hi] = a[lo:hi, lo:hi]
+        _block_inverse(out[lo:hi, lo:hi], norm_a, work)
         return
     mid = lo + m // 2
     q1, r1 = _compress(a[lo:mid, mid:hi], _LOW_RANK_TOL * norm_a, rng)
     q2, r2 = _compress(a[mid:hi, lo:mid], _LOW_RANK_TOL * norm_a, rng)
-    _invert_block(a, out, lo, mid, norm_a, rng)
-    _invert_block(a, out, mid, hi, norm_a, rng)
+    _invert_block(a, out, lo, mid, norm_a, rng, work)
+    _invert_block(a, out, mid, hi, norm_a, rng, work)
     x1, x2 = out[lo:mid, lo:mid], out[mid:hi, mid:hi]
     y1, y2 = x1 @ q1, x2 @ q2
     del q1, q2  # each factor is freed once used, to bound the memory beyond out
@@ -256,17 +297,10 @@ def _invert_block(a: np.ndarray, out: np.ndarray, lo: int, hi: int, norm_a: floa
     np.matmul(s_inv[:, k1:], r2 @ x1, out=t[:, :mid - lo])
     np.matmul(s_inv[:, :k1], r1 @ x2, out=t[:, mid - lo:])
     del r1, r2
-    # X_i's rows: the term adds to the diagonal block and is the off-diagonal one
-    rows = max(1, _CHUNK_ENTRIES // m)
-    update = np.empty((rows, m))
-    for y, start, stop, t_rows in ((y1, lo, mid, t[:k1]), (y2, mid, hi, t[k1:])):
-        for i in range(start, stop, rows):
-            term = np.matmul(y[i - start:i - start + rows], t_rows,
-                             out=update[:min(rows, stop - i)])
-            block = out[i:i + len(term), lo:hi]
-            block[:, :start - lo] = term[:, :start - lo]
-            block[:, start - lo:stop - lo] += term[:, start - lo:stop - lo]
-            block[:, stop - lo:] = term[:, stop - lo:]
+    # the term adds to X_i's diagonal block and is the off-diagonal one
+    out[lo:mid, mid:hi] = out[mid:hi, lo:mid] = 0.0
+    _product_into(operator.iadd, out[lo:mid, lo:hi], y1, t[:k1], work)
+    _product_into(operator.iadd, out[mid:hi, lo:hi], y2, t[k1:], work)
 
 
 @dataclass
@@ -275,11 +309,11 @@ class DenseSystem:
 
     Besides its matrix the system holds one C-ordered n x n buffer, made
     on first use of inverse and shared by the condition number and solve.
-    Up to _LEAF rows it is a copy of the matrix, which _lu_inverse
-    overwrites with the inverse.  Above that the inverse is built
-    recursively in the buffer from compressed off-diagonal blocks (see
-    _invert_block), and the whole matrix takes the dense path in the same
-    buffer when a block does not compress or the result fails its probe.
+    Up to _LEAF rows it is a copy of the matrix, which _block_inverse
+    overwrites with the inverse; above, the inverse is built recursively
+    in it from compressed off-diagonal blocks (see _invert_block).  When a
+    block does not compress, a pivot check fails or the result misses its
+    probe, _lu_inverse inverts the whole matrix in the same buffer.
     """
 
     matrix: np.ndarray
@@ -294,16 +328,15 @@ class DenseSystem:
         a = self.matrix
         norm_a = inf_norm(a)
         out = np.empty_like(a, order="C")
-        if len(a) > _LEAF:
-            rng = np.random.default_rng(0)
-            try:
-                _invert_block(a, out, 0, len(a), norm_a, rng)
-                # the probe residual |A X w - w|_inf must stay within _PROBE_TOL |w|_inf
-                probe = rng.standard_normal((len(a), _PROBES))
-                if np.abs(a @ (out @ probe) - probe).max() <= _PROBE_TOL * np.abs(probe).max():
-                    return out, norm_a
-            except (_Uncompressed, SingularMatrixError, np.linalg.LinAlgError):
-                pass
+        rng = np.random.default_rng(0)
+        try:
+            _invert_block(a, out, 0, len(a), norm_a, rng, np.empty(_CHUNK_ENTRIES))
+            # the probe residual |A X w - w|_inf must stay within _PROBE_TOL |w|_inf
+            probe = rng.standard_normal((len(a), _PROBES))
+            if np.abs(a @ (out @ probe) - probe).max() <= _PROBE_TOL * np.abs(probe).max():
+                return out, norm_a
+        except (_Uncompressed, SingularMatrixError, np.linalg.LinAlgError):
+            pass
         out[...] = a
         _lu_inverse(out, norm_a)
         return out, norm_a

@@ -170,8 +170,10 @@ class RunConfig:
         return m_rhs, self.N if self.N is not None else nu // 2
 
     def validate(self) -> None:
-        """Check what needs no geometry: the number fields, the pairs, the
-        rule orders, and that each point is an (x, y) pair of numbers."""
+        """Check what needs no geometry: the domain name, the number fields,
+        the pairs, the rule orders, and that each point is an (x, y) pair of numbers."""
+        if not isinstance(self.domain, str):
+            raise ConfigError(f"config field 'domain' must be a string, got {self.domain!r}")
         for key in ("phi", "c", "eps", "delta"):
             value = getattr(self, key)
             if key == "phi" and value is None:

@@ -114,8 +114,8 @@ def _example_system(dec, name, mu, nu):
 
 
 def test_cond_and_solve_hold_one_factor_buffer(triangle_dec):
-    # getri writes the inverse over the system's copy of the matrix, so
-    # besides the matrix only one n x n buffer is ever alive
+    # the inverse is formed in place in the system's n x n buffer, so
+    # besides the matrix only that buffer and small work arrays are alive
     system, b = _example_system(triangle_dec, "triangle", 64, 256)
     tracemalloc.start()
     try:
@@ -172,15 +172,45 @@ def test_compressed_inverse_is_deterministic(triangle_large):
     assert cond_inf(first) == cond_inf(second)
 
 
-def test_leaf_sized_inverse_is_lu_and_getri(heart_dec):
-    # up to _LEAF rows the inverse is lu_factor plus getri of A^T, bit for
-    # bit, and C-ordered
+def test_leaf_sized_inverse_matches_lu_and_getri(heart_dec, monkeypatch):
+    # up to _LEAF rows the inverse is _block_inverse's: no lu_factor call
+    # sees more than a base block, and the result is getri's to rounding
+    rows = []
+
+    def spying_lu_factor(m, *args, **kwargs):
+        rows.append(len(m))
+        return lu_factor(m, *args, **kwargs)
+
+    monkeypatch.setattr(assembly, "lu_factor", spying_lu_factor)
     cfg = cb.example_config("heart")
     heart = build_system(heart_dec, DiscretizationParams(mu=128, nu=512, c=cfg.c, eps=cfg.eps))
-    leaf = np.random.default_rng(3).normal(size=(assembly._LEAF, assembly._LEAF))
-    for a in (heart.matrix, leaf):
-        inv = _system_from(a).inverse[0]
-        assert np.array_equal(inv, _lu_getri(a)) and inv.flags.c_contiguous
+    shifted = np.random.default_rng(3).normal(size=(assembly._LEAF, assembly._LEAF))
+    shifted += 30.0 * np.eye(assembly._LEAF)
+    for a in (heart.matrix, shifted):
+        rows.clear()
+        system = _system_from(a)
+        inv, norm_a = system.inverse
+        want = _lu_getri(a)
+        assert len(a) > assembly._BASE >= max(rows) and inv.flags.c_contiguous
+        assert np.abs(inv - want).max() <= 1e-13 * inf_norm(want)
+        assert cond_inf(system) == pytest.approx(norm_a * inf_norm(want), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", ["singular-leading-block", "probe-miss"])
+def test_block_inverse_falls_back_to_lu_and_getri(kind):
+    # the block path does not pivot across halves: the block swap
+    # [[0, I], [I, 0]] plus a small term, with its leading _BASE block left
+    # exactly 0, fails a base block's pivot check; a Gaussian matrix with
+    # cond_inf 1.4e5 leaves a probe residual near 2e-9.  Both take the LU
+    # fallback, bit for bit
+    rng = np.random.default_rng(3)
+    if kind == "probe-miss":
+        a = rng.normal(size=(assembly._LEAF, assembly._LEAF))
+    else:
+        a = np.roll(np.eye(300), 150, axis=1) + 0.1 / np.sqrt(300) * rng.normal(size=(300, 300))
+        a[:assembly._BASE, :assembly._BASE] = 0.0
+    inv = _system_from(a).inverse[0]
+    assert np.array_equal(inv, _lu_getri(a)) and inv.flags.c_contiguous
 
 
 def test_incompressible_matrix_takes_dense_path():
@@ -215,10 +245,10 @@ def test_large_singular_matrix_raises(triangle_large, kind):
 
 @pytest.mark.parametrize("mu, nu", [(32, 128), (64, 256), (128, 512)])
 def test_cond_and_solve_stay_within_a_fifth_of_the_matrix(triangle_dec, mu, nu):
-    # n = 582 takes the dense path, n = 1158 and 2310 the compressed one:
-    # the leaves are inverted in the buffer's own rows, and every factor,
-    # update chunk and |.| block of the norms is small, so besides the
-    # buffer little is alive
+    # n = 582 is one leaf, n = 1158 and 2310 take the compressed path: every
+    # leaf is inverted in place in the buffer, and every factor, product
+    # chunk and |.| block of the norms is small, so besides the buffer
+    # little is alive
     system, b = _example_system(triangle_dec, "triangle", mu, nu)
     tracemalloc.start()
     try:

@@ -180,7 +180,7 @@ def inf_norm(a: np.ndarray) -> float:
 
 
 class _Uncompressed(Exception):
-    """A check of the compressed inverse failed; the dense path takes over."""
+    """A check of the compressed inverse failed; the LU fallback takes over."""
 
 
 def _lu_inverse(a: np.ndarray, norm_a: float) -> None:

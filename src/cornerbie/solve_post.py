@@ -1,9 +1,9 @@
 """Direct solve, conditioning, and exterior field evaluation.
 
 The collocation system is solved through the explicit inverse the
-system owns (LAPACK getri over the partial-pivoting LU of A^T, in place; above
-800 rows a hierarchical inverse whose off-diagonal blocks are compressed
-to 1e-14 |A|_inf), refined once against the matrix.  Condition numbers
+system owns (in place, by block Gauss-Jordan over getri-inverted base
+blocks, hierarchically compressed above 800 rows, and by LAPACK getri
+over the LU of A^T as the fallback), refined once against the matrix.  Condition numbers
 are the infinity-norm kind from the same inverse: at the sizes used here
 the exact number is cheap and reproducible.  The exterior harmonic field
 is recovered from the Green representation: an N-point Gauss-Legendre sum

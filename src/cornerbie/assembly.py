@@ -45,8 +45,8 @@ __all__ = [
 
 _PIVOT_TOL = 1e-14
 _CHUNK_ENTRIES = 2 ** 15  # entries per chunk of the kernel grid or an in-place product
-_LEAF = 800  # rows up to which a block of the inverse is formed densely by _block_inverse
-_BASE = 128  # rows up to which _block_inverse runs LU and getri
+_LEAF = 800  # rows up to which _invert runs block Gauss-Jordan, not compression
+_BASE = 128  # rows up to which _invert runs LU and getri
 _LOW_RANK_TOL = 1e-14  # off-diagonal compression tolerance, relative to |A|_inf
 _SKETCH = 64  # first sketch width of an off-diagonal block
 _RANK_CAP = 8  # a sketch wider than 1/8 of its block's rows ends compression
@@ -179,15 +179,11 @@ def inf_norm(a: np.ndarray) -> float:
                for block in np.array_split(a, -(-len(a) // rows)))
 
 
-class _Uncompressed(Exception):
-    """A check of the compressed inverse failed; the LU fallback takes over."""
-
-
 def _lu_inverse(a: np.ndarray, norm_a: float) -> None:
     """Overwrite the C-ordered square a with its inverse: a.T is Fortran-
     ordered, so lu_factor and LAPACK getri invert A^T in its place, which
     needs a pivot of at least 1e-14 norm_a; raises SingularMatrixError.
-    It inverts the base blocks of _block_inverse and, as the fallback, a
+    It inverts the smallest blocks of _invert and, as the fallback, a
     whole matrix."""
     with warnings.catch_warnings():
         # exact singularity is reported through SingularMatrixError below
@@ -207,7 +203,7 @@ def _compress(block: np.ndarray, tol: float, rng) -> tuple:
     """(Q, R) with orthonormal columns Q and Q R = block to tol: a randomized
     range finder (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011) truncated
     at the singular values of R above tol, its sketch doubled until random
-    probes pass.  Raises _Uncompressed once the sketch is wider than
+    probes pass.  Raises LinAlgError once the sketch is wider than
     1/_RANK_CAP of the block's rows."""
     probe = rng.standard_normal((block.shape[1], _PROBES))
     image, width = block @ probe, _SKETCH
@@ -219,7 +215,7 @@ def _compress(block: np.ndarray, tol: float, rng) -> tuple:
         if np.abs(image - q @ (r @ probe)).max() <= tol * np.abs(probe).max():
             return q, r
         width *= 2
-    raise _Uncompressed
+    raise np.linalg.LinAlgError("off-diagonal block does not compress")
 
 
 def _product_into(store, dst: np.ndarray, left: np.ndarray, right: np.ndarray,
@@ -236,15 +232,24 @@ def _product_into(store, dst: np.ndarray, left: np.ndarray, right: np.ndarray,
         store(chunk, np.matmul(*factors, out=work[:chunk.size].reshape(chunk.shape)))
 
 
-def _block_inverse(b: np.ndarray, norm_a: float, work: np.ndarray) -> None:
-    """Overwrite the square view b (any row stride) with its inverse.  Up to
-    _BASE rows, _lu_inverse runs on a contiguous copy in work (_BASE^2 <=
-    _CHUNK_ENTRIES).  Above, with halves P Q / R S, block Gauss-Jordan
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 14) forms
-    the inverse in place: P <- P^-1, Q <- P Q, S <- -(S - R Q)^-1,
-    R <- S R P, P <- P - Q R, Q <- Q S, S <- -S.  It does not pivot across
-    the halves: a singular P or Schur complement fails a base block's
-    pivot check, and a loss of accuracy the caller's probe."""
+def _invert(b: np.ndarray, norm_a: float, rng, work: np.ndarray) -> None:
+    """Overwrite the square view b (any row stride) with its inverse; work,
+    of _CHUNK_ENTRIES entries, is scratch.  With halves P Q / R S:
+
+    - up to _BASE rows, _lu_inverse runs on a contiguous copy in work
+      (_BASE^2 <= _CHUNK_ENTRIES);
+    - up to _LEAF rows, block Gauss-Jordan (Higham, Accuracy and Stability
+      of Numerical Algorithms, ch. 14) runs in place: P <- P^-1, Q <- P Q,
+      S <- -(S - R Q)^-1, R <- S R P, P <- P - Q R, Q <- Q S, S <- -S.  It
+      does not pivot across the halves: a singular P or Schur complement
+      fails a base block's pivot check, and a loss of accuracy the
+      caller's probe;
+    - above, Q = U_1 V_1 and R = U_2 V_2 are compressed while they still
+      hold the matrix, P and S are inverted in place into X_1 and X_2, and
+      the inverse is X_1 (+) X_2 plus the Woodbury term -Y C^-1 Z, where
+      Y = X_i U_i, Z = V_i X_j and C = I + V_i Y_j (Martinsson & Rokhlin,
+      J. Comput. Phys. 205, 2005).  A block that does not compress raises
+      LinAlgError."""
     m = len(b)
     if m <= _BASE:
         scratch = work[:m * m].reshape(m, m)
@@ -254,53 +259,37 @@ def _block_inverse(b: np.ndarray, norm_a: float, work: np.ndarray) -> None:
         return
     h = m // 2
     p, q, r, s = b[:h, :h], b[:h, h:], b[h:, :h], b[h:, h:]
-    _block_inverse(p, norm_a, work)
-    _product_into(np.copyto, q, p, q, work)
-    _product_into(operator.isub, s, r, q, work)
-    np.negative(s, out=s)
-    _block_inverse(s, norm_a, work)
-    _product_into(np.copyto, r, r, p, work)
-    _product_into(np.copyto, r, s, r, work)
-    _product_into(operator.isub, p, q, r, work)
-    _product_into(np.copyto, q, q, s, work)
-    np.negative(s, out=s)
-
-
-def _invert_block(a: np.ndarray, out: np.ndarray, lo: int, hi: int, norm_a: float,
-                  rng, work: np.ndarray) -> None:
-    """Write the inverse of a[lo:hi, lo:hi] into out[lo:hi, lo:hi]; the rest of
-    out[lo:hi] is scratch, and so is work, of _CHUNK_ENTRIES entries.  A leaf
-    is copied into place and inverted there by _block_inverse; a larger
-    block is split in half, with off-diagonal blocks Q_i R_i, and is the
-    inverse X_1 (+) X_2 of its halves plus the Woodbury term -Y S^-1 Z, where
-    Y = X_i Q_i, Z = R_i X_j and S = I + R_i Y_j (Martinsson & Rokhlin,
-    J. Comput. Phys. 205, 2005)."""
-    m = hi - lo
     if m <= _LEAF:
-        out[lo:hi, lo:hi] = a[lo:hi, lo:hi]
-        _block_inverse(out[lo:hi, lo:hi], norm_a, work)
+        _invert(p, norm_a, rng, work)
+        _product_into(np.copyto, q, p, q, work)
+        _product_into(operator.isub, s, r, q, work)
+        np.negative(s, out=s)
+        _invert(s, norm_a, rng, work)
+        _product_into(np.copyto, r, r, p, work)
+        _product_into(np.copyto, r, s, r, work)
+        _product_into(operator.isub, p, q, r, work)
+        _product_into(np.copyto, q, q, s, work)
+        np.negative(s, out=s)
         return
-    mid = lo + m // 2
-    q1, r1 = _compress(a[lo:mid, mid:hi], _LOW_RANK_TOL * norm_a, rng)
-    q2, r2 = _compress(a[mid:hi, lo:mid], _LOW_RANK_TOL * norm_a, rng)
-    _invert_block(a, out, lo, mid, norm_a, rng, work)
-    _invert_block(a, out, mid, hi, norm_a, rng, work)
-    x1, x2 = out[lo:mid, lo:mid], out[mid:hi, mid:hi]
-    y1, y2 = x1 @ q1, x2 @ q2
-    del q1, q2  # each factor is freed once used, to bound the memory beyond out
-    k1, k = len(r1), len(r1) + len(r2)
-    s = np.eye(k)
-    s[:k1, k1:] += r1 @ y2
-    s[k1:, :k1] += r2 @ y1
-    s_inv = -np.linalg.inv(s)
+    u1, v1 = _compress(q, _LOW_RANK_TOL * norm_a, rng)
+    u2, v2 = _compress(r, _LOW_RANK_TOL * norm_a, rng)
+    _invert(p, norm_a, rng, work)
+    _invert(s, norm_a, rng, work)
+    y1, y2 = p @ u1, s @ u2
+    del u1, u2  # each factor is freed once used, to bound the memory beyond b
+    k1, k = len(v1), len(v1) + len(v2)
+    c = np.eye(k)
+    c[:k1, k1:] += v1 @ y2
+    c[k1:, :k1] += v2 @ y1
+    c_inv = -np.linalg.inv(c)
     t = np.empty((k, m))
-    np.matmul(s_inv[:, k1:], r2 @ x1, out=t[:, :mid - lo])
-    np.matmul(s_inv[:, :k1], r1 @ x2, out=t[:, mid - lo:])
-    del r1, r2
+    np.matmul(c_inv[:, k1:], v2 @ p, out=t[:, :h])
+    np.matmul(c_inv[:, :k1], v1 @ s, out=t[:, h:])
+    del v1, v2
     # the term adds to X_i's diagonal block and is the off-diagonal one
-    out[lo:mid, mid:hi] = out[mid:hi, lo:mid] = 0.0
-    _product_into(operator.iadd, out[lo:mid, lo:hi], y1, t[:k1], work)
-    _product_into(operator.iadd, out[mid:hi, lo:hi], y2, t[k1:], work)
+    q[...] = r[...] = 0.0
+    _product_into(operator.iadd, b[:h], y1, t[:k1], work)
+    _product_into(operator.iadd, b[h:], y2, t[k1:], work)
 
 
 @dataclass
@@ -308,12 +297,10 @@ class DenseSystem:
     """Collocation matrix and unknown map.
 
     Besides its matrix the system holds one C-ordered n x n buffer, made
-    on first use of inverse and shared by the condition number and solve.
-    Up to _LEAF rows it is a copy of the matrix, which _block_inverse
-    overwrites with the inverse; above, the inverse is built recursively
-    in it from compressed off-diagonal blocks (see _invert_block).  When a
-    block does not compress, a pivot check fails or the result misses its
-    probe, _lu_inverse inverts the whole matrix in the same buffer.
+    on first use of inverse and shared by the condition number and solve:
+    a copy of the matrix, which _invert overwrites with the inverse.  When
+    a block does not compress, a pivot check fails or the result misses
+    its probe, _lu_inverse inverts the whole matrix in the same buffer.
     """
 
     matrix: np.ndarray
@@ -327,15 +314,15 @@ class DenseSystem:
         """
         a = self.matrix
         norm_a = inf_norm(a)
-        out = np.empty_like(a, order="C")
+        out = np.array(a, order="C")
         rng = np.random.default_rng(0)
         try:
-            _invert_block(a, out, 0, len(a), norm_a, rng, np.empty(_CHUNK_ENTRIES))
+            _invert(out, norm_a, rng, np.empty(_CHUNK_ENTRIES))
             # the probe residual |A X w - w|_inf must stay within _PROBE_TOL |w|_inf
             probe = rng.standard_normal((len(a), _PROBES))
             if np.abs(a @ (out @ probe) - probe).max() <= _PROBE_TOL * np.abs(probe).max():
                 return out, norm_a
-        except (_Uncompressed, SingularMatrixError, np.linalg.LinAlgError):
+        except (SingularMatrixError, np.linalg.LinAlgError):
             pass
         out[...] = a
         _lu_inverse(out, norm_a)

@@ -152,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     cfg = _resolve_config(args)
     if len(cfg.pairs) != 1:
-        cfg = replace(cfg, pairs=(cfg.pairs[-1],))
+        cfg = replace(cfg, pairs=cfg.pairs[-1:])
     rows = run_example(cfg)
     row = rows[0]
     if row.failed:

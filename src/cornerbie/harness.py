@@ -182,6 +182,8 @@ class RunConfig:
                 raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
         if not self.delta > 0.0:  # NaN too
             raise ConfigError(f"config field 'delta' must be positive, got {self.delta!r}")
+        if not self.pairs:
+            raise ConfigError("config field 'pairs' must hold at least one (mu, nu) pair")
         for pair in self.pairs:
             if not _is_two(pair, Integral):
                 raise ConfigError(f"every pair must be two integers (mu, nu), got {pair!r}")
@@ -330,7 +332,7 @@ class SweepPoint:
 
 def _sweep_cond(family: str, phi: float, params: DiscretizationParams,
                 delta: float) -> float:
-    # the system and its LU are local here, so neither outlives its angle
+    # the system and its inverse are local here, so neither outlives its angle
     dec = decompose(make_example_domain(family, phi), delta)
     return cond_inf(build_system(dec, params))
 

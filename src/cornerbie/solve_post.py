@@ -1,17 +1,16 @@
 """Direct solve, conditioning, and exterior field evaluation.
 
 The collocation system is solved through the explicit inverse the
-system owns (in place, by block Gauss-Jordan over getri-inverted base
-blocks, hierarchically compressed above 800 rows, and by LAPACK getri
-over the LU of A^T as the fallback), refined once against the matrix.  Condition numbers
-are the infinity-norm kind from the same inverse: at the sizes used here
-the exact number is cheap and reproducible.  The exterior harmonic field
-is recovered from the Green representation: an N-point Gauss-Legendre sum
-of the single-layer term over the macro arcs minus the Radau sum of the
-assembly's double-layer kernel over the node table against the solved
-nodal boundary values.  Beyond twice the sources' radius both sums are taken
-from a P-term multipole expansion about the node table's centre,
-built once per field (Greengard & Rokhlin, J. Comput. Phys. 73, 1987).
+system owns (see DenseSystem.inverse), refined once against the matrix.
+Condition numbers are the infinity-norm kind from the same inverse: at
+the sizes used here the exact number is cheap and reproducible.  The
+exterior harmonic field is recovered from the Green representation: an
+N-point Gauss-Legendre sum of the single-layer term over the macro arcs
+minus the Radau sum of the assembly's double-layer kernel over the node
+table against the solved nodal boundary values.  Beyond twice the
+sources' radius both sums are taken from a P-term multipole expansion
+about the node table's centre, built once per field (Greengard &
+Rokhlin, J. Comput. Phys. 73, 1987).
 """
 
 from __future__ import annotations

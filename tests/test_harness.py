@@ -135,11 +135,11 @@ def test_non_finite_points_are_config_errors(point):
     dict(pairs=((8.5, 32),)), dict(pairs=(("8", "32"),)), dict(pairs=((8, 32, 1),)),
     dict(pairs=((True, 32),)), dict(points=((True, 3.0),)), dict(points=((3.0, 3.0, 7.0),)),
     dict(vertices=((-1.25, -0.75), (0.75, -0.75), (0.75, 1.25, 0.0))), dict(M=True),
-    dict(domain=[1]), dict(domain=5),
+    dict(domain=[1]), dict(domain=5), dict(pairs=()),
 ], ids=["string-c", "string-delta", "none-eps", "string-phi", "bool-c", "string-point",
         "tau-underflow", "nan-c", "float-pair", "string-pair", "three-value-pair",
         "bool-pair", "bool-point", "three-value-point", "three-coordinate-vertex", "bool-M",
-        "list-domain", "int-domain"])
+        "list-domain", "int-domain", "empty-pairs"])
 def test_config_field_errors_are_config_errors(override):
     # at c = 1e-300 and nu = 32, tau^2 underflows to 0 and the wedge
     # kernel at (0, tau) is undefined; c = nan would run as tau = 1; a pair
@@ -396,7 +396,7 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
 # the message names the bad field
 _NAMED_FIELD = {"string-solution": "'solution'", "solution-without-name": "'solution'",
                 "non-string-solution-name": "'solution'", "list-domain": "'domain'",
-                "int-domain": "'domain'"}
+                "int-domain": "'domain'", "empty-pairs": "'pairs'"}
 _TRIANGLE_RUN = {"solution": {"name": "log_pair", "q1": [0.5, 0.5], "q2": [0.3, 0.3]},
                  "pairs": [[8, 32]], "c": 100.0, "eps": 1e-6, "delta": 1e-6,
                  "points": [[2.0, 2.0]]}
@@ -425,12 +425,13 @@ _TRIANGLE_RUN = {"solution": {"name": "log_pair", "q1": [0.5, 0.5], "q2": [0.3, 
     {"domain": "heart", "solution": {"name": ["log_pair"], "q1": [0.5, 0], "q2": [0.2, 0]}},
     {"domain": [1], "vertices": [[0, 0], [2, 0], [0, 2]], **_TRIANGLE_RUN},
     {"domain": 5, **_TRIANGLE_RUN},
+    {"domain": "heart", "pairs": []},
 ], ids=["short-point", "string-point", "short-pair", "string-phi", "top-level-list",
         "string-solution", "ragged-singular-points", "unknown-keys", "float-pair",
         "three-value-pair", "three-value-point", "bool-point", "three-coordinate-vertex",
         "bool-and-string-singular-points", "missing-solution-parameter",
         "unknown-solution-parameter", "solution-without-name", "non-string-solution-name",
-        "list-domain", "int-domain"])
+        "list-domain", "int-domain", "empty-pairs"])
 def test_cli_malformed_config_json_exits_2(request, tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -449,4 +450,14 @@ def test_cli_empty_config_points_exits_2(tmp_path, capsys):
                      "--out", str(out)])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_table_empty_pairs_exits_2(tmp_path, capsys):
+    # no pair is a configuration error, not a failed table
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": "heart", "pairs": []}))
+    out = tmp_path / "e.csv"
+    assert cli_main(["table", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'pairs'" in capsys.readouterr().err
     assert not out.exists()

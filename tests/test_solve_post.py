@@ -27,9 +27,11 @@ from conftest import eval_exterior_per_point, row_rhs
 
 
 def _system_from(matrix):
-    """A DenseSystem holding only a matrix: the solve and cond_inf read
-    nothing else."""
-    return DenseSystem(np.asarray(matrix, float), unknown_map=None)
+    """A DenseSystem holding only a read-only view of a matrix: the solve
+    and cond_inf read nothing else, and nothing may write into it."""
+    view = np.asarray(matrix, float).view()
+    view.flags.writeable = False
+    return DenseSystem(view, unknown_map=None)
 
 
 def test_solve_identity():
@@ -148,7 +150,8 @@ def triangle_large(triangle_dec):
 
 @pytest.mark.parametrize("pair", [(64, 256), (128, 512)])
 def test_compressed_inverse_matches_lu_and_getri(triangle_large, monkeypatch, pair):
-    # no lu_factor call sees more than a leaf, so the compressed path ran
+    # no lu_factor call sees more than a base block, so the compressed path
+    # ran and its leaves took the block path
     a, rows = triangle_large[pair], []
 
     def spying_lu_factor(m, *args, **kwargs):
@@ -158,7 +161,7 @@ def test_compressed_inverse_matches_lu_and_getri(triangle_large, monkeypatch, pa
     monkeypatch.setattr(assembly, "lu_factor", spying_lu_factor)
     system = _system_from(a)
     inv, norm_a = system.inverse
-    assert len(a) > assembly._LEAF >= max(rows)
+    assert len(a) > assembly._LEAF and assembly._BASE >= max(rows)
     want = _lu_getri(a)
     assert np.abs(inv - want).max() <= 1e-13 * inf_norm(want)
     assert cond_inf(system) == pytest.approx(norm_a * inf_norm(want), rel=1e-13, abs=0.0)
@@ -173,7 +176,7 @@ def test_compressed_inverse_is_deterministic(triangle_large):
 
 
 def test_leaf_sized_inverse_matches_lu_and_getri(heart_dec, monkeypatch):
-    # up to _LEAF rows the inverse is _block_inverse's: no lu_factor call
+    # up to _LEAF rows the inverse is block Gauss-Jordan's: no lu_factor call
     # sees more than a base block, and the result is getri's to rounding
     rows = []
 

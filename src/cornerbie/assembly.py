@@ -45,7 +45,6 @@ __all__ = [
 
 _PIVOT_TOL = 1e-14
 _CHUNK_ENTRIES = 2 ** 15  # entries per chunk of the kernel grid or an in-place product
-_LEAF = 800  # rows up to which _invert runs block Gauss-Jordan, not compression
 _BASE = 128  # rows up to which _invert runs LU and getri
 _LOW_RANK_TOL = 1e-14  # off-diagonal compression tolerance, relative to |A|_inf
 _SKETCH = 64  # first sketch width of an off-diagonal block
@@ -115,7 +114,7 @@ class UnknownMap:
     is matrix row r and column r.  Each row holds its node's sub-arc arc
     and parameter t, macro arc macro_arc and parameter macro_t there,
     weight w, position points, weighted tangent q = w sign sigma' (sign =
-    -1 on reversed arcs, so q follows the boundary's counterclockwise
+    -1 on gamma arcs, so q follows the boundary's counterclockwise
     orientation) and weighted diagonal kernel value diagonal = w times the
     curvature value, with the same orientation.  The s = 0 node of each
     upsilon arc is its gamma partner's node, the corner point: its q and
@@ -151,7 +150,7 @@ class UnknownMap:
         w = np.concatenate([rule.weights for rule in rules])
         p, d1, d2 = (np.concatenate(g) for g in
                      zip(*(subarc_eval(dec, i, t) for i, t in enumerate(nodes))))
-        sign = np.repeat([-1.0 if sub.reversed else 1.0 for sub in dec.subarcs], sizes)
+        sign = np.repeat([-1.0 if sub.kind == GAMMA else 1.0 for sub in dec.subarcs], sizes)
         q = (w * sign) * d1.T
         num = d1[:, 1] * d2[:, 0] - d1[:, 0] * d2[:, 1]
         diagonal = w * (sign * 0.5 * num / (d1 * d1).sum(-1))
@@ -238,12 +237,12 @@ def _invert(b: np.ndarray, norm_a: float, rng, work: np.ndarray) -> None:
 
     - up to _BASE rows, _lu_inverse runs on a contiguous copy in work
       (_BASE^2 <= _CHUNK_ENTRIES);
-    - up to _LEAF rows, block Gauss-Jordan (Higham, Accuracy and Stability
-      of Numerical Algorithms, ch. 14) runs in place: P <- P^-1, Q <- P Q,
-      S <- -(S - R Q)^-1, R <- S R P, P <- P - Q R, Q <- Q S, S <- -S.  It
-      does not pivot across the halves: a singular P or Schur complement
-      fails a base block's pivot check, and a loss of accuracy the
-      caller's probe;
+    - below 2 _SKETCH _RANK_CAP rows, where _compress cannot start, block
+      Gauss-Jordan (Higham, Accuracy and Stability of Numerical Algorithms,
+      ch. 14) runs in place: P <- P^-1, Q <- P Q, S <- -(S - R Q)^-1,
+      R <- S R P, P <- P - Q R, Q <- Q S, S <- -S.  It does not pivot across
+      the halves: a singular P or Schur complement fails a base block's
+      pivot check, and a loss of accuracy the caller's probe;
     - above, Q = U_1 V_1 and R = U_2 V_2 are compressed while they still
       hold the matrix, P and S are inverted in place into X_1 and X_2, and
       the inverse is X_1 (+) X_2 plus the Woodbury term -Y C^-1 Z, where
@@ -259,7 +258,7 @@ def _invert(b: np.ndarray, norm_a: float, rng, work: np.ndarray) -> None:
         return
     h = m // 2
     p, q, r, s = b[:h, :h], b[:h, h:], b[h:, :h], b[h:, h:]
-    if m <= _LEAF:
+    if h < _SKETCH * _RANK_CAP:
         _invert(p, norm_a, rng, work)
         _product_into(np.copyto, q, p, q, work)
         _product_into(operator.isub, s, r, q, work)

@@ -112,7 +112,6 @@ class Corner:
     point: np.ndarray
     interior_angle: float
     chi: float = field(init=False)
-    beta: float = field(init=False)
 
     def __post_init__(self):
         omega = self.interior_angle
@@ -124,7 +123,6 @@ class Corner:
         if not 0.0 < abs(chi) < 1.0:
             raise GeometryError(f"corner {self.index}: chi = {chi} out of range")
         object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "beta", 1.0 / (1.0 + abs(chi)))
         self.point.setflags(write=False)
 
 
@@ -219,39 +217,29 @@ def make_smooth_boundary(arc: MacroArc) -> Boundary:
 
 @dataclass(frozen=True)
 class SubArc:
-    """One of the 3n sections: an affine window [a, b] of a macro arc."""
+    """One of the 3n sections: window [a, b] of a macro arc, backwards if GAMMA."""
 
     kind: str
     macro_index: int
     a: float
     b: float
-    reversed: bool
 
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """Sub-arc decomposition (gamma_k, upsilon_k, central_k per corner).
 
-    corner_speed[k] is the matched parametrization speed of both corner
-    sub-arcs at corner k; deviation[k] the achieved maximum perpendicular
-    distance from the corner sub-arcs to the corner tangent lines.
+    Corner k's fractions are in its windows: subarcs[3k + 1].b on arc k,
+    1 - subarcs[3k].a on arc k - 1.  corner_speed[k] is the matched speed
+    of both corner sub-arcs at corner k; deviation[k] the achieved maximum
+    perpendicular distance from them to the corner tangent lines.
     """
 
     boundary: Boundary
     subarcs: tuple
-    head_fraction: np.ndarray
-    tail_fraction: np.ndarray
     corner_speed: np.ndarray
     deviation: np.ndarray
     delta: float
-
-    @property
-    def n_subarcs(self) -> int:
-        return len(self.subarcs)
-
-    @property
-    def n_corners(self) -> int:
-        return self.boundary.n_corners
 
 
 _SAMPLE_INDEX = np.arange(float(_N_DEVIATION_SAMPLES))
@@ -329,11 +317,9 @@ def decompose(boundary: Boundary, delta: float) -> Decomposition:
     n = boundary.n_corners
     if n == 0:
         subarcs = tuple(
-            SubArc(CENTRAL, i, 0.0, 1.0, False) for i in range(len(boundary.arcs))
+            SubArc(CENTRAL, i, 0.0, 1.0) for i in range(len(boundary.arcs))
         )
-        empty = np.zeros(0)
-        return Decomposition(boundary, subarcs, empty, empty.copy(), empty.copy(),
-                             empty.copy(), delta)
+        return Decomposition(boundary, subarcs, np.zeros(0), np.zeros(0), delta)
 
     head = np.empty(n)   # upsilon fraction on arc k
     tail = np.empty(n)   # gamma fraction on arc (k-1) mod n
@@ -371,24 +357,24 @@ def decompose(boundary: Boundary, delta: float) -> Decomposition:
     subarcs = []
     for k in range(n):
         prev = (k - 1) % n
-        subarcs.append(SubArc(GAMMA, prev, 1.0 - tail[k], 1.0, True))
-        subarcs.append(SubArc(UPSILON, k, 0.0, head[k], False))
-        subarcs.append(SubArc(CENTRAL, k, head[k], 1.0 - tail[(k + 1) % n], False))
-    return Decomposition(boundary, tuple(subarcs), head, tail, speed, achieved, delta)
+        subarcs.append(SubArc(GAMMA, prev, 1.0 - tail[k], 1.0))
+        subarcs.append(SubArc(UPSILON, k, 0.0, head[k]))
+        subarcs.append(SubArc(CENTRAL, k, head[k], 1.0 - tail[(k + 1) % n]))
+    return Decomposition(boundary, tuple(subarcs), speed, achieved, delta)
 
 
 def subarc_eval(dec: Decomposition, i: int, s):
     """Position and first/second parameter derivatives of sub-arc i at s.
 
     The chain rule over the affine window gives d1 = +/-(b-a) sigma',
-    d2 = (b-a)^2 sigma'' (sign negative on reversed arcs).  Corner arcs
+    d2 = (b-a)^2 sigma'' (sign negative on gamma arcs).  Corner arcs
     return the stored corner point exactly at s = 0.
     """
     sub = dec.subarcs[i]
     s_arr = np.asarray(s, float)
     ell, t = macro_param_of(dec, i, s_arr)
     arc, length = dec.boundary.arcs[ell], sub.b - sub.a
-    d1 = (-length if sub.reversed else length) * np.asarray(arc.first_derivative(t), float)
+    d1 = (-length if sub.kind == GAMMA else length) * np.asarray(arc.first_derivative(t), float)
     p = np.asarray(arc.position(t), float)
     d2 = length * length * np.asarray(arc.second_derivative(t), float)
     if sub.kind != CENTRAL and np.any(s_arr == 0.0):
@@ -399,7 +385,7 @@ def subarc_eval(dec: Decomposition, i: int, s):
 def macro_param_of(dec: Decomposition, i: int, s: float):
     """Macro-arc index and parameter with sigma_i(s) = macro_ell(s_macro)."""
     sub = dec.subarcs[i]
-    if sub.reversed:
+    if sub.kind == GAMMA:
         return sub.macro_index, sub.b - (sub.b - sub.a) * s
     return sub.macro_index, sub.a + (sub.b - sub.a) * s
 
@@ -446,22 +432,15 @@ def _xy(x, y) -> np.ndarray:
 
 def circle_arc(radius: float = 1.0, center=(0.0, 0.0)) -> MacroArc:
     """Counterclockwise circle, one full turn over [0, 1]."""
-    cx, cy = float(center[0]), float(center[1])
-    w = 2.0 * math.pi
-
-    def position(t):
-        a = w * np.asarray(t, float)
-        return _xy(cx + radius * np.cos(a), cy + radius * np.sin(a))
-
-    def first(t):
-        a = w * np.asarray(t, float)
-        return radius * w * _xy(-np.sin(a), np.cos(a))
-
-    def second(t):
-        a = w * np.asarray(t, float)
-        return -radius * w * w * _xy(np.cos(a), np.sin(a))
-
-    return MacroArc(position, first, second)
+    cx, cy, w = float(center[0]), float(center[1]), _TWO_PI
+    return _trig_arc(
+        lambda t: cx + radius * np.cos(w * t),
+        lambda t: cy + radius * np.sin(w * t),
+        lambda t: radius * w * -np.sin(w * t),
+        lambda t: radius * w * np.cos(w * t),
+        lambda t: -radius * w * w * np.cos(w * t),
+        lambda t: -radius * w * w * np.sin(w * t),
+    )
 
 
 def _trig_arc(xfun, yfun, dxfun, dyfun, ddxfun, ddyfun) -> MacroArc:
@@ -547,6 +526,12 @@ def make_polygon(vertices: Sequence) -> Boundary:
 
 
 TRIANGLE_VERTICES = ((-1.25, -0.75), (0.75, -0.75), (0.75, 1.25))
+# each parametric family's arc and the open range of its corner angle phi
+_FAMILIES = {
+    "heart": (_heart_arc, math.pi, _TWO_PI, "(pi, 2 pi)"),
+    "teardrop": (_teardrop_arc, 0.0, math.pi, "(0, pi)"),
+    "boomerang": (_boomerang_arc, math.pi, _TWO_PI, "(pi, 2 pi)"),
+}
 
 
 def make_example_domain(name: str, phi: float | None = None) -> Boundary:
@@ -558,21 +543,12 @@ def make_example_domain(name: str, phi: float | None = None) -> Boundary:
     """
     if name == "triangle":
         return make_polygon(TRIANGLE_VERTICES)
-    if phi is None:
-        raise ParameterError(f"domain {name!r} requires a corner angle phi")
-    if name == "heart":
-        if not math.pi < phi < 2.0 * math.pi:
-            raise ParameterError(f"heart angle must be in (pi, 2 pi), got {phi}")
-        return make_boundary([_heart_arc(phi)], [phi])
-    if name == "teardrop":
-        if not 0.0 < phi < math.pi:
-            raise ParameterError(f"teardrop angle must be in (0, pi), got {phi}")
-        return make_boundary([_teardrop_arc(phi)], [phi])
-    if name == "boomerang":
-        if not math.pi < phi < 2.0 * math.pi:
-            raise ParameterError(f"boomerang angle must be in (pi, 2 pi), got {phi}")
-        return make_boundary([_boomerang_arc(phi)], [phi])
-    raise ParameterError(f"unknown example domain {name!r}")
+    if name not in _FAMILIES:
+        raise ParameterError(f"unknown example domain {name!r}")
+    arc, lo, hi, span = _FAMILIES[name]
+    if phi is None or not lo < phi < hi:  # NaN too
+        raise ParameterError(f"{name} angle must be in {span}, got {phi}")
+    return make_boundary([arc(phi)], [phi])
 
 
 # --------------------------------------------------------------------------

@@ -11,8 +11,9 @@ K = L + M on the two sub-arcs flanking a corner, where
 
     L(t, s) = -s sin(chi pi) / (s^2 + 2 t s cos(chi pi) + t^2)
 
-is the Mellin-type wedge kernel and M is bounded.  The numerator of K is
-a normal-times-speed factor, so it is taken with the boundary's
+is the Mellin-type wedge kernel, with the corner's chi, whose range
+geometry.Corner checks, and M is bounded.  The numerator of K is a
+normal-times-speed factor, so it is taken with the boundary's
 counterclockwise orientation: the source tangents passed in are the
 weighted tangents of the unknown map's node table, which carry that
 orientation on reversed (gamma) arcs too.  Without it the wedge
@@ -37,11 +38,6 @@ __all__ = [
 ]
 
 _COINCIDENCE_FACTOR = 1e-14
-
-
-def _check_chi(chi: float) -> None:
-    if not 0.0 < abs(chi) < 1.0:
-        raise ParameterError(f"corner parameter chi must be in (-1,0) or (0,1), got {chi}")
 
 
 def double_layer(fld, src, q, exempt=None, out=None, work=None):
@@ -89,7 +85,6 @@ def check_separation(d2: np.ndarray, scale: float, fld, src) -> None:
 
 def mellin_kernel(chi: float, t, s):
     """Wedge (Mellin-type) kernel -s sin(chi pi)/(s^2 + 2ts cos(chi pi) + t^2)."""
-    _check_chi(chi)
     t = np.asarray(t, float)
     s = np.asarray(s, float)
     den = s * s + 2.0 * t * s * math.cos(chi * math.pi) + t * t
@@ -107,6 +102,5 @@ def mellin_corner_coefficient(chi: float) -> float:
     equal -chi pi times the corner value, so the whole block row enters
     assembly through this single coefficient.
     """
-    _check_chi(chi)
     return -chi * math.pi
 

@@ -12,6 +12,7 @@ from cornerbie import ExteriorDomainError
 from cornerbie.assembly import DiscretizationParams
 from cornerbie.geometry import (
     CENTRAL,
+    GAMMA,
     UPSILON,
     PointLocator,
     boundary_polyline,
@@ -202,7 +203,7 @@ def arc_nodes_at(dec, i, t):
     value taken with the boundary's counterclockwise orientation."""
     t = np.atleast_1d(np.asarray(t, float))
     p, d1, d2 = subarc_eval(dec, i, t)
-    sign = -1.0 if dec.subarcs[i].reversed else 1.0
+    sign = -1.0 if dec.subarcs[i].kind == GAMMA else 1.0
     num = d1[:, 1] * d2[:, 0] - d1[:, 0] * d2[:, 1]
     return SimpleNamespace(points=p.T, tangent=sign * d1.T,
                            curvature=sign * 0.5 * num / (d1 * d1).sum(-1))

@@ -63,7 +63,7 @@ def test_unknown_counts_triangle(triangle_dec):
     params = DiscretizationParams(mu=8, nu=32, c=100.0, eps=1e-6)
     system = build_system(triangle_dec, params)
     umap = system.unknown_map
-    n = triangle_dec.n_corners
+    n = triangle_dec.boundary.n_corners
     rule_nodes = sum(len(r.nodes) for r in radau_rules(triangle_dec, params))
     assert rule_nodes == n * (2 * 8 + 32 + 3) == 153
     assert len(umap.t) == umap.bounds[-1] == system.matrix.shape[0] == 153 - n == 150
@@ -85,7 +85,7 @@ def test_corner_merge_indexing(heart_dec, triangle_dec):
     w0 = gauss_radau_left(8).weights[0]
     for dec in (heart_dec, triangle_dec):
         umap = UnknownMap(dec, DiscretizationParams(mu=8, nu=32, c=100.0, eps=1e-3))
-        assert len(umap.corner) == dec.n_corners
+        assert len(umap.corner) == dec.boundary.n_corners
         for k, corner in enumerate(dec.boundary.corners):
             r, g, u = umap.corner[k], 3 * k, 3 * k + 1
             gamma, upsilon = arc_nodes_at(dec, g, [0.0]), arc_nodes_at(dec, u, [0.0])
@@ -120,8 +120,9 @@ def test_duplicate_corner_rows_identical(all_corner_decs):
                                       c=300.0 if name == "heart" else 100.0,
                                       eps=1e-3 if name != "triangle" else 1e-6)
         a = build_system(dec, params)
-        dropped = _entrywise_rows(dec, params, [(3 * k + 1, 0) for k in range(dec.n_corners)])
-        for k in range(dec.n_corners):
+        n = dec.boundary.n_corners
+        dropped = _entrywise_rows(dec, params, [(3 * k + 1, 0) for k in range(n)])
+        for k in range(n):
             diff = np.abs(a.matrix[a.unknown_map.corner[k]] - dropped[k]).max()
             assert diff <= 1e-13, (name, k, diff)
 
@@ -245,7 +246,7 @@ def test_wedge_block_row_norms(all_corner_decs):
                                           eps=1e-3 if name != "triangle" else 1e-6)
             lam = gauss_radau_left(mu).weights
             s_vals = gauss_radau_left(mu).nodes
-            for k in range(dec.n_corners):
+            for k in range(dec.boundary.n_corners):
                 chi = dec.boundary.corners[k].chi
                 rows, coeff = modified_wedge_rows(chi, s_vals, s_vals, params.tau)
                 norms = np.abs(rows * lam[None, :]).sum(axis=1) + np.abs(coeff)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ def test_unit_square_corner_parameters():
     for corner in sq.corners:
         assert abs(corner.interior_angle - math.pi / 2) <= 1e-12
         assert abs(corner.chi - 0.5) <= 1e-12
-        assert abs(corner.beta - 2.0 / 3.0) <= 1e-12
 
 
 def test_triangle_corner_parameters():
@@ -38,7 +38,6 @@ def test_triangle_corner_parameters():
     for corner in tri.corners:
         chi = expected[tuple(corner.point)]
         assert abs(corner.chi - chi) <= 1e-12
-        assert abs(corner.beta - 1.0 / (1.0 + chi)) <= 1e-12
 
 
 def test_heart_corner_and_closure():
@@ -46,7 +45,6 @@ def test_heart_corner_and_closure():
     assert np.linalg.norm(b.arcs[0].position(0.0)) <= 1e-14
     assert np.linalg.norm(b.arcs[0].position(1.0)) <= 1e-13
     assert abs(b.corners[0].chi - (-2.0 / 3.0)) <= 1e-12
-    assert abs(b.corners[0].beta - 0.6) <= 1e-12
 
 
 def test_teardrop_parametrization_spot_values():
@@ -135,8 +133,17 @@ def test_phi_range_errors():
         make_example_domain("teardrop", 1.5 * math.pi)
     with pytest.raises(ParameterError):
         make_example_domain("boomerang", 0.5 * math.pi)
-    with pytest.raises(ParameterError):
-        make_example_domain("lens", 0.5 * math.pi)
+    for phi in (0.5 * math.pi, None):
+        with pytest.raises(ParameterError, match="unknown example domain 'lens'"):
+            make_example_domain("lens", phi)
+    # both ends of each open range, NaN and a missing angle name the
+    # family and its range
+    for name, lo, hi, span in (("heart", math.pi, 2 * math.pi, "(pi, 2 pi)"),
+                               ("teardrop", 0.0, math.pi, "(0, pi)"),
+                               ("boomerang", math.pi, 2 * math.pi, "(pi, 2 pi)")):
+        for phi in (lo, hi, math.nan, None):
+            with pytest.raises(ParameterError, match=re.escape(f"{name} angle must be in {span}")):
+                make_example_domain(name, phi)
 
 
 def test_polygon_decomposition_zero_deviation_and_cap(triangle_dec):
@@ -145,20 +152,20 @@ def test_polygon_decomposition_zero_deviation_and_cap(triangle_dec):
     assert triangle_dec.deviation.max() <= 1e-15
     # speed matching shrinks one side of the capped 0.25 fractions:
     # corner 0 joins the hypotenuse (speed 2 sqrt 2) to the bottom (speed 2)
-    assert triangle_dec.head_fraction[0] == pytest.approx(0.25, abs=1e-15)
-    assert triangle_dec.tail_fraction[0] == pytest.approx(0.25 / math.sqrt(2), abs=1e-15)
+    assert triangle_dec.subarcs[1].b == pytest.approx(0.25, abs=1e-15)
+    assert 1.0 - triangle_dec.subarcs[0].a == pytest.approx(0.25 / math.sqrt(2), abs=1e-15)
 
 
 def test_heart_decomposition_deviation(heart_dec):
     assert heart_dec.deviation.max() <= 3.87e-7
-    assert heart_dec.n_subarcs == 3
+    assert len(heart_dec.subarcs) == 3
     kinds = [s.kind for s in heart_dec.subarcs]
     assert kinds == [GAMMA, UPSILON, CENTRAL]
 
 
 def test_corner_speed_matching(all_corner_decs):
     for dec in all_corner_decs.values():
-        n = dec.n_corners
+        n = dec.boundary.n_corners
         for k in range(n):
             _, d_gamma, _ = subarc_eval(dec, 3 * k, 0.0)
             _, d_upsilon, _ = subarc_eval(dec, 3 * k + 1, 0.0)
@@ -168,7 +175,7 @@ def test_corner_speed_matching(all_corner_decs):
 
 def test_corner_incidence(all_corner_decs):
     for dec in all_corner_decs.values():
-        for k in range(dec.n_corners):
+        for k in range(dec.boundary.n_corners):
             p_gamma, _, _ = subarc_eval(dec, 3 * k, 0.0)
             p_upsilon, _, _ = subarc_eval(dec, 3 * k + 1, 0.0)
             corner = dec.boundary.corners[k].point
@@ -178,7 +185,7 @@ def test_corner_incidence(all_corner_decs):
 
 def test_subarc_intervals_tile_macro_arcs(all_corner_decs):
     for dec in all_corner_decs.values():
-        n = dec.n_corners
+        n = dec.boundary.n_corners
         for ell in range(len(dec.boundary.arcs)):
             windows = sorted((s.a, s.b) for s in dec.subarcs if s.macro_index == ell)
             assert windows[0][0] == 0.0
@@ -206,10 +213,10 @@ def test_subarc_eval_chain_rule(heart_dec):
 
 def test_macro_param_of(triangle_dec):
     dec = triangle_dec
-    e_up = dec.head_fraction[1]
+    e_up = dec.subarcs[3 * 1 + 1].b
     ell, sm = macro_param_of(dec, 3 * 1 + 1, 0.5)
     assert ell == 1 and abs(sm - 0.5 * e_up) <= 1e-16
-    e_gm = dec.tail_fraction[1]
+    e_gm = 1.0 - dec.subarcs[3 * 1].a
     ell, sm = macro_param_of(dec, 3 * 1, 0.5)
     assert ell == 0 and abs(sm - (1.0 - 0.5 * e_gm)) <= 1e-16
     central = dec.subarcs[5]
@@ -238,7 +245,7 @@ def test_infinite_delta_takes_the_fraction_cap(heart_boundary):
     # and the other is shrunk to match its speed; the heart's one macro
     # arc keeps a central section of at least half its interval
     dec = decompose(heart_boundary, math.inf)
-    head, tail = float(dec.head_fraction[0]), float(dec.tail_fraction[0])
+    head, tail = dec.subarcs[1].b, 1.0 - dec.subarcs[0].a
     assert max(head, tail) == pytest.approx(0.25, rel=1e-15, abs=0.0)
     central = dec.subarcs[2]
     assert central.b - central.a >= 0.5 - 1e-15
@@ -267,7 +274,7 @@ def _sequential_fraction(arc, at_head, corner, tangent, delta, cap):
 
 
 def _sequential_corners(boundary, delta, cap=0.25):
-    """head_fraction, tail_fraction, corner_speed and deviation as the
+    """Head and tail fractions, corner speed and deviation as the
     sequential bisection and the speed match after it give them."""
     n = boundary.n_corners
     out = np.empty((4, n))
@@ -312,13 +319,16 @@ def test_lockstep_bisection_matches_sequential(family):
         boundary = cfg.build_boundary()
         dec = decompose(boundary, cfg.delta)
         want = _sequential_corners(boundary, cfg.delta)
-        got = (dec.head_fraction, dec.tail_fraction, dec.corner_speed, dec.deviation)
-        for name, g, w in zip(("head", "tail", "speed", "deviation"), got, want):
+        # the windows hold the fractions: compare 1 - tail as decompose wrote it
+        got = (np.array([sub.b for sub in dec.subarcs[1::3]]),
+               np.array([sub.a for sub in dec.subarcs[0::3]]), dec.corner_speed, dec.deviation)
+        want[1] = 1.0 - want[1]
+        for name, g, w in zip(("head", "1 - tail", "speed", "deviation"), got, want):
             assert np.array_equal(g, w), (cfg.domain, cfg.phi, name, g, w)
 
 
 def test_smooth_boundary_decomposition(circle_dec):
-    assert circle_dec.n_corners == 0
+    assert circle_dec.boundary.n_corners == 0
     assert len(circle_dec.subarcs) == 1
     assert circle_dec.subarcs[0].kind == CENTRAL
     assert (circle_dec.subarcs[0].a, circle_dec.subarcs[0].b) == (0.0, 1.0)

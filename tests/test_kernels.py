@@ -114,8 +114,7 @@ def test_mellin_kernel_values():
 def test_mellin_kernel_errors():
     with pytest.raises(ParameterError):
         mellin_kernel(0.5, 0.0, 0.0)
-    with pytest.raises(ParameterError):
-        mellin_kernel(0.0, 0.5, 0.5)
+    # chi = 1 turns the denominator into (s - t)^2
     with pytest.raises(ParameterError):
         mellin_kernel(1.0, 0.5, 0.5)
 
@@ -142,7 +141,7 @@ def test_remainder_bounded_near_corner(all_corner_decs):
     # of evaluating positions next to the parameter wrap, so the samples are
     # noise; the relative certificate is what the cancellation claims.)
     for name, dec in all_corner_decs.items():
-        for k in range(dec.n_corners):
+        for k in range(dec.boundary.n_corners):
             for pair in ((3 * k, 3 * k + 1), (3 * k + 1, 3 * k)):
                 for h in (1e-2, 1e-3, 1e-4):
                     m = abs(remainder_at(dec, *pair, [h], [h])[0, 0])
@@ -214,10 +213,8 @@ def _parabolic_corner(curvature_scale):
                            (Corner(0, np.zeros(2), omega),))
     for arc in boundary.arcs:
         arc.validate()
-    subarcs = (SubArc(GAMMA, 0, 0.0, 1.0, True),
-               SubArc(UPSILON, 1, 0.0, 1.0, False))
-    return Decomposition(boundary, subarcs, np.array([1.0]), np.array([1.0]),
-                         np.array([1.0]), np.array([0.0]), 1.0)
+    subarcs = (SubArc(GAMMA, 0, 0.0, 1.0), SubArc(UPSILON, 1, 0.0, 1.0))
+    return Decomposition(boundary, subarcs, np.array([1.0]), np.array([0.0]), 1.0)
 
 
 def test_corner_limit_matches_richardson_on_gentle_arcs():
@@ -248,8 +245,6 @@ def test_corner_limit_teardrop_head_pair(teardrop_dec):
 def test_mellin_corner_coefficient_values():
     assert mellin_corner_coefficient(0.5) == pytest.approx(-math.pi / 2, rel=1e-15)
     assert mellin_corner_coefficient(-2.0 / 3.0) == pytest.approx(2 * math.pi / 3, rel=1e-15)
-    with pytest.raises(ParameterError):
-        mellin_corner_coefficient(0.0)
 
 
 @pytest.mark.parametrize("chi", (-2.0 / 3.0, -0.5, 0.5, 2.0 / 3.0, 0.75))

@@ -145,7 +145,7 @@ def test_rhs_array_matches_per_node_calls(all_corner_decs):
         umap = UnknownMap(dec, DiscretizationParams(mu=8, nu=32, c=cfg.c, eps=cfg.eps))
         got = rhs_approx(datum, 16, umap.macro_arc, umap.macro_t)
         assert got.shape == umap.t.shape
-        for i in range(dec.n_subarcs):
+        for i in range(len(dec.subarcs)):
             own = slice(umap.bounds[i], umap.bounds[i + 1])
             want = np.array([gbar_at(dec, datum, 16, i, float(s)) for s in umap.t[own]])
             part = got[own]

@@ -26,6 +26,11 @@ from cornerbie.solve_post import cond_inf, eval_exterior, solve_dense, solve_fie
 from conftest import eval_exterior_per_point, row_rhs
 
 
+# the fewest rows at which _invert compresses: each half then has rows
+# enough for _compress's first sketch
+_COMPRESSES = 2 * assembly._SKETCH * assembly._RANK_CAP
+
+
 def _system_from(matrix):
     """A DenseSystem holding only a read-only view of a matrix: the solve
     and cond_inf read nothing else, and nothing may write into it."""
@@ -142,7 +147,7 @@ def _lu_getri(a):
 @pytest.fixture(scope="module")
 def triangle_large(triangle_dec):
     """The triangle's matrices at (64, 256) and (128, 512): n = 1158 and 2310,
-    both above assembly._LEAF."""
+    both at least _COMPRESSES."""
     cfg = cb.example_config("triangle")
     return {(mu, nu): build_system(triangle_dec, DiscretizationParams(
         mu=mu, nu=nu, c=cfg.c, eps=cfg.eps)).matrix for mu, nu in ((64, 256), (128, 512))}
@@ -161,7 +166,7 @@ def test_compressed_inverse_matches_lu_and_getri(triangle_large, monkeypatch, pa
     monkeypatch.setattr(assembly, "lu_factor", spying_lu_factor)
     system = _system_from(a)
     inv, norm_a = system.inverse
-    assert len(a) > assembly._LEAF and assembly._BASE >= max(rows)
+    assert len(a) >= _COMPRESSES and assembly._BASE >= max(rows)
     want = _lu_getri(a)
     assert np.abs(inv - want).max() <= 1e-13 * inf_norm(want)
     assert cond_inf(system) == pytest.approx(norm_a * inf_norm(want), rel=1e-13, abs=0.0)
@@ -176,8 +181,9 @@ def test_compressed_inverse_is_deterministic(triangle_large):
 
 
 def test_leaf_sized_inverse_matches_lu_and_getri(heart_dec, monkeypatch):
-    # up to _LEAF rows the inverse is block Gauss-Jordan's: no lu_factor call
-    # sees more than a base block, and the result is getri's to rounding
+    # below _COMPRESSES rows the inverse is block Gauss-Jordan's: no
+    # lu_factor call sees more than a base block, and the result is getri's
+    # to rounding.  The regular pentagon at (32, 128) has n = 970.
     rows = []
 
     def spying_lu_factor(m, *args, **kwargs):
@@ -187,9 +193,13 @@ def test_leaf_sized_inverse_matches_lu_and_getri(heart_dec, monkeypatch):
     monkeypatch.setattr(assembly, "lu_factor", spying_lu_factor)
     cfg = cb.example_config("heart")
     heart = build_system(heart_dec, DiscretizationParams(mu=128, nu=512, c=cfg.c, eps=cfg.eps))
-    shifted = np.random.default_rng(3).normal(size=(assembly._LEAF, assembly._LEAF))
-    shifted += 30.0 * np.eye(assembly._LEAF)
-    for a in (heart.matrix, shifted):
+    shifted = np.random.default_rng(3).normal(size=(800, 800))
+    shifted += 30.0 * np.eye(800)
+    pentagon = make_polygon([(math.cos(x), math.sin(x)) for x in np.arange(5) * 0.4 * math.pi])
+    pentagon = build_system(decompose(pentagon, 1e-6), DiscretizationParams(
+        mu=32, nu=128, c=cfg.c, eps=cfg.eps)).matrix
+    assert len(pentagon) == 970
+    for a in (heart.matrix, shifted, pentagon):
         rows.clear()
         system = _system_from(a)
         inv, norm_a = system.inverse
@@ -208,7 +218,7 @@ def test_block_inverse_falls_back_to_lu_and_getri(kind):
     # fallback, bit for bit
     rng = np.random.default_rng(3)
     if kind == "probe-miss":
-        a = rng.normal(size=(assembly._LEAF, assembly._LEAF))
+        a = rng.normal(size=(800, 800))
     else:
         a = np.roll(np.eye(300), 150, axis=1) + 0.1 / np.sqrt(300) * rng.normal(size=(300, 300))
         a[:assembly._BASE, :assembly._BASE] = 0.0
@@ -220,7 +230,7 @@ def test_incompressible_matrix_takes_dense_path():
     # a random matrix's off-diagonal blocks have full rank: the sketch
     # passes its cap and the whole matrix is inverted densely
     a = np.random.default_rng(11).normal(size=(1200, 1200))
-    assert len(a) > assembly._LEAF
+    assert len(a) >= _COMPRESSES
     inv = _system_from(a).inverse[0]
     assert np.array_equal(inv, _lu_getri(a)) and inv.flags.c_contiguous
 

@@ -115,22 +115,6 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _add_common(sub):
-    sub.add_argument("--example", choices=EXAMPLE_NAMES)
-    sub.add_argument("--config", help="JSON run configuration")
-    sub.add_argument("--phi", help="corner angle (e.g. '5pi/3' or 5.235987)")
-    sub.add_argument("--mu", type=int)
-    sub.add_argument("--nu", type=int)
-    sub.add_argument("--c", type=float)
-    sub.add_argument("--epsilon", type=float)
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--rhs-M", dest="rhs_M", type=int)
-    sub.add_argument("--outer-N", dest="outer_N", type=int,
-                     help="exterior rule order (default nu/2 per row; -1 means nu per row)")
-    sub.add_argument("--points", help="file with evaluation points (JSON or 'x y' lines)")
-    sub.add_argument("--out", help="output CSV path")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cornerbie",
@@ -142,10 +126,25 @@ def _build_parser() -> argparse.ArgumentParser:
         ("table", "run a (mu, nu) sweep and write an error/condition table"),
         ("angle-sweep", "condition number across a corner-angle grid"),
     ):
-        sub = subs.add_parser(name, help=desc)
-        _add_common(sub)
+        # each subcommand registers only the flags it reads, and takes no
+        # abbreviation, which would read angle-sweep's --phi as --phi-grid
+        sub = subs.add_parser(name, help=desc, allow_abbrev=False)
+        sub.add_argument("--example", choices=EXAMPLE_NAMES)
+        sub.add_argument("--mu", type=int)
+        sub.add_argument("--nu", type=int)
+        sub.add_argument("--c", type=float)
+        sub.add_argument("--epsilon", type=float)
+        sub.add_argument("--delta", type=float)
+        sub.add_argument("--out", help="output CSV path")
         if name == "angle-sweep":
             sub.add_argument("--phi-grid", help="comma-separated angle list, e.g. '1.1pi,1.2pi'")
+            continue
+        sub.add_argument("--config", help="JSON run configuration")
+        sub.add_argument("--phi", help="corner angle (e.g. '5pi/3' or 5.235987)")
+        sub.add_argument("--rhs-M", dest="rhs_M", type=int)
+        sub.add_argument("--outer-N", dest="outer_N", type=int,
+                         help="exterior rule order (default nu/2 per row; -1 means nu per row)")
+        sub.add_argument("--points", help="file with evaluation points (JSON or 'x y' lines)")
     return parser
 
 

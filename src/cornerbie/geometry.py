@@ -259,48 +259,37 @@ class _CornerSides:
         self.corner = corner
         self.units = np.stack([d_head / np.linalg.norm(d_head), d_tail / np.linalg.norm(d_tail)])
 
-    def deviations(self, e_head, e_tail) -> list:
+    def deviations(self, e_head, e_tail) -> np.ndarray:
         """Maximum perpendicular distance of each side's samples from its
-        tangent line at the fractions e_head and e_tail; a side whose
-        fraction is None is not sampled and gets None."""
-        sides = [k for k, e in enumerate((e_head, e_tail)) if e is not None]
-        lo, hi = np.array([(0.0, e_head) if k == 0 else (1.0 - e_tail, 1.0) for k in sides]).T
+        tangent line at the fractions e_head and e_tail, head then tail."""
+        lo, hi = np.array((0.0, 1.0 - e_tail)), np.array((e_head, 1.0))
         t = _SAMPLE_INDEX * ((hi - lo) / (_N_DEVIATION_SAMPLES - 1))[:, None] + lo[:, None]
         t[:, -1] = hi
-        if len(sides) == 2 and self.arcs[0] is self.arcs[1]:
+        if self.arcs[0] is self.arcs[1]:
             p = np.asarray(self.arcs[0].position(t.ravel()), float)
         else:
-            p = np.concatenate([np.asarray(self.arcs[k].position(tk), float)
-                                for k, tk in zip(sides, t)])
-        u = self.units if len(sides) == 2 else self.units[sides]
+            p = np.concatenate([np.asarray(arc.position(tk), float)
+                                for arc, tk in zip(self.arcs, t)])
         x = (p[:, 0] - self.corner[0]).reshape(t.shape)
         y = (p[:, 1] - self.corner[1]).reshape(t.shape)
-        out = [None, None]
-        for k, dev in zip(sides, np.abs(x * u[:, 1:] - y * u[:, :1]).max(axis=1)):
-            out[k] = float(dev)
-        return out
+        return np.abs(x * self.units[:, 1:] - y * self.units[:, :1]).max(axis=1)
 
-    def largest_fractions(self, delta: float) -> list:
+    def largest_fractions(self, delta: float) -> np.ndarray:
         """Per side, the largest fraction up to _FRACTION_CAP whose deviation
         stays below delta: the cap itself if it does, else 60 bisection
-        steps, the two sides' steps taken together."""
+        steps, the two sides' steps taken together.  A side at the cap
+        starts with lo = hi = cap and so stays there."""
         cap = _FRACTION_CAP
-        dev = self.deviations(cap, cap)
-        open_sides = [k for k in (0, 1) if not dev[k] <= delta]
-        lo, hi = [0.0, 0.0], [cap, cap]
-        if open_sides:
+        lo = np.where(self.deviations(cap, cap) <= delta, cap, 0.0)
+        hi = np.full(2, cap)
+        if (lo < cap).any():
             for _ in range(60):
-                mid = [0.5 * (lo[k] + hi[k]) if k in open_sides else None for k in (0, 1)]
-                dev = self.deviations(*mid)
-                for k in open_sides:
-                    if dev[k] <= delta:
-                        lo[k] = mid[k]
-                    else:
-                        hi[k] = mid[k]
-        for k in open_sides:
-            if lo[k] == 0.0:
+                mid = 0.5 * (lo + hi)
+                ok = self.deviations(*mid.tolist()) <= delta  # Python floats: faster arrays
+                lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+            if (lo == 0.0).any():
                 raise GeometryError("tangent-deviation bisection collapsed to zero fraction")
-        return [lo[k] if k in open_sides else cap for k in (0, 1)]
+        return lo
 
 
 def decompose(boundary: Boundary, delta: float) -> Decomposition:
@@ -342,13 +331,13 @@ def decompose(boundary: Boundary, delta: float) -> Decomposition:
 
         # rounding in the speed match can overshoot delta by an ulp; shrink
         # both sides together (preserving the matched ratio) until it holds
-        got = max(sides.deviations(e_head_m, e_tail_m))
+        got = sides.deviations(e_head_m, e_tail_m).max()
         for _ in range(64):
             if got <= delta:
                 break
             e_head_m *= 1.0 - 1e-9
             e_tail_m *= 1.0 - 1e-9
-            got = max(sides.deviations(e_head_m, e_tail_m))
+            got = sides.deviations(e_head_m, e_tail_m).max()
         else:
             raise GeometryError(f"corner {k}: could not meet the deviation bound")
         head[k], tail[k] = e_head_m, e_tail_m

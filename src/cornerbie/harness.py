@@ -19,7 +19,7 @@ import numpy as np
 
 from .assembly import DiscretizationParams, build_system
 from .errors import ConfigError, CornerBieError, ParameterError
-from .geometry import Boundary, decompose, make_example_domain, make_polygon
+from .geometry import Boundary, as_complex, decompose, make_example_domain, make_polygon
 from .quadrature import MAX_MOMENTS, MAX_RULE_ORDER
 from .rhs import NeumannDatum, rhs_approx
 from .solve_post import cond_inf, eval_exterior, solve_field
@@ -44,66 +44,47 @@ DEFAULT_PAIRS: Tuple[Tuple[int, int], ...] = ((8, 32), (16, 64), (32, 128), (64,
 
 @dataclass(frozen=True, eq=False)
 class ExactSolution:
-    """Exact harmonic comparison solution with closed-form gradient."""
+    """Exact harmonic comparison solution u = Re F(z), z = x + iy, given by
+    its analytic F and derivative dF; grad u = (Re F', -Im F')."""
 
     name: str
-    u: Callable
-    grad: Callable
+    F: Callable
+    dF: Callable
     singular_points: Tuple[Tuple[float, float], ...]
+
+    def u(self, p):
+        return self.F(as_complex(p)).real
+
+    def grad(self, p):
+        d = self.dF(as_complex(p))
+        return np.stack([d.real, -d.imag], axis=-1)
 
 
 def _log_pair(q1, q2) -> ExactSolution:
-    # q1 and q2 stay as given, for RunConfig.validate; u and grad convert them
+    # q1 and q2 stay as given, for RunConfig.validate; F and dF convert them
+    def F(z):
+        return np.log((z - complex(*q1)) / (z - complex(*q2)))
 
-    def u(p):
-        p = np.asarray(p, float)
-        return (np.log(np.linalg.norm(p - np.asarray(q1, float), axis=-1))
-                - np.log(np.linalg.norm(p - np.asarray(q2, float), axis=-1)))
+    def dF(z):
+        return 1 / (z - complex(*q1)) - 1 / (z - complex(*q2))
 
-    def grad(p):
-        p = np.asarray(p, float)
-        a = p - np.asarray(q1, float)
-        b = p - np.asarray(q2, float)
-        return a / (a * a).sum(-1, keepdims=True) - b / (b * b).sum(-1, keepdims=True)
-
-    return ExactSolution("log_pair", u, grad, (q1, q2))
+    return ExactSolution("log_pair", F, dF, (q1, q2))
 
 
 def _arctan_pair() -> ExactSolution:
-    # angle difference about (0.8, 0.2) and (0.8, 0); evaluated through the
-    # complex ratio so the branch is the one continuous on the exterior
-    def u(p):
-        p = np.asarray(p, float)
-        z = p[..., 0] + 1j * p[..., 1]
-        return np.angle((z - (0.8 + 0.2j)) / (z - 0.8))
+    # angle difference about a = 0.8 + 0.2i and b = 0.8; the principal log of
+    # (z - a) / (z - b) gives the branch that is continuous on the exterior
+    def F(z):
+        return -1j * np.log((z - (0.8 + 0.2j)) / (z - 0.8))
 
-    def grad(p):
-        p = np.asarray(p, float)
-        x, y = p[..., 0], p[..., 1]
-        r1 = (x - 0.8) ** 2 + (y - 0.2) ** 2
-        r2 = (x - 0.8) ** 2 + y**2
-        gx = -(y - 0.2) / r1 + y / r2
-        gy = (x - 0.8) / r1 - (x - 0.8) / r2
-        return np.stack([gx, gy], axis=-1)
+    def dF(z):
+        return -1j * (1 / (z - (0.8 + 0.2j)) - 1 / (z - 0.8))
 
-    return ExactSolution("arctan_pair", u, grad, ((0.8, 0.2), (0.8, 0.0)))
+    return ExactSolution("arctan_pair", F, dF, ((0.8, 0.2), (0.8, 0.0)))
 
 
 def _dipole() -> ExactSolution:
-    def u(p):
-        p = np.asarray(p, float)
-        x, y = p[..., 0], p[..., 1]
-        return (x * x - y * y) / (x * x + y * y) ** 2
-
-    def grad(p):
-        p = np.asarray(p, float)
-        x, y = p[..., 0], p[..., 1]
-        r2 = x * x + y * y
-        gx = 2 * x * (3 * y * y - x * x) / r2**3
-        gy = -2 * y * (3 * x * x - y * y) / r2**3
-        return np.stack([gx, gy], axis=-1)
-
-    return ExactSolution("dipole", u, grad, ((0.0, 0.0),))
+    return ExactSolution("dipole", lambda z: 1 / z**2, lambda z: -2 / z**3, ((0.0, 0.0),))
 
 
 # solution id -> (constructor, its parameter names)
@@ -170,10 +151,13 @@ class RunConfig:
         return m_rhs, self.N if self.N is not None else nu // 2
 
     def validate(self) -> None:
-        """Check what needs no geometry: the domain name, the number fields,
-        the pairs, the rule orders, and that each point is an (x, y) pair of numbers."""
+        """Check what needs no geometry: the domain name, that only an angle
+        family has a phi, the number fields, the pairs, the rule orders, and
+        that each point is an (x, y) pair of numbers."""
         if not isinstance(self.domain, str):
             raise ConfigError(f"config field 'domain' must be a string, got {self.domain!r}")
+        if self.phi is not None and (self.vertices is not None or self.domain == "triangle"):
+            raise ConfigError(f"config field 'phi' must be None for a polygon, got {self.phi!r}")
         for key in ("phi", "c", "eps", "delta"):
             value = getattr(self, key)
             if key == "phi" and value is None:

@@ -21,13 +21,14 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import Boundary, as_complex
-from .quadrature import MAX_MOMENTS, gauss_legendre, legendre_table, log_moments
+from .quadrature import MAX_MOMENTS, MAX_RULE_ORDER, gauss_legendre, legendre_table, log_moments
 
 __all__ = ["NeumannDatum", "single_layer_sources", "rhs_approx"]
 
 _EPS_BRANCH = 8.0 * np.finfo(float).eps
 _COMPATIBILITY_TOL = 1e-8
-_COMPATIBILITY_RULE = 256
+_COMPATIBILITY_RULE = 256  # first rule order of the flux integral, doubled up to MAX_RULE_ORDER
+_CONVERGED = 1e-9  # two successive flux sums that agree this well have converged
 _CHORD_CHUNK = 256
 
 
@@ -36,8 +37,7 @@ class NeumannDatum:
     """Boundary flux datum f, the inward normal derivative of a potential
     given by its gradient u_grad, with its per-arc parameter density
     arc_density(k, t) = f(sigma_k(t)) |sigma_k'(t)|.  Construction checks
-    the compatibility condition int_Sigma f dSigma = 0 with a 256-point
-    rule per arc.
+    the compatibility condition int_Sigma f dSigma = 0.
     """
 
     boundary: Boundary
@@ -62,9 +62,21 @@ class NeumannDatum:
         return g[..., 1] * d[..., 0] - g[..., 0] * d[..., 1]
 
     def compatibility_residual(self) -> float:
-        rule = gauss_legendre(_COMPATIBILITY_RULE)
-        return sum(float(rule.weights @ self.arc_density(k, rule.nodes))
-                   for k in range(len(self.boundary.arcs)))
+        """int_Sigma f dSigma by Gauss-Legendre on every arc, the rule doubled
+        from 256 points until two successive sums agree within 1e-9; raises
+        ParameterError if they still do not at MAX_RULE_ORDER points."""
+        n, last = _COMPATIBILITY_RULE, np.nan
+        while n <= MAX_RULE_ORDER:
+            rule = gauss_legendre(n)
+            total = sum(float(rule.weights @ self.arc_density(k, rule.nodes))
+                        for k in range(len(self.boundary.arcs)))
+            if abs(total - last) <= _CONVERGED:
+                return total
+            n, last = 2 * n, total
+        raise ParameterError(
+            f"Neumann datum could not be integrated: its flux sums did not converge "
+            f"by {MAX_RULE_ORDER} points per arc (last {last:.6e})"
+        )
 
 
 def _log_ratio(chord, gap, speed):

@@ -306,25 +306,43 @@ _SWEEP_ANGLES = {
 }
 
 
-@pytest.mark.parametrize("family", ["tables", *_SWEEP_ANGLES])
+def _half_disc():
+    """The arc (cos pi t, sin pi t) closed by the segment from (-1, 0) to
+    (1, 0): two right-angle corners, each with one straight side."""
+    w = math.pi
+
+    def on_circle(t, scale, f, g):
+        t = np.asarray(t, float)
+        return scale * np.stack([f(w * t), g(w * t)], axis=-1)
+
+    arc = MacroArc(lambda t: on_circle(t, 1.0, np.cos, np.sin),
+                   lambda t: on_circle(t, w, lambda a: -np.sin(a), np.cos),
+                   lambda t: on_circle(t, -w * w, np.cos, np.sin))
+    return make_boundary([arc, line_arc((-1.0, 0.0), (1.0, 0.0))], [math.pi / 2] * 2)
+
+
+@pytest.mark.parametrize("family", ["tables", *_SWEEP_ANGLES, "half_disc"])
 def test_lockstep_bisection_matches_sequential(family):
     # the four table domains (the triangle's corners join two different
-    # arcs) and the 60 angles of the benchmark's angle sweep
+    # arcs), the 60 angles of the benchmark's angle sweep, and the half-disc,
+    # whose straight side holds the cap while its curved side is bisected
     if family == "tables":
-        configs = [example_config(name) for name in ("heart", "teardrop", "boomerang",
-                                                     "triangle")]
+        cases = [(cfg.build_boundary(), cfg.delta) for cfg in map(
+            example_config, ("heart", "teardrop", "boomerang", "triangle"))]
+    elif family == "half_disc":
+        cases = [(_half_disc(), delta) for delta in (1e-6, 1e-9)]
     else:
-        configs = [example_config(family, phi=phi) for phi in _SWEEP_ANGLES[family]]
-    for cfg in configs:
-        boundary = cfg.build_boundary()
-        dec = decompose(boundary, cfg.delta)
-        want = _sequential_corners(boundary, cfg.delta)
+        cases = [(cfg.build_boundary(), cfg.delta) for cfg in
+                 (example_config(family, phi=phi) for phi in _SWEEP_ANGLES[family])]
+    for case, (boundary, delta) in enumerate(cases):
+        dec = decompose(boundary, delta)
+        want = _sequential_corners(boundary, delta)
         # the windows hold the fractions: compare 1 - tail as decompose wrote it
         got = (np.array([sub.b for sub in dec.subarcs[1::3]]),
                np.array([sub.a for sub in dec.subarcs[0::3]]), dec.corner_speed, dec.deviation)
         want[1] = 1.0 - want[1]
         for name, g, w in zip(("head", "1 - tail", "speed", "deviation"), got, want):
-            assert np.array_equal(g, w), (cfg.domain, cfg.phi, name, g, w)
+            assert np.array_equal(g, w), (family, case, name, g, w)
 
 
 def test_smooth_boundary_decomposition(circle_dec):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from cornerbie import ConfigError, SingularMatrixError, harness
 from cornerbie.cli import main as cli_main
-from cornerbie.geometry import PointLocator
+from cornerbie.geometry import TRIANGLE_VERTICES, PointLocator
 from cornerbie.harness import angle_sweep, example_config, make_exact_solution, run_example
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -175,17 +176,29 @@ def test_run_example_smoke():
 
 
 def test_run_example_evaluates_exact_solution_once():
-    # one call on all points per run, whatever the number of rows
+    # one call of F on all points per run, whatever the number of rows
     cfg = example_config("heart", pairs=((8, 32), (16, 64), (32, 128)))
     seen = []
 
-    def u(p):
-        seen.append(np.shape(p))
-        return cfg.solution.u(p)
+    def F(z):
+        seen.append(np.shape(z))
+        return cfg.solution.F(z)
 
-    rows = run_example(replace(cfg, solution=replace(cfg.solution, u=u)))
+    rows = run_example(replace(cfg, solution=replace(cfg.solution, F=F)))
     assert len(rows) == 3 and not any(row.failed for row in rows)
-    assert seen == [(len(cfg.points), 2)]
+    assert seen == [(len(cfg.points),)]
+
+
+def test_phi_of_a_polygon_is_config_error(capsys):
+    # the triangle and a polygon given by its vertices have no angle to set
+    with pytest.raises(ConfigError, match="'phi' must be None for a polygon"):
+        run_example(example_config("triangle", phi=1.5 * math.pi))
+    polygon = example_config("triangle", vertices=TRIANGLE_VERTICES, pairs=((8, 32),))
+    assert not run_example(polygon)[0].failed
+    with pytest.raises(ConfigError, match="'phi' must be None for a polygon"):
+        run_example(replace(polygon, phi=1.5 * math.pi))
+    assert cli_main(["solve", "--example", "triangle", "--phi", "1.5pi"]) == 2
+    assert "'phi'" in capsys.readouterr().err
 
 
 def test_run_example_builds_one_locator_per_boundary(monkeypatch):
@@ -308,6 +321,27 @@ def test_cli_table_and_angle_sweep(tmp_path):
     assert all(float(r["cond"]) < 1e3 for r in rows)
 
 
+_RUN_FLAGS = ["--example", "--config", "--phi", "--mu", "--nu", "--c", "--epsilon", "--delta",
+              "--rhs-M", "--outer-N", "--points", "--out"]
+_SWEEP_FLAGS = ["--example", "--phi-grid", "--mu", "--nu", "--c", "--epsilon", "--delta", "--out"]
+
+
+@pytest.mark.parametrize("command, flags", [("solve", _RUN_FLAGS), ("table", _RUN_FLAGS),
+                                            ("angle-sweep", _SWEEP_FLAGS)])
+def test_cli_flag_sets(command, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--help"])
+    assert exc.value.code == 0
+    assert sorted(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)) == sorted(flags)
+
+
+@pytest.mark.parametrize("flag", sorted(set(_RUN_FLAGS) - set(_SWEEP_FLAGS)))
+def test_angle_sweep_rejects_flags_it_does_not_read(flag):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["angle-sweep", "--example", "heart", "--phi-grid", "1.5pi", flag, "1"])
+    assert exc.value.code == 2
+
+
 def test_cli_json_config(tmp_path):
     cfg = {
         "domain": "triangle",
@@ -396,7 +430,8 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
 # the message names the bad field
 _NAMED_FIELD = {"string-solution": "'solution'", "solution-without-name": "'solution'",
                 "non-string-solution-name": "'solution'", "list-domain": "'domain'",
-                "int-domain": "'domain'", "empty-pairs": "'pairs'"}
+                "int-domain": "'domain'", "empty-pairs": "'pairs'", "triangle-phi": "'phi'",
+                "vertices-phi": "'phi'"}
 _TRIANGLE_RUN = {"solution": {"name": "log_pair", "q1": [0.5, 0.5], "q2": [0.3, 0.3]},
                  "pairs": [[8, 32]], "c": 100.0, "eps": 1e-6, "delta": 1e-6,
                  "points": [[2.0, 2.0]]}
@@ -426,12 +461,15 @@ _TRIANGLE_RUN = {"solution": {"name": "log_pair", "q1": [0.5, 0.5], "q2": [0.3, 
     {"domain": [1], "vertices": [[0, 0], [2, 0], [0, 2]], **_TRIANGLE_RUN},
     {"domain": 5, **_TRIANGLE_RUN},
     {"domain": "heart", "pairs": []},
+    {"domain": "triangle", "phi": 1.0},
+    {"domain": "polygon", "phi": 1.0, "vertices": [[-1.25, -0.75], [0.75, -0.75], [0.75, 1.25]],
+     **_TRIANGLE_RUN},
 ], ids=["short-point", "string-point", "short-pair", "string-phi", "top-level-list",
         "string-solution", "ragged-singular-points", "unknown-keys", "float-pair",
         "three-value-pair", "three-value-point", "bool-point", "three-coordinate-vertex",
         "bool-and-string-singular-points", "missing-solution-parameter",
         "unknown-solution-parameter", "solution-without-name", "non-string-solution-name",
-        "list-domain", "int-domain", "empty-pairs"])
+        "list-domain", "int-domain", "empty-pairs", "triangle-phi", "vertices-phi"])
 def test_cli_malformed_config_json_exits_2(request, tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

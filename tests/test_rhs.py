@@ -6,7 +6,7 @@ import pytest
 import cornerbie as cb
 from cornerbie import ParameterError
 from cornerbie.assembly import DiscretizationParams, UnknownMap
-from cornerbie.geometry import circle_arc, make_example_domain, make_smooth_boundary
+from cornerbie.geometry import circle_arc, make_example_domain, make_polygon, make_smooth_boundary
 from cornerbie.quadrature import gauss_legendre, gauss_radau_left, legendre_table
 from cornerbie.rhs import NeumannDatum, _log_ratio, rhs_approx
 
@@ -70,8 +70,33 @@ def test_single_log_source_flux_is_minus_two_pi():
     flux = float(rule.weights @ dens)
     assert flux == pytest.approx(-2 * math.pi, abs=1e-10)
     # and the datum constructor rejects it for violating compatibility
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="violates the zero-flux compatibility"):
         NeumannDatum(b, u_grad=grad)
+
+
+_QUADRILATERAL = ((0.601, 0.224), (0.235, 0.957), (-0.690, 0.636), (0.411, -0.478))
+
+
+def test_compatible_datum_runs_once_its_flux_sum_converges():
+    # two sources inside: the flux is zero, but the sums at 256, 512 and 1024
+    # points per arc are -2.6e-6, -9.4e-13 and 3.8e-14
+    sol = cb.make_exact_solution("log_pair", q1=(0.05, 0.0), q2=(-0.05, 0.02))
+    cfg = cb.RunConfig(domain="quadrilateral", phi=None, solution=sol,
+                       pairs=((8, 32), (16, 64), (32, 128)), c=100.0, eps=1e-6, delta=1e-6,
+                       points=((3.0, 3.0), (-40.0, -50.0)), vertices=_QUADRILATERAL)
+    rows = cb.run_example(cfg)
+    assert [(row.mu, row.nu) for row in rows if not row.failed] == list(cfg.pairs)
+
+
+def test_datum_whose_flux_sum_does_not_converge_is_rejected():
+    # a source 1e-7 inside the midpoint of the first edge: the sums drift
+    # from 3.1414 to 3.1385 between 256 and 4096 points per arc
+    p0, p1 = np.array(_QUADRILATERAL[:2])
+    inward = np.array([p0[1] - p1[1], p1[0] - p0[0]]) / np.linalg.norm(p1 - p0)
+    q1 = tuple(0.5 * (p0 + p1) + 1e-7 * inward)
+    sol = cb.make_exact_solution("log_pair", q1=q1, q2=(-0.05, 0.02))
+    with pytest.raises(ParameterError, match="could not be integrated"):
+        NeumannDatum(make_polygon(_QUADRILATERAL), u_grad=sol.grad)
 
 
 def test_compatibility_of_example_data(all_corner_decs):

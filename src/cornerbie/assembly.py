@@ -32,14 +32,13 @@ from scipy.linalg.lapack import dgetri, dgetri_lwork
 
 from .errors import AssemblyError, ParameterError, SingularMatrixError
 from .geometry import CENTRAL, GAMMA, UPSILON, Decomposition, macro_param_of, subarc_eval
-from .kernels import check_separation, double_layer, mellin_corner_coefficient, mellin_kernel
+from .kernels import check_separation, double_layer, mellin_kernel
 from .quadrature import gauss_radau_left
 
 __all__ = [
     "DiscretizationParams",
     "UnknownMap",
     "DenseSystem",
-    "modified_wedge_rows",
     "build_system",
 ]
 
@@ -83,29 +82,6 @@ class DiscretizationParams:
     @property
     def tau(self) -> float:
         return min(1.0, self.c / self.nu ** (2.0 - 2.0 * self.eps))
-
-
-def modified_wedge_rows(chi: float, t_nodes: np.ndarray, s_values: np.ndarray,
-                        tau: float):
-    """Row coefficients of the modified wedge block.
-
-    Returns (rows, corner_coeff): rows[l, h] multiplies the density value
-    at node t_nodes[h] of the partner arc, corner_coeff[l] the corner
-    unknown.  Rows with s >= tau are the plain kernel rows; below
-    tau they blend the row at tau with the exact corner row value
-    -chi pi, reaching it exactly at s = 0.
-    """
-    t_nodes = np.asarray(t_nodes, float)
-    s_values = np.atleast_1d(np.asarray(s_values, float))
-    rows = np.empty((len(s_values), len(t_nodes)))
-    corner_coeff = np.zeros(len(s_values))
-    hi = s_values >= tau
-    rows[hi] = mellin_kernel(chi, t_nodes[None, :], s_values[hi][:, None])
-    lo = ~hi
-    row_at_tau = mellin_kernel(chi, t_nodes, tau)
-    rows[lo] = (s_values[lo][:, None] / tau) * row_at_tau[None, :]
-    corner_coeff[lo] = (tau - s_values[lo]) / tau * mellin_corner_coefficient(chi)
-    return rows, corner_coeff
 
 
 @dataclass
@@ -352,23 +328,30 @@ def _fill_rows(umap: UnknownMap, out: np.ndarray) -> None:
         check_separation(d2, scale, (arc[lo:hi], t[lo:hi]), (arc, t))
     out[np.diag_indices(n)] += umap.diagonal - math.pi
     # on the Mellin pairs of corner k, its arcs 3k and 3k + 1 each with the
-    # other as partner, the partner's kernel becomes remainder plus modified
-    # wedge: add (wedge - L) w, with L = 0 at the corner pair; rows at
-    # s >= tau are the plain wedge rows, where this is zero.  The partner's
-    # columns follow its full corner rule, so an upsilon partner's t = 0
-    # node is the corner's row, whose weight is the same Radau weight.
-    tau, tj = umap.params.tau, gauss_radau_left(umap.params.mu).nodes
+    # other as partner, the kernel K = L + M becomes M plus the modified
+    # wedge: below tau, the row of L at s is the blend of its row at tau,
+    # weighted s / tau, and the exact corner row, weighted (tau - s) / tau.
+    # The corner row is -chi pi on the corner's column alone: on densities
+    # equal on both corner arcs at the corner, the literal row at s = 0 and
+    # the s -> 0+ limit of the row, int_0^1 L(t, s) dt, both give -chi pi
+    # times the corner value.  So add (s/tau) L(t, tau) - L(t, s), with L = 0
+    # at the corner pair, on the partner's weighted columns and
+    # (tau - s)/tau (-chi pi) on the corner's column; rows at s >= tau keep
+    # the plain kernel.  The partner's columns follow its full corner rule:
+    # an upsilon partner's t = 0 node is the corner's row.
+    tau = umap.params.tau
     for k, corner in enumerate(umap.dec.boundary.corners):
         for i, j in ((3 * k, 3 * k + 1), (3 * k + 1, 3 * k)):
             sel = umap.bounds[i] + np.flatnonzero(t[umap.bounds[i]:umap.bounds[i + 1]] < tau)
             cols = np.arange(umap.bounds[j], umap.bounds[j + 1])
             if j == 3 * k + 1:
                 cols = np.r_[umap.corner[k], cols]
-            wedge, corner_coeff = modified_wedge_rows(corner.chi, tj, t[sel], tau)
-            corner_pair = (t[sel, None] == 0.0) & (tj == 0.0)
-            wedge -= mellin_kernel(corner.chi, np.where(corner_pair, 1.0, tj), t[sel, None])
+            s, tj = t[sel, None], t[cols]
+            corner_pair = (s == 0.0) & (tj == 0.0)
+            wedge = ((s / tau) * mellin_kernel(corner.chi, tj, tau)
+                     - mellin_kernel(corner.chi, np.where(corner_pair, 1.0, tj), s))
             out[np.ix_(sel, cols)] += wedge * umap.w[cols]
-            out[sel, umap.corner[k]] += corner_coeff
+            out[sel, umap.corner[k]] += (tau - t[sel]) / tau * (-corner.chi * math.pi)
 
 
 def build_system(dec: Decomposition, params: DiscretizationParams) -> DenseSystem:

@@ -383,25 +383,25 @@ def macro_param_of(dec: Decomposition, i: int, s: float):
 # concrete arcs and built-in domains
 # --------------------------------------------------------------------------
 
+def _arc(position, first, second) -> MacroArc:
+    """MacroArc from the formulas of its position and first and second
+    derivatives: each maps a float array t to (x, y), arrays that broadcast
+    to the shape of t, stacked here on a trailing coordinate axis."""
+    def stacked(formula):
+        def f(t):
+            t = np.asarray(t, float)
+            out = np.empty(t.shape + (2,))
+            out[..., 0], out[..., 1] = formula(t)
+            return out
+        return f
+
+    return MacroArc(stacked(position), stacked(first), stacked(second))
+
+
 def line_arc(p0, p1) -> MacroArc:
     """Straight segment from p0 to p1."""
-    p0 = np.asarray(p0, float)
-    p1 = np.asarray(p1, float)
-    d = p1 - p0
-
-    def position(t):
-        t = np.asarray(t, float)
-        return p0 + t[..., None] * d
-
-    def first(t):
-        t = np.asarray(t, float)
-        return np.broadcast_to(d, t.shape + (2,)).copy()
-
-    def second(t):
-        t = np.asarray(t, float)
-        return np.zeros(t.shape + (2,))
-
-    return MacroArc(position, first, second)
+    (x0, y0), (dx, dy) = np.asarray(p0, float), np.subtract(p1, p0, dtype=float)
+    return _arc(lambda t: (x0 + t * dx, y0 + t * dy), lambda t: (dx, dy), lambda t: (0.0, 0.0))
 
 
 def as_complex(p) -> np.ndarray:
@@ -410,42 +410,14 @@ def as_complex(p) -> np.ndarray:
     return p[..., 0] + 1j * p[..., 1]
 
 
-def _xy(x, y) -> np.ndarray:
-    """x and y on a trailing coordinate axis: np.stack(axis=-1) for two
-    arrays of one shape, at a fraction of its cost on short arrays."""
-    out = np.empty(np.shape(x) + (2,))
-    out[..., 0] = x
-    out[..., 1] = y
-    return out
-
-
 def circle_arc(radius: float = 1.0, center=(0.0, 0.0)) -> MacroArc:
     """Counterclockwise circle, one full turn over [0, 1]."""
     cx, cy, w = float(center[0]), float(center[1]), _TWO_PI
-    return _trig_arc(
-        lambda t: cx + radius * np.cos(w * t),
-        lambda t: cy + radius * np.sin(w * t),
-        lambda t: radius * w * -np.sin(w * t),
-        lambda t: radius * w * np.cos(w * t),
-        lambda t: -radius * w * w * np.cos(w * t),
-        lambda t: -radius * w * w * np.sin(w * t),
+    return _arc(
+        lambda t: (cx + radius * np.cos(w * t), cy + radius * np.sin(w * t)),
+        lambda t: (radius * w * -np.sin(w * t), radius * w * np.cos(w * t)),
+        lambda t: (-radius * w * w * np.cos(w * t), -radius * w * w * np.sin(w * t)),
     )
-
-
-def _trig_arc(xfun, yfun, dxfun, dyfun, ddxfun, ddyfun) -> MacroArc:
-    def position(t):
-        t = np.asarray(t, float)
-        return _xy(xfun(t), yfun(t))
-
-    def first(t):
-        t = np.asarray(t, float)
-        return _xy(dxfun(t), dyfun(t))
-
-    def second(t):
-        t = np.asarray(t, float)
-        return _xy(ddxfun(t), ddyfun(t))
-
-    return MacroArc(position, first, second)
 
 
 def _heart_arc(phi: float) -> MacroArc:
@@ -455,63 +427,62 @@ def _heart_arc(phi: float) -> MacroArc:
     tp = math.tan(phi / 2.0)
 
     def position(t):
-        t = np.asarray(t, float)
         c, s = np.cos(w * t), np.sin(w * t)
-        return _xy(tp * c - s - tp, tp * s + c - np.cos(np.pi * t))
+        return tp * c - s - tp, tp * s + c - np.cos(np.pi * t)
 
     def first(t):
-        t = np.asarray(t, float)
         c, s = np.cos(w * t), np.sin(w * t)
-        return _xy(-tp * w * s - w * c, tp * w * c - w * s + np.pi * np.sin(np.pi * t))
+        return -tp * w * s - w * c, tp * w * c - w * s + np.pi * np.sin(np.pi * t)
 
     def second(t):
-        t = np.asarray(t, float)
         c, s = np.cos(w * t), np.sin(w * t)
-        return _xy(-tp * w * w * c + w * w * s,
-                   -tp * w * w * s - w * w * c + np.pi * np.pi * np.cos(np.pi * t))
+        return (-tp * w * w * c + w * w * s,
+                -tp * w * w * s - w * w * c + np.pi * np.pi * np.cos(np.pi * t))
 
-    return MacroArc(position, first, second)
+    return _arc(position, first, second)
 
 
 def _teardrop_arc(phi: float) -> MacroArc:
     tp = math.tan(phi / 2.0)
     pi = np.pi
-    return _trig_arc(
-        lambda t: 2.0 * np.sin(pi * t),
-        lambda t: -tp * np.sin(2 * pi * t),
-        lambda t: 2.0 * pi * np.cos(pi * t),
-        lambda t: -2.0 * pi * tp * np.cos(2 * pi * t),
-        lambda t: -2.0 * pi * pi * np.sin(pi * t),
-        lambda t: 4.0 * pi * pi * tp * np.sin(2 * pi * t),
+    return _arc(
+        lambda t: (2.0 * np.sin(pi * t), -tp * np.sin(2 * pi * t)),
+        lambda t: (2.0 * pi * np.cos(pi * t), -2.0 * pi * tp * np.cos(2 * pi * t)),
+        lambda t: (-2.0 * pi * pi * np.sin(pi * t), 4.0 * pi * pi * tp * np.sin(2 * pi * t)),
     )
 
 
 def _boomerang_arc(phi: float) -> MacroArc:
     tp = math.tan(phi / 2.0)
     pi = np.pi
-    return _trig_arc(
-        lambda t: (2.0 / 3.0) * np.sin(3 * pi * t),
-        lambda t: -tp * np.sin(2 * pi * t),
-        lambda t: 2.0 * pi * np.cos(3 * pi * t),
-        lambda t: -2.0 * pi * tp * np.cos(2 * pi * t),
-        lambda t: -6.0 * pi * pi * np.sin(3 * pi * t),
-        lambda t: 4.0 * pi * pi * tp * np.sin(2 * pi * t),
+    return _arc(
+        lambda t: ((2.0 / 3.0) * np.sin(3 * pi * t), -tp * np.sin(2 * pi * t)),
+        lambda t: (2.0 * pi * np.cos(3 * pi * t), -2.0 * pi * tp * np.cos(2 * pi * t)),
+        lambda t: (-6.0 * pi * pi * np.sin(3 * pi * t), 4.0 * pi * pi * tp * np.sin(2 * pi * t)),
     )
 
 
 def make_polygon(vertices: Sequence) -> Boundary:
-    """Counterclockwise polygon boundary, one line arc per side."""
-    verts = [np.asarray(v, float) for v in vertices]
-    n = len(verts)
+    """Counterclockwise polygon boundary, one line arc per edge k from vertex
+    k to vertex k + 1; two edges that are not neighbours may not meet."""
+    a = np.array(vertices, float)
+    b, n = np.roll(a, -1, axis=0), len(a)
     if n < 3:
         raise GeometryError("polygon needs at least 3 vertices")
-    arcs = [line_arc(verts[k], verts[(k + 1) % n]) for k in range(n)]
-    angles = []
-    for k in range(n):
-        d_in = verts[k] - verts[(k - 1) % n]
-        d_out = verts[(k + 1) % n] - verts[k]
-        angles.append(_interior_angle_from_tangents(d_in, d_out))
-    return make_boundary(arcs, angles)
+    e = b - a
+    # edges i and j meet when each has its two ends on both sides of (or on)
+    # the other's line and their bounding boxes overlap
+    rel = np.stack([a, b], axis=1) - a[:, None, None]
+    side = np.sign(e[:, None, None, 0] * rel[..., 1] - e[:, None, None, 1] * rel[..., 0])
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    boxes = ((lo[:, None] <= hi) & (lo <= hi[:, None])).all(axis=-1)
+    gap = (np.arange(n) - np.arange(n)[:, None]) % n
+    straddle = side[..., 0] * side[..., 1] <= 0.0
+    meet = np.argwhere(straddle & straddle.T & boxes & (gap > 1) & (gap < n - 1))
+    if len(meet):
+        raise GeometryError(f"polygon edges {meet[0][0]} and {meet[0][1]} cross or touch")
+    arcs = [line_arc(a[k], b[k]) for k in range(n)]
+    return make_boundary(arcs, [_interior_angle_from_tangents(e[k - 1], e[k]) for k in range(n)])
 
 
 TRIANGLE_VERTICES = ((-1.25, -0.75), (0.75, -0.75), (0.75, 1.25))

@@ -166,8 +166,9 @@ class RunConfig:
                 raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
         if not self.delta > 0.0:  # NaN too
             raise ConfigError(f"config field 'delta' must be positive, got {self.delta!r}")
-        if not self.pairs:
-            raise ConfigError("config field 'pairs' must hold at least one (mu, nu) pair")
+        if not isinstance(self.pairs, (list, tuple)) or not self.pairs:
+            raise ConfigError(f"config field 'pairs' must be a list of at least one "
+                              f"(mu, nu) pair, got {self.pairs!r}")
         for pair in self.pairs:
             if not _is_two(pair, Integral):
                 raise ConfigError(f"every pair must be two integers (mu, nu), got {pair!r}")
@@ -333,6 +334,13 @@ def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
     """
     if "sweep_c" not in _EXAMPLES.get(family, {}):
         raise ConfigError(f"angle sweeps need a parametric family, got {family!r}")
+    try:
+        phis = list(phis)
+    except TypeError:
+        raise ConfigError(f"sweep field 'phis' must be a list of angles, got {phis!r}") from None
+    bad = [phi for phi in phis if not _is_number(phi, Real)]
+    if bad:
+        raise ConfigError(f"sweep field 'phis' holds {bad[0]!r}, which is not a number")
     given = dict(c=_EXAMPLES[family]["sweep_c"] if c is None else c, eps=eps, delta=delta)
     cfg = example_config(family, pairs=((mu, nu),),
                          **{key: value for key, value in given.items() if value is not None})

@@ -34,7 +34,6 @@ __all__ = [
     "double_layer",
     "check_separation",
     "mellin_kernel",
-    "mellin_corner_coefficient",
 ]
 
 _COINCIDENCE_FACTOR = 1e-14
@@ -92,15 +91,3 @@ def mellin_kernel(chi: float, t, s):
         raise ParameterError("mellin kernel undefined at (t, s) = (0, 0)")
     out = -s * math.sin(chi * math.pi) / den
     return out if out.ndim else float(out)
-
-
-def mellin_corner_coefficient(chi: float) -> float:
-    """Corner row value of the wedge block per unit corner density.
-
-    On the constrained space (equal corner values on the two corner
-    arcs) the literal row at s = 0 and the s -> 0+ limit of the row both
-    equal -chi pi times the corner value, so the whole block row enters
-    assembly through this single coefficient.
-    """
-    return -chi * math.pi
-

@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 
 from cornerbie import CoincidentPointError, ParameterError
-from cornerbie.assembly import (
-    DiscretizationParams,
-    UnknownMap,
-    build_system,
-    modified_wedge_rows,
-)
+from cornerbie.assembly import DiscretizationParams, UnknownMap, build_system
 from cornerbie.geometry import UPSILON
-from cornerbie.kernels import mellin_corner_coefficient, mellin_kernel
+from cornerbie.kernels import mellin_kernel
 from cornerbie.quadrature import gauss_radau_left
 
 from conftest import arc_nodes_at, radau_rules
@@ -127,6 +122,18 @@ def test_duplicate_corner_rows_identical(all_corner_decs):
             assert diff <= 1e-13, (name, k, diff)
 
 
+def _wedge_row(chi, t_nodes, s, tau):
+    """The modified wedge row at field parameter s over the partner nodes
+    t_nodes, and its coefficient on the corner's column, entry by entry as
+    the paper writes them: the kernel row L(t, s) from tau on, and below
+    tau the blend (s/tau) L(t, tau) with (tau - s)/tau times the corner row
+    value -chi pi."""
+    if s >= tau:
+        return np.array([mellin_kernel(chi, t, s) for t in t_nodes]), 0.0
+    row = np.array([s / tau * mellin_kernel(chi, t, tau) for t in t_nodes])
+    return row, (tau - s) / tau * (-chi * math.pi)
+
+
 def _entrywise_rows(dec, params, fields):
     """The collocation rows at the field nodes fields, (sub-arc, index in
     its Radau rule) pairs, entry by entry: the scalar real-form kernel on
@@ -154,8 +161,8 @@ def _entrywise_rows(dec, params, fields):
             pair = i // 3 == j // 3 and {i % 3, j % 3} == {0, 1}
             chi = dec.boundary.corners[i // 3].chi if pair else None
             if chi is not None:
-                wedge, coeff = modified_wedge_rows(chi, rules[j].nodes, [s], params.tau)
-                ref[r, umap.corner[i // 3]] += coeff[0]
+                wedge, coeff = _wedge_row(chi, rules[j].nodes, s, params.tau)
+                ref[r, umap.corner[i // 3]] += coeff
             for h, t in enumerate(rules[j].nodes):
                 corner_pair = chi is not None and s == t == 0.0
                 if (i == j and s == t) or corner_pair:
@@ -165,7 +172,7 @@ def _entrywise_rows(dec, params, fields):
                     qx, qy = src.tangent[:, h]
                     k = (qy * dx - qx * dy) / (dx * dx + dy * dy)
                 if chi is not None:
-                    k += wedge[0, h] - (0.0 if corner_pair else mellin_kernel(chi, t, s))
+                    k += wedge[h] - (0.0 if corner_pair else mellin_kernel(chi, t, s))
                 ref[r, cols[j][h]] += k * rules[j].weights[h]
     return ref
 
@@ -222,18 +229,18 @@ def test_wedge_rows_blend_continuity():
     t_nodes = gauss_radau_left(8).nodes
     tau = 0.31
     below = np.nextafter(tau, 0.0)
-    rows, coeff = modified_wedge_rows(chi, t_nodes, np.array([tau, below]), tau)
-    assert np.abs(rows[0] - rows[1]).max() <= 1e-13
-    assert abs(coeff[0]) == 0.0
-    assert abs(coeff[1]) <= 1e-13
+    (at, coeff_at), (under, coeff_under) = (_wedge_row(chi, t_nodes, s, tau) for s in (tau, below))
+    assert np.abs(at - under).max() <= 1e-13
+    assert abs(coeff_at) == 0.0
+    assert abs(coeff_under) <= 1e-13
 
 
 def test_wedge_rows_at_zero_reduce_to_corner_value():
     chi = 0.5
     t_nodes = gauss_radau_left(6).nodes
-    rows, coeff = modified_wedge_rows(chi, t_nodes, np.array([0.0]), 0.2)
-    assert np.all(rows[0] == 0.0)
-    assert coeff[0] == mellin_corner_coefficient(chi)
+    row, coeff = _wedge_row(chi, t_nodes, 0.0, 0.2)
+    assert np.all(row == 0.0)
+    assert coeff == -chi * math.pi
 
 
 def test_wedge_block_row_norms(all_corner_decs):
@@ -248,8 +255,8 @@ def test_wedge_block_row_norms(all_corner_decs):
             s_vals = gauss_radau_left(mu).nodes
             for k in range(dec.boundary.n_corners):
                 chi = dec.boundary.corners[k].chi
-                rows, coeff = modified_wedge_rows(chi, s_vals, s_vals, params.tau)
-                norms = np.abs(rows * lam[None, :]).sum(axis=1) + np.abs(coeff)
+                rows, coeff = zip(*(_wedge_row(chi, s_vals, s, params.tau) for s in s_vals))
+                norms = np.abs(np.array(rows) * lam[None, :]).sum(axis=1) + np.abs(coeff)
                 assert norms.max() < math.pi + 0.2, (name, mu, nu, k, norms.max())
 
 

@@ -14,6 +14,7 @@ from cornerbie.geometry import (
     PointLocator,
     as_complex,
     boundary_polyline,
+    circle_arc,
     decompose,
     line_arc,
     macro_param_of,
@@ -23,6 +24,57 @@ from cornerbie.geometry import (
     subarc_eval,
     winding_number,
 )
+
+
+# one arc of each constructor: the three parametric families, a line, a
+# circle and a polygon side
+_ARCS = {
+    "line": line_arc((0.3, -1.2), [2.5, 0.7]),
+    "circle": circle_arc(1.7, (0.2, -0.4)),
+    "heart": make_example_domain("heart", 5 * math.pi / 3).arcs[0],
+    "teardrop": make_example_domain("teardrop", 2 * math.pi / 3).arcs[0],
+    "boomerang": make_example_domain("boomerang", 3 * math.pi / 2).arcs[0],
+    "polygon side": make_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]).arcs[3],
+}
+
+
+@pytest.mark.parametrize("name", _ARCS)
+def test_arc_calling_contract(name):
+    # every callable takes t of any shape (PointLocator passes 2-D samples)
+    # and returns float64 points on a trailing axis of length 2; a list
+    # gives what an array gives
+    arc = _ARCS[name]
+    grid = np.linspace(0.0, 1.0, 12).reshape(4, 3)
+    for f in (arc.position, arc.first_derivative, arc.second_derivative):
+        for t, shape in ((0.25, (2,)), (np.float64(1.0), (2,)), (np.array(0.5), (2,)),
+                         (grid[0], (3, 2)), (grid, (4, 3, 2))):
+            got = f(t)
+            assert got.shape == shape and got.dtype == np.float64, (f, t)
+        np.testing.assert_array_equal(f(grid.tolist()), f(grid))
+        np.testing.assert_array_equal(f(grid)[1, 2], f(grid[1, 2]))
+        assert f([0, 1]).dtype == np.float64
+
+
+@pytest.mark.parametrize("vertices, edges", [
+    # edges 2 and 3 both cross edge 0
+    ([(0, 0), (3, 0), (3, 2), (1, -0.5), (0, 2)], (0, 2)),
+    # vertex 3 lies on edge 0
+    ([(0, 0), (3, 0), (3, 1), (2, 0), (1, 1)], (0, 2)),
+    # edge 2 ends on edge 0, and edge 3 runs along it
+    ([(0, 0), (4, 0), (4, 1), (3, 0), (1, 0), (0, 1)], (0, 2)),
+])
+def test_make_polygon_rejects_edges_that_meet(vertices, edges):
+    i, j = edges
+    with pytest.raises(GeometryError, match=f"polygon edges {i} and {j} cross or touch"):
+        make_polygon(vertices)
+
+
+def test_make_polygon_keeps_non_convex_polygons():
+    # a U shape whose inner edge nearly meets the bottom one, and a notch
+    # that leaves edges 0 and 4 on one line, apart
+    u = make_polygon([(0, 0), (3, 0), (3, 2), (2, 2), (2, 1e-12), (1, 1e-12), (1, 2), (0, 2)])
+    notch = make_polygon([(0, 0), (1, 0), (1, 1), (2, 1), (2, 0), (3, 0), (3, 2), (0, 2)])
+    assert u.n_corners == notch.n_corners == 8
 
 
 def test_unit_square_corner_parameters():

@@ -136,11 +136,11 @@ def test_non_finite_points_are_config_errors(point):
     dict(pairs=((8.5, 32),)), dict(pairs=(("8", "32"),)), dict(pairs=((8, 32, 1),)),
     dict(pairs=((True, 32),)), dict(points=((True, 3.0),)), dict(points=((3.0, 3.0, 7.0),)),
     dict(vertices=((-1.25, -0.75), (0.75, -0.75), (0.75, 1.25, 0.0))), dict(M=True),
-    dict(domain=[1]), dict(domain=5), dict(pairs=()),
+    dict(domain=[1]), dict(domain=5), dict(pairs=()), dict(pairs=np.array([[8, 32]])),
 ], ids=["string-c", "string-delta", "none-eps", "string-phi", "bool-c", "string-point",
         "tau-underflow", "nan-c", "float-pair", "string-pair", "three-value-pair",
         "bool-pair", "bool-point", "three-value-point", "three-coordinate-vertex", "bool-M",
-        "list-domain", "int-domain", "empty-pairs"])
+        "list-domain", "int-domain", "empty-pairs", "array-pairs"])
 def test_config_field_errors_are_config_errors(override):
     # at c = 1e-300 and nu = 32, tau^2 underflows to 0 and the wedge
     # kernel at (0, tau) is undefined; c = nan would run as tau = 1; a pair
@@ -239,6 +239,14 @@ def test_angle_sweep_records_failures_and_continues():
     assert pts[0].error_message is None
     assert pts[1].error_message is not None  # phi = pi has no corner
     assert pts[2].error_message is None
+
+
+@pytest.mark.parametrize("phis, named", [(["x"], "'x'"), ([None], "None"),
+                                          ([1.5 * math.pi, "y"], "'y'"), (5, "got 5")])
+def test_angle_sweep_names_a_malformed_angle(phis, named):
+    with pytest.raises(ConfigError, match=re.escape(named)) as err:
+        angle_sweep("heart", phis, 8, 32)
+    assert "'phis'" in str(err.value)
 
 
 def test_angle_sweep_rejects_triangle():
@@ -431,7 +439,7 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
 _NAMED_FIELD = {"string-solution": "'solution'", "solution-without-name": "'solution'",
                 "non-string-solution-name": "'solution'", "list-domain": "'domain'",
                 "int-domain": "'domain'", "empty-pairs": "'pairs'", "triangle-phi": "'phi'",
-                "vertices-phi": "'phi'"}
+                "vertices-phi": "'phi'", "crossing-edges": "polygon edges 0 and 2 cross"}
 _TRIANGLE_RUN = {"solution": {"name": "log_pair", "q1": [0.5, 0.5], "q2": [0.3, 0.3]},
                  "pairs": [[8, 32]], "c": 100.0, "eps": 1e-6, "delta": 1e-6,
                  "points": [[2.0, 2.0]]}
@@ -464,12 +472,16 @@ _TRIANGLE_RUN = {"solution": {"name": "log_pair", "q1": [0.5, 0.5], "q2": [0.3, 
     {"domain": "triangle", "phi": 1.0},
     {"domain": "polygon", "phi": 1.0, "vertices": [[-1.25, -0.75], [0.75, -0.75], [0.75, 1.25]],
      **_TRIANGLE_RUN},
+    # edges 2 and 3 cross edge 0; run, its errors did not converge with (mu, nu)
+    {**_TRIANGLE_RUN, "domain": "polygon", "vertices": [[0, 0], [3, 0], [3, 2], [1, -0.5], [0, 2]],
+     "solution": {"name": "log_pair", "q1": [0.5, 0.5], "q2": [2.5, 1.0]}},
 ], ids=["short-point", "string-point", "short-pair", "string-phi", "top-level-list",
         "string-solution", "ragged-singular-points", "unknown-keys", "float-pair",
         "three-value-pair", "three-value-point", "bool-point", "three-coordinate-vertex",
         "bool-and-string-singular-points", "missing-solution-parameter",
         "unknown-solution-parameter", "solution-without-name", "non-string-solution-name",
-        "list-domain", "int-domain", "empty-pairs", "triangle-phi", "vertices-phi"])
+        "list-domain", "int-domain", "empty-pairs", "triangle-phi", "vertices-phi",
+        "crossing-edges"])
 def test_cli_malformed_config_json_exits_2(request, tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

@@ -20,7 +20,7 @@ from cornerbie.geometry import (
     make_polygon,
     subarc_eval,
 )
-from cornerbie.kernels import double_layer, mellin_corner_coefficient, mellin_kernel
+from cornerbie.kernels import double_layer, mellin_kernel
 from cornerbie.quadrature import gauss_radau_left
 from cornerbie.solve_post import eval_exterior, solve_field
 
@@ -242,11 +242,6 @@ def test_corner_limit_teardrop_head_pair(teardrop_dec):
     assert abs(est) <= 1e-8
 
 
-def test_mellin_corner_coefficient_values():
-    assert mellin_corner_coefficient(0.5) == pytest.approx(-math.pi / 2, rel=1e-15)
-    assert mellin_corner_coefficient(-2.0 / 3.0) == pytest.approx(2 * math.pi / 3, rel=1e-15)
-
-
 @pytest.mark.parametrize("chi", (-2.0 / 3.0, -0.5, 0.5, 2.0 / 3.0, 0.75))
 def test_corner_coefficient_matches_integral_limit(chi):
     # lim_{s->0+} int_0^1 L(t, s) dt = -chi pi; substitute t = s u and
@@ -258,7 +253,7 @@ def test_corner_coefficient_matches_integral_limit(chi):
     v1, _ = quad(f, 0.0, 2.0, limit=200)
     v2, _ = quad(f, 2.0, 1.0 / s, limit=200)
     numeric = -math.sin(chi * math.pi) * (v1 + v2)
-    assert abs(numeric - mellin_corner_coefficient(chi)) <= 1e-4
+    assert abs(numeric - (-chi * math.pi)) <= 1e-4
 
 
 def test_field_kernel_values_and_reversal():

@@ -31,7 +31,7 @@ from scipy.linalg import LinAlgWarning, lu_factor
 from scipy.linalg.lapack import dgetri, dgetri_lwork
 
 from .errors import AssemblyError, ParameterError, SingularMatrixError
-from .geometry import CENTRAL, GAMMA, UPSILON, Decomposition, macro_param_of, subarc_eval
+from .geometry import CENTRAL, GAMMA, UPSILON, Decomposition
 from .kernels import check_separation, double_layer, mellin_kernel
 from .quadrature import gauss_radau_left
 
@@ -88,17 +88,18 @@ class DiscretizationParams:
 class UnknownMap:
     """The node table: one row per unknown, arc-major, so that table row r
     is matrix row r and column r.  Each row holds its node's sub-arc arc
-    and parameter t, macro arc macro_arc and parameter macro_t there,
-    weight w, position points, weighted tangent q = w sign sigma' (sign =
-    -1 on gamma arcs, so q follows the boundary's counterclockwise
-    orientation) and weighted diagonal kernel value diagonal = w times the
-    curvature value, with the same orientation.  The s = 0 node of each
-    upsilon arc is its gamma partner's node, the corner point: its q and
-    diagonal are added onto that node's and it has no row of its own;
-    corner[k] is the row of corner k's node.  points and q are (2, m)
-    arrays of x and y rows; sub-arc i owns the rows bounds[i]:bounds[i + 1]
-    and was built on its full Radau rule, which on an upsilon arc also
-    holds the t = 0 node."""
+    and parameter t, macro arc macro_arc and parameter macro_t there (the
+    sub-arc's window map), weight w, position points, weighted tangent
+    q = w L sigma' and weighted diagonal kernel value diagonal = w times
+    the curvature value of L sigma' and L^2 sigma'', L the window length
+    and sigma the macro arc at macro_t, which each macro arc's callables
+    give once for all its rows; both follow the boundary's counterclockwise
+    orientation.  The s = 0 node of each upsilon arc is its gamma partner's
+    node, the corner point: its q and diagonal are added onto that node's
+    and it has no row of its own; corner[k] is the row of corner k's node.
+    points and q are (2, m) arrays of x and y rows; sub-arc i owns the rows
+    bounds[i]:bounds[i + 1] and was built on its full Radau rule, which on
+    an upsilon arc also holds the t = 0 node."""
 
     dec: Decomposition
     params: DiscretizationParams
@@ -114,25 +115,32 @@ class UnknownMap:
     corner: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        dec, params = self.dec, self.params
+        subs, params = self.dec.subarcs, self.params
         rules = [gauss_radau_left(params.nu if sub.kind == CENTRAL else params.mu)
-                 for sub in dec.subarcs]
-        nodes = [rule.nodes for rule in rules]
-        sizes = [len(t) for t in nodes]
-        arc = np.repeat(np.arange(len(sizes)), sizes)
-        t = np.concatenate(nodes)
-        ell, tm = zip(*(macro_param_of(dec, i, t) for i, t in enumerate(nodes)))
-        macro_arc, macro_t = np.repeat(ell, sizes), np.concatenate(tm)
+                 for sub in subs]
+        sizes = [len(rule.nodes) for rule in rules]
+        arc = np.repeat(np.arange(len(subs)), sizes)
+        macro_arc = np.repeat([sub.macro_index for sub in subs], sizes)
+        t = np.concatenate([rule.nodes for rule in rules])
         w = np.concatenate([rule.weights for rule in rules])
-        p, d1, d2 = (np.concatenate(g) for g in
-                     zip(*(subarc_eval(dec, i, t) for i, t in enumerate(nodes))))
-        sign = np.repeat([-1.0 if sub.kind == GAMMA else 1.0 for sub in dec.subarcs], sizes)
-        q = (w * sign) * d1.T
+        macro_t = np.concatenate([sub.macro_t(rule.nodes) for sub, rule in zip(subs, rules)])
+        length = np.repeat([sub.b - sub.a for sub in subs], sizes)[:, None]
+        p, d1, d2 = np.empty((3, len(t), 2))
+        for ell, curve in enumerate(self.dec.boundary.arcs):
+            rows = np.flatnonzero(macro_arc == ell)
+            tm, scale = macro_t[rows], length[rows]
+            p[rows] = curve.position(tm)
+            d1[rows] = scale * curve.first_derivative(tm)
+            d2[rows] = (scale * scale) * curve.second_derivative(tm)
+        q = w * d1.T
         num = d1[:, 1] * d2[:, 0] - d1[:, 0] * d2[:, 1]
-        diagonal = w * (sign * 0.5 * num / (d1 * d1).sum(-1))
-        # fold each upsilon arc's s = 0 node into its gamma partner's
-        starts, kinds = np.cumsum([0] + sizes), np.array([sub.kind for sub in dec.subarcs])
+        diagonal = w * (0.5 * num / (d1 * d1).sum(-1))
+        # the s = 0 node of each gamma arc is the stored corner point, and
+        # each upsilon arc's s = 0 node folds into it
+        starts, kinds = np.cumsum([0] + sizes), np.array([sub.kind for sub in subs])
         gamma, upsilon = starts[:-1][kinds == GAMMA], starts[:-1][kinds == UPSILON]
+        for row, corner in zip(gamma, self.dec.boundary.corners):
+            p[row] = corner.point
         q[:, gamma] += q[:, upsilon]
         diagonal[gamma] += diagonal[upsilon]
         keep = np.ones(len(t), bool)

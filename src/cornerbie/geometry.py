@@ -37,8 +37,6 @@ __all__ = [
     "make_polygon",
     "make_example_domain",
     "decompose",
-    "subarc_eval",
-    "macro_param_of",
     "as_complex",
     "boundary_polyline",
     "winding_number",
@@ -224,6 +222,13 @@ class SubArc:
     a: float
     b: float
 
+    def macro_t(self, s):
+        """Macro-arc parameter of the sub-arc parameter s: the one home of
+        the gamma arc's reversal, so both corner arcs start at the corner."""
+        if self.kind == GAMMA:
+            return self.b - (self.b - self.a) * s
+        return self.a + (self.b - self.a) * s
+
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
@@ -350,33 +355,6 @@ def decompose(boundary: Boundary, delta: float) -> Decomposition:
         subarcs.append(SubArc(UPSILON, k, 0.0, head[k]))
         subarcs.append(SubArc(CENTRAL, k, head[k], 1.0 - tail[(k + 1) % n]))
     return Decomposition(boundary, tuple(subarcs), speed, achieved, delta)
-
-
-def subarc_eval(dec: Decomposition, i: int, s):
-    """Position and first/second parameter derivatives of sub-arc i at s.
-
-    The chain rule over the affine window gives d1 = +/-(b-a) sigma',
-    d2 = (b-a)^2 sigma'' (sign negative on gamma arcs).  Corner arcs
-    return the stored corner point exactly at s = 0.
-    """
-    sub = dec.subarcs[i]
-    s_arr = np.asarray(s, float)
-    ell, t = macro_param_of(dec, i, s_arr)
-    arc, length = dec.boundary.arcs[ell], sub.b - sub.a
-    d1 = (-length if sub.kind == GAMMA else length) * np.asarray(arc.first_derivative(t), float)
-    p = np.asarray(arc.position(t), float)
-    d2 = length * length * np.asarray(arc.second_derivative(t), float)
-    if sub.kind != CENTRAL and np.any(s_arr == 0.0):
-        p = np.where((s_arr == 0.0)[..., None], dec.boundary.corners[i // 3].point, p)
-    return p, d1, d2
-
-
-def macro_param_of(dec: Decomposition, i: int, s: float):
-    """Macro-arc index and parameter with sigma_i(s) = macro_ell(s_macro)."""
-    sub = dec.subarcs[i]
-    if sub.kind == GAMMA:
-        return sub.macro_index, sub.b - (sub.b - sub.a) * s
-    return sub.macro_index, sub.a + (sub.b - sub.a) * s
 
 
 # --------------------------------------------------------------------------

@@ -18,11 +18,9 @@ from cornerbie.geometry import (
     boundary_polyline,
     circle_arc,
     decompose,
-    macro_param_of,
     make_example_domain,
     make_polygon,
     make_smooth_boundary,
-    subarc_eval,
 )
 from cornerbie.kernels import check_separation, double_layer, mellin_kernel
 from cornerbie.quadrature import gauss_legendre, gauss_radau_left
@@ -134,7 +132,7 @@ def heart_rhs_oracle(heart_dec, heart_datum, heart_deviation_points):
     datum, _ = heart_datum
     values = {}
     for i, s in heart_deviation_points:
-        _, sm = macro_param_of(heart_dec, i, s)
+        _, sm = window_map(heart_dec, i, s)
         values[(i, s)] = oracle_single_layer(heart_dec, datum, sm)
     return values
 
@@ -162,8 +160,8 @@ def row_rhs(system, datum, M: int) -> np.ndarray:
 def gbar_at(dec, datum, M: int, i: int, s):
     """rhs_approx with the M-point rule at a float (giving a float) or 1-D
     array s of parameters on sub-arc i of dec, mapped to its macro arc with
-    macro_param_of."""
-    ell, sm = macro_param_of(dec, i, np.atleast_1d(np.asarray(s, float)))
+    window_map."""
+    ell, sm = window_map(dec, i, np.atleast_1d(np.asarray(s, float)))
     out = rhs_approx(datum, M, np.full(len(sm), ell), sm)
     return out if np.ndim(s) else float(out[0])
 
@@ -185,7 +183,7 @@ def normal_derivative(u_grad, boundary, ell: int, t):
 
 
 # --------------------------------------------------------------------------
-# kernels at arbitrary parameters
+# sub-arc geometry by the chain rule, and kernels at arbitrary parameters
 # --------------------------------------------------------------------------
 
 def radau_rules(dec, params):
@@ -196,17 +194,65 @@ def radau_rules(dec, params):
             for sub in dec.subarcs]
 
 
+def window_map(dec, i, s):
+    """Macro arc and parameter of sub-arc i at s, written out here: the
+    window [a, b] from a, or from b backwards on a gamma arc, so that both
+    corner arcs start at the corner."""
+    sub = dec.subarcs[i]
+    s = np.asarray(s, float)
+    if sub.kind == GAMMA:
+        return sub.macro_index, sub.b - (sub.b - sub.a) * s
+    return sub.macro_index, sub.a + (sub.b - sub.a) * s
+
+
+def subarc_geometry(dec, i, s):
+    """Position and first and second derivatives of sub-arc i at s by the
+    chain rule over its window of length L: d1 = +/-L sigma' (minus on a
+    gamma arc) and d2 = L^2 sigma''; a corner arc's point at s = 0 is the
+    stored corner point."""
+    sub = dec.subarcs[i]
+    s = np.asarray(s, float)
+    ell, t = window_map(dec, i, s)
+    arc, length = dec.boundary.arcs[ell], sub.b - sub.a
+    d1 = (-length if sub.kind == GAMMA else length) * np.asarray(arc.first_derivative(t), float)
+    p = np.asarray(arc.position(t), float)
+    d2 = length * length * np.asarray(arc.second_derivative(t), float)
+    if sub.kind != CENTRAL:
+        p = np.where((s == 0.0)[..., None], dec.boundary.corners[i // 3].point, p)
+    return p, d1, d2
+
+
 def arc_nodes_at(dec, i, t):
     """Node geometry of sub-arc i at the parameters t, built here from
-    subarc_eval and the sub-arc's orientation: positions and tangents as
-    (2, m) arrays of x and y rows, the tangent and the diagonal kernel
+    subarc_geometry and the sub-arc's orientation: positions and tangents
+    as (2, m) arrays of x and y rows, the tangent and the diagonal kernel
     value taken with the boundary's counterclockwise orientation."""
     t = np.atleast_1d(np.asarray(t, float))
-    p, d1, d2 = subarc_eval(dec, i, t)
+    p, d1, d2 = subarc_geometry(dec, i, t)
     sign = -1.0 if dec.subarcs[i].kind == GAMMA else 1.0
     num = d1[:, 1] * d2[:, 0] - d1[:, 0] * d2[:, 1]
     return SimpleNamespace(points=p.T, tangent=sign * d1.T,
                            curvature=sign * 0.5 * num / (d1 * d1).sum(-1))
+
+
+def node_table_at(dec, params):
+    """The node table's arc, macro_t, points, q and diagonal built here,
+    sub-arc by sub-arc: arc_nodes_at and window_map on each full Radau
+    rule, q and diagonal weighted, and each upsilon arc's s = 0 node
+    folded into its gamma partner's, the corner point."""
+    parts = []
+    for i, rule in enumerate(radau_rules(dec, params)):
+        g = arc_nodes_at(dec, i, rule.nodes)
+        part = dict(arc=np.full(len(rule.nodes), i), macro_t=window_map(dec, i, rule.nodes)[1],
+                    points=g.points, q=rule.weights * g.tangent,
+                    diagonal=rule.weights * g.curvature)
+        if dec.subarcs[i].kind == UPSILON:
+            parts[-1]["q"][:, 0] += part["q"][:, 0]
+            parts[-1]["diagonal"][0] += part["diagonal"][0]
+            part = {key: value[..., 1:] for key, value in part.items()}
+        parts.append(part)
+    return SimpleNamespace(**{key: np.concatenate([part[key] for part in parts], axis=-1)
+                              for key in parts[0]})
 
 
 def _kernel_grid(dec, i, j, t, s, coincide):
@@ -316,9 +362,7 @@ def eval_exterior_per_point(fld, x: float, y: float) -> float:
     """Exterior field value with all geometry recomputed per point.
 
     A fresh PointLocator of the boundary, the macro-arc rule positions,
-    the datum densities, and the node geometry and weights (arc_nodes_at
-    on each sub-arc's full Radau rule, each upsilon arc's s = 0 node
-    folded into its gamma partner's, the corner point)
+    the datum densities, and the node geometry and weights (node_table_at)
     are rebuilt for every point; otherwise the arithmetic and its order
     are those of eval_exterior, so the two agree bit for bit (non-finite
     input and output aside).
@@ -331,18 +375,10 @@ def eval_exterior_per_point(fld, x: float, y: float) -> float:
     if winding[0] != 0:
         raise ExteriorDomainError(f"point ({x}, {y}) lies inside the domain")
 
-    rules = radau_rules(dec, fld.system.unknown_map.params)
-    geom = [arc_nodes_at(dec, i, rule.nodes) for i, rule in enumerate(rules)]
-    src = [g.points for g in geom]
-    q = [rule.weights * g.tangent for rule, g in zip(rules, geom)]
-    for i, sub in enumerate(dec.subarcs):
-        if sub.kind == UPSILON:
-            q[i - 1][:, 0] += q[i][:, 0]
-            src[i], q[i] = src[i][:, 1:], q[i][:, 1:]
-    k, d2 = double_layer((p[:1], p[1:]), np.concatenate(src, axis=1), np.concatenate(q, axis=1))
+    table = node_table_at(dec, fld.system.unknown_map.params)
+    k, d2 = double_layer((p[:1], p[1:]), table.points, table.q)
     if d2.min() < 1e-12 ** 2:
-        near = int(np.argmax(d2[0] < 1e-12 ** 2))
-        i = int(np.searchsorted(np.cumsum([g.shape[1] for g in src]), near, "right"))
+        i = table.arc[int(np.argmax(d2[0] < 1e-12 ** 2))]
         raise ExteriorDomainError(f"field point ({p[0]}, {p[1]}) within 1e-12 of sub-arc {i}")
     rule, arcs = gauss_legendre(fld.N), dec.boundary.arcs
     pts = np.concatenate([np.asarray(arc.position(rule.nodes), float) for arc in arcs])

@@ -141,7 +141,7 @@ def _entrywise_rows(dec, params, fields):
     two nodes coincide, the Mellin split K - L + wedge on the corner pairs
     with L = 0 at the corner node pair, the corner coefficient, and each
     source's weight added on its column.  Nodes, weights and node
-    geometry are built here from the Radau rules, subarc_eval and the
+    geometry are built here from the Radau rules, subarc_geometry and the
     sub-arcs' orientation; only the column numbers are read from the
     unknown map: each sub-arc's table rows, with the corner's row for an
     upsilon arc's s = 0 node."""

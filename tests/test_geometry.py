@@ -6,6 +6,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from cornerbie import GeometryError, ParameterError, example_config
+from cornerbie.assembly import DiscretizationParams, UnknownMap
 from cornerbie.geometry import (
     CENTRAL,
     GAMMA,
@@ -17,13 +18,13 @@ from cornerbie.geometry import (
     circle_arc,
     decompose,
     line_arc,
-    macro_param_of,
     make_boundary,
     make_example_domain,
     make_polygon,
-    subarc_eval,
     winding_number,
 )
+
+from conftest import node_table_at, subarc_geometry
 
 
 # one arc of each constructor: the three parametric families, a line, a
@@ -219,8 +220,8 @@ def test_corner_speed_matching(all_corner_decs):
     for dec in all_corner_decs.values():
         n = dec.boundary.n_corners
         for k in range(n):
-            _, d_gamma, _ = subarc_eval(dec, 3 * k, 0.0)
-            _, d_upsilon, _ = subarc_eval(dec, 3 * k + 1, 0.0)
+            _, d_gamma, _ = subarc_geometry(dec, 3 * k, 0.0)
+            _, d_upsilon, _ = subarc_geometry(dec, 3 * k + 1, 0.0)
             ratio = np.linalg.norm(d_gamma) / np.linalg.norm(d_upsilon)
             assert abs(ratio - 1.0) <= 1e-10
 
@@ -228,8 +229,8 @@ def test_corner_speed_matching(all_corner_decs):
 def test_corner_incidence(all_corner_decs):
     for dec in all_corner_decs.values():
         for k in range(dec.boundary.n_corners):
-            p_gamma, _, _ = subarc_eval(dec, 3 * k, 0.0)
-            p_upsilon, _, _ = subarc_eval(dec, 3 * k + 1, 0.0)
+            p_gamma, _, _ = subarc_geometry(dec, 3 * k, 0.0)
+            p_upsilon, _, _ = subarc_geometry(dec, 3 * k + 1, 0.0)
             corner = dec.boundary.corners[k].point
             assert np.abs(p_gamma - corner).max() <= 1e-12
             assert np.abs(p_upsilon - corner).max() <= 1e-12
@@ -246,42 +247,44 @@ def test_subarc_intervals_tile_macro_arcs(all_corner_decs):
                 assert b1 == a2
 
 
-def test_subarc_eval_chain_rule(heart_dec):
-    dec = heart_dec
-    gamma = dec.subarcs[0]
-    length = gamma.b - gamma.a
-    _, d1, d2 = subarc_eval(dec, 0, 0.0)
-    macro_d1 = dec.boundary.arcs[0].first_derivative(1.0)
-    macro_d2 = dec.boundary.arcs[0].second_derivative(1.0)
-    np.testing.assert_allclose(d1, -length * macro_d1, rtol=1e-14)
-    np.testing.assert_allclose(d2, length**2 * macro_d2, rtol=1e-14)
-    # central arc point is the plain affine image
-    central = dec.subarcs[2]
-    s = 0.3
-    p, _, _ = subarc_eval(dec, 2, s)
-    t = central.a + (central.b - central.a) * s
-    np.testing.assert_allclose(p, dec.boundary.arcs[0].position(t), rtol=0, atol=0)
+def test_node_table_matches_chain_rule(all_corner_decs, circle_dec):
+    # the node table reads each macro arc once; the reference evaluates
+    # every sub-arc by the chain rule over its window, reversed on gamma
+    # arcs, and folds each upsilon arc's s = 0 node into the corner's row
+    params = DiscretizationParams(mu=8, nu=32, c=300.0, eps=1e-3)
+    for name, dec in {**all_corner_decs, "circle": circle_dec}.items():
+        umap, ref = UnknownMap(dec, params), node_table_at(dec, params)
+        np.testing.assert_array_equal(umap.arc, ref.arc, err_msg=name)
+        for key in ("macro_t", "points", "q", "diagonal"):
+            got, want = getattr(umap, key), getattr(ref, key)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15 * np.abs(want).max(),
+                                       err_msg=f"{name} {key}")
+        for k, corner in enumerate(dec.boundary.corners):
+            assert np.array_equal(umap.points[:, umap.corner[k]], corner.point), (name, k)
 
 
-def test_macro_param_of(triangle_dec):
+def test_subarc_window_map(triangle_dec):
     dec = triangle_dec
     e_up = dec.subarcs[3 * 1 + 1].b
-    ell, sm = macro_param_of(dec, 3 * 1 + 1, 0.5)
-    assert ell == 1 and abs(sm - 0.5 * e_up) <= 1e-16
+    assert abs(dec.subarcs[3 * 1 + 1].macro_t(0.5) - 0.5 * e_up) <= 1e-16
     e_gm = 1.0 - dec.subarcs[3 * 1].a
-    ell, sm = macro_param_of(dec, 3 * 1, 0.5)
-    assert ell == 0 and abs(sm - (1.0 - 0.5 * e_gm)) <= 1e-16
+    assert abs(dec.subarcs[3 * 1].macro_t(0.5) - (1.0 - 0.5 * e_gm)) <= 1e-16
     central = dec.subarcs[5]
-    ell, sm = macro_param_of(dec, 5, 0.25)
-    assert ell == central.macro_index
-    assert abs(sm - (central.a + 0.25 * (central.b - central.a))) <= 1e-16
-    # consistency: the mapped macro point equals the sub-arc point
+    assert abs(central.macro_t(0.25) - (central.a + 0.25 * (central.b - central.a))) <= 1e-16
+    # each window runs from a to b, a gamma arc's from b to a, so that
+    # both corner arcs start at the corner
+    for sub in dec.subarcs:
+        start, end = (sub.b, sub.a) if sub.kind == GAMMA else (sub.a, sub.b)
+        assert sub.macro_t(0.0) == start
+        assert abs(sub.macro_t(1.0) - end) <= 1e-16
+    # arrays map entrywise, onto the chain-rule reference's sub-arc points
+    s = np.array([0.0, 0.21, 1.0])
     for i in (0, 1, 5):
-        for s in (0.0, 0.21, 1.0):
-            ell, sm = macro_param_of(dec, i, s)
-            p_sub, _, _ = subarc_eval(dec, i, s)
-            p_macro = dec.boundary.arcs[ell].position(sm)
-            assert np.abs(p_sub - p_macro).max() <= 1e-12
+        sub = dec.subarcs[i]
+        np.testing.assert_array_equal(sub.macro_t(s), [sub.macro_t(x) for x in s])
+        p_sub, _, _ = subarc_geometry(dec, i, s)
+        p_macro = dec.boundary.arcs[sub.macro_index].position(sub.macro_t(s))
+        assert np.abs(p_sub - p_macro).max() <= 1e-12
 
 
 def test_decompose_errors(heart_boundary):

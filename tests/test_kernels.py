@@ -18,13 +18,12 @@ from cornerbie.geometry import (
     decompose,
     line_arc,
     make_polygon,
-    subarc_eval,
 )
 from cornerbie.kernels import double_layer, mellin_kernel
 from cornerbie.quadrature import gauss_radau_left
 from cornerbie.solve_post import eval_exterior, solve_field
 
-from conftest import arc_nodes_at, kernel_block, remainder_at, row_rhs
+from conftest import arc_nodes_at, kernel_block, remainder_at, row_rhs, subarc_geometry
 
 
 def corner_remainder_richardson(dec, i, j, steps=(1e-4, 5e-5, 2.5e-5)):
@@ -80,8 +79,8 @@ def test_far_field_kernel_bound(heart_dec):
     # |K| <= |sigma_j'(t)| / distance, from Cauchy-Schwarz on the numerator
     for t, s in ((0.2, 0.9), (0.5, 0.1), (0.77, 0.4)):
         val = kernel_block(heart_dec, 2, 2, [t], [s])[0, 0]
-        p_t, d_t, _ = subarc_eval(heart_dec, 2, t)
-        p_s, _, _ = subarc_eval(heart_dec, 2, s)
+        p_t, d_t, _ = subarc_geometry(heart_dec, 2, t)
+        p_s, _, _ = subarc_geometry(heart_dec, 2, s)
         bound = np.linalg.norm(d_t) / np.linalg.norm(p_s - p_t)
         assert abs(val) <= bound * (1 + 1e-12)
 
@@ -292,8 +291,8 @@ def test_node_table_tangent_is_forward_on_reversed_arcs(triangle_dec):
 def test_field_kernel_far_bound(heart_dec):
     t = np.linspace(0.0, 0.99, 23)
     vals = field_kernel(heart_dec, 2, 30.0, 40.0, t)
-    _, d1, _ = subarc_eval(heart_dec, 2, t)
-    pts, _, _ = subarc_eval(heart_dec, 2, t)
+    _, d1, _ = subarc_geometry(heart_dec, 2, t)
+    pts, _, _ = subarc_geometry(heart_dec, 2, t)
     dist = np.hypot(30.0 - pts[:, 0], 40.0 - pts[:, 1])
     assert np.all(np.abs(vals) <= np.linalg.norm(d1, axis=-1) / dist * (1 + 1e-12))
 

@@ -85,3 +85,17 @@ def test_rhs_needs_only_the_boundary():
             assert names <= {"Boundary", "as_complex"}, (names, node.lineno)
         elif isinstance(node, ast.Import):
             assert not any("geometry" in alias.name for alias in node.names), node.lineno
+
+
+def test_assembly_reads_only_the_decomposition_from_geometry():
+    # the node table maps each sub-arc window itself (SubArc.macro_t) and
+    # reads the macro arcs directly; no per-sub-arc geometry helper is
+    # imported
+    path = Path(cornerbie.__file__).resolve().parent / "assembly.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("geometry"):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any("geometry" in alias.name for alias in node.names), node.lineno
+    assert imported == {"CENTRAL", "GAMMA", "UPSILON", "Decomposition"}, sorted(imported)

@@ -1,6 +1,5 @@
-import importlib
+import dataclasses
 import math
-import pkgutil
 import tracemalloc
 from functools import partial
 
@@ -20,7 +19,7 @@ from cornerbie import (
     solve_post,
 )
 from cornerbie.assembly import DenseSystem, DiscretizationParams, build_system, inf_norm
-from cornerbie.geometry import PointLocator, decompose, make_polygon, subarc_eval
+from cornerbie.geometry import Boundary, MacroArc, PointLocator, decompose, make_polygon
 from cornerbie.rhs import NeumannDatum, single_layer_sources
 from cornerbie.solve_post import cond_inf, eval_exterior, solve_dense, solve_field
 from conftest import eval_exterior_per_point, row_rhs
@@ -521,14 +520,34 @@ def test_eval_exterior_node_distance_threshold(fields_16_64, offset, raises):
             assert math.isfinite(eval_exterior(fld, px, py))
 
 
+_CALLABLES = ("position", "first_derivative", "second_derivative")
+
+
+def _counting_dec(dec, calls):
+    """dec on a copy of its boundary whose macro arcs record (arc index,
+    callable name) in calls at each call."""
+    def counted(ell, name):
+        fn = getattr(dec.boundary.arcs[ell], name)
+
+        def f(t):
+            calls.append((ell, name))
+            return fn(t)
+        return f
+
+    arcs = tuple(MacroArc(*(counted(ell, name) for name in _CALLABLES))
+                 for ell in range(len(dec.boundary.arcs)))
+    return dataclasses.replace(dec, boundary=Boundary(arcs, dec.boundary.corners))
+
+
 def test_eval_exterior_does_only_per_point_work(heart_field, monkeypatch):
     fld, _ = heart_field
-    (cx, cy), far_radius = _far_disk(fld)
     calls = []
+    dec = _counting_dec(fld.system.unknown_map.dec, calls)
+    system = build_system(dec, fld.system.unknown_map.params)
+    fld = solve_field(system, row_rhs(system, fld.datum, 32), fld.datum, fld.N)
+    (cx, cy), far_radius = _far_disk(fld)
+    calls.clear()
     counting = partial(_counting, calls)
-    for module in (geometry, kernels, solve_post, assembly):
-        if getattr(module, "subarc_eval", None) is geometry.subarc_eval:
-            monkeypatch.setattr(module, "subarc_eval", counting(geometry.subarc_eval))
     monkeypatch.setattr(NeumannDatum, "arc_density", counting(NeumannDatum.arc_density))
     monkeypatch.setattr(geometry.PointLocator, "__init__",
                         counting(geometry.PointLocator.__init__))
@@ -543,23 +562,16 @@ def test_eval_exterior_does_only_per_point_work(heart_field, monkeypatch):
     assert calls == []
 
 
-def test_node_geometry_evaluated_once_per_subarc(all_corner_decs, monkeypatch):
+def test_node_geometry_evaluated_once_per_macro_arc(all_corner_decs):
     calls = []
-
-    def counted(dec, i, s):
-        calls.append(i)
-        return subarc_eval(dec, i, s)
-
-    for info in pkgutil.iter_modules(cb.__path__):
-        module = importlib.import_module(f"cornerbie.{info.name}")
-        if getattr(module, "subarc_eval", None) is subarc_eval:
-            monkeypatch.setattr(module, "subarc_eval", counted)
-    for name, n_subarcs in (("heart", 3), ("triangle", 9)):
-        dec, cfg = all_corner_decs[name], cb.example_config(name)
-        datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
+    for name in ("heart", "triangle"):
+        dec, cfg = _counting_dec(all_corner_decs[name], calls), cb.example_config(name)
+        datum = NeumannDatum(all_corner_decs[name].boundary, u_grad=cfg.solution.grad)
         params = DiscretizationParams(mu=8, nu=32, c=cfg.c, eps=cfg.eps)
         system = build_system(dec, params)
-        assert calls == list(range(n_subarcs)), name
+        arcs = range(len(dec.boundary.arcs))
+        assert sorted(calls) == sorted((ell, fn) for ell in arcs for fn in _CALLABLES), name
+        dec.boundary.locator  # the field's point locator reads the arcs once per boundary
         calls.clear()
         solve_field(system, row_rhs(system, datum, 16), datum, 16)
         assert calls == [], name

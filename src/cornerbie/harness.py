@@ -277,8 +277,7 @@ def _run_row(dec, datum, cfg: RunConfig, exact: np.ndarray, mu: int, nu: int) ->
     m_rhs, n_outer = cfg.rule_orders(nu)
     system = build_system(dec, params)
     cond = cond_inf(system)
-    umap = system.unknown_map
-    b = rhs_approx(datum, m_rhs, umap.macro_arc, umap.macro_t)
+    b = rhs_approx(datum, m_rhs, system.unknown_map)
     fld = solve_field(system, b, datum, n_outer)
     values = [eval_exterior(fld, x, y) for x, y in cfg.points]
     return RowResult(mu, nu, values, np.abs(np.array(values) - exact).tolist(), cond)

@@ -1,8 +1,8 @@
 """Right-hand side: single-layer logarithmic integrals of the Neumann datum.
 
-gbar(P) = int_Sigma f(Q) log|P - Q| dSigma_Q is computed at boundary points
-P = sigma_ell(s) given by macro arc and parameter; the self-arc integral
-splits the kernel as
+gbar(P) = int_Sigma f(Q) log|P - Q| dSigma_Q is computed at the node
+table's points P = sigma_ell(s), read with their macro arc and parameter;
+the self-arc integral splits the kernel as
 
     log|sig_l(s) - sig_l(t)| = log|t - s| + delta_l(t, s),
 
@@ -23,7 +23,7 @@ from .errors import ParameterError
 from .geometry import Boundary, as_complex
 from .quadrature import MAX_MOMENTS, MAX_RULE_ORDER, gauss_legendre, legendre_table, log_moments
 
-__all__ = ["NeumannDatum", "single_layer_sources", "rhs_approx"]
+__all__ = ["NeumannDatum", "rhs_approx"]
 
 _EPS_BRANCH = 8.0 * np.finfo(float).eps
 _COMPATIBILITY_TOL = 1e-8
@@ -35,9 +35,9 @@ _CHORD_CHUNK = 256
 @dataclass(frozen=True, eq=False)
 class NeumannDatum:
     """Boundary flux datum f, the inward normal derivative of a potential
-    given by its gradient u_grad, with its per-arc parameter density
-    arc_density(k, t) = f(sigma_k(t)) |sigma_k'(t)|.  Construction checks
-    the compatibility condition int_Sigma f dSigma = 0.
+    given by its gradient u_grad, taken on Gauss-Legendre rules of the
+    macro arcs by sources(n).  Construction checks the compatibility
+    condition int_Sigma f dSigma = 0.
     """
 
     boundary: Boundary
@@ -51,15 +51,19 @@ class NeumannDatum:
                 f"integral = {resid:.3e}"
             )
 
-    def arc_density(self, k: int, t):
-        """Parameter-space density f(sigma_k(t)) |sigma_k'(t)|: the cross
+    def sources(self, n: int):
+        """The datum on the n-point Gauss-Legendre rule of every macro arc,
+        from one position and one first_derivative call per arc: the rule's
+        positions, shape (arcs, n, 2), the speeds |sigma_k'| and the weighted
+        densities w f_k |sigma_k'|, both (arcs, n).  The density is the cross
         product g_y x' - g_x y' of the gradient g with the tangent, the
         inward normal derivative times the speed."""
-        arc, t = self.boundary.arcs[k], np.asarray(t, float)
-        p = np.asarray(arc.position(t), float)
-        d = np.asarray(arc.first_derivative(t), float)
-        g = np.asarray(self.u_grad(p), float)
-        return g[..., 1] * d[..., 0] - g[..., 0] * d[..., 1]
+        rule, arcs = gauss_legendre(n), self.boundary.arcs
+        points = np.stack([np.asarray(arc.position(rule.nodes), float) for arc in arcs])
+        d = np.stack([np.asarray(arc.first_derivative(rule.nodes), float) for arc in arcs])
+        g = np.asarray(self.u_grad(points), float)
+        density = rule.weights * (g[..., 1] * d[..., 0] - g[..., 0] * d[..., 1])
+        return points, np.linalg.norm(d, axis=-1), density
 
     def compatibility_residual(self) -> float:
         """int_Sigma f dSigma by Gauss-Legendre on every arc, the rule doubled
@@ -67,9 +71,7 @@ class NeumannDatum:
         ParameterError if they still do not at MAX_RULE_ORDER points."""
         n, last = _COMPATIBILITY_RULE, np.nan
         while n <= MAX_RULE_ORDER:
-            rule = gauss_legendre(n)
-            total = sum(float(rule.weights @ self.arc_density(k, rule.nodes))
-                        for k in range(len(self.boundary.arcs)))
+            total = float(self.sources(n)[2].sum())
             if abs(total - last) <= _CONVERGED:
                 return total
             n, last = 2 * n, total
@@ -87,40 +89,26 @@ def _log_ratio(chord, gap, speed):
                     np.log(np.where(near, 1.0, chord) / np.where(near, 1.0, gap)))
 
 
-def single_layer_sources(datum: NeumannDatum, n: int):
-    """Sources of an n-point Gauss-Legendre single-layer sum over the
-    boundary: the rule's positions on every macro arc, shape (arcs, n, 2),
-    and the weighted datum densities w f_k |sigma_k'| there, (arcs, n)."""
-    rule, arcs = gauss_legendre(n), datum.boundary.arcs
-    points = np.stack([np.asarray(arc.position(rule.nodes), float) for arc in arcs])
-    density = np.stack([rule.weights * datum.arc_density(k, rule.nodes)
-                        for k in range(len(arcs))])
-    return points, density
-
-
-def rhs_approx(datum: NeumannDatum, M: int, ell, t) -> np.ndarray:
+def rhs_approx(datum: NeumannDatum, M: int, umap) -> np.ndarray:
     """Product-rule approximation of gbar with the row's M-point rule at
-    the boundary points sigma_ell(t), given as 1-D arrays of macro-arc
-    indices ell and macro parameters t.  The rule is built once per call:
-    the Gauss-Legendre nodes x and, per macro arc k, the weighted density
-    w f_k, its Legendre coefficients legendre_table(M, x) @ (w f_k), and
-    the positions and speeds at x.  The points of each macro arc get the
-    plain Gauss-Legendre log sums over the other arcs, and the log moments
-    and the chord-ratio sum over their own arc."""
+    every row of the node table umap, given by its macro arc macro_arc,
+    macro parameter macro_t and position points.  The rule is built once
+    per call: the Gauss-Legendre nodes x and, per macro arc k, the datum's
+    sources there (positions, speeds and weighted densities w f_k) and the
+    Legendre coefficients legendre_table(M, x) @ (w f_k).  The rows of each
+    macro arc get the plain Gauss-Legendre log sums over the other arcs,
+    and the log moments and the chord-ratio sum over their own arc."""
     if not 1 <= M <= MAX_MOMENTS:
         raise ParameterError(f"rhs rule order must be in [1, {MAX_MOMENTS}], got {M}")
-    arcs, x = datum.boundary.arcs, gauss_legendre(M).nodes
-    points, densities = single_layer_sources(datum, M)
+    x = gauss_legendre(M).nodes
+    points, speeds, densities = datum.sources(M)
     points = as_complex(points)
     coef = densities @ legendre_table(M, x).T
-    speeds = np.linalg.norm(np.stack(
-        [np.asarray(arc.first_derivative(x), float) for arc in arcs]), axis=-1)
-    ell, t = np.asarray(ell), np.asarray(t, float)
+    ell, t, nodes = umap.macro_arc, umap.macro_t, as_complex(umap.points.T)
     out = np.empty(len(t))
-    for m, arc in enumerate(arcs):
+    for m in range(len(points)):
         own = np.flatnonzero(ell == m)
-        s = t[own]
-        base = as_complex(arc.position(s))
+        s, base = t[own], nodes[own]
         moments = log_moments(s, M) @ coef[m]  # its work arrays freed before the chords
         # _CHORD_CHUNK points at a time bound the chord arrays to that many rows
         for lo in range(0, len(own), _CHORD_CHUNK):

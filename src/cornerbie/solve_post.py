@@ -24,12 +24,11 @@ from .assembly import DenseSystem, inf_norm
 from .errors import AssemblyError, ExteriorDomainError, SolveError
 from .geometry import PointLocator, as_complex
 from .kernels import double_layer
-from .rhs import NeumannDatum, single_layer_sources
+from .rhs import NeumannDatum
 
 __all__ = ["solve_dense", "cond_inf", "SolutionField", "solve_field", "eval_exterior"]
 
 _RESIDUAL_TOL = 1e-10
-_NODE_DISTANCE_TOL = 1e-12
 # beyond |z - c| = 2R the remainder is below 2^-56 of the coefficient scale
 _FAR_TERMS = 56
 
@@ -68,12 +67,13 @@ class SolutionField:
     values holds the solution at every row of the system's node table,
     one per unknown, and the double-layer sources are those rows.
     Construction computes the other data that do not depend on the field
-    point: the point locator, which the boundary builds once, the N-point
-    Gauss-Legendre source positions and weighted datum densities of all
-    macro arcs, arc after arc; and the far-field expansion about the node
-    table's centre c, valid beyond 2R, R the largest distance from c to
-    a locator panel's end plus the largest strip half-width, which bounds
-    the distance to every point of the boundary and so to every source:
+    point: the point locator, which the boundary builds once, the datum's
+    N-point Gauss-Legendre sources (NeumannDatum.sources: positions and
+    weighted densities of all macro arcs, arc after arc); and the far-field
+    expansion about the node table's centre c, valid beyond 2R, R the
+    largest distance from c to a locator panel's end plus the largest strip
+    half-width, which bounds the distance to every point of the boundary
+    and so to every source:
     u(z) = -(W log|z - c| - Re sum e_k zeta^k) / 2 pi, zeta = 1 / (z - c),
     with the rule's flux residual W = sum w f, e_k = a_k / k - i b_(k-1),
     a_k = sum w f (y - c)^k over the rule's sources y and
@@ -97,7 +97,7 @@ class SolutionField:
     def __post_init__(self):
         umap = self.system.unknown_map
         loc = self._locator = umap.dec.boundary.locator
-        points, density = single_layer_sources(self.datum, self.N)
+        points, _, density = self.datum.sources(self.N)
         self._arc_points, self._arc_weights = points.reshape(-1, 2), density.ravel()
         nodes = as_complex(umap.points.T)
         self._center = c = complex(nodes.mean())
@@ -124,12 +124,11 @@ def eval_exterior(fld: SolutionField, x: float, y: float) -> float:
     """Approximate harmonic solution at a strictly exterior point.
 
     Raises for non-finite points, for points inside the domain or within
-    1e-9 of the boundary (both decided by the field's PointLocator), for
-    points within 1e-12 of a node, and when the value is not finite.  A
-    point with |z - c| > 2R takes the field's far-field expansion: it
-    lies outside every locator panel's strip and more than R from every
-    node, so none of those tests can reject it.  The decay condition pins
-    the value at infinity to zero.
+    1e-9 of the boundary, on which every node lies (both decided by the
+    field's PointLocator), and when the value is not finite.  A point with
+    |z - c| > 2R takes the field's far-field expansion: it lies outside
+    every locator panel's strip, so neither test can reject it.  The decay
+    condition pins the value at infinity to zero.
     """
     px, py = float(x), float(y)
     if not (math.isfinite(px) and math.isfinite(py)):
@@ -149,11 +148,7 @@ def eval_exterior(fld: SolutionField, x: float, y: float) -> float:
         raise ExteriorDomainError(f"point ({x}, {y}) lies inside the domain")
 
     umap = fld.system.unknown_map
-    k, d2 = double_layer((p[:1], p[1:]), umap.points, umap.q)
-    if d2.min() < _NODE_DISTANCE_TOL ** 2:
-        c = int(np.argmax(d2[0] < _NODE_DISTANCE_TOL ** 2))
-        raise ExteriorDomainError(f"field point ({p[0]}, {p[1]}) within "
-                                  f"{_NODE_DISTANCE_TOL} of sub-arc {umap.arc[c]}")
+    k, _ = double_layer((p[:1], p[1:]), umap.points, umap.q)
     single = float(fld._arc_weights @ np.log(np.linalg.norm(fld._arc_points - p, axis=-1)))
     return _finite(-(single - float(k[0] @ fld.values)) / (2.0 * math.pi), x, y)
 

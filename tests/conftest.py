@@ -153,22 +153,37 @@ def example_tables():
 def row_rhs(system, datum, M: int) -> np.ndarray:
     """b of a built system as the harness makes it: gbar with the M-point
     row rule at every row of the node table."""
-    umap = system.unknown_map
-    return rhs_approx(datum, M, umap.macro_arc, umap.macro_t)
+    return rhs_approx(datum, M, system.unknown_map)
 
 
 def gbar_at(dec, datum, M: int, i: int, s):
     """rhs_approx with the M-point rule at a float (giving a float) or 1-D
-    array s of parameters on sub-arc i of dec, mapped to its macro arc with
-    window_map."""
-    ell, sm = window_map(dec, i, np.atleast_1d(np.asarray(s, float)))
-    out = rhs_approx(datum, M, np.full(len(sm), ell), sm)
+    array s of parameters on sub-arc i of dec: a node table of those
+    points alone, their macro arc and parameter from window_map and their
+    positions from subarc_geometry, the corner point at a corner arc's
+    s = 0."""
+    s1 = np.atleast_1d(np.asarray(s, float))
+    ell, sm = window_map(dec, i, s1)
+    table = SimpleNamespace(macro_arc=np.full(len(sm), ell), macro_t=sm,
+                            points=subarc_geometry(dec, i, s1)[0].T)
+    out = rhs_approx(datum, M, table)
     return out if np.ndim(s) else float(out[0])
+
+
+def datum_density(datum, k: int, t):
+    """The datum's parameter density f(sigma_k(t)) |sigma_k'(t)| on macro
+    arc k, written out: the cross product g_y x' - g_x y' of the gradient
+    g with the tangent, as NeumannDatum.sources forms it before weighting."""
+    arc = datum.boundary.arcs[k]
+    p = np.asarray(arc.position(t), float)
+    d = np.asarray(arc.first_derivative(t), float)
+    g = np.asarray(datum.u_grad(p), float)
+    return g[..., 1] * d[..., 0] - g[..., 0] * d[..., 1]
 
 
 def normal_derivative(u_grad, boundary, ell: int, t):
     """Inward normal derivative of a potential on macro arc ell, the
-    reference for NeumannDatum.arc_density.
+    reference for the densities of NeumannDatum.sources.
 
     The inward unit normal of a counterclockwise boundary is
     (-eta', xi') / |sigma'|.
@@ -349,7 +364,7 @@ def oracle_single_layer(dec, datum, s_macro: float, ell: int = 0,
             r = math.hypot(p[0] - base[0], p[1] - base[1])
             if r == 0.0:
                 return 0.0
-            return float(datum.arc_density(k, t)) * math.log(r)
+            return float(datum_density(datum, k, t)) * math.log(r)
 
         pts = [s_macro] if (k == ell and 0.0 < s_macro < 1.0) else None
         val, _ = quad(integrand, 0.0, 1.0, points=pts, limit=800,
@@ -376,13 +391,10 @@ def eval_exterior_per_point(fld, x: float, y: float) -> float:
         raise ExteriorDomainError(f"point ({x}, {y}) lies inside the domain")
 
     table = node_table_at(dec, fld.system.unknown_map.params)
-    k, d2 = double_layer((p[:1], p[1:]), table.points, table.q)
-    if d2.min() < 1e-12 ** 2:
-        i = table.arc[int(np.argmax(d2[0] < 1e-12 ** 2))]
-        raise ExteriorDomainError(f"field point ({p[0]}, {p[1]}) within 1e-12 of sub-arc {i}")
+    k, _ = double_layer((p[:1], p[1:]), table.points, table.q)
     rule, arcs = gauss_legendre(fld.N), dec.boundary.arcs
     pts = np.concatenate([np.asarray(arc.position(rule.nodes), float) for arc in arcs])
-    dens = np.concatenate([rule.weights * fld.datum.arc_density(j, rule.nodes)
+    dens = np.concatenate([rule.weights * datum_density(fld.datum, j, rule.nodes)
                            for j in range(len(arcs))])
     single = float(dens @ np.log(np.linalg.norm(pts - p, axis=-1)))
     return -(single - float(k[0] @ fld.values)) / (2.0 * math.pi)

@@ -87,6 +87,12 @@ def test_rhs_needs_only_the_boundary():
             assert not any("geometry" in alias.name for alias in node.names), node.lineno
 
 
+def test_rhs_exports_the_datum_and_the_row_rhs():
+    # the datum's Gauss-Legendre sources live on NeumannDatum.sources; no
+    # free function builds them
+    assert cornerbie.rhs.__all__ == ["NeumannDatum", "rhs_approx"]
+
+
 def test_assembly_reads_only_the_decomposition_from_geometry():
     # the node table maps each sub-arc window itself (SubArc.macro_t) and
     # reads the macro arcs directly; no per-sub-arc geometry helper is

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,32 +18,35 @@ def _max_deviation(dec, datum, M, points, oracle):
     return max(abs(gbar_at(dec, datum, M, i, s) - oracle[(i, s)]) for i, s in points)
 
 
-def test_arc_density_constant_on_straight_side():
+def test_sources_density_constant_on_straight_side():
     # u = y has gradient (0, 1) and the inward normal derivative 1 on the
     # bottom side, which has length 2
     tri = make_example_domain("triangle")
     datum = NeumannDatum(tri, u_grad=lambda p: np.broadcast_to([0.0, 1.0], np.shape(p)))
-    t = np.linspace(0.0, 1.0, 9)
-    dens = datum.arc_density(0, t)
-    np.testing.assert_allclose(dens, 2.0, rtol=1e-14)
+    _, speeds, density = datum.sources(9)
+    np.testing.assert_allclose(density[0] / gauss_legendre(9).weights, 2.0, rtol=1e-14)
+    np.testing.assert_allclose(speeds[0], 2.0, rtol=1e-14)
 
 
-def test_arc_density_zero_datum(heart_boundary):
+def test_sources_zero_datum(heart_boundary):
     datum = NeumannDatum(heart_boundary, u_grad=lambda p: np.zeros(np.shape(p)))
-    assert np.all(datum.arc_density(0, np.linspace(0, 1, 5)) == 0.0)
+    assert np.all(datum.sources(5)[2] == 0.0)
 
 
-def test_arc_density_from_gradient_is_normal_derivative_times_speed(all_corner_decs):
+def test_sources_density_is_weighted_normal_derivative_times_speed(all_corner_decs):
     # the cross product g_y x' - g_x y' equals the inward normal derivative
-    # times |sigma'| up to roundoff
-    t = np.linspace(0.0, 1.0, 101)
+    # times |sigma'| up to roundoff; positions and speeds are the arcs' own
+    rule = gauss_legendre(101)
     for name, dec in all_corner_decs.items():
         grad = cb.example_config(name).solution.grad
-        datum = NeumannDatum(dec.boundary, u_grad=grad)
+        points, speeds, density = NeumannDatum(dec.boundary, u_grad=grad).sources(101)
+        assert points.shape == (len(dec.boundary.arcs), 101, 2), name
         for k, arc in enumerate(dec.boundary.arcs):
-            speed = np.linalg.norm(np.asarray(arc.first_derivative(t), float), axis=-1)
-            want = normal_derivative(grad, dec.boundary, k, t) * speed
-            got = datum.arc_density(k, t)
+            assert np.array_equal(points[k], arc.position(rule.nodes)), (name, k)
+            speed = np.linalg.norm(np.asarray(arc.first_derivative(rule.nodes), float), axis=-1)
+            assert np.array_equal(speeds[k], speed), (name, k)
+            want = normal_derivative(grad, dec.boundary, k, rule.nodes) * speed
+            got = density[k] / rule.weights
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (name, k)
 
 
@@ -168,7 +172,7 @@ def test_rhs_array_matches_per_node_calls(all_corner_decs):
         cfg = cb.example_config(name)
         datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
         umap = UnknownMap(dec, DiscretizationParams(mu=8, nu=32, c=cfg.c, eps=cfg.eps))
-        got = rhs_approx(datum, 16, umap.macro_arc, umap.macro_t)
+        got = rhs_approx(datum, 16, umap)
         assert got.shape == umap.t.shape
         for i in range(len(dec.subarcs)):
             own = slice(umap.bounds[i], umap.bounds[i + 1])
@@ -199,6 +203,23 @@ def test_rhs_entries_are_gbar_at_row_nodes(monkeypatch):
     corner = umap.corner[0]  # gamma arc, s = 0
     assert umap.t[corner] == 0.0
     assert b[corner] == pytest.approx(want[corner], rel=1e-14)
+
+
+def test_rhs_corner_rows_are_taken_at_the_corner_points(heart_dec, heart_datum):
+    # rhs_approx collocates at the node table's points: its corner row is
+    # taken at corner.point, as the matrix row is, not at the macro arc's
+    # end, which on the heart lies a few ulps away; moving the corner rows'
+    # points to the arc's end changes those rows and no other
+    datum, _ = heart_datum
+    umap = UnknownMap(heart_dec, DiscretizationParams(mu=8, nu=32, c=300.0, eps=1e-3))
+    points = umap.points.copy()
+    for row in umap.corner:
+        arc = heart_dec.boundary.arcs[umap.macro_arc[row]]
+        points[:, row] = arc.position(umap.macro_t[row])
+    assert not np.array_equal(points, umap.points)
+    moved = SimpleNamespace(macro_arc=umap.macro_arc, macro_t=umap.macro_t, points=points)
+    got = rhs_approx(datum, 16, umap)
+    assert np.array_equal(np.flatnonzero(got != rhs_approx(datum, 16, moved)), umap.corner)
 
 
 @pytest.mark.parametrize("name, pairs", [("heart", cb.harness.DEFAULT_PAIRS),
@@ -256,10 +277,12 @@ def test_rhs_cancellation_safety(heart_dec, heart_datum):
 
 def test_rhs_range_errors(heart_datum):
     datum, _ = heart_datum
+    table = SimpleNamespace(macro_arc=np.array([0]), macro_t=np.array([0.5]),
+                            points=np.array([[0.0], [1.0]]))
     with pytest.raises(ParameterError):
-        rhs_approx(datum, 513, [0], [0.5])
+        rhs_approx(datum, 513, table)
     with pytest.raises(ParameterError):
-        rhs_approx(datum, 0, [0], [0.5])
+        rhs_approx(datum, 0, table)
 
 
 def test_rhs_tables_built_once_per_row(monkeypatch):

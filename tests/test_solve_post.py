@@ -20,7 +20,7 @@ from cornerbie import (
 )
 from cornerbie.assembly import DenseSystem, DiscretizationParams, build_system, inf_norm
 from cornerbie.geometry import Boundary, MacroArc, PointLocator, decompose, make_polygon
-from cornerbie.rhs import NeumannDatum, single_layer_sources
+from cornerbie.rhs import NeumannDatum, rhs_approx
 from cornerbie.solve_post import cond_inf, eval_exterior, solve_dense, solve_field
 from conftest import eval_exterior_per_point, row_rhs
 
@@ -337,7 +337,7 @@ def _far_disk(fld):
     ends = np.concatenate([loc.start, loc.end])
     r = float(np.abs(ends - complex(c[0], c[1])).max() + loc.strip.max())
     sources = np.concatenate([umap.points.T,
-                              single_layer_sources(fld.datum, fld.N)[0].reshape(-1, 2)])
+                              fld.datum.sources(fld.N)[0].reshape(-1, 2)])
     assert np.linalg.norm(sources - c, axis=1).max() < r
     return c, 2.0 * r
 
@@ -358,7 +358,7 @@ def test_eval_exterior_decay_value_at_huge_point(heart_field):
     # -W log|z - c| / 2 pi to rounding
     fld, _ = heart_field
     (cx, cy), _ = _far_disk(fld)
-    flux = float(single_layer_sources(fld.datum, fld.N)[1].sum())
+    flux = float(fld.datum.sources(fld.N)[2].sum())
     want = -flux * math.log(math.hypot(1e300 - cx, 1e300 - cy)) / (2.0 * math.pi)
     assert eval_exterior(fld, 1e300, 1e300) == pytest.approx(want, rel=1e-14, abs=0.0)
 
@@ -548,7 +548,7 @@ def test_eval_exterior_does_only_per_point_work(heart_field, monkeypatch):
     (cx, cy), far_radius = _far_disk(fld)
     calls.clear()
     counting = partial(_counting, calls)
-    monkeypatch.setattr(NeumannDatum, "arc_density", counting(NeumannDatum.arc_density))
+    monkeypatch.setattr(NeumannDatum, "sources", counting(NeumannDatum.sources))
     monkeypatch.setattr(geometry.PointLocator, "__init__",
                         counting(geometry.PointLocator.__init__))
     # radius 5 is beyond the heart's 2R = 3.56 and takes the far branch;
@@ -575,6 +575,27 @@ def test_node_geometry_evaluated_once_per_macro_arc(all_corner_decs):
         calls.clear()
         solve_field(system, row_rhs(system, datum, 16), datum, 16)
         assert calls == [], name
+
+
+def test_rhs_and_field_read_each_macro_arc_once(all_corner_decs):
+    # per row, the right-hand side and the field each take the datum's
+    # sources on their rule: one position and one first_derivative call per
+    # macro arc, and no second_derivative call; the rhs reads its
+    # collocation points from the node table
+    for name in ("heart", "triangle"):
+        calls = []
+        dec, cfg = _counting_dec(all_corner_decs[name], calls), cb.example_config(name)
+        datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
+        system = build_system(dec, DiscretizationParams(mu=8, nu=32, c=cfg.c, eps=cfg.eps))
+        once = sorted((ell, fn) for ell in range(len(dec.boundary.arcs))
+                      for fn in ("first_derivative", "position"))
+        dec.boundary.locator  # the field's point locator reads the arcs once per boundary
+        calls.clear()
+        b = rhs_approx(datum, 16, system.unknown_map)
+        assert sorted(calls) == once, name
+        calls.clear()
+        solve_field(system, b, datum, 16)
+        assert sorted(calls) == once, name
 
 
 def test_exterior_accuracy_and_distance_trend(heart_field):

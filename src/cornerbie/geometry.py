@@ -47,11 +47,11 @@ GAMMA = "gamma"      # trailing corner arc, reversed parametrization
 UPSILON = "upsilon"  # leading corner arc
 CENTRAL = "central"
 
-_ANGLE_TOL = 1e-8
-_CLOSURE_TOL = 1e-12
+_CLOSURE_RTOL = 1e-12  # closure gap, relative to the largest coordinate magnitude
 _N_VALIDATION_SAMPLES = 1024
 _FD_STEP = 1e-5
 _FD_RTOL = 1e-6
+_EPS = float(np.finfo(float).eps)
 _N_DEVIATION_SAMPLES = 201
 # largest corner fraction of a macro interval: the two corner sections of
 # one macro arc cover at most half of it, so they never overlap
@@ -62,7 +62,7 @@ _LOCATOR_PANELS = 128  # chord panels per macro arc of PointLocator
 _SAGITTA_SAMPLES = 8  # sigma'' samples per panel for its strip half-width
 _MAX_SPLITS = 20  # halvings of a locator panel until its arc piece is a graph
 _NEWTON_STEPS = 6  # steps of PointLocator's foot solve
-_BOUNDARY_DISTANCE_TOL = 1e-9  # PointLocator's distance for "on the boundary"
+_NEAR_RTOL = 1e-9  # PointLocator's "on the boundary" distance, relative to its extent
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +77,9 @@ class MacroArc:
     first_derivative: Callable[[np.ndarray], np.ndarray]
     second_derivative: Callable[[np.ndarray], np.ndarray]
 
-    def validate(self) -> None:
+    def validate(self) -> float:
+        """Check the callables on [0, 1] and return the largest coordinate
+        magnitude of the position samples, the scale of their rounding."""
         t = np.linspace(0.0, 1.0, _N_VALIDATION_SAMPLES)
         p = np.asarray(self.position(t), float)
         d = np.asarray(self.first_derivative(t), float)
@@ -89,30 +91,39 @@ class MacroArc:
             raise GeometryError("arc parametrization speed vanishes")
         # the kernel's diagonal and corner values come from the derivatives
         # alone: check them against central differences of the position and
-        # of the first derivative, relative to the largest derivative
+        # of the first derivative, relative to the largest derivative, plus
+        # the rounding of the differenced values, 4 eps max|f| / h
         h = _FD_STEP
         u = np.linspace(h, 1.0 - h, _N_VALIDATION_SAMPLES)
         scale = max(float(np.abs(d).max()), float(np.abs(dd).max()))
         for name, f, df in (("first", self.position, self.first_derivative),
                             ("second", self.first_derivative, self.second_derivative)):
-            central = (np.asarray(f(u + h), float) - np.asarray(f(u - h), float)) / (2.0 * h)
-            err = float(np.abs(central - np.asarray(df(u), float)).max())
-            if not err <= _FD_RTOL * scale:
+            ahead, behind = np.asarray(f(u + h), float), np.asarray(f(u - h), float)
+            err = float(np.abs((ahead - behind) / (2.0 * h) - np.asarray(df(u), float)).max())
+            rounding = 4.0 * _EPS * max(np.abs(ahead).max(), np.abs(behind).max()) / h
+            if not err <= _FD_RTOL * scale + rounding:
                 raise GeometryError(f"arc {name} derivative disagrees with central "
                                     f"differences by {err / scale:.2e} relative")
+        return float(np.abs(p).max())
 
 
 @dataclass(frozen=True, eq=False)
 class Corner:
-    """A boundary corner with interior angle omega = (1 - chi) pi."""
+    """A boundary corner, measured from the derivatives of its arcs: d_in of
+    the arriving arc at t = 1, d_out of the leaving arc at t = 0.  Its
+    interior angle omega = (1 - chi) pi is the wedge from the outgoing ray
+    counterclockwise (through the interior) to the reversed incoming ray."""
 
     index: int
     point: np.ndarray
-    interior_angle: float
+    d_in: np.ndarray
+    d_out: np.ndarray
+    interior_angle: float = field(init=False)
     chi: float = field(init=False)
 
     def __post_init__(self):
-        omega = self.interior_angle
+        d_in, d_out = self.d_in, self.d_out
+        omega = (math.atan2(-d_in[1], -d_in[0]) - math.atan2(d_out[1], d_out[0])) % _TWO_PI
         if not (0.0 < omega < 2.0 * math.pi) or omega == math.pi:
             raise GeometryError(
                 f"corner {self.index}: interior angle must be in (0, pi) or (pi, 2 pi), got {omega}"
@@ -120,8 +131,10 @@ class Corner:
         chi = 1.0 - omega / math.pi
         if not 0.0 < abs(chi) < 1.0:
             raise GeometryError(f"corner {self.index}: chi = {chi} out of range")
+        object.__setattr__(self, "interior_angle", omega)
         object.__setattr__(self, "chi", chi)
-        self.point.setflags(write=False)
+        for a in (self.point, self.d_in, self.d_out):
+            a.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,18 +159,6 @@ class Boundary:
         return PointLocator(self)
 
 
-def _interior_angle_from_tangents(d_in: np.ndarray, d_out: np.ndarray) -> float:
-    """Interior angle of a CCW boundary from the one-sided tangents.
-
-    d_in is the derivative arriving at the corner, d_out the one leaving;
-    the wedge is measured from the outgoing ray to the reversed incoming
-    ray going counterclockwise (through the interior, which lies left of
-    the direction of travel).
-    """
-    ang = math.atan2(-d_in[1], -d_in[0]) - math.atan2(d_out[1], d_out[0])
-    return ang % (2.0 * math.pi)
-
-
 def _counterclockwise(boundary: Boundary) -> Boundary:
     """The boundary, checked to have positive signed area: 1/2 the integral
     of Im(conj(sigma) sigma') = x y' - y x' by Gauss-Legendre on each arc
@@ -171,44 +172,35 @@ def _counterclockwise(boundary: Boundary) -> Boundary:
     return boundary
 
 
-def make_boundary(arcs: Sequence[MacroArc], corner_angles: Sequence[float]) -> Boundary:
-    """Validated boundary from macro arcs and their corner interior angles.
+def make_boundary(arcs: Sequence[MacroArc]) -> Boundary:
+    """Validated boundary from macro arcs, arc k running from corner k to
+    corner k+1 (indices mod n).
 
-    Arc k must run from corner k to corner k+1 (indices mod n).  The
-    given angles are cross-checked against the one-sided tangents; the
-    curve must close head-to-tail and be counterclockwise.
+    Each corner is measured from the one-sided derivatives of its two
+    arcs.  The curve must close head-to-tail, within 1e-12 of its largest
+    coordinate magnitude, and be counterclockwise.
     """
     n = len(arcs)
-    if n < 1 or len(corner_angles) != n:
-        raise GeometryError("need n >= 1 arcs and one interior angle per corner")
-    for arc in arcs:
-        arc.validate()
+    if n < 1:
+        raise GeometryError("need n >= 1 arcs")
+    gap_tol = _CLOSURE_RTOL * max(arc.validate() for arc in arcs)
     corners = []
     for k in range(n):
-        p_start = np.asarray(arcs[k].position(0.0), float)
-        p_prev_end = np.asarray(arcs[(k - 1) % n].position(1.0), float)
-        if np.linalg.norm(p_start - p_prev_end) > _CLOSURE_TOL:
-            raise GeometryError(
-                f"arcs {((k - 1) % n)} -> {k} do not close up: gap {np.linalg.norm(p_start - p_prev_end):.3e}"
-            )
-        d_in = np.asarray(arcs[(k - 1) % n].first_derivative(1.0), float)
-        d_out = np.asarray(arcs[k].first_derivative(0.0), float)
-        measured = _interior_angle_from_tangents(d_in, d_out)
-        if abs(measured - corner_angles[k]) > _ANGLE_TOL:
-            raise GeometryError(
-                f"corner {k}: stated interior angle {corner_angles[k]:.12f} "
-                f"disagrees with tangents ({measured:.12f})"
-            )
-        corners.append(Corner(k, p_start.copy(), float(corner_angles[k])))
+        point = np.array(arcs[k].position(0.0), float)
+        gap = np.linalg.norm(point - np.asarray(arcs[k - 1].position(1.0), float))
+        if gap > gap_tol:
+            raise GeometryError(f"arcs {(k - 1) % n} -> {k} do not close up: gap {gap:.3e}")
+        corners.append(Corner(k, point, np.array(arcs[k - 1].first_derivative(1.0), float),
+                              np.array(arcs[k].first_derivative(0.0), float)))
     return _counterclockwise(Boundary(tuple(arcs), tuple(corners)))
 
 
 def make_smooth_boundary(arc: MacroArc) -> Boundary:
     """Boundary consisting of a single smooth closed curve, no corners."""
-    arc.validate()
+    size = arc.validate()
     p0 = np.asarray(arc.position(0.0), float)
     p1 = np.asarray(arc.position(1.0), float)
-    if np.linalg.norm(p1 - p0) > _CLOSURE_TOL:
+    if np.linalg.norm(p1 - p0) > _CLOSURE_RTOL * size:
         raise GeometryError("smooth boundary curve must close up")
     return _counterclockwise(Boundary((arc,), ()))
 
@@ -258,11 +250,10 @@ class _CornerSides:
     np.linspace, bit for bit; when both sides lie on one macro arc, both
     are sampled in one position call."""
 
-    def __init__(self, head: MacroArc, tail: MacroArc, corner: np.ndarray,
-                 d_head: np.ndarray, d_tail: np.ndarray):
+    def __init__(self, head: MacroArc, tail: MacroArc, corner: Corner):
         self.arcs = (head, tail)
-        self.corner = corner
-        self.units = np.stack([d_head / np.linalg.norm(d_head), d_tail / np.linalg.norm(d_tail)])
+        self.corner = corner.point
+        self.units = np.stack([d / np.linalg.norm(d) for d in (corner.d_out, corner.d_in)])
 
     def deviations(self, e_head, e_tail) -> np.ndarray:
         """Maximum perpendicular distance of each side's samples from its
@@ -319,16 +310,10 @@ def decompose(boundary: Boundary, delta: float) -> Decomposition:
     tail = np.empty(n)   # gamma fraction on arc (k-1) mod n
     speed = np.empty(n)
     achieved = np.empty(n)
-    for k in range(n):
-        prev = (k - 1) % n
-        corner = boundary.corners[k].point
-        d_head = np.asarray(boundary.arcs[k].first_derivative(0.0), float)
-        d_tail = np.asarray(boundary.arcs[prev].first_derivative(1.0), float)
-        v_head = float(np.linalg.norm(d_head))
-        v_tail = float(np.linalg.norm(d_tail))
-        if v_head <= 0.0 or v_tail <= 0.0:
-            raise GeometryError(f"degenerate tangent at corner {k}")
-        sides = _CornerSides(boundary.arcs[k], boundary.arcs[prev], corner, d_head, d_tail)
+    for k, corner in enumerate(boundary.corners):
+        v_head = float(np.linalg.norm(corner.d_out))
+        v_tail = float(np.linalg.norm(corner.d_in))
+        sides = _CornerSides(boundary.arcs[k], boundary.arcs[k - 1], corner)
         e_head, e_tail = sides.largest_fractions(delta)
         # shrink one side so e_tail * v_tail == e_head * v_head
         e_head_m = min(e_head, e_tail * v_tail / v_head)
@@ -459,8 +444,7 @@ def make_polygon(vertices: Sequence) -> Boundary:
     meet = np.argwhere(straddle & straddle.T & boxes & (gap > 1) & (gap < n - 1))
     if len(meet):
         raise GeometryError(f"polygon edges {meet[0][0]} and {meet[0][1]} cross or touch")
-    arcs = [line_arc(a[k], b[k]) for k in range(n)]
-    return make_boundary(arcs, [_interior_angle_from_tangents(e[k - 1], e[k]) for k in range(n)])
+    return make_boundary([line_arc(a[k], b[k]) for k in range(n)])
 
 
 TRIANGLE_VERTICES = ((-1.25, -0.75), (0.75, -0.75), (0.75, 1.25))
@@ -486,7 +470,7 @@ def make_example_domain(name: str, phi: float | None = None) -> Boundary:
     arc, lo, hi, span = _FAMILIES[name]
     if phi is None or not lo < phi < hi:  # NaN too
         raise ParameterError(f"{name} angle must be in {span}, got {phi}")
-    return make_boundary([arc(phi)], [phi])
+    return make_boundary([arc(phi)])
 
 
 # --------------------------------------------------------------------------
@@ -519,7 +503,8 @@ class PointLocator:
     1.98 pi need this).  A panel keeps its complex ends, the conjugate of
     its unit chord, its length L and a strip half-width s: twice the
     sagitta bound (h^2 / 8) max|sigma''| over its parameter width h, plus
-    _BOUNDARY_DISTANCE_TOL.
+    the tolerance tol: _NEAR_RTOL times the largest extent of the panel
+    ends along x or y, so the test follows the boundary's size.
 
     In a panel's frame a point is w = x + i y, x along the chord and y to
     its left, and the chord turns about it by arg(conj(w) (w - L)).
@@ -557,20 +542,23 @@ class PointLocator:
         self.start, self.end = np.concatenate(start), np.concatenate(end)
         self.length = np.abs(self.end - self.start)
         self.frame = (self.end - self.start).conj() / self.length
-        self.strip = self.width ** 2 / 4.0 * np.concatenate(second) + _BOUNDARY_DISTANCE_TOL
+        ends = np.concatenate([self.start, self.end])
+        xy = np.stack([ends.real, ends.imag])
+        lo, hi = xy.min(axis=1), xy.max(axis=1)
+        self.tol = _NEAR_RTOL * float((hi - lo).max())
+        self.strip = self.width ** 2 / 4.0 * np.concatenate(second) + self.tol
         # every panel's rectangle [-tol, L + tol] x [-s, s], hence the
         # boundary and every point near it, lies in this box
-        ends, grow = np.concatenate([self.start, self.end]), self.strip.max() + _BOUNDARY_DISTANCE_TOL
-        lo = np.array([ends.real.min(), ends.imag.min()]) - grow
-        hi = np.array([ends.real.max(), ends.imag.max()]) + grow
+        grow = self.strip.max() + self.tol
+        lo, hi = lo - grow, hi + grow
         self._box = ((lo + hi) / 2.0, (hi - lo) / 2.0)  # centre and half-sides
 
     def locate(self, points) -> tuple:
         """(near, winding) of points given as a (P, 2) array: whether each
-        point lies within _BOUNDARY_DISTANCE_TOL of the boundary (measured
-        across a panel's chord), and the boundary's winding number about
-        it.  Points outside the box of the panels' rectangles, non-finite
-        ones included, get (False, 0) and no further work."""
+        point lies within tol of the boundary (measured across a panel's
+        chord), and the boundary's winding number about it.  Points outside
+        the box of the panels' rectangles, non-finite ones included, get
+        (False, 0) and no further work."""
         p = np.asarray(points, float).reshape(-1, 2)
         near, winding = np.zeros(len(p), bool), np.zeros(len(p), int)
         mid, half = self._box
@@ -581,7 +569,7 @@ class PointLocator:
         w = (z[:, None] - self.start) * self.frame
         turns = np.angle(w.conj() * (w - self.length))
         point, panel = np.nonzero(np.abs(w.imag) <= self.strip)
-        x, tol = w.real[point, panel], _BOUNDARY_DISTANCE_TOL
+        x, tol = w.real[point, panel], self.tol
         keep = (x > -tol) & (x < self.length[panel] + tol)
         point, panel, x = point[keep], panel[keep], x[keep]
         if len(point):

@@ -124,11 +124,12 @@ def eval_exterior(fld: SolutionField, x: float, y: float) -> float:
     """Approximate harmonic solution at a strictly exterior point.
 
     Raises for non-finite points, for points inside the domain or within
-    1e-9 of the boundary, on which every node lies (both decided by the
-    field's PointLocator), and when the value is not finite.  A point with
-    |z - c| > 2R takes the field's far-field expansion: it lies outside
-    every locator panel's strip, so neither test can reject it.  The decay
-    condition pins the value at infinity to zero.
+    the tol of the field's PointLocator (1e-9 of the boundary's extent) of
+    the boundary, on which every node lies, and when the value is not
+    finite.  A point with |z - c| > 2R takes the field's far-field
+    expansion: it lies outside every locator panel's strip, so neither
+    test can reject it.  The decay condition pins the value at infinity
+    to zero.
     """
     px, py = float(x), float(y)
     if not (math.isfinite(px) and math.isfinite(py)):

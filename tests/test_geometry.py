@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -11,6 +12,7 @@ from cornerbie.geometry import (
     CENTRAL,
     GAMMA,
     UPSILON,
+    Boundary,
     MacroArc,
     PointLocator,
     as_complex,
@@ -21,6 +23,7 @@ from cornerbie.geometry import (
     make_boundary,
     make_example_domain,
     make_polygon,
+    make_smooth_boundary,
     winding_number,
 )
 
@@ -128,31 +131,53 @@ def test_example_domains_counterclockwise():
 
 
 def test_corner_angle_matches_one_sided_tangents():
+    # a corner keeps the one-sided derivatives of its arcs, read-only, and
+    # its angle is the turn from the outgoing to the reversed incoming one
     tri = make_example_domain("triangle")
     n = len(tri.arcs)
     for k, corner in enumerate(tri.corners):
         d_in = tri.arcs[(k - 1) % n].first_derivative(1.0)
         d_out = tri.arcs[k].first_derivative(0.0)
+        assert np.array_equal(corner.d_in, d_in) and np.array_equal(corner.d_out, d_out)
+        assert not any(a.flags.writeable for a in (corner.point, corner.d_in, corner.d_out))
         ang = (math.atan2(-d_in[1], -d_in[0]) - math.atan2(d_out[1], d_out[0])) % (2 * math.pi)
         assert abs(ang - corner.interior_angle) <= 1e-10
 
 
 def test_make_boundary_rejects_open_curve():
     arcs = [line_arc((0, 0), (1, 0)), line_arc((1, 0.5), (0, 0))]
-    with pytest.raises(GeometryError):
-        make_boundary(arcs, [math.pi / 2, math.pi / 2])
+    with pytest.raises(GeometryError, match="do not close up"):
+        make_boundary(arcs)
+
+
+def test_make_boundary_takes_only_arcs():
+    # each corner is measured from its arcs; no angle is stated
+    assert list(inspect.signature(make_boundary).parameters) == ["arcs"]
+
+
+_QUADRILATERAL = np.array([(0.601, 0.224), (0.235, 0.957), (-0.690, 0.636), (0.411, -0.478)])
+
+
+@pytest.mark.parametrize("vertices", [_QUADRILATERAL * 1e6 + 0.1, _QUADRILATERAL * 1e7 / 3,
+                                      _QUADRILATERAL + 1e6],
+                         ids=["scaled 1e6 and shifted", "scaled 1e7/3", "shifted 1e6"])
+def test_checks_follow_the_size_of_the_coordinates(vertices):
+    # rounding in the edge ends leaves closure gaps of 2.9e-11 and 1.2e-10
+    # on the first two, and rounding in the differenced positions of the
+    # third an error of 5.4e-6 relative to its unit-size derivatives
+    b = make_polygon(vertices)
+    assert [tuple(c.point) for c in b.corners] == [tuple(v) for v in vertices]
+
+
+def test_smooth_boundary_closure_follows_the_size_of_the_coordinates():
+    # sin(2 pi) leaves a closure gap of 4.2e-10 on a circle of radius 1.7e6
+    arc = circle_arc(1.7e6, (0.3e6, -0.2e6))
+    assert make_smooth_boundary(arc).arcs == (arc,)
 
 
 def test_make_boundary_rejects_clockwise():
     with pytest.raises(GeometryError):
         make_polygon([(0, 0), (0, 1), (1, 1), (1, 0)])
-
-
-def test_make_boundary_rejects_angle_mismatch():
-    sq = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    arcs = [line_arc(sq[k], sq[(k + 1) % 4]) for k in range(4)]
-    with pytest.raises(GeometryError):
-        make_boundary(arcs, [math.pi / 2, math.pi / 2, math.pi / 2, math.pi / 3])
 
 
 def test_validate_rejects_wrong_derivatives():
@@ -361,6 +386,40 @@ _SWEEP_ANGLES = {
 }
 
 
+@pytest.mark.parametrize("family", _SWEEP_ANGLES)
+def test_measured_corner_angle_is_the_family_angle(family):
+    # the angle measured from the arcs is the family's phi to a few ulps, at
+    # the sweep's angles and at the table's; the worst measured is 1 ulp
+    for phi in [*_SWEEP_ANGLES[family], example_config(family).phi]:
+        omega = make_example_domain(family, phi).corners[0].interior_angle
+        assert abs(omega - phi) <= 4 * math.ulp(phi), (family, phi, omega)
+
+
+def test_triangle_corner_angles_to_one_ulp():
+    angles = [c.interior_angle for c in make_example_domain("triangle").corners]
+    for omega, want in zip(angles, (math.pi / 4, math.pi / 2, math.pi / 4)):
+        assert abs(omega - want) <= math.ulp(want), (angles, want)
+
+
+@pytest.mark.parametrize("name, phi", [("heart", 5 * math.pi / 3), ("triangle", None)])
+def test_decompose_calls_no_arc_derivative(name, phi):
+    # each corner keeps its one-sided derivatives, so decompose samples
+    # only positions
+    boundary, calls = make_example_domain(name, phi), []
+
+    def counted(fn, callable_name):
+        def f(t):
+            calls.append(callable_name)
+            return fn(t)
+        return f
+
+    arcs = tuple(MacroArc(*(counted(getattr(arc, c), c) for c in
+                            ("position", "first_derivative", "second_derivative")))
+                 for arc in boundary.arcs)
+    decompose(Boundary(arcs, boundary.corners), 1e-6)
+    assert calls and set(calls) == {"position"}
+
+
 def _half_disc():
     """The arc (cos pi t, sin pi t) closed by the segment from (-1, 0) to
     (1, 0): two right-angle corners, each with one straight side."""
@@ -373,7 +432,7 @@ def _half_disc():
     arc = MacroArc(lambda t: on_circle(t, 1.0, np.cos, np.sin),
                    lambda t: on_circle(t, w, lambda a: -np.sin(a), np.cos),
                    lambda t: on_circle(t, -w * w, np.cos, np.sin))
-    return make_boundary([arc, line_arc((-1.0, 0.0), (1.0, 0.0))], [math.pi / 2] * 2)
+    return make_boundary([arc, line_arc((-1.0, 0.0), (1.0, 0.0))])
 
 
 @pytest.mark.parametrize("family", ["tables", *_SWEEP_ANGLES, "half_disc"])
@@ -536,14 +595,18 @@ def _offset_probes(boundary, offset):
 
 @pytest.mark.parametrize("name", ["heart", "teardrop", "boomerang", "triangle"])
 def test_point_locator_near_tolerance(all_corner_decs, name):
+    # probes at 0.5 and 2 times the locator's own tolerance, 1e-9 of the
+    # largest extent of its panel ends
     boundary = all_corner_decs[name].boundary
     loc = PointLocator(boundary)
-    probes, _ = _offset_probes(boundary, 0.5e-9)
+    ends = np.concatenate([loc.start, loc.end])
+    assert loc.tol == 1e-9 * max(np.ptp(ends.real), np.ptp(ends.imag))
+    probes, _ = _offset_probes(boundary, 0.5 * loc.tol)
     units = np.exp(1j * np.pi / 4 * np.arange(8))
-    at_corners = np.concatenate([c.point + 0.5e-9 * np.stack([units.real, units.imag], 1)
+    at_corners = np.concatenate([c.point + 0.5 * loc.tol * np.stack([units.real, units.imag], 1)
                                  for c in boundary.corners])
     assert loc.locate(np.concatenate([probes, at_corners]))[0].all()
-    probes, winding = _offset_probes(boundary, 2e-9)
+    probes, winding = _offset_probes(boundary, 2.0 * loc.tol)
     near, got = loc.locate(probes)
     assert not near.any()
     assert np.array_equal(got, winding)

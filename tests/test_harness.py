@@ -222,6 +222,18 @@ def test_run_example_builds_one_locator_per_boundary(monkeypatch):
     assert len(boundaries) == 1 and len(built) == 1
 
 
+def test_run_example_on_a_small_square():
+    # a square of side 1e-9: the sources lie 2e-10 from the boundary and the
+    # second point 5e-11 off it, each far from the boundary on its scale
+    s = 1e-9
+    sol = make_exact_solution("log_pair", q1=(0.2 * s, 0.2 * s), q2=(0.5 * s, 0.7 * s))
+    cfg = example_config("triangle", solution=sol, vertices=((0, 0), (s, 0), (s, s), (0, s)),
+                         delta=1e-6 * s, c=300.0, eps=1e-3, pairs=((8, 32),),
+                         points=((3 * s, 3 * s), (-0.05 * s, 0.5 * s)))
+    (row,) = run_example(cfg)
+    assert not row.failed and np.isfinite(row.values).all()
+
+
 @pytest.mark.parametrize("name", ("heart", "teardrop", "boomerang", "triangle"))
 def test_row_errors_are_differences_from_exact_values(name, example_tables):
     cfg = example_config(name)

@@ -209,7 +209,7 @@ def _parabolic_corner(curvature_scale):
         return MacroArc(position, first, second)
 
     boundary = Boundary((gamma_macro(), upsilon_macro()),
-                           (Corner(0, np.zeros(2), omega),))
+                           (Corner(0, np.zeros(2), -va, vb),))
     for arc in boundary.arcs:
         arc.validate()
     subarcs = (SubArc(GAMMA, 0, 0.0, 1.0), SubArc(UPSILON, 1, 0.0, 1.0))

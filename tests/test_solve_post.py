@@ -503,15 +503,18 @@ def test_every_collocation_node_is_on_the_boundary(far_fields, name, pair):
             eval_exterior(fld, x, y)
 
 
-@pytest.mark.parametrize("offset, raises", [(0.5e-12, True), (2e-12, True), (2e-9, False)])
+@pytest.mark.parametrize("offset, raises", [(0.5e-12, True), (2e-12, True), (0.5e-9, True),
+                                             (2e-9, False)])
 def test_eval_exterior_node_distance_threshold(fields_16_64, offset, raises):
     # offsets from a node on the triangle's hypotenuse (central sub-arc 8),
-    # along each axis in its outward sense: within 1e-9 of the side they
-    # are on or next to the boundary; 2e-9 along an axis is 1.41e-9 from
-    # the side, and the point is evaluated
+    # along each axis in its outward sense, scaled so that 1e-9 is the
+    # locator's tolerance: within it of the side a point is on or next to
+    # the boundary; 2 tolerances along an axis are 1.41 from the side, and
+    # the point is evaluated
     fld = fields_16_64["triangle"]
     umap = fld.system.unknown_map
     x, y = umap.points[:, umap.bounds[8] + 5]
+    offset *= umap.dec.boundary.locator.tol / 1e-9
     for px, py in ((x - offset, y), (x, y + offset)):
         if raises:
             with pytest.raises(ExteriorDomainError, match="is on or next to the boundary$"):

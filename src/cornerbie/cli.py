@@ -213,8 +213,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             return command[args.command](args)
-    except (ConfigError, ParameterError, GeometryError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, ParameterError, GeometryError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (CornerBieError, FloatingPointError) as exc:

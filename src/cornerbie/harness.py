@@ -277,8 +277,9 @@ def _run_row(dec, datum, cfg: RunConfig, exact: np.ndarray, mu: int, nu: int) ->
     m_rhs, n_outer = cfg.rule_orders(nu)
     system = build_system(dec, params)
     cond = cond_inf(system)
-    b = rhs_approx(datum, m_rhs, system.unknown_map)
-    fld = solve_field(system, b, datum, n_outer)
+    rhs_rule = datum.sources(m_rhs)  # one datum rule per distinct order of the row
+    b = rhs_approx(rhs_rule, system.unknown_map)
+    fld = solve_field(system, b, rhs_rule if n_outer == m_rhs else datum.sources(n_outer))
     values = [eval_exterior(fld, x, y) for x, y in cfg.points]
     return RowResult(mu, nu, values, np.abs(np.array(values) - exact).tolist(), cond)
 

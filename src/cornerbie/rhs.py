@@ -14,6 +14,7 @@ Gauss-Legendre of order M.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import Boundary, as_complex
-from .quadrature import MAX_MOMENTS, MAX_RULE_ORDER, gauss_legendre, legendre_table, log_moments
+from .quadrature import MAX_RULE_ORDER, gauss_legendre, legendre_table, log_moments
 
 __all__ = ["NeumannDatum", "rhs_approx"]
 
@@ -30,6 +31,8 @@ _COMPATIBILITY_TOL = 1e-8
 _COMPATIBILITY_RULE = 256  # first rule order of the flux integral, doubled up to MAX_RULE_ORDER
 _CONVERGED = 1e-9  # two successive flux sums that agree this well have converged
 _CHORD_CHUNK = 256
+
+DatumRule = namedtuple("DatumRule", "nodes points speeds density")
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,19 +54,19 @@ class NeumannDatum:
                 f"integral = {resid:.3e}"
             )
 
-    def sources(self, n: int):
+    def sources(self, n: int) -> DatumRule:
         """The datum on the n-point Gauss-Legendre rule of every macro arc,
         from one position and one first_derivative call per arc: the rule's
-        positions, shape (arcs, n, 2), the speeds |sigma_k'| and the weighted
-        densities w f_k |sigma_k'|, both (arcs, n).  The density is the cross
-        product g_y x' - g_x y' of the gradient g with the tangent, the
-        inward normal derivative times the speed."""
+        nodes, its positions, shape (arcs, n, 2), the speeds |sigma_k'| and
+        the weighted densities w f_k |sigma_k'|, both (arcs, n).  The density
+        is the cross product g_y x' - g_x y' of the gradient g with the
+        tangent, the inward normal derivative times the speed."""
         rule, arcs = gauss_legendre(n), self.boundary.arcs
         points = np.stack([np.asarray(arc.position(rule.nodes), float) for arc in arcs])
         d = np.stack([np.asarray(arc.first_derivative(rule.nodes), float) for arc in arcs])
         g = np.asarray(self.u_grad(points), float)
         density = rule.weights * (g[..., 1] * d[..., 0] - g[..., 0] * d[..., 1])
-        return points, np.linalg.norm(d, axis=-1), density
+        return DatumRule(rule.nodes, points, np.linalg.norm(d, axis=-1), density)
 
     def compatibility_residual(self) -> float:
         """int_Sigma f dSigma by Gauss-Legendre on every arc, the rule doubled
@@ -71,7 +74,7 @@ class NeumannDatum:
         ParameterError if they still do not at MAX_RULE_ORDER points."""
         n, last = _COMPATIBILITY_RULE, np.nan
         while n <= MAX_RULE_ORDER:
-            total = float(self.sources(n)[2].sum())
+            total = float(self.sources(n).density.sum())
             if abs(total - last) <= _CONVERGED:
                 return total
             n, last = 2 * n, total
@@ -89,20 +92,16 @@ def _log_ratio(chord, gap, speed):
                     np.log(np.where(near, 1.0, chord) / np.where(near, 1.0, gap)))
 
 
-def rhs_approx(datum: NeumannDatum, M: int, umap) -> np.ndarray:
-    """Product-rule approximation of gbar with the row's M-point rule at
-    every row of the node table umap, given by its macro arc macro_arc,
-    macro parameter macro_t and position points.  The rule is built once
-    per call: the Gauss-Legendre nodes x and, per macro arc k, the datum's
-    sources there (positions, speeds and weighted densities w f_k) and the
-    Legendre coefficients legendre_table(M, x) @ (w f_k).  The rows of each
-    macro arc get the plain Gauss-Legendre log sums over the other arcs,
-    and the log moments and the chord-ratio sum over their own arc."""
-    if not 1 <= M <= MAX_MOMENTS:
-        raise ParameterError(f"rhs rule order must be in [1, {MAX_MOMENTS}], got {M}")
-    x = gauss_legendre(M).nodes
-    points, speeds, densities = datum.sources(M)
-    points = as_complex(points)
+def rhs_approx(rule: DatumRule, umap) -> np.ndarray:
+    """Product-rule approximation of gbar with the row's M-point datum rule
+    (NeumannDatum.sources(M)) at every row of the node table umap, given by
+    its macro arc macro_arc, macro parameter macro_t and position points.
+    The rule's densities w f_k give, per macro arc k, the Legendre
+    coefficients legendre_table(M, x) @ (w f_k) at its nodes x.  The rows
+    of each macro arc get the plain Gauss-Legendre log sums over the other
+    arcs, and the log moments and the chord-ratio sum over their own arc."""
+    x, points, speeds, densities = rule
+    M, points = len(x), as_complex(points)
     coef = densities @ legendre_table(M, x).T
     ell, t, nodes = umap.macro_arc, umap.macro_t, as_complex(umap.points.T)
     out = np.empty(len(t))

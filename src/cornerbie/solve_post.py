@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import DenseSystem, inf_norm
+from .assembly import DenseSystem, UnknownMap, inf_norm
 from .errors import AssemblyError, ExteriorDomainError, SolveError
 from .geometry import PointLocator, as_complex
 from .kernels import double_layer
-from .rhs import NeumannDatum
 
 __all__ = ["solve_dense", "cond_inf", "SolutionField", "solve_field", "eval_exterior"]
 
@@ -64,16 +63,16 @@ def cond_inf(system: DenseSystem) -> float:
 class SolutionField:
     """Solved nodal boundary values plus everything needed for field eval.
 
-    values holds the solution at every row of the system's node table,
-    one per unknown, and the double-layer sources are those rows.
-    Construction computes the other data that do not depend on the field
-    point: the point locator, which the boundary builds once, the datum's
-    N-point Gauss-Legendre sources (NeumannDatum.sources: positions and
-    weighted densities of all macro arcs, arc after arc); and the far-field
-    expansion about the node table's centre c, valid beyond 2R, R the
-    largest distance from c to a locator panel's end plus the largest strip
-    half-width, which bounds the distance to every point of the boundary
-    and so to every source:
+    values holds the solution at every row of the node table unknown_map,
+    one per unknown, and the double-layer sources are those rows.  rule is
+    the row's N-point datum rule (NeumannDatum.sources(N)), whose positions
+    and weighted densities over all macro arcs, arc after arc, are the
+    single-layer sources.  Construction computes the other data that do
+    not depend on the field point: the point locator, which the boundary
+    builds once, and the far-field expansion about the node table's centre
+    c, valid beyond 2R, R the largest distance from c to a locator panel's
+    end plus the largest strip half-width, which bounds the distance to
+    every point of the boundary and so to every source:
     u(z) = -(W log|z - c| - Re sum e_k zeta^k) / 2 pi, zeta = 1 / (z - c),
     with the rule's flux residual W = sum w f, e_k = a_k / k - i b_(k-1),
     a_k = sum w f (y - c)^k over the rule's sources y and
@@ -81,11 +80,10 @@ class SolutionField:
     holds e_k / R^k, built from powers of (y - c) / R in the unit disk.
     """
 
-    system: DenseSystem
-    datum: NeumannDatum
-    N: int
+    unknown_map: UnknownMap
     values: np.ndarray
     residual: float
+    rule: tuple
     _locator: PointLocator = field(init=False, repr=False)
     _arc_points: np.ndarray = field(init=False, repr=False)
     _arc_weights: np.ndarray = field(init=False, repr=False)
@@ -95,29 +93,28 @@ class SolutionField:
     _far: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        umap = self.system.unknown_map
+        umap, rule = self.unknown_map, self.rule
         loc = self._locator = umap.dec.boundary.locator
-        points, _, density = self.datum.sources(self.N)
-        self._arc_points, self._arc_weights = points.reshape(-1, 2), density.ravel()
+        self._arc_points, self._arc_weights = rule.points.reshape(-1, 2), rule.density.ravel()
         nodes = as_complex(umap.points.T)
         self._center = c = complex(nodes.mean())
-        rule, nodes = as_complex(self._arc_points) - c, nodes - c
+        sources, nodes = as_complex(self._arc_points) - c, nodes - c
         ends = np.concatenate([loc.start, loc.end])
         r = self._radius = float(np.abs(ends - c).max() + loc.strip.max())
         self._flux = float(self._arc_weights.sum())
-        rule, nodes = rule / r, nodes / r
+        sources, nodes = sources / r, nodes / r
         a_pow, b_pow = self._arc_weights.astype(complex), self.values * as_complex(umap.q.T)
         self._far = []
         for k in range(1, _FAR_TERMS + 1):
-            a_pow *= rule
+            a_pow *= sources
             self._far.append(complex(a_pow.sum() / k - 1j * b_pow.sum() / r))
             b_pow *= nodes
 
 
-def solve_field(system: DenseSystem, b: np.ndarray, datum: NeumannDatum, N: int) -> SolutionField:
-    """Solve A x = b and package the nodal values for evaluation."""
+def solve_field(system: DenseSystem, b: np.ndarray, rule) -> SolutionField:
+    """Solve A x = b and package the nodal values with the row's datum rule."""
     x, residual = solve_dense(system, b)
-    return SolutionField(system, datum, N, x, residual)
+    return SolutionField(system.unknown_map, x, residual, rule)
 
 
 def eval_exterior(fld: SolutionField, x: float, y: float) -> float:
@@ -148,7 +145,7 @@ def eval_exterior(fld: SolutionField, x: float, y: float) -> float:
     if winding[0] != 0:
         raise ExteriorDomainError(f"point ({x}, {y}) lies inside the domain")
 
-    umap = fld.system.unknown_map
+    umap = fld.unknown_map
     k, _ = double_layer((p[:1], p[1:]), umap.points, umap.q)
     single = float(fld._arc_weights @ np.log(np.linalg.norm(fld._arc_points - p, axis=-1)))
     return _finite(-(single - float(k[0] @ fld.values)) / (2.0 * math.pi), x, y)

@@ -151,13 +151,13 @@ def example_tables():
 # --------------------------------------------------------------------------
 
 def row_rhs(system, datum, M: int) -> np.ndarray:
-    """b of a built system as the harness makes it: gbar with the M-point
-    row rule at every row of the node table."""
-    return rhs_approx(datum, M, system.unknown_map)
+    """b of a built system as the harness makes it: gbar with the datum's
+    M-point rule at every row of the node table."""
+    return rhs_approx(datum.sources(M), system.unknown_map)
 
 
 def gbar_at(dec, datum, M: int, i: int, s):
-    """rhs_approx with the M-point rule at a float (giving a float) or 1-D
+    """rhs_approx with the datum's M-point rule at a float (giving a float) or 1-D
     array s of parameters on sub-arc i of dec: a node table of those
     points alone, their macro arc and parameter from window_map and their
     positions from subarc_geometry, the corner point at a corner arc's
@@ -166,7 +166,7 @@ def gbar_at(dec, datum, M: int, i: int, s):
     ell, sm = window_map(dec, i, s1)
     table = SimpleNamespace(macro_arc=np.full(len(sm), ell), macro_t=sm,
                             points=subarc_geometry(dec, i, s1)[0].T)
-    out = rhs_approx(datum, M, table)
+    out = rhs_approx(datum.sources(M), table)
     return out if np.ndim(s) else float(out[0])
 
 
@@ -373,28 +373,29 @@ def oracle_single_layer(dec, datum, s_macro: float, ell: int = 0,
     return total
 
 
-def eval_exterior_per_point(fld, x: float, y: float) -> float:
+def eval_exterior_per_point(fld, datum, x: float, y: float) -> float:
     """Exterior field value with all geometry recomputed per point.
 
     A fresh PointLocator of the boundary, the macro-arc rule positions,
-    the datum densities, and the node geometry and weights (node_table_at)
+    the densities of datum, the one fld was solved with, on a rule of
+    fld.rule's order, and the node geometry and weights (node_table_at)
     are rebuilt for every point; otherwise the arithmetic and its order
     are those of eval_exterior, so the two agree bit for bit (non-finite
     input and output aside).
     """
     p = np.array([float(x), float(y)])
-    dec = fld.system.unknown_map.dec
+    dec = fld.unknown_map.dec
     near, winding = PointLocator(dec.boundary).locate(p)
     if near[0]:
         raise ExteriorDomainError(f"point ({x}, {y}) is on or next to the boundary")
     if winding[0] != 0:
         raise ExteriorDomainError(f"point ({x}, {y}) lies inside the domain")
 
-    table = node_table_at(dec, fld.system.unknown_map.params)
+    table = node_table_at(dec, fld.unknown_map.params)
     k, _ = double_layer((p[:1], p[1:]), table.points, table.q)
-    rule, arcs = gauss_legendre(fld.N), dec.boundary.arcs
+    rule, arcs = gauss_legendre(len(fld.rule.nodes)), dec.boundary.arcs
     pts = np.concatenate([np.asarray(arc.position(rule.nodes), float) for arc in arcs])
-    dens = np.concatenate([rule.weights * datum_density(fld.datum, j, rule.nodes)
+    dens = np.concatenate([rule.weights * datum_density(datum, j, rule.nodes)
                            for j in range(len(arcs))])
     single = float(dens @ np.log(np.linalg.norm(pts - p, axis=-1)))
     return -(single - float(k[0] @ fld.values)) / (2.0 * math.pi)

@@ -94,7 +94,7 @@ def test_criterion_04_smooth_circle_pipeline(circle_dec):
     datum = NeumannDatum(circle_dec.boundary, u_grad=sol.grad)
     params = DiscretizationParams(mu=32, nu=64, c=100.0, eps=1e-3)
     system = build_system(circle_dec, params)
-    fld = solve_field(system, row_rhs(system, datum, 256), datum, 256)
+    fld = solve_field(system, row_rhs(system, datum, 256), datum.sources(256))
     err = abs(eval_exterior(fld, 3.0, 3.0) - float(sol.u(np.array([3.0, 3.0]))))
     elapsed = time.perf_counter() - start
     assert err <= 1e-8

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cornerbie import ConfigError, SingularMatrixError, harness
+from cornerbie import ConfigError, SingularMatrixError, cli, harness
 from cornerbie.cli import main as cli_main
 from cornerbie.geometry import TRIANGLE_VERTICES, PointLocator
 from cornerbie.harness import angle_sweep, example_config, make_exact_solution, run_example
@@ -406,6 +406,17 @@ def test_cli_numerical_failure_exit_3(tmp_path, monkeypatch):
     code = cli_main(["solve", "--example", "heart", "--mu", "8", "--nu", "32",
                      "--points", str(pts)])
     assert code == 2
+
+
+def test_cli_lets_a_key_error_propagate(monkeypatch):
+    # every lookup on user data is checked before it is made, so a KeyError
+    # is a programming error, not a configuration error with exit code 2
+    def broken(cfg):
+        raise KeyError("no such row")
+
+    monkeypatch.setattr(cli, "run_example", broken)
+    with pytest.raises(KeyError, match="no such row"):
+        cli_main(["solve", "--example", "heart", "--mu", "8", "--nu", "32"])
 
 
 def test_cli_restores_numpy_error_state(tmp_path):

@@ -304,8 +304,8 @@ def test_field_kernel_near_singularity_error(heart_dec, heart_datum):
     datum, _ = heart_datum
     params = DiscretizationParams(mu=8, nu=32, c=300.0, eps=1e-3)
     system = build_system(heart_dec, params)
-    fld = solve_field(system, row_rhs(system, datum, 16), datum, 16)
-    umap = fld.system.unknown_map
+    fld = solve_field(system, row_rhs(system, datum, 16), datum.sources(16))
+    umap = fld.unknown_map
     own = np.flatnonzero(umap.arc == 2)
     c = own[np.argmin(np.abs(umap.t[own] - 0.5))]
     x, y = umap.points[:, c]

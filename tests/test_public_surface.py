@@ -75,6 +75,17 @@ def test_kernels_do_not_import_geometry():
             assert not any("geometry" in p for p in paths), node.lineno
 
 
+def test_solve_post_does_not_import_rhs():
+    # the field reads the row's datum rule that the harness hands it; the
+    # datum that builds the rule is not its to know
+    path = Path(cornerbie.__file__).resolve().parent / "solve_post.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            paths = [f"{module}.{alias.name}".split(".") for alias in node.names]
+            assert not any("rhs" in p for p in paths), node.lineno
+
+
 def test_rhs_needs_only_the_boundary():
     # the right-hand side reads its arcs from the datum's boundary; the
     # sub-arc decomposition is not its to know

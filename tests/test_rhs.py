@@ -23,23 +23,25 @@ def test_sources_density_constant_on_straight_side():
     # bottom side, which has length 2
     tri = make_example_domain("triangle")
     datum = NeumannDatum(tri, u_grad=lambda p: np.broadcast_to([0.0, 1.0], np.shape(p)))
-    _, speeds, density = datum.sources(9)
-    np.testing.assert_allclose(density[0] / gauss_legendre(9).weights, 2.0, rtol=1e-14)
-    np.testing.assert_allclose(speeds[0], 2.0, rtol=1e-14)
+    rule = datum.sources(9)
+    np.testing.assert_allclose(rule.density[0] / gauss_legendre(9).weights, 2.0, rtol=1e-14)
+    np.testing.assert_allclose(rule.speeds[0], 2.0, rtol=1e-14)
 
 
 def test_sources_zero_datum(heart_boundary):
     datum = NeumannDatum(heart_boundary, u_grad=lambda p: np.zeros(np.shape(p)))
-    assert np.all(datum.sources(5)[2] == 0.0)
+    assert np.all(datum.sources(5).density == 0.0)
 
 
 def test_sources_density_is_weighted_normal_derivative_times_speed(all_corner_decs):
     # the cross product g_y x' - g_x y' equals the inward normal derivative
-    # times |sigma'| up to roundoff; positions and speeds are the arcs' own
+    # times |sigma'| up to roundoff; nodes, positions and speeds are the
+    # rule's and the arcs' own
     rule = gauss_legendre(101)
     for name, dec in all_corner_decs.items():
         grad = cb.example_config(name).solution.grad
-        points, speeds, density = NeumannDatum(dec.boundary, u_grad=grad).sources(101)
+        nodes, points, speeds, density = NeumannDatum(dec.boundary, u_grad=grad).sources(101)
+        assert np.array_equal(nodes, rule.nodes), name
         assert points.shape == (len(dec.boundary.arcs), 101, 2), name
         for k, arc in enumerate(dec.boundary.arcs):
             assert np.array_equal(points[k], arc.position(rule.nodes)), (name, k)
@@ -172,7 +174,7 @@ def test_rhs_array_matches_per_node_calls(all_corner_decs):
         cfg = cb.example_config(name)
         datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
         umap = UnknownMap(dec, DiscretizationParams(mu=8, nu=32, c=cfg.c, eps=cfg.eps))
-        got = rhs_approx(datum, 16, umap)
+        got = rhs_approx(datum.sources(16), umap)
         assert got.shape == umap.t.shape
         for i in range(len(dec.subarcs)):
             own = slice(umap.bounds[i], umap.bounds[i + 1])
@@ -188,15 +190,17 @@ def test_rhs_entries_are_gbar_at_row_nodes(monkeypatch):
     seen = {}
     solve = cb.harness.solve_field
 
-    def capture(system, b, datum, N):
-        seen.update(system=system, b=b, datum=datum)
-        return solve(system, b, datum, N)
+    def capture(system, b, rule):
+        seen.update(system=system, b=b)
+        return solve(system, b, rule)
 
     monkeypatch.setattr(cb.harness, "solve_field", capture)
-    rows = cb.run_example(cb.example_config("heart", pairs=((4, 16),)))
+    cfg = cb.example_config("heart", pairs=((4, 16),))
+    rows = cb.run_example(cfg)
     assert not rows[0].failed
     umap, b = seen["system"].unknown_map, seen["b"]
-    want = np.array([gbar_at(umap.dec, seen["datum"], 8, int(i), float(s))
+    datum = NeumannDatum(umap.dec.boundary, u_grad=cfg.solution.grad)
+    want = np.array([gbar_at(umap.dec, datum, 8, int(i), float(s))
                      for i, s in zip(umap.arc, umap.t)])
     assert b.shape == umap.t.shape == (len(seen["system"].matrix),)
     assert np.abs(b - want).max() <= 1e-14 * np.abs(want).max()
@@ -218,8 +222,9 @@ def test_rhs_corner_rows_are_taken_at_the_corner_points(heart_dec, heart_datum):
         points[:, row] = arc.position(umap.macro_t[row])
     assert not np.array_equal(points, umap.points)
     moved = SimpleNamespace(macro_arc=umap.macro_arc, macro_t=umap.macro_t, points=points)
-    got = rhs_approx(datum, 16, umap)
-    assert np.array_equal(np.flatnonzero(got != rhs_approx(datum, 16, moved)), umap.corner)
+    rule = datum.sources(16)
+    got = rhs_approx(rule, umap)
+    assert np.array_equal(np.flatnonzero(got != rhs_approx(rule, moved)), umap.corner)
 
 
 @pytest.mark.parametrize("name, pairs", [("heart", cb.harness.DEFAULT_PAIRS),
@@ -242,6 +247,26 @@ def test_rhs_once_per_row_and_moments_once_per_macro_arc(monkeypatch, name, pair
     assert not any(row.failed for row in rows)
     assert len(rhs_calls) == len(pairs)
     assert len(moment_calls) == len(cfg.build_boundary().arcs) * len(pairs)
+
+
+@pytest.mark.parametrize("name, row_orders", [("heart", lambda nu: [nu // 2]),
+                                              ("boomerang", lambda nu: [nu // 2, nu])])
+def test_datum_rule_built_once_per_distinct_order_of_a_row(monkeypatch, name, row_orders):
+    # the flux check at construction takes its 256- and 512-point sums;
+    # then each row builds one rule per distinct rule order: the heart's
+    # M = N = nu/2 once, the boomerang's M = nu/2 and N = nu one each
+    orders = []
+    sources = NeumannDatum.sources
+
+    def counted(datum, n):
+        orders.append(n)
+        return sources(datum, n)
+
+    monkeypatch.setattr(NeumannDatum, "sources", counted)
+    cfg = cb.example_config(name)
+    rows = cb.run_example(cfg)
+    assert not any(row.failed for row in rows)
+    assert orders == [256, 512] + [n for _, nu in cfg.pairs for n in row_orders(nu)]
 
 
 def test_rhs_oracle_agreement_decreases(heart_dec, heart_datum,
@@ -276,13 +301,14 @@ def test_rhs_cancellation_safety(heart_dec, heart_datum):
 
 
 def test_rhs_range_errors(heart_datum):
+    # no rule of order 0 exists, and the log moments stop at 512
     datum, _ = heart_datum
     table = SimpleNamespace(macro_arc=np.array([0]), macro_t=np.array([0.5]),
                             points=np.array([[0.0], [1.0]]))
     with pytest.raises(ParameterError):
-        rhs_approx(datum, 513, table)
+        rhs_approx(datum.sources(513), table)
     with pytest.raises(ParameterError):
-        rhs_approx(datum, 0, table)
+        datum.sources(0)
 
 
 def test_rhs_tables_built_once_per_row(monkeypatch):

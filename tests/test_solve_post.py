@@ -310,7 +310,7 @@ def heart_field(heart_dec, heart_datum):
     datum, sol = heart_datum
     params = DiscretizationParams(mu=16, nu=64, c=300.0, eps=1e-3)
     system = build_system(heart_dec, params)
-    return solve_field(system, row_rhs(system, datum, 32), datum, 32), sol
+    return solve_field(system, row_rhs(system, datum, 32), datum.sources(32)), sol
 
 
 def test_eval_exterior_rejects_interior_point(heart_field):
@@ -321,7 +321,7 @@ def test_eval_exterior_rejects_interior_point(heart_field):
 
 def test_eval_exterior_rejects_boundary_point(heart_field):
     fld, _ = heart_field
-    p = fld.system.unknown_map.dec.boundary.corners[0].point
+    p = fld.unknown_map.dec.boundary.corners[0].point
     with pytest.raises(ExteriorDomainError):
         eval_exterior(fld, float(p[0]), float(p[1]))
 
@@ -331,13 +331,12 @@ def _far_disk(fld):
     definition: c is the mean of the node table, R the largest distance
     from c to a locator panel's end plus the largest strip half-width,
     which bounds the distance to every node and Gauss-Legendre source."""
-    umap = fld.system.unknown_map
+    umap = fld.unknown_map
     c = umap.points.mean(axis=1)
     loc = PointLocator(umap.dec.boundary)
     ends = np.concatenate([loc.start, loc.end])
     r = float(np.abs(ends - complex(c[0], c[1])).max() + loc.strip.max())
-    sources = np.concatenate([umap.points.T,
-                              fld.datum.sources(fld.N)[0].reshape(-1, 2)])
+    sources = np.concatenate([umap.points.T, fld.rule.points.reshape(-1, 2)])
     assert np.linalg.norm(sources - c, axis=1).max() < r
     return c, 2.0 * r
 
@@ -358,7 +357,7 @@ def test_eval_exterior_decay_value_at_huge_point(heart_field):
     # -W log|z - c| / 2 pi to rounding
     fld, _ = heart_field
     (cx, cy), _ = _far_disk(fld)
-    flux = float(fld.datum.sources(fld.N)[2].sum())
+    flux = float(fld.rule.density.sum())
     want = -flux * math.log(math.hypot(1e300 - cx, 1e300 - cy)) / (2.0 * math.pi)
     assert eval_exterior(fld, 1e300, 1e300) == pytest.approx(want, rel=1e-14, abs=0.0)
 
@@ -370,7 +369,12 @@ def _solved_field(dec, name, mu, nu):
     datum = NeumannDatum(dec.boundary, u_grad=cfg.solution.grad)
     system = build_system(dec, DiscretizationParams(mu=mu, nu=nu, c=cfg.c, eps=cfg.eps))
     m_rhs, n_outer = cfg.rule_orders(nu)
-    return solve_field(system, row_rhs(system, datum, m_rhs), datum, n_outer)
+    return solve_field(system, row_rhs(system, datum, m_rhs), datum.sources(n_outer))
+
+
+def _field_datum(fld, name):
+    """The datum a field of built-in example name was solved with."""
+    return NeumannDatum(fld.unknown_map.dec.boundary, u_grad=cb.example_config(name).solution.grad)
 
 
 @pytest.fixture(scope="module")
@@ -403,13 +407,14 @@ def test_eval_exterior_matches_per_point_loop(fields_16_64, name):
     # tolerances beyond 2R
     fld = fields_16_64[name]
     c, far_radius = _far_disk(fld)
+    oracle = partial(eval_exterior_per_point, fld, _field_datum(fld, name))
     got, want, got_err, want_err = {}, {}, [], []
-    for x, y in _offset_points(fld.system.unknown_map.dec.boundary):
+    for x, y in _offset_points(fld.unknown_map.dec.boundary):
         far = bool(np.hypot(x - c[0], y - c[1]) > far_radius)
-        for fn, vals, errs in ((eval_exterior, got, got_err),
-                               (eval_exterior_per_point, want, want_err)):
+        for fn, vals, errs in ((partial(eval_exterior, fld), got, got_err),
+                               (oracle, want, want_err)):
             try:
-                vals.setdefault(far, []).append(fn(fld, x, y))
+                vals.setdefault(far, []).append(fn(x, y))
             except ExteriorDomainError as exc:
                 errs.append(str(exc))
     assert len(want[False]) >= 20 and len(want[True]) >= 5
@@ -437,7 +442,8 @@ def test_eval_exterior_far_branch_on_random_points(far_fields, name, pair):
     angle = rng.uniform(0.0, 2.0 * np.pi, len(radius))
     pts = np.stack([cx + radius * np.cos(angle), cy + radius * np.sin(angle)], axis=1)
     got = [eval_exterior(fld, x, y) for x, y in pts]
-    want = [eval_exterior_per_point(fld, x, y) for x, y in pts]
+    datum = _field_datum(fld, name)
+    want = [eval_exterior_per_point(fld, datum, x, y) for x, y in pts]
     np.testing.assert_allclose(got, want, rtol=FAR_RTOL, atol=FAR_ATOL)
 
 
@@ -469,7 +475,7 @@ def test_eval_exterior_rejects_collocation_nodes(fields_16_64, name):
     # the point locator finds these nodes on the boundary before the node
     # guard on the kernel's squared distances sees them
     fld = fields_16_64[name]
-    umap = fld.system.unknown_map
+    umap = fld.unknown_map
     for i, h in ((0, 1), (1, 1), (2, 0), (2, 32)):
         p = umap.points[:, umap.bounds[i] + h]
         with pytest.raises(ExteriorDomainError, match="is on or next to the boundary$"):
@@ -498,7 +504,7 @@ def test_points_on_the_boundary_are_rejected(fields_16_64, name, point):
 @pytest.mark.parametrize("name", cb.harness.EXAMPLE_NAMES)
 def test_every_collocation_node_is_on_the_boundary(far_fields, name, pair):
     fld = far_fields[(name, *pair)]
-    for x, y in fld.system.unknown_map.points.T:
+    for x, y in fld.unknown_map.points.T:
         with pytest.raises(ExteriorDomainError, match="is on or next to the boundary$"):
             eval_exterior(fld, x, y)
 
@@ -512,7 +518,7 @@ def test_eval_exterior_node_distance_threshold(fields_16_64, offset, raises):
     # the boundary; 2 tolerances along an axis are 1.41 from the side, and
     # the point is evaluated
     fld = fields_16_64["triangle"]
-    umap = fld.system.unknown_map
+    umap = fld.unknown_map
     x, y = umap.points[:, umap.bounds[8] + 5]
     offset *= umap.dec.boundary.locator.tol / 1e-9
     for px, py in ((x - offset, y), (x, y + offset)):
@@ -542,12 +548,13 @@ def _counting_dec(dec, calls):
     return dataclasses.replace(dec, boundary=Boundary(arcs, dec.boundary.corners))
 
 
-def test_eval_exterior_does_only_per_point_work(heart_field, monkeypatch):
+def test_eval_exterior_does_only_per_point_work(heart_field, heart_datum, monkeypatch):
     fld, _ = heart_field
+    datum, _ = heart_datum
     calls = []
-    dec = _counting_dec(fld.system.unknown_map.dec, calls)
-    system = build_system(dec, fld.system.unknown_map.params)
-    fld = solve_field(system, row_rhs(system, fld.datum, 32), fld.datum, fld.N)
+    dec = _counting_dec(fld.unknown_map.dec, calls)
+    system = build_system(dec, fld.unknown_map.params)
+    fld = solve_field(system, row_rhs(system, datum, 32), datum.sources(32))
     (cx, cy), far_radius = _far_disk(fld)
     calls.clear()
     counting = partial(_counting, calls)
@@ -576,15 +583,15 @@ def test_node_geometry_evaluated_once_per_macro_arc(all_corner_decs):
         assert sorted(calls) == sorted((ell, fn) for ell in arcs for fn in _CALLABLES), name
         dec.boundary.locator  # the field's point locator reads the arcs once per boundary
         calls.clear()
-        solve_field(system, row_rhs(system, datum, 16), datum, 16)
+        solve_field(system, row_rhs(system, datum, 16), datum.sources(16))
         assert calls == [], name
 
 
-def test_rhs_and_field_read_each_macro_arc_once(all_corner_decs):
-    # per row, the right-hand side and the field each take the datum's
-    # sources on their rule: one position and one first_derivative call per
-    # macro arc, and no second_derivative call; the rhs reads its
-    # collocation points from the node table
+def test_datum_rule_reads_each_macro_arc_once_and_rhs_and_field_none(all_corner_decs):
+    # a row's datum rule takes one position and one first_derivative call
+    # per macro arc, and no second_derivative call; the right-hand side and
+    # the field read that rule, and the rhs its collocation points from the
+    # node table, so neither calls an arc
     for name in ("heart", "triangle"):
         calls = []
         dec, cfg = _counting_dec(all_corner_decs[name], calls), cb.example_config(name)
@@ -594,11 +601,11 @@ def test_rhs_and_field_read_each_macro_arc_once(all_corner_decs):
                       for fn in ("first_derivative", "position"))
         dec.boundary.locator  # the field's point locator reads the arcs once per boundary
         calls.clear()
-        b = rhs_approx(datum, 16, system.unknown_map)
+        rule = datum.sources(16)
         assert sorted(calls) == once, name
         calls.clear()
-        solve_field(system, b, datum, 16)
-        assert sorted(calls) == once, name
+        solve_field(system, rhs_approx(rule, system.unknown_map), rule)
+        assert calls == [], name
 
 
 def test_exterior_accuracy_and_distance_trend(heart_field):
@@ -623,7 +630,7 @@ def test_smooth_circle_pipeline(circle_dec):
     datum = NeumannDatum(circle_dec.boundary, u_grad=sol.grad)
     params = DiscretizationParams(mu=32, nu=64, c=100.0, eps=1e-3)  # no corner reads mu
     system = build_system(circle_dec, params)
-    fld = solve_field(system, row_rhs(system, datum, 256), datum, 256)
+    fld = solve_field(system, row_rhs(system, datum, 256), datum.sources(256))
     err = abs(eval_exterior(fld, 3.0, 3.0) - float(sol.u(np.array([3.0, 3.0]))))
     assert err <= 1e-8
 
@@ -631,7 +638,7 @@ def test_smooth_circle_pipeline(circle_dec):
 def test_solution_field_nodal_values_shared_at_corner(heart_field):
     # both corner arcs read the corner's value from its one table row
     fld, _ = heart_field
-    umap = fld.system.unknown_map
+    umap = fld.unknown_map
     assert fld.values.shape == umap.t.shape
     assert umap.bounds[0] == umap.corner[0] and umap.t[umap.bounds[1]] > 0.0
     assert np.all(np.isfinite(fld.values))
@@ -651,7 +658,7 @@ def test_reentrant_polygon_pipeline():
         params = DiscretizationParams(mu=mu, nu=nu, c=100.0, eps=1e-3)
         system = build_system(dec, params)
         conds.append(cond_inf(system))
-        fld = solve_field(system, row_rhs(system, datum, nu // 2), datum, nu // 2)
+        fld = solve_field(system, row_rhs(system, datum, nu // 2), datum.sources(nu // 2))
         errs.append(abs(eval_exterior(fld, 3.0, 3.0) - float(sol.u(np.array([3.0, 3.0])))))
     assert errs[1] < errs[0] / 2
     assert errs[1] <= 1e-5

@@ -105,8 +105,15 @@ def make_exact_solution(name: str, **params) -> ExactSolution:
 
 
 def _is_number(value, kind) -> bool:
-    """Whether value is a number of kind (Integral or Real), bools excluded."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """Whether value is a number of kind (Integral or Real), bools excluded,
+    that float() converts: an integer beyond float range is not a number."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _is_two(values, kind) -> bool:
@@ -152,8 +159,9 @@ class RunConfig:
 
     def validate(self) -> None:
         """Check what needs no geometry: the domain name, that only an angle
-        family has a phi, the number fields, the pairs, the rule orders, and
-        that each point is an (x, y) pair of numbers."""
+        family has a phi, the number fields, the solution, the pairs, the
+        rule orders, that points and vertices are lists, and that each point
+        is an (x, y) pair of numbers."""
         if not isinstance(self.domain, str):
             raise ConfigError(f"config field 'domain' must be a string, got {self.domain!r}")
         if self.phi is not None and (self.vertices is not None or self.domain == "triangle"):
@@ -164,6 +172,13 @@ class RunConfig:
                 continue  # polygons have no angle parameter
             if not _is_number(value, Real):
                 raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
+        if not isinstance(self.solution, ExactSolution):
+            raise ConfigError(f"config field 'solution' must be an exact solution, "
+                              f"got {self.solution!r}")
+        for key, kinds in (("points", (list, tuple)), ("vertices", (list, tuple, type(None)))):
+            if not isinstance(getattr(self, key), kinds):
+                raise ConfigError(f"config field {key!r} must be a list of (x, y) pairs, "
+                                  f"got {getattr(self, key)!r}")
         if not self.delta > 0.0:  # NaN too
             raise ConfigError(f"config field 'delta' must be positive, got {self.delta!r}")
         if not isinstance(self.pairs, (list, tuple)) or not self.pairs:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ParameterError
@@ -42,20 +43,14 @@ MAX_MOMENTS = 512
 class QuadratureRule:
     """Nodes and weights of a rule on [0, 1].
 
-    kind is "legendre" (m nodes) or "radau_left" (m+1 nodes, nodes[0] = 0).
     Nodes are strictly increasing in [0, 1); weights are positive and sum
     to 1 within 1e-14.
     """
 
-    kind: str
-    m: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n_expected = self.m if self.kind == "legendre" else self.m + 1
-        if len(self.nodes) != n_expected or len(self.weights) != n_expected:
-            raise ParameterError(f"{self.kind} rule of order {self.m}: bad length")
         if not np.all(np.diff(self.nodes) > 0):
             raise ParameterError("nodes must be strictly increasing")
         if self.nodes[0] < 0 or self.nodes[-1] >= 1.0:
@@ -64,11 +59,6 @@ class QuadratureRule:
             raise ParameterError("weights must be positive")
         if abs(math.fsum(self.weights) - 1.0) > 1e-14:
             raise ParameterError("weights must sum to 1 within 1e-14")
-        if self.kind == "radau_left":
-            if self.nodes[0] != 0.0:
-                raise ParameterError("left Radau rule must have a node at 0")
-            if self.weights[0] != 1.0 / (self.m + 1) ** 2:
-                raise ParameterError("left Radau endpoint weight must be 1/(m+1)^2")
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
@@ -87,7 +77,7 @@ def gauss_legendre(m: int) -> QuadratureRule:
     offdiag = np.sqrt(k * k / (4.0 * k * k - 1.0)) / 2.0
     nodes, vecs = eigh_tridiagonal(np.full(m, 0.5), offdiag)
     weights = vecs[0] ** 2  # mu_0 = 1
-    return QuadratureRule("legendre", m, nodes, weights)
+    return QuadratureRule(nodes, weights)
 
 
 @lru_cache(maxsize=None)
@@ -108,21 +98,12 @@ def gauss_radau_left(m: int) -> QuadratureRule:
     omega = 0.5 * vecs[0] ** 2  # mu_0 = int_0^1 x dx = 1/2
     nodes = np.concatenate(([0.0], interior))
     weights = np.concatenate(([1.0 / (m + 1) ** 2], omega / interior))
-    return QuadratureRule("radau_left", m, nodes, weights)
+    return QuadratureRule(nodes, weights)
 
 
 def legendre_table(nmax: int, x: np.ndarray) -> np.ndarray:
     """Table of p_0 .. p_{nmax-1} on [0, 1]; shape (nmax, len(x))."""
-    t = 2.0 * np.asarray(x, dtype=float) - 1.0
-    out = np.empty((nmax, t.size))
-    out[0] = 1.0
-    if nmax > 1:
-        p_prev, p_cur = np.ones_like(t), t
-        out[1] = np.sqrt(3.0) * t
-        for k in range(2, nmax):
-            p_prev, p_cur = p_cur, ((2 * k - 1) * t * p_cur - (k - 1) * p_prev) / k
-            out[k] = np.sqrt(2 * k + 1) * p_cur
-    return out
+    return np.sqrt(2.0 * np.arange(nmax) + 1.0)[:, None] * legvander(2.0 * x - 1.0, nmax - 1).T
 
 
 def log_moments(s, M: int) -> np.ndarray:

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.integrate import quad
 
 import cornerbie as cb
@@ -25,6 +26,11 @@ from cornerbie.geometry import (
 from cornerbie.kernels import check_separation, double_layer, mellin_kernel
 from cornerbie.quadrature import gauss_legendre, gauss_radau_left
 from cornerbie.rhs import NeumannDatum, rhs_approx
+
+# every hypothesis test draws the same examples on every run and keeps no
+# example database; each test sets its own max_examples
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # published reference values: per example, error cells for the evaluation
 # points (nearest ... farthest) and the matrix condition number per row
@@ -307,7 +313,9 @@ def remainder_at(dec, i, j, t, s):
 # --------------------------------------------------------------------------
 
 def classical_legendre_table(nmax: int, u) -> np.ndarray:
-    """P_0 .. P_nmax at u in [-1, 1] by the three-term recurrence."""
+    """P_0 .. P_nmax at u in [-1, 1] by the three-term recurrence, written
+    out here, independent of the numpy table that quadrature.legendre_table
+    scales."""
     u = np.atleast_1d(np.asarray(u, float))
     out = np.empty((nmax + 1, u.size))
     out[0] = 1.0

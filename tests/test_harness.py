@@ -1,12 +1,19 @@
+import contextlib
+import copy
 import csv
+import functools
+import io
 import json
 import math
+import operator
 import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornerbie import ConfigError, SingularMatrixError, cli, harness
 from cornerbie.cli import main as cli_main
@@ -14,6 +21,7 @@ from cornerbie.geometry import TRIANGLE_VERTICES, PointLocator
 from cornerbie.harness import angle_sweep, example_config, make_exact_solution, run_example
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+_BEYOND_FLOAT = 10**400  # an integer that float() cannot convert; JSON writes it whole
 
 
 @pytest.mark.parametrize("name,params", [
@@ -137,10 +145,12 @@ def test_non_finite_points_are_config_errors(point):
     dict(pairs=((True, 32),)), dict(points=((True, 3.0),)), dict(points=((3.0, 3.0, 7.0),)),
     dict(vertices=((-1.25, -0.75), (0.75, -0.75), (0.75, 1.25, 0.0))), dict(M=True),
     dict(domain=[1]), dict(domain=5), dict(pairs=()), dict(pairs=np.array([[8, 32]])),
+    dict(solution=None), dict(points=None), dict(points=5), dict(phi=None, vertices=5),
 ], ids=["string-c", "string-delta", "none-eps", "string-phi", "bool-c", "string-point",
         "tau-underflow", "nan-c", "float-pair", "string-pair", "three-value-pair",
         "bool-pair", "bool-point", "three-value-point", "three-coordinate-vertex", "bool-M",
-        "list-domain", "int-domain", "empty-pairs", "array-pairs"])
+        "list-domain", "int-domain", "empty-pairs", "array-pairs", "none-solution",
+        "none-points", "int-points", "int-vertices"])
 def test_config_field_errors_are_config_errors(override):
     # at c = 1e-300 and nu = 32, tau^2 underflows to 0 and the wedge
     # kernel at (0, tau) is undefined; c = nan would run as tau = 1; a pair
@@ -254,7 +264,9 @@ def test_angle_sweep_records_failures_and_continues():
 
 
 @pytest.mark.parametrize("phis, named", [(["x"], "'x'"), ([None], "None"),
-                                          ([1.5 * math.pi, "y"], "'y'"), (5, "got 5")])
+                                          ([1.5 * math.pi, "y"], "'y'"), (5, "got 5"),
+                                          pytest.param([_BEYOND_FLOAT], str(_BEYOND_FLOAT),
+                                                       id="beyond-float-range")])
 def test_angle_sweep_names_a_malformed_angle(phis, named):
     with pytest.raises(ConfigError, match=re.escape(named)) as err:
         angle_sweep("heart", phis, 8, 32)
@@ -498,13 +510,22 @@ _TRIANGLE_RUN = {"solution": {"name": "log_pair", "q1": [0.5, 0.5], "q2": [0.3, 
     # edges 2 and 3 cross edge 0; run, its errors did not converge with (mu, nu)
     {**_TRIANGLE_RUN, "domain": "polygon", "vertices": [[0, 0], [3, 0], [3, 2], [1, -0.5], [0, 2]],
      "solution": {"name": "log_pair", "q1": [0.5, 0.5], "q2": [2.5, 1.0]}},
+    # integers that float() cannot convert
+    {"domain": "heart", "c": _BEYOND_FLOAT},
+    {"domain": "heart", "delta": _BEYOND_FLOAT},
+    {"domain": "heart", "points": [[3.0, 3.0], [_BEYOND_FLOAT, 0]]},
+    {**_TRIANGLE_RUN, "domain": "polygon", "vertices": [[0, 0], [_BEYOND_FLOAT, 0], [0, 2]]},
+    {"domain": "heart", "solution": {"name": "log_pair", "q1": [0.5, _BEYOND_FLOAT],
+                                     "q2": [0.2, 0]}},
+    {"domain": "heart", "pairs": [[8, _BEYOND_FLOAT]]},
 ], ids=["short-point", "string-point", "short-pair", "string-phi", "top-level-list",
         "string-solution", "ragged-singular-points", "unknown-keys", "float-pair",
         "three-value-pair", "three-value-point", "bool-point", "three-coordinate-vertex",
         "bool-and-string-singular-points", "missing-solution-parameter",
         "unknown-solution-parameter", "solution-without-name", "non-string-solution-name",
         "list-domain", "int-domain", "empty-pairs", "triangle-phi", "vertices-phi",
-        "crossing-edges"])
+        "crossing-edges", "huge-int-c", "huge-int-delta", "huge-int-evaluation-point",
+        "huge-int-polygon-vertex", "huge-int-log-pair-source", "huge-int-pair-nu"])
 def test_cli_malformed_config_json_exits_2(request, tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -513,6 +534,55 @@ def test_cli_malformed_config_json_exits_2(request, tmp_path, capsys, config):
     assert "configuration error" in err
     if request.node.callspec.id in _NAMED_FIELD:
         assert _NAMED_FIELD[request.node.callspec.id] in err
+
+
+# the heart's configuration at (8, 32) as a JSON object, and the places in
+# it where the property test below puts a malformed value
+_HEART_JSON = {"domain": "heart", "phi": 5 * math.pi / 3,
+               "solution": {"name": "log_pair", "q1": [0.5, 0.0], "q2": [0.2, 0.0]},
+               "pairs": [[8, 32]], "c": 300.0, "eps": 1e-3, "delta": 3.87e-7,
+               "points": [[-0.1, 0.0], [3.0, 3.0], [-40.0, -50.0], [100.0, -100.0]]}
+_JSON_PLACES = (
+    ("domain",), ("phi",), ("c",), ("eps",), ("delta",), ("M",), ("N",), ("vertices",),
+    ("solution",), ("solution", "name"), ("solution", "q1"), ("solution", "q1", 0),
+    ("solution", "q2", 1), ("pairs",), ("pairs", 0), ("pairs", 0, 0), ("pairs", 0, 1),
+    ("points",), ("points", 0), ("points", 1, 0), ("points", 3, 1),
+)
+_JSON_VALUES = (
+    math.nan, math.inf, -math.inf, 0, 0.0, -0.0, 5e-324, 1e-310, _BEYOND_FLOAT, -_BEYOND_FLOAT,
+    True, False, "", "heart", None, [], [3.0, 3.0], [[3.0, 3.0], [1.0]], [[8, 32, 1]],
+    [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]],
+)
+
+
+def _replaced(config, place, value):
+    """config with value at place, unless an earlier replacement took away
+    the place's container."""
+    *head, last = place
+    try:
+        functools.reduce(operator.getitem, head, config)[last] = copy.deepcopy(value)
+    except (KeyError, IndexError, TypeError):
+        pass
+    return config
+
+
+@settings(max_examples=200, deadline=None)
+@given(changes=st.lists(st.tuples(st.sampled_from(_JSON_PLACES), st.sampled_from(_JSON_VALUES)),
+                        min_size=1, max_size=2))
+def test_cli_table_on_malformed_json_configs(tmp_path_factory, changes):
+    # any JSON config ends in exit 0, 2 or 3, never in a traceback, and a
+    # table that exits 0 prints finite numbers only
+    config = copy.deepcopy(_HEART_JSON)
+    for place, value in changes:
+        config = _replaced(config, place, value)
+    path = tmp_path_factory.getbasetemp() / "malformed.json"
+    path.write_text(json.dumps(config))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(["table", "--config", str(path)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert not re.search(r"\b(nan|inf)\b", out.getvalue()), out.getvalue()
 
 
 def test_cli_empty_config_points_exits_2(tmp_path, capsys):

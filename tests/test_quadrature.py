@@ -127,16 +127,21 @@ def test_orthonormality_via_quadrature():
     p2, p3 = table[2], table[3]
     assert abs(float(rule.weights @ (p2 * p3))) <= 1e-13
     assert abs(float(rule.weights @ (p2 * p2)) - 1.0) <= 1e-13
+    # the whole table at the order the right-hand side uses
+    rule = gauss_legendre(256)
+    table = legendre_table(256, rule.nodes)
+    assert np.abs((table * rule.weights) @ table.T - np.eye(256)).max() <= 1e-12
 
 
 def test_legendre_table_matches_classical():
-    # p_nu(x) = sqrt(2 nu + 1) P_nu(2x - 1) against the independent oracle
-    x = np.linspace(0.0, 1.0, 7)
-    table = legendre_table(6, x)
-    classical = classical_legendre_table(5, 2.0 * x - 1.0)
-    for nu in range(6):
-        np.testing.assert_allclose(table[nu], math.sqrt(2 * nu + 1) * classical[nu],
-                                   rtol=0, atol=1e-14)
+    # p_nu(x) = sqrt(2 nu + 1) P_nu(2x - 1) against the independent oracle, on
+    # seven points of [0, 1] and the M-point Gauss-Legendre nodes that the
+    # right-hand side tabulates on, within rtol of sqrt(2 nu + 1)
+    for M, rtol in ((6, 2e-15), (256, 1e-12), (512, 1e-12)):
+        x = np.concatenate((np.linspace(0.0, 1.0, 7), gauss_legendre(M).nodes))
+        root = np.sqrt(2.0 * np.arange(M) + 1.0)[:, None]
+        classical = root * classical_legendre_table(M - 1, 2.0 * x - 1.0)
+        assert (np.abs(legendre_table(M, x) - classical) <= rtol * root).all(), M
 
 
 def test_log_moments_endpoint_values():

@@ -36,6 +36,7 @@ __all__ = [
     "make_smooth_boundary",
     "make_polygon",
     "make_example_domain",
+    "check_angle",
     "decompose",
     "as_complex",
     "boundary_polyline",
@@ -251,7 +252,7 @@ class _CornerSides:
     are sampled in one position call."""
 
     def __init__(self, head: MacroArc, tail: MacroArc, corner: Corner):
-        self.arcs = (head, tail)
+        self.arcs, self.index = (head, tail), corner.index
         self.corner = corner.point
         self.units = np.stack([d / np.linalg.norm(d) for d in (corner.d_out, corner.d_in)])
 
@@ -284,7 +285,8 @@ class _CornerSides:
                 ok = self.deviations(*mid.tolist()) <= delta  # Python floats: faster arrays
                 lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
             if (lo == 0.0).any():
-                raise GeometryError("tangent-deviation bisection collapsed to zero fraction")
+                raise GeometryError(f"corner {self.index}: no corner arc stays within "
+                                    f"delta = {delta} of its tangent line")
         return lo
 
 
@@ -456,6 +458,13 @@ _FAMILIES = {
 }
 
 
+def check_angle(name: str, phi: float | None) -> None:
+    """Raise ParameterError unless phi is in the family name's open angle range."""
+    _, lo, hi, span = _FAMILIES[name]
+    if phi is None or not lo < phi < hi:  # NaN too
+        raise ParameterError(f"{name} angle must be in {span}, got {phi}")
+
+
 def make_example_domain(name: str, phi: float | None = None) -> Boundary:
     """Built-in benchmark domains: heart, teardrop, boomerang, triangle.
 
@@ -467,10 +476,8 @@ def make_example_domain(name: str, phi: float | None = None) -> Boundary:
         return make_polygon(TRIANGLE_VERTICES)
     if name not in _FAMILIES:
         raise ParameterError(f"unknown example domain {name!r}")
-    arc, lo, hi, span = _FAMILIES[name]
-    if phi is None or not lo < phi < hi:  # NaN too
-        raise ParameterError(f"{name} angle must be in {span}, got {phi}")
-    return make_boundary([arc(phi)])
+    check_angle(name, phi)
+    return make_boundary([_FAMILIES[name][0](phi)])
 
 
 # --------------------------------------------------------------------------

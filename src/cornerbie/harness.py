@@ -19,7 +19,8 @@ import numpy as np
 
 from .assembly import DiscretizationParams, build_system
 from .errors import ConfigError, CornerBieError, ParameterError
-from .geometry import Boundary, as_complex, decompose, make_example_domain, make_polygon
+from .geometry import (Boundary, as_complex, check_angle, decompose, make_example_domain,
+                       make_polygon)
 from .quadrature import MAX_MOMENTS, MAX_RULE_ORDER
 from .rhs import NeumannDatum, rhs_approx
 from .solve_post import cond_inf, eval_exterior, solve_field
@@ -343,7 +344,8 @@ def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
     """Condition number of the collocation matrix across corner angles.
 
     c defaults to the family's sweep value, eps and delta to its example's;
-    the inputs are checked once, through the family's example_config.  Only
+    the inputs are checked once, through the family's example_config and
+    each angle against the family's range, before any angle runs.  Only
     the matrix is needed, so the sweep builds no right-hand side; per-angle
     failures are recorded and the sweep continues.
     """
@@ -353,9 +355,13 @@ def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
         phis = list(phis)
     except TypeError:
         raise ConfigError(f"sweep field 'phis' must be a list of angles, got {phis!r}") from None
-    bad = [phi for phi in phis if not _is_number(phi, Real)]
-    if bad:
-        raise ConfigError(f"sweep field 'phis' holds {bad[0]!r}, which is not a number")
+    for phi in phis:
+        if not _is_number(phi, Real):
+            raise ConfigError(f"sweep field 'phis' holds {phi!r}, which is not a number")
+        try:
+            check_angle(family, float(phi))
+        except ParameterError as exc:
+            raise ConfigError(f"sweep field 'phis': {exc}") from None
     given = dict(c=_EXAMPLES[family]["sweep_c"] if c is None else c, eps=eps, delta=delta)
     cfg = example_config(family, pairs=((mu, nu),),
                          **{key: value for key, value in given.items() if value is not None})

@@ -22,7 +22,7 @@ import numpy as np
 
 from .assembly import DenseSystem, UnknownMap, inf_norm
 from .errors import AssemblyError, ExteriorDomainError, SolveError
-from .geometry import PointLocator, as_complex
+from .geometry import as_complex
 from .kernels import double_layer
 
 __all__ = ["solve_dense", "cond_inf", "SolutionField", "solve_field", "eval_exterior"]
@@ -67,12 +67,11 @@ class SolutionField:
     one per unknown, and the double-layer sources are those rows.  rule is
     the row's N-point datum rule (NeumannDatum.sources(N)), whose positions
     and weighted densities over all macro arcs, arc after arc, are the
-    single-layer sources.  Construction computes the other data that do
-    not depend on the field point: the point locator, which the boundary
-    builds once, and the far-field expansion about the node table's centre
-    c, valid beyond 2R, R the largest distance from c to a locator panel's
-    end plus the largest strip half-width, which bounds the distance to
-    every point of the boundary and so to every source:
+    single-layer sources.  Construction builds what does not depend on the
+    field point, the far-field expansion about the node table's centre c,
+    valid beyond 2R, R the largest distance from c to a panel end of the
+    boundary's locator plus its largest strip half-width, which bounds the
+    distance to every boundary point and so to every source:
     u(z) = -(W log|z - c| - Re sum e_k zeta^k) / 2 pi, zeta = 1 / (z - c),
     with the rule's flux residual W = sum w f, e_k = a_k / k - i b_(k-1),
     a_k = sum w f (y - c)^k over the rule's sources y and
@@ -84,7 +83,6 @@ class SolutionField:
     values: np.ndarray
     residual: float
     rule: tuple
-    _locator: PointLocator = field(init=False, repr=False)
     _arc_points: np.ndarray = field(init=False, repr=False)
     _arc_weights: np.ndarray = field(init=False, repr=False)
     _center: complex = field(init=False, repr=False)
@@ -94,7 +92,7 @@ class SolutionField:
 
     def __post_init__(self):
         umap, rule = self.unknown_map, self.rule
-        loc = self._locator = umap.dec.boundary.locator
+        loc = umap.dec.boundary.locator
         self._arc_points, self._arc_weights = rule.points.reshape(-1, 2), rule.density.ravel()
         nodes = as_complex(umap.points.T)
         self._center = c = complex(nodes.mean())
@@ -118,35 +116,23 @@ def solve_field(system: DenseSystem, b: np.ndarray, rule) -> SolutionField:
 
 
 def eval_exterior(fld: SolutionField, x: float, y: float) -> float:
-    """Approximate harmonic solution at a strictly exterior point.
-
-    Raises for non-finite points, for points inside the domain or within
-    the tol of the field's PointLocator (1e-9 of the boundary's extent) of
-    the boundary, on which every node lies, and when the value is not
-    finite.  A point with |z - c| > 2R takes the field's far-field
-    expansion: it lies outside every locator panel's strip, so neither
-    test can reject it.  The decay condition pins the value at infinity
-    to zero.
+    """Approximate harmonic solution at a strictly exterior point, one that
+    the boundary's PointLocator has cleared: finite, of winding number 0,
+    and beyond its tol of the boundary, on which every node lies.
+    run_example clears every evaluation point so, once per run.  Raises
+    when the value is not finite.  Beyond |z - c| = 2R the value is the
+    far-field expansion's, within it the direct sums'.  The decay condition
+    pins the value at infinity to zero.
     """
-    px, py = float(x), float(y)
-    if not (math.isfinite(px) and math.isfinite(py)):
-        raise ExteriorDomainError(f"point ({x}, {y}) is not finite")
-    z = complex(px, py) - fld._center
+    z = complex(x, y) - fld._center
     dist = math.hypot(z.real, z.imag)
     if dist > 2.0 * fld._radius:
         zeta, acc = fld._radius / z, 0j
         for e in reversed(fld._far):
             acc = (acc + e) * zeta
         return _finite(-(fld._flux * math.log(dist) - acc.real) / (2.0 * math.pi), x, y)
-    p = np.array([px, py])
-    near, winding = fld._locator.locate(p)
-    if near[0]:
-        raise ExteriorDomainError(f"point ({x}, {y}) is on or next to the boundary")
-    if winding[0] != 0:
-        raise ExteriorDomainError(f"point ({x}, {y}) lies inside the domain")
-
-    umap = fld.unknown_map
-    k, _ = double_layer((p[:1], p[1:]), umap.points, umap.q)
+    p = np.array([float(x), float(y)])
+    k, _ = double_layer((p[:1], p[1:]), fld.unknown_map.points, fld.unknown_map.q)
     single = float(fld._arc_weights @ np.log(np.linalg.norm(fld._arc_points - p, axis=-1)))
     return _finite(-(single - float(k[0] @ fld.values)) / (2.0 * math.pi), x, y)
 

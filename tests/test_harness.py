@@ -212,24 +212,32 @@ def test_phi_of_a_polygon_is_config_error(capsys):
 
 
 def test_run_example_builds_one_locator_per_boundary(monkeypatch):
-    # one boundary per run: the point checks and every row read its locator
-    built, boundaries = [], []
-    init, make_domain = PointLocator.__init__, harness.make_example_domain
+    # one boundary per run: the point checks and every row read its locator,
+    # and the points are located once, by the run's check, not per row
+    built, boundaries, located = [], [], []
+    init, locate = PointLocator.__init__, PointLocator.locate
+    make_domain = harness.make_example_domain
 
     def counting_init(self, boundary):
         built.append(self)
         init(self, boundary)
+
+    def counting_locate(self, points):
+        located.append(len(np.asarray(points).reshape(-1, 2)))
+        return locate(self, points)
 
     def counting_domain(*args):
         boundaries.append(make_domain(*args))
         return boundaries[-1]
 
     monkeypatch.setattr(PointLocator, "__init__", counting_init)
+    monkeypatch.setattr(PointLocator, "locate", counting_locate)
     monkeypatch.setattr(harness, "make_example_domain", counting_domain)
     pairs = ((4, 16), (8, 32), (12, 48), (16, 64), (24, 96))
     rows = run_example(example_config("heart", pairs=pairs))
     assert len(rows) == 5 and not any(row.failed for row in rows)
     assert len(boundaries) == 1 and len(built) == 1
+    assert located == [2 + 4]  # two singular points, four evaluation points
 
 
 def test_run_example_on_a_small_square():
@@ -255,12 +263,41 @@ def test_row_errors_are_differences_from_exact_values(name, example_tables):
         np.testing.assert_array_equal(row.errors, np.abs(np.array(row.values) - exact))
 
 
-def test_angle_sweep_records_failures_and_continues():
-    pts = angle_sweep("heart", [1.2 * math.pi, math.pi, 1.4 * math.pi], 4, 16,
+def test_angle_sweep_records_failures_and_continues(monkeypatch):
+    # the second angle's condition number fails numerically; the sweep
+    # records that and goes on to the third
+    calls, cond = [], harness.cond_inf
+
+    def failing_second(system):
+        calls.append(system)
+        if len(calls) == 2:
+            raise SingularMatrixError("numerically singular pivot")
+        return cond(system)
+
+    monkeypatch.setattr(harness, "cond_inf", failing_second)
+    pts = angle_sweep("heart", [1.2 * math.pi, 1.3 * math.pi, 1.4 * math.pi], 4, 16,
                       c=300.0, eps=1e-3, delta=1e-5)
-    assert pts[0].error_message is None
-    assert pts[1].error_message is not None  # phi = pi has no corner
-    assert pts[2].error_message is None
+    assert len(calls) == 3
+    assert pts[0].error_message is None and math.isfinite(pts[0].cond)
+    assert pts[1].error_message == "SingularMatrixError: numerically singular pivot"
+    assert math.isnan(pts[1].cond)
+    assert pts[2].error_message is None and math.isfinite(pts[2].cond)
+
+
+@pytest.mark.parametrize("family, phis, named", [
+    ("heart", [1.2 * math.pi, math.pi], math.pi),
+    ("heart", [0.5 * math.pi, 1.5 * math.pi], 0.5 * math.pi),
+    ("teardrop", [0.5 * math.pi, 2.5, math.pi, -1.0], math.pi),
+    ("boomerang", [2.0 * math.pi], 2.0 * math.pi),
+    ("heart", [math.nan], math.nan),
+], ids=["heart-pi", "heart-half-pi", "teardrop-pi", "boomerang-2pi", "heart-nan"])
+def test_angle_sweep_rejects_an_angle_out_of_range_before_any_runs(monkeypatch, family,
+                                                                   phis, named):
+    built = []
+    monkeypatch.setattr(harness, "build_system", lambda *args: built.append(args))
+    with pytest.raises(ConfigError, match=re.escape(f"got {named}")) as err:
+        angle_sweep(family, phis, 4, 16)
+    assert "'phis'" in str(err.value) and not built
 
 
 @pytest.mark.parametrize("phis, named", [(["x"], "'x'"), ([None], "None"),
@@ -351,6 +388,24 @@ def test_cli_table_and_angle_sweep(tmp_path):
     rows = list(csv.DictReader(open(sweep, newline="")))
     assert len(rows) == 2
     assert all(float(r["cond"]) < 1e3 for r in rows)
+
+
+@pytest.mark.parametrize("grid", ["0.5pi", "0.5pi,1.5pi"])
+def test_cli_angle_sweep_angle_out_of_range_exits_2(grid, capsys):
+    # an angle outside the family's range is a configuration error, named,
+    # whether or not other angles of the grid are in range
+    assert cli_main(["angle-sweep", "--example", "heart", "--phi-grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"got {0.5 * math.pi}" in err
+
+
+def test_cli_corner_search_error_names_the_corner_and_delta(capsys):
+    # no corner arc of positive length stays within 1e-300 of the heart's
+    # corner tangents
+    argv = ["solve", "--example", "heart", "--mu", "8", "--nu", "32", "--delta", "1e-300"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == ("configuration error: corner 0: no corner arc stays "
+                                       "within delta = 1e-300 of its tangent line\n")
 
 
 _RUN_FLAGS = ["--example", "--config", "--phi", "--mu", "--nu", "--c", "--epsilon", "--delta",
@@ -604,3 +659,44 @@ def test_cli_table_empty_pairs_exits_2(tmp_path, capsys):
     assert cli_main(["table", "--config", str(cfg), "--out", str(out)]) == 2
     assert "'pairs'" in capsys.readouterr().err
     assert not out.exists()
+
+
+# every CLI flag's values, valid ones and edge cases; no rule order above
+# 600 and no angle inside its range within 0.05 pi of an end, whose flux
+# checks would build Gauss-Legendre rules of up to 4096 points
+_EDGE_NUMBERS = ("nan", "inf", "-inf", "0", "-1", "5e-324", "1e-310", "1e300")
+_FLAG_VALUES = {
+    "--c": ("300", "100") + _EDGE_NUMBERS,
+    "--epsilon": ("1e-3", "1e-6") + _EDGE_NUMBERS,
+    "--delta": ("3.87e-7", "1e-5") + _EDGE_NUMBERS,
+    "--phi": ("1.1pi", "1.5pi", "5pi/3", "1.95pi", "pi", "2pi", "0.5pi", "3pi", "-1", "nan",
+              "inf", "pi/0", "x"),
+    "--phi-grid": ("1.5pi", "1.1pi,1.95pi", "pi,1.5pi", "1.5pi,2pi", "0.5pi", "1.5pi,3pi",
+                   "nan", ",", "1.5pi,,5pi/3", "x"),
+    "--rhs-M": ("-1", "0", "1", "16", "512", "513", "600"),
+    "--outer-N": ("-2", "-1", "0", "1", "32", "600", "5000"),
+}
+_FLAGS = [(flag, value) for flag, values in _FLAG_VALUES.items() for value in values]
+_SMALL_PAIRS = ((8, 32), (4, 16), (16, 64), (12, 12), (0, 32), (8, 0), (-4, 16), (16, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(("solve", "table", "angle-sweep")),
+       pair=st.sampled_from(_SMALL_PAIRS), flags=st.lists(st.sampled_from(_FLAGS), max_size=3))
+def test_cli_flags_exit_0_2_or_3(command, pair, flags):
+    # any flag values end in exit 0, 2 or 3, never in a traceback, and a
+    # run that exits 0 prints finite numbers only; each subcommand gets
+    # the flags it reads, written --flag=value so that a value may start
+    # with a minus sign
+    reads = {"angle-sweep": {"--c", "--epsilon", "--delta", "--phi-grid"}}.get(
+        command, set(_FLAG_VALUES) - {"--phi-grid"})
+    chosen = dict([("--phi-grid", "5pi/3")] if command == "angle-sweep" else [])
+    chosen.update((flag, value) for flag, value in flags if flag in reads)
+    argv = [command, "--example", "heart", f"--mu={pair[0]}", f"--nu={pair[1]}"]
+    argv += [f"{flag}={value}" for flag, value in chosen.items()]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(argv)
+    assert code in (0, 2, 3), argv
+    if code == 0:
+        assert not re.search(r"\b(nan|inf)\b", out.getvalue()), (argv, out.getvalue())

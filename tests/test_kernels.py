@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornerbie import CoincidentPointError, ExteriorDomainError, ParameterError
+from cornerbie import CoincidentPointError, ParameterError
 from cornerbie.assembly import DiscretizationParams, UnknownMap, build_system
 from cornerbie.geometry import (
     GAMMA,
@@ -21,9 +21,8 @@ from cornerbie.geometry import (
 )
 from cornerbie.kernels import double_layer, mellin_kernel
 from cornerbie.quadrature import gauss_radau_left
-from cornerbie.solve_post import eval_exterior, solve_field
 
-from conftest import arc_nodes_at, kernel_block, remainder_at, row_rhs, subarc_geometry
+from conftest import arc_nodes_at, kernel_block, remainder_at, subarc_geometry
 
 
 def corner_remainder_richardson(dec, i, j, steps=(1e-4, 5e-5, 2.5e-5)):
@@ -297,22 +296,19 @@ def test_field_kernel_far_bound(heart_dec):
     assert np.all(np.abs(vals) <= np.linalg.norm(d1, axis=-1) / dist * (1 + 1e-12))
 
 
-def test_field_kernel_near_singularity_error(heart_dec, heart_datum):
+def test_field_kernel_near_singularity_error(heart_dec):
     # a field point on a node of sub-arc 2: the kernel there is not finite
-    # and its squared distance is 0; eval_exterior's point locator rejects
-    # the point before the kernel is formed
-    datum, _ = heart_datum
+    # and its squared distance is 0; the boundary's point locator, which
+    # clears every point before eval_exterior forms the kernel, rejects it
     params = DiscretizationParams(mu=8, nu=32, c=300.0, eps=1e-3)
-    system = build_system(heart_dec, params)
-    fld = solve_field(system, row_rhs(system, datum, 16), datum.sources(16))
-    umap = fld.unknown_map
+    umap = build_system(heart_dec, params).unknown_map
     own = np.flatnonzero(umap.arc == 2)
     c = own[np.argmin(np.abs(umap.t[own] - 0.5))]
     x, y = umap.points[:, c]
     k, d2 = double_layer((np.array([x]), np.array([y])), umap.points, umap.q)
     assert d2[0, c] == 0.0 and not np.isfinite(k[0, c])
-    with pytest.raises(ExteriorDomainError, match="is on or next to the boundary$"):
-        eval_exterior(fld, float(x), float(y))
+    near, _ = heart_dec.boundary.locator.locate(np.array([x, y]))
+    assert near[0]
 
 
 def test_coincidence_guard():

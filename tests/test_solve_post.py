@@ -313,17 +313,24 @@ def heart_field(heart_dec, heart_datum):
     return solve_field(system, row_rhs(system, datum, 32), datum.sources(32)), sol
 
 
-def test_eval_exterior_rejects_interior_point(heart_field):
-    fld, _ = heart_field
-    with pytest.raises(ExteriorDomainError):
-        eval_exterior(fld, 0.5, 0.0)
+# eval_exterior takes only points that the boundary's locator has cleared,
+# and run_example locates every evaluation point once, before any row; the
+# tests below that name eval_exterior's rejections check that location
 
 
-def test_eval_exterior_rejects_boundary_point(heart_field):
-    fld, _ = heart_field
-    p = fld.unknown_map.dec.boundary.corners[0].point
-    with pytest.raises(ExteriorDomainError):
-        eval_exterior(fld, float(p[0]), float(p[1]))
+def test_eval_exterior_rejects_interior_point(heart_boundary):
+    near, winding = heart_boundary.locator.locate(np.array([0.5, 0.0]))
+    assert not near[0] and winding[0] == 1
+    with pytest.raises(cb.ConfigError, match="is not a finite exterior point$"):
+        cb.run_example(cb.example_config("heart", points=((0.5, 0.0),)))
+
+
+def test_eval_exterior_rejects_boundary_point(heart_boundary):
+    p = heart_boundary.corners[0].point
+    near, _ = heart_boundary.locator.locate(p)
+    assert near[0]
+    with pytest.raises(cb.ConfigError, match="is not a finite exterior point$"):
+        cb.run_example(cb.example_config("heart", points=(tuple(p),)))
 
 
 def _far_disk(fld):
@@ -403,24 +410,27 @@ FAR_RTOL, FAR_ATOL = 1e-12, 1e-14
 
 @pytest.mark.parametrize("name", cb.harness.EXAMPLE_NAMES)
 def test_eval_exterior_matches_per_point_loop(fields_16_64, name):
-    # bit for bit where the direct sums run; within the far branch's
-    # tolerances beyond 2R
+    # on the points the boundary's locator clears, as run_example's: bit
+    # for bit where the direct sums run, within the far branch's tolerances
+    # beyond 2R; the oracle locates each point itself and rejects the rest
     fld = fields_16_64[name]
     c, far_radius = _far_disk(fld)
     oracle = partial(eval_exterior_per_point, fld, _field_datum(fld, name))
-    got, want, got_err, want_err = {}, {}, [], []
-    for x, y in _offset_points(fld.unknown_map.dec.boundary):
+    boundary = fld.unknown_map.dec.boundary
+    pts = np.array(_offset_points(boundary))
+    near, winding = boundary.locator.locate(pts)
+    cleared = ~near & (winding == 0)
+    got, want = {}, {}
+    for x, y in pts[cleared]:
         far = bool(np.hypot(x - c[0], y - c[1]) > far_radius)
-        for fn, vals, errs in ((partial(eval_exterior, fld), got, got_err),
-                               (oracle, want, want_err)):
-            try:
-                vals.setdefault(far, []).append(fn(x, y))
-            except ExteriorDomainError as exc:
-                errs.append(str(exc))
+        got.setdefault(far, []).append(eval_exterior(fld, x, y))
+        want.setdefault(far, []).append(oracle(x, y))
+    for x, y in pts[~cleared]:
+        with pytest.raises(ExteriorDomainError):
+            oracle(x, y)
     assert len(want[False]) >= 20 and len(want[True]) >= 5
     np.testing.assert_array_equal(got[False], want[False])
     np.testing.assert_allclose(got[True], want[True], rtol=FAR_RTOL, atol=FAR_ATOL)
-    assert got_err == want_err
 
 
 @pytest.fixture(scope="module")
@@ -466,27 +476,26 @@ def test_far_point_skips_location_and_kernel(heart_field, monkeypatch):
         for r in (1.0 + 1e-12, 3.0, 1e3):
             eval_exterior(fld, cx + r * far_radius * np.cos(a), cy + r * far_radius * np.sin(a))
     assert calls == []
+    # a point within 2R takes the kernel; neither branch locates the point
     eval_exterior(fld, cx + 0.9 * far_radius, cy)
-    assert calls == ["locate", "double_layer"]
+    assert calls == ["double_layer"]
 
 
 @pytest.mark.parametrize("name", ["heart", "triangle"])
 def test_eval_exterior_rejects_collocation_nodes(fields_16_64, name):
-    # the point locator finds these nodes on the boundary before the node
-    # guard on the kernel's squared distances sees them
-    fld = fields_16_64[name]
-    umap = fld.unknown_map
-    for i, h in ((0, 1), (1, 1), (2, 0), (2, 32)):
-        p = umap.points[:, umap.bounds[i] + h]
-        with pytest.raises(ExteriorDomainError, match="is on or next to the boundary$"):
-            eval_exterior(fld, float(p[0]), float(p[1]))
+    # the point locator finds these nodes on the boundary, so no kernel of
+    # eval_exterior is ever formed at a node
+    umap = fields_16_64[name].unknown_map
+    nodes = [umap.points[:, umap.bounds[i] + h] for i, h in ((0, 1), (1, 1), (2, 0), (2, 32))]
+    near, _ = umap.dec.boundary.locator.locate(np.array(nodes))
+    assert near.all()
 
 
 @pytest.mark.parametrize("name, point", [("triangle", (0.75, 0.0)),
                                          ("triangle", (0.75, 0.1234567)),
                                          ("triangle", (-0.25, -0.75)),
                                          ("heart", (0.0, 0.0))])
-def test_points_on_the_boundary_are_rejected(fields_16_64, name, point):
+def test_points_on_the_boundary_are_rejected(all_corner_decs, name, point):
     # on two sides of the triangle and at the heart's corner: neither an
     # evaluation point nor a singular point may lie there, and the field
     # is not evaluated there
@@ -496,17 +505,16 @@ def test_points_on_the_boundary_are_rejected(fields_16_64, name, point):
     solution = cb.make_exact_solution("log_pair", q1=point, q2=inside)
     with pytest.raises(cb.ConfigError, match="must be a finite point inside the domain$"):
         cb.run_example(cb.example_config(name, solution=solution))
-    with pytest.raises(ExteriorDomainError, match="is on or next to the boundary$"):
-        eval_exterior(fields_16_64[name], *point)
+    near, _ = all_corner_decs[name].boundary.locator.locate(np.array(point))
+    assert near[0]
 
 
 @pytest.mark.parametrize("pair", [(8, 32), (16, 64)], ids=str)
 @pytest.mark.parametrize("name", cb.harness.EXAMPLE_NAMES)
 def test_every_collocation_node_is_on_the_boundary(far_fields, name, pair):
-    fld = far_fields[(name, *pair)]
-    for x, y in fld.unknown_map.points.T:
-        with pytest.raises(ExteriorDomainError, match="is on or next to the boundary$"):
-            eval_exterior(fld, x, y)
+    umap = far_fields[(name, *pair)].unknown_map
+    near, _ = umap.dec.boundary.locator.locate(umap.points.T)
+    assert near.all()
 
 
 @pytest.mark.parametrize("offset, raises", [(0.5e-12, True), (2e-12, True), (0.5e-9, True),
@@ -516,17 +524,19 @@ def test_eval_exterior_node_distance_threshold(fields_16_64, offset, raises):
     # along each axis in its outward sense, scaled so that 1e-9 is the
     # locator's tolerance: within it of the side a point is on or next to
     # the boundary; 2 tolerances along an axis are 1.41 from the side, and
-    # the point is evaluated
+    # the point is exterior and evaluated
     fld = fields_16_64["triangle"]
     umap = fld.unknown_map
     x, y = umap.points[:, umap.bounds[8] + 5]
-    offset *= umap.dec.boundary.locator.tol / 1e-9
-    for px, py in ((x - offset, y), (x, y + offset)):
-        if raises:
-            with pytest.raises(ExteriorDomainError, match="is on or next to the boundary$"):
-                eval_exterior(fld, px, py)
-        else:
-            assert math.isfinite(eval_exterior(fld, px, py))
+    locator = umap.dec.boundary.locator
+    offset *= locator.tol / 1e-9
+    pts = np.array([(x - offset, y), (x, y + offset)])
+    near, winding = locator.locate(pts)
+    if raises:
+        assert near.all()
+    else:
+        assert not near.any() and not winding.any()
+        assert all(math.isfinite(eval_exterior(fld, px, py)) for px, py in pts)
 
 
 _CALLABLES = ("position", "first_derivative", "second_derivative")

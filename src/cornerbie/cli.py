@@ -122,13 +122,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, desc in (
-        ("solve", "run a single (mu, nu) discretization and report point values"),
+        ("solve", "run one (mu, nu) discretization and print |u - u_mN| per point"),
         ("table", "run a (mu, nu) sweep and write an error/condition table"),
         ("angle-sweep", "condition number across a corner-angle grid"),
     ):
         # each subcommand registers only the flags it reads, and takes no
         # abbreviation, which would read angle-sweep's --phi as --phi-grid
-        sub = subs.add_parser(name, help=desc, allow_abbrev=False)
+        sub = subs.add_parser(name, help=desc, description=desc, allow_abbrev=False)
         sub.add_argument("--example", choices=EXAMPLE_NAMES)
         sub.add_argument("--mu", type=int)
         sub.add_argument("--nu", type=int)

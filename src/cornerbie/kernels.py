@@ -17,9 +17,7 @@ normal-times-speed factor, so it is taken with the boundary's
 counterclockwise orientation: the source tangents passed in are the
 weighted tangents of the unknown map's node table, which carry that
 orientation on reversed (gamma) arcs too.  Without it the wedge
-cancellation K - L fails on one of the two corner blocks.  The same
-kernel, at one field point, gives the double-layer term of the exterior
-field.
+cancellation K - L fails on one of the two corner blocks.
 """
 
 from __future__ import annotations
@@ -83,11 +81,17 @@ def check_separation(d2: np.ndarray, scale: float, fld, src) -> None:
 
 
 def mellin_kernel(chi: float, t, s):
-    """Wedge (Mellin-type) kernel -s sin(chi pi)/(s^2 + 2ts cos(chi pi) + t^2)."""
-    t = np.asarray(t, float)
-    s = np.asarray(s, float)
+    """Wedge (Mellin-type) kernel -s sin(chi pi)/(s^2 + 2ts cos(chi pi) + t^2).
+
+    Raises ParameterError naming the first (t, s) where the denominator is
+    0: at t = s = 0, or at t = s when cos(chi pi) rounds to -1 or 1."""
+    t, s = np.asarray(t, float), np.asarray(s, float)
     den = s * s + 2.0 * t * s * math.cos(chi * math.pi) + t * t
-    if np.any(den == 0.0):
-        raise ParameterError("mellin kernel undefined at (t, s) = (0, 0)")
+    zero = den == 0.0
+    if zero.any():
+        at = np.unravel_index(int(zero.argmax()), den.shape)
+        t0, s0 = (float(np.broadcast_to(a, den.shape)[at]) for a in (t, s))
+        raise ParameterError(f"mellin kernel undefined at (t, s) = ({t0}, {s0}), "
+                             f"chi = {chi}: zero denominator")
     out = -s * math.sin(chi * math.pi) / den
     return out if out.ndim else float(out)

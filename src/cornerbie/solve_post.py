@@ -4,13 +4,13 @@ The collocation system is solved through the explicit inverse the
 system owns (see DenseSystem.inverse), refined once against the matrix.
 Condition numbers are the infinity-norm kind from the same inverse: at
 the sizes used here the exact number is cheap and reproducible.  The
-exterior harmonic field is recovered from the Green representation: an
-N-point Gauss-Legendre sum of the single-layer term over the macro arcs
-minus the Radau sum of the assembly's double-layer kernel over the node
-table against the solved nodal boundary values.  Beyond twice the
-sources' radius both sums are taken from a P-term multipole expansion
-about the node table's centre, built once per field (Greengard &
-Rokhlin, J. Comput. Phys. 73, 1987).
+exterior harmonic field is recovered from the Green representation as
+the field of complex sources: charges, the datum's N-point
+Gauss-Legendre weights and densities at their points on the macro arcs,
+and dipoles, the solved nodal values times the weighted tangents at the
+Radau nodes.  Beyond twice the sources' radius both sums are taken from
+a P-term multipole expansion about the node table's centre, built once
+per field (Greengard & Rokhlin, J. Comput. Phys. 73, 1987).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from .assembly import DenseSystem, UnknownMap, inf_norm
 from .errors import AssemblyError, ExteriorDomainError, SolveError
 from .geometry import as_complex
-from .kernels import double_layer
 
 __all__ = ["solve_dense", "cond_inf", "SolutionField", "solve_field", "eval_exterior"]
 
@@ -64,49 +63,45 @@ class SolutionField:
     """Solved nodal boundary values plus everything needed for field eval.
 
     values holds the solution at every row of the node table unknown_map,
-    one per unknown, and the double-layer sources are those rows.  rule is
-    the row's N-point datum rule (NeumannDatum.sources(N)), whose positions
-    and weighted densities over all macro arcs, arc after arc, are the
-    single-layer sources.  Construction builds what does not depend on the
-    field point, the far-field expansion about the node table's centre c,
-    valid beyond 2R, R the largest distance from c to a panel end of the
-    boundary's locator plus its largest strip half-width, which bounds the
-    distance to every boundary point and so to every source:
+    one per unknown.  rule is the row's N-point datum rule
+    (NeumannDatum.sources(N)), whose positions y over all macro arcs, arc
+    after arc, carry the single layer's charges w f.  The nodes w carry
+    the double layer's dipoles values q.  Construction keeps both as one
+    table of complex sources, offsets from the node table's centre c:
+    _charges = (w f, y - c) and _dipoles = (values q, w - c).  R is the
+    largest offset, and the far-field expansion about c, valid beyond 2R,
+    is built from the same arrays:
     u(z) = -(W log|z - c| - Re sum e_k zeta^k) / 2 pi, zeta = 1 / (z - c),
     with the rule's flux residual W = sum w f, e_k = a_k / k - i b_(k-1),
-    a_k = sum w f (y - c)^k over the rule's sources y and
-    b_m = sum values q (w - c)^m over the nodes w.  _far
-    holds e_k / R^k, built from powers of (y - c) / R in the unit disk.
+    a_k = sum w f (y - c)^k and b_m = sum values q (w - c)^m.  _far holds
+    e_k / R^k, built from powers of the offsets / R in the unit disk.
     """
 
     unknown_map: UnknownMap
     values: np.ndarray
     residual: float
     rule: tuple
-    _arc_points: np.ndarray = field(init=False, repr=False)
-    _arc_weights: np.ndarray = field(init=False, repr=False)
     _center: complex = field(init=False, repr=False)
+    _charges: tuple = field(init=False, repr=False)
+    _dipoles: tuple = field(init=False, repr=False)
     _radius: float = field(init=False, repr=False)
     _flux: float = field(init=False, repr=False)
     _far: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        umap, rule = self.unknown_map, self.rule
-        loc = umap.dec.boundary.locator
-        self._arc_points, self._arc_weights = rule.points.reshape(-1, 2), rule.density.ravel()
-        nodes = as_complex(umap.points.T)
+        nodes = as_complex(self.unknown_map.points.T)
         self._center = c = complex(nodes.mean())
-        sources, nodes = as_complex(self._arc_points) - c, nodes - c
-        ends = np.concatenate([loc.start, loc.end])
-        r = self._radius = float(np.abs(ends - c).max() + loc.strip.max())
-        self._flux = float(self._arc_weights.sum())
-        sources, nodes = sources / r, nodes / r
-        a_pow, b_pow = self._arc_weights.astype(complex), self.values * as_complex(umap.q.T)
+        charge, source = self._charges = (self.rule.density.ravel(),
+                                          as_complex(self.rule.points).ravel() - c)
+        dipole, node = self._dipoles = self.values * as_complex(self.unknown_map.q.T), nodes - c
+        r = self._radius = float(max(np.abs(source).max(), np.abs(node).max()))
+        self._flux = float(charge.sum())
+        a_pow, b_pow, source, node = charge.astype(complex), dipole.copy(), source / r, node / r
         self._far = []
         for k in range(1, _FAR_TERMS + 1):
-            a_pow *= sources
+            a_pow *= source
             self._far.append(complex(a_pow.sum() / k - 1j * b_pow.sum() / r))
-            b_pow *= nodes
+            b_pow *= node
 
 
 def solve_field(system: DenseSystem, b: np.ndarray, rule) -> SolutionField:
@@ -131,10 +126,11 @@ def eval_exterior(fld: SolutionField, x: float, y: float) -> float:
         for e in reversed(fld._far):
             acc = (acc + e) * zeta
         return _finite(-(fld._flux * math.log(dist) - acc.real) / (2.0 * math.pi), x, y)
-    p = np.array([float(x), float(y)])
-    k, _ = double_layer((p[:1], p[1:]), fld.unknown_map.points, fld.unknown_map.q)
-    single = float(fld._arc_weights @ np.log(np.linalg.norm(fld._arc_points - p, axis=-1)))
-    return _finite(-(single - float(k[0] @ fld.values)) / (2.0 * math.pi), x, y)
+    (charge, source), (dipole, node) = fld._charges, fld._dipoles
+    with np.errstate(divide="ignore", invalid="ignore"):
+        single = float(charge @ np.log(np.abs(source - z)))
+        double = float(np.sum(dipole / (z - node)).imag)
+    return _finite(-(single - double) / (2.0 * math.pi), x, y)
 
 
 def _finite(value: float, x, y) -> float:

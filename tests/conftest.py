@@ -386,10 +386,11 @@ def eval_exterior_per_point(fld, datum, x: float, y: float) -> float:
 
     A fresh PointLocator of the boundary, the macro-arc rule positions,
     the densities of datum, the one fld was solved with, on a rule of
-    fld.rule's order, and the node geometry and weights (node_table_at)
-    are rebuilt for every point; otherwise the arithmetic and its order
-    are those of eval_exterior, so the two agree bit for bit (non-finite
-    input and output aside).
+    fld.rule's order, and the node geometry and weights (node_table_at),
+    with their centre, are rebuilt for every point; otherwise the
+    arithmetic and its order are those of eval_exterior's direct sums over
+    charges and dipoles, offsets from the centre, so the two agree bit
+    for bit (non-finite input and output aside).
     """
     p = np.array([float(x), float(y)])
     dec = fld.unknown_map.dec
@@ -400,10 +401,14 @@ def eval_exterior_per_point(fld, datum, x: float, y: float) -> float:
         raise ExteriorDomainError(f"point ({x}, {y}) lies inside the domain")
 
     table = node_table_at(dec, fld.unknown_map.params)
-    k, _ = double_layer((p[:1], p[1:]), table.points, table.q)
     rule, arcs = gauss_legendre(len(fld.rule.nodes)), dec.boundary.arcs
     pts = np.concatenate([np.asarray(arc.position(rule.nodes), float) for arc in arcs])
     dens = np.concatenate([rule.weights * datum_density(datum, j, rule.nodes)
                            for j in range(len(arcs))])
-    single = float(dens @ np.log(np.linalg.norm(pts - p, axis=-1)))
-    return -(single - float(k[0] @ fld.values)) / (2.0 * math.pi)
+    nodes = table.points[0] + 1j * table.points[1]
+    c = complex(nodes.mean())
+    z = complex(x, y) - c
+    single = float(dens @ np.log(np.abs((pts[:, 0] + 1j * pts[:, 1] - c) - z)))
+    dipoles = fld.values * (table.q[0] + 1j * table.q[1])
+    double = float(np.sum(dipoles / (z - (nodes - c))).imag)
+    return -(single - double) / (2.0 * math.pi)

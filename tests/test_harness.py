@@ -372,6 +372,26 @@ def test_cli_solve_smoke(tmp_path, capsys):
     assert len(rows) == 1 and rows[0]["mu"] == "8"
 
 
+def test_cli_solve_help_says_what_solve_prints(capsys):
+    # solve prints |u - u_mN| at each evaluation point, not the values
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["solve", "--help"])
+    assert exit_info.value.code == 0
+    assert "print |u - u_mN| per point" in " ".join(capsys.readouterr().out.split())
+
+
+def test_cli_wedge_kernel_error_names_the_zero_denominator(capsys):
+    # at 1.999999999 pi the heart's chi is -0.999999999, cos(chi pi)
+    # rounds to -1, and the wedge kernel's denominator is (s - t)^2 = 0 at
+    # t = s, not at the corner pair (0, 0)
+    argv = ["solve", "--example", "heart", "--mu", "8", "--nu", "32", "--phi", "1.999999999pi"]
+    assert cli_main(argv) == 3
+    assert capsys.readouterr().err == (
+        "row (mu=8, nu=32) failed: ParameterError: mellin kernel undefined at (t, s) = "
+        "(0.04463395528997005, 0.04463395528997005), chi = -0.9999999989999997: "
+        "zero denominator\n")
+
+
 def test_cli_table_and_angle_sweep(tmp_path):
     table = tmp_path / "table.csv"
     code = cli_main(["table", "--example", "teardrop", "--mu", "8", "--nu", "32",

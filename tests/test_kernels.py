@@ -110,11 +110,12 @@ def test_mellin_kernel_values():
 
 
 def test_mellin_kernel_errors():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"at \(t, s\) = \(0.0, 0.0\), chi = 0.5:"):
         mellin_kernel(0.5, 0.0, 0.0)
-    # chi = 1 turns the denominator into (s - t)^2
-    with pytest.raises(ParameterError):
-        mellin_kernel(1.0, 0.5, 0.5)
+    # chi = 1 turns the denominator into (s - t)^2; the first zero of a
+    # broadcast grid is named
+    with pytest.raises(ParameterError, match=r"at \(t, s\) = \(0.5, 0.5\), chi = 1.0:"):
+        mellin_kernel(1.0, np.array([0.25, 0.5]), np.array([[0.75], [0.5]]))
 
 
 def test_straight_corner_remainder_vanishes(square_dec):

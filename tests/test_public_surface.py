@@ -100,15 +100,21 @@ def test_rhs_needs_only_the_boundary():
 
 def test_solve_post_only_evaluates():
     # the run locates every evaluation point once, before any row; the
-    # field takes only as_complex from geometry and locates nothing
+    # field takes only as_complex from geometry, locates nothing, and is
+    # its own table of sources: no kernel, decomposition or locator
     path = Path(cornerbie.__file__).resolve().parent / "solve_post.py"
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("geometry"):
             names = {alias.name for alias in node.names}
             assert names <= {"as_complex"}, (names, node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            named = [node.module or ""] + [alias.name for alias in node.names]
+            assert not any(name.endswith("kernels") for name in named), node.lineno
         elif isinstance(node, ast.Import):
-            assert not any("geometry" in alias.name for alias in node.names), node.lineno
-        assert not (isinstance(node, ast.Attribute) and node.attr == "locate"), node.lineno
+            assert not any(part in alias.name for alias in node.names
+                           for part in ("geometry", "kernels")), node.lineno
+        assert not (isinstance(node, ast.Attribute)
+                    and node.attr in {"locate", "dec", "locator"}), (node.attr, node.lineno)
 
 
 def test_rhs_exports_the_datum_and_the_row_rhs():

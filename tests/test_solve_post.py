@@ -19,7 +19,7 @@ from cornerbie import (
     solve_post,
 )
 from cornerbie.assembly import DenseSystem, DiscretizationParams, build_system, inf_norm
-from cornerbie.geometry import Boundary, MacroArc, PointLocator, decompose, make_polygon
+from cornerbie.geometry import Boundary, MacroArc, decompose, make_polygon
 from cornerbie.rhs import NeumannDatum, rhs_approx
 from cornerbie.solve_post import cond_inf, eval_exterior, solve_dense, solve_field
 from conftest import eval_exterior_per_point, row_rhs
@@ -336,15 +336,14 @@ def test_eval_exterior_rejects_boundary_point(heart_boundary):
 def _far_disk(fld):
     """Centre c and radius 2R of the far-field branch, rebuilt from their
     definition: c is the mean of the node table, R the largest distance
-    from c to a locator panel's end plus the largest strip half-width,
-    which bounds the distance to every node and Gauss-Legendre source."""
+    from c to a source, a node or a point of the datum rule.  The field's
+    R is attained by a source, so the far branch's worst ratio of source
+    to field distance is 1/2, just outside 2R."""
     umap = fld.unknown_map
     c = umap.points.mean(axis=1)
-    loc = PointLocator(umap.dec.boundary)
-    ends = np.concatenate([loc.start, loc.end])
-    r = float(np.abs(ends - complex(c[0], c[1])).max() + loc.strip.max())
     sources = np.concatenate([umap.points.T, fld.rule.points.reshape(-1, 2)])
-    assert np.linalg.norm(sources - c, axis=1).max() < r
+    r = float(np.hypot(*(sources - c).T).max())
+    assert r == pytest.approx(fld._radius, rel=1e-15, abs=0.0)
     return c, 2.0 * r
 
 
@@ -466,19 +465,23 @@ def _counting(calls, fn):
 
 
 def test_far_point_skips_location_and_kernel(heart_field, monkeypatch):
+    # the field is its own table of sources: neither branch locates the
+    # point or forms a kernel row
     fld, _ = heart_field
     (cx, cy), far_radius = _far_disk(fld)
     calls = []
     counting = partial(_counting, calls)
     monkeypatch.setattr(geometry.PointLocator, "locate", counting(geometry.PointLocator.locate))
-    monkeypatch.setattr(solve_post, "double_layer", counting(kernels.double_layer))
+    # the kernel, also under the name a `from .kernels import` in solve_post would bind
+    kernel = counting(kernels.double_layer)
+    for module in (kernels, solve_post):
+        monkeypatch.setattr(module, "double_layer", kernel, raising=False)
     for a in np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False):
         for r in (1.0 + 1e-12, 3.0, 1e3):
             eval_exterior(fld, cx + r * far_radius * np.cos(a), cy + r * far_radius * np.sin(a))
     assert calls == []
-    # a point within 2R takes the kernel; neither branch locates the point
     eval_exterior(fld, cx + 0.9 * far_radius, cy)
-    assert calls == ["double_layer"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["heart", "triangle"])
@@ -591,7 +594,6 @@ def test_node_geometry_evaluated_once_per_macro_arc(all_corner_decs):
         system = build_system(dec, params)
         arcs = range(len(dec.boundary.arcs))
         assert sorted(calls) == sorted((ell, fn) for ell in arcs for fn in _CALLABLES), name
-        dec.boundary.locator  # the field's point locator reads the arcs once per boundary
         calls.clear()
         solve_field(system, row_rhs(system, datum, 16), datum.sources(16))
         assert calls == [], name
@@ -609,7 +611,6 @@ def test_datum_rule_reads_each_macro_arc_once_and_rhs_and_field_none(all_corner_
         system = build_system(dec, DiscretizationParams(mu=8, nu=32, c=cfg.c, eps=cfg.eps))
         once = sorted((ell, fn) for ell in range(len(dec.boundary.arcs))
                       for fn in ("first_derivative", "position"))
-        dec.boundary.locator  # the field's point locator reads the arcs once per boundary
         calls.clear()
         rule = datum.sources(16)
         assert sorted(calls) == once, name

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .assembly import DiscretizationParams, build_system
-from .errors import ConfigError, CornerBieError, ParameterError
+from .errors import ConfigError, CornerBieError, GeometryError, ParameterError
 from .geometry import (Boundary, as_complex, check_angle, decompose, make_example_domain,
                        make_polygon)
 from .quadrature import MAX_MOMENTS, MAX_RULE_ORDER
@@ -338,6 +338,15 @@ def _sweep_cond(family: str, phi: float, params: DiscretizationParams,
     return cond_inf(build_system(dec, params))
 
 
+def _check_sweep_delta(family: str, delta: float) -> None:
+    """Raise ConfigError if delta cannot decompose the family's example
+    angle either: then an angle's GeometryError is the input's fault."""
+    try:
+        decompose(make_example_domain(family, _EXAMPLES[family]["phi"]), delta)
+    except GeometryError as exc:
+        raise ConfigError(f"sweep field 'delta': {exc}") from None
+
+
 def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
                 c: Optional[float] = None, eps: Optional[float] = None,
                 delta: Optional[float] = None) -> List[SweepPoint]:
@@ -347,7 +356,9 @@ def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
     the inputs are checked once, through the family's example_config and
     each angle against the family's range, before any angle runs.  Only
     the matrix is needed, so the sweep builds no right-hand side; per-angle
-    failures are recorded and the sweep continues.
+    failures are recorded and the sweep continues, except that the first
+    GeometryError checks delta at the family's example angle, and if that
+    fails too the sweep stops with a ConfigError.
     """
     if "sweep_c" not in _EXAMPLES.get(family, {}):
         raise ConfigError(f"angle sweeps need a parametric family, got {family!r}")
@@ -368,10 +379,14 @@ def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
     cfg.validate()
     params = DiscretizationParams(mu=mu, nu=nu, c=cfg.c, eps=cfg.eps)
     out: List[SweepPoint] = []
+    delta_checked = False
     for phi in phis:
         try:
             out.append(SweepPoint(float(phi), _sweep_cond(family, float(phi), params, cfg.delta)))
         except CornerBieError as exc:
+            if isinstance(exc, GeometryError) and not delta_checked:
+                _check_sweep_delta(family, cfg.delta)
+                delta_checked = True
             out.append(SweepPoint(float(phi), math.nan,
                                   error_message=f"{type(exc).__name__}: {exc}"))
     return out

@@ -1,6 +1,9 @@
-"""Shared fixtures: benchmark domains, cached table sweeps, oracles."""
+"""Shared fixtures: benchmark domains, cached table sweeps, the frozen
+store, the paper's tables and its one-sided check, oracles."""
 
+import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,9 +36,11 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 # published reference values: per example, error cells for the evaluation
-# points (nearest ... farthest) and the matrix condition number per row
+# points (nearest ... farthest), the matrix condition number per row, and
+# the rows whose condition number check_table holds to it
 REFERENCE_TABLES = {
     "heart": dict(
+        cond_rows=(2, 3, 4),
         cond=[133.5, 25.86, 18.37, 18.32, 18.32],
         errs=[[6.62e-03, 2.35e-05, 4.52e-05, 5.9e-05],
               [6.95e-03, 1.89e-04, 1.12e-05, 5.3e-06],
@@ -44,6 +49,7 @@ REFERENCE_TABLES = {
               [2.29e-06, 6.10e-08, 3.55e-09, 1.8e-09]],
     ),
     "teardrop": dict(
+        cond_rows=(2,),
         cond=[6.67, 4.49, 4.16, 4.16, 4.17],
         errs=[[1.44e-03, 6.39e-04, 1.47e-03, 1.80e-03],
               [7.43e-06, 8.81e-06, 4.34e-06, 5.57e-06],
@@ -52,6 +58,7 @@ REFERENCE_TABLES = {
               [2.14e-08, 2.92e-09, 2.29e-10, 1.01e-10]],
     ),
     "boomerang": dict(
+        cond_rows=(1,),
         cond=[19.13, 16.92, 16.92, 16.93, 16.93],
         errs=[[7.22e-03, 2.66e-04, 7.41e-06, 3.48e-05],
               [3.34e-04, 1.62e-05, 9.59e-07, 4.87e-07],
@@ -60,6 +67,7 @@ REFERENCE_TABLES = {
               [4.64e-06, 2.22e-07, 1.31e-08, 6.67e-09]],
     ),
     "triangle": dict(
+        cond_rows=(4,),
         cond=[166.39, 66.18, 20.40, 9.11, 8.81],
         errs=[[7.11e-04, 1.33e-02, 1.79e-03, 2.93e-04],
               [9.83e-04, 2.78e-04, 6.51e-05, 6.70e-06],
@@ -70,6 +78,11 @@ REFERENCE_TABLES = {
 }
 
 PAIRS = ((8, 32), (16, 64), (32, 128), (64, 256), (128, 512))
+
+# the tests' one store of frozen results, written by tests/test_field_gate.py
+FROZEN_PATH = Path(__file__).parent / "goldens" / "frozen.json"
+# two-sided windows of test_tables_match_goldens about the frozen errors and conds
+ERROR_WINDOW, COND_WINDOW = 10.0, 3.0
 
 # index of the evaluation point nearest to / farthest from the domain
 NEAREST_POINT = {"heart": 0, "teardrop": 0, "boomerang": 0, "triangle": 1}
@@ -150,6 +163,39 @@ def example_tables():
     for name in cb.harness.EXAMPLE_NAMES:
         tables[name] = cb.run_example(cb.example_config(name))
     return tables
+
+
+def load_frozen() -> dict:
+    """The frozen store: "tables", per example its rows' mu, nu, values and
+    cond; "angle_sweep", per family its angles' phi and cond."""
+    return json.loads(FROZEN_PATH.read_text())
+
+
+def frozen_errors(name: str, values) -> list:
+    """Errors |value - exact u| of one row's values at example name's
+    evaluation points, with run_example's arithmetic."""
+    cfg = cb.example_config(name)
+    exact = cfg.solution.u(np.array(cfg.points, float).reshape(-1, 2))
+    return np.abs(np.array(values) - exact).tolist()
+
+
+def check_table(name, rows):
+    """The paper's one-sided check: every row ran, every error cell is at
+    most 10x the published one, and the cond of each of the table's
+    cond_rows at most 3x.  Returns the worst error and cond ratios."""
+    ref_table = REFERENCE_TABLES[name]
+    worst_ratio = 0.0
+    for row, ref_errs in zip(rows, ref_table["errs"]):
+        assert not row.failed, (name, row.mu, row.error_message)
+        for got, ref in zip(row.errors, ref_errs):
+            worst_ratio = max(worst_ratio, got / ref)
+            assert got <= 10.0 * ref, (name, row.mu, got, ref)
+    worst_cond = 0.0
+    for idx in ref_table["cond_rows"]:
+        got, ref = rows[idx].cond, ref_table["cond"][idx]
+        worst_cond = max(worst_cond, got / ref)
+        assert got <= 3.0 * ref, (name, rows[idx].mu, got, ref)
+    return worst_ratio, worst_cond
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from conftest import (
     FARTHEST_POINT,
     NEAREST_POINT,
     PAIRS,
-    REFERENCE_TABLES,
+    check_table,
     gbar_at,
     oracle_log_moments,
     remainder_at,
@@ -102,31 +102,15 @@ def test_criterion_04_smooth_circle_pipeline(circle_dec):
     _report(4, f"unit circle, nu=64: error at (3,3) = {err:.2e}, {elapsed:.2f}s")
 
 
-def _check_table(name, rows, cond_rows_checked):
-    ref_table = REFERENCE_TABLES[name]
-    worst_ratio = 0.0
-    for row, ref_errs in zip(rows, ref_table["errs"]):
-        assert not row.failed, (name, row.mu, row.error_message)
-        for got, ref in zip(row.errors, ref_errs):
-            worst_ratio = max(worst_ratio, got / ref)
-            assert got <= 10.0 * ref, (name, row.mu, got, ref)
-    worst_cond = 0.0
-    for idx in cond_rows_checked:
-        got, ref = rows[idx].cond, ref_table["cond"][idx]
-        worst_cond = max(worst_cond, got / ref)
-        assert got <= 3.0 * ref, (name, rows[idx].mu, got, ref)
-    return worst_ratio, worst_cond
-
-
 def test_criterion_05_table_heart(example_tables):
-    worst, worst_cond = _check_table("heart", example_tables["heart"], (2, 3, 4))
+    worst, worst_cond = check_table("heart", example_tables["heart"])
     _report(5, f"heart table: worst error ratio {worst:.2f} (<=10), "
                f"worst cond ratio {worst_cond:.2f} (<=3)")
 
 
 def test_criterion_06_table_teardrop(example_tables):
     rows = example_tables["teardrop"]
-    worst, worst_cond = _check_table("teardrop", rows, (2,))
+    worst, worst_cond = check_table("teardrop", rows)
     row32 = rows[2]
     assert row32.errors[1] <= 10.0 * 2.54e-07
     _report(6, f"teardrop table: (3,3) error at mu=32 is {row32.errors[1]:.2e} "
@@ -135,7 +119,7 @@ def test_criterion_06_table_teardrop(example_tables):
 
 def test_criterion_07_table_boomerang(example_tables):
     rows = example_tables["boomerang"]
-    worst, worst_cond = _check_table("boomerang", rows, (1,))
+    worst, worst_cond = check_table("boomerang", rows)
     row16 = rows[1]
     assert row16.errors[1] <= 10.0 * 1.62e-05
     _report(7, f"boomerang table: (3,3) error at mu=16 is {row16.errors[1]:.2e} "
@@ -144,7 +128,7 @@ def test_criterion_07_table_boomerang(example_tables):
 
 def test_criterion_08_table_triangle(example_tables, triangle_dec):
     rows = example_tables["triangle"]
-    worst, worst_cond = _check_table("triangle", rows, (4,))
+    worst, worst_cond = check_table("triangle", rows)
     row128 = rows[4]
     assert row128.errors[1] <= 10.0 * 1.20e-09
     umap = UnknownMap(triangle_dec, DiscretizationParams(mu=8, nu=32, c=100.0, eps=1e-6))

@@ -8,7 +8,6 @@ import math
 import operator
 import re
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +19,8 @@ from cornerbie.cli import main as cli_main
 from cornerbie.geometry import TRIANGLE_VERTICES, PointLocator
 from cornerbie.harness import angle_sweep, example_config, make_exact_solution, run_example
 
-GOLDEN_DIR = Path(__file__).parent / "goldens"
+from conftest import COND_WINDOW, ERROR_WINDOW, frozen_errors, load_frozen
+
 _BEYOND_FLOAT = 10**400  # an integer that float() cannot convert; JSON writes it whole
 
 
@@ -284,6 +284,21 @@ def test_angle_sweep_records_failures_and_continues(monkeypatch):
     assert pts[2].error_message is None and math.isfinite(pts[2].cond)
 
 
+def test_angle_sweep_checks_delta_only_after_an_angle_fails_to_decompose(monkeypatch):
+    calls, decompose = [], harness.decompose
+    monkeypatch.setattr(harness, "decompose", lambda *args: calls.append(args) or decompose(*args))
+    points = angle_sweep("heart", [1.5 * math.pi, 5 * math.pi / 3], 4, 16)
+    assert len(calls) == 2 and all(p.error_message is None for p in points)
+
+    # at delta = 1e-16 the heart's example angle 5pi/3 decomposes but 1.1pi
+    # and 1.2pi do not: their own failures, recorded after one check of delta
+    calls.clear()
+    points = angle_sweep("heart", [1.1 * math.pi, 1.2 * math.pi], 8, 32, delta=1e-16)
+    assert [p.error_message for p in points] == 2 * [
+        "GeometryError: corner 0: no corner arc stays within delta = 1e-16 of its tangent line"]
+    assert len(calls) == 3 and calls[-1][1] == 1e-16
+
+
 @pytest.mark.parametrize("family, phis, named", [
     ("heart", [1.2 * math.pi, math.pi], math.pi),
     ("heart", [0.5 * math.pi, 1.5 * math.pi], 0.5 * math.pi),
@@ -317,24 +332,23 @@ def test_angle_sweep_rejects_triangle():
 
 @pytest.mark.parametrize("name", ("heart", "teardrop", "boomerang", "triangle"))
 def test_tables_match_goldens(name, example_tables):
-    """Regenerated tables against the checked-in goldens.
+    """Regenerated tables against the frozen store.
 
-    Per-cell relative tolerance: a factor 10 on error cells, 3 on the
-    condition number (the goldens freeze the observed behaviour; drifting
-    outside these windows means the solver changed materially).
+    Per-cell two-sided windows: a factor 10 on each error, the golden error
+    being |frozen value - exact u|, and 3 on the condition number (the
+    store freezes the observed behaviour; drifting outside these windows
+    means the solver changed materially).
     """
     rows = example_tables[name]
-    with open(GOLDEN_DIR / f"{name}_table.csv", newline="") as fh:
-        golden = list(csv.DictReader(fh))
+    golden = load_frozen()["tables"][name]
     assert len(golden) == len(rows)
     for row, ref in zip(rows, golden):
         assert not row.failed
-        assert row.mu == int(ref["mu"]) and row.nu == int(ref["nu"])
-        for col, err in zip(("err_p1", "err_p2", "err_p3", "err_p4"), row.errors):
-            want = float(ref[col])
-            assert err <= 10.0 * want and err >= want / 10.0, (name, row.mu, col)
-        want_cond = float(ref["cond"])
-        assert row.cond <= 3.0 * want_cond and row.cond >= want_cond / 3.0
+        assert row.mu == ref["mu"] and row.nu == ref["nu"]
+        for k, (err, want) in enumerate(zip(row.errors, frozen_errors(name, ref["values"]))):
+            assert err <= ERROR_WINDOW * want and err >= want / ERROR_WINDOW, (name, row.mu, k)
+        want_cond = ref["cond"]
+        assert row.cond <= COND_WINDOW * want_cond and row.cond >= want_cond / COND_WINDOW
 
 
 def test_convergence_trend_at_far_point(example_tables):
@@ -426,6 +440,17 @@ def test_cli_corner_search_error_names_the_corner_and_delta(capsys):
     assert cli_main(argv) == 2
     assert capsys.readouterr().err == ("configuration error: corner 0: no corner arc stays "
                                        "within delta = 1e-300 of its tangent line\n")
+
+
+@pytest.mark.parametrize("delta", ["1e-300", "5e-324", "1e-310"])
+def test_cli_angle_sweep_delta_too_small_for_the_example_exits_2(delta, capsys):
+    # delta fails the heart's own example angle too, so it is the input's
+    # fault, as for solve, not the angle's
+    argv = ["angle-sweep", "--example", "heart", "--phi-grid", "5pi/3", "--delta", delta]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: sweep field 'delta': corner 0: no corner arc stays "
+        f"within delta = {float(delta)} of its tangent line\n")
 
 
 _RUN_FLAGS = ["--example", "--config", "--phi", "--mu", "--nu", "--c", "--epsilon", "--delta",

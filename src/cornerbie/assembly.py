@@ -33,7 +33,7 @@ from scipy.linalg.lapack import dgetri, dgetri_lwork
 from .errors import AssemblyError, ParameterError, SingularMatrixError
 from .geometry import CENTRAL, GAMMA, UPSILON, Decomposition
 from .kernels import check_separation, double_layer, mellin_kernel
-from .quadrature import gauss_radau_left
+from .quadrature import MAX_RULE_ORDER, gauss_radau_left
 
 __all__ = [
     "DiscretizationParams",
@@ -57,9 +57,9 @@ class DiscretizationParams:
     """Rule orders and wedge-modification constants.
 
     mu is the corner-arc rule order and nu the central-arc one, with
-    1 <= mu < nu; a boundary without corners never reads mu.  The blend
-    threshold is tau = min(1, c / nu^(2 - 2 eps)), and tau^2 must not
-    underflow.
+    1 <= mu < nu <= MAX_RULE_ORDER; a boundary without corners never reads
+    mu.  The blend threshold is tau = min(1, c / nu^(2 - 2 eps)), and tau^2
+    must not underflow.
     """
 
     mu: int
@@ -68,8 +68,9 @@ class DiscretizationParams:
     eps: float
 
     def __post_init__(self):
-        if not 1 <= self.mu < self.nu:
-            raise ParameterError(f"need 1 <= mu < nu, got mu={self.mu}, nu={self.nu}")
+        if not 1 <= self.mu < self.nu <= MAX_RULE_ORDER:
+            raise ParameterError(f"need 1 <= mu < nu <= {MAX_RULE_ORDER}, "
+                                 f"got mu={self.mu}, nu={self.nu}")
         if not self.c > 0.0:  # NaN too
             raise ParameterError(f"blend constant must be positive, got {self.c}")
         if not 0.0 < self.eps < 0.5:

@@ -61,7 +61,8 @@ def _load_points(path: str):
 
 def _config_from_json(path: str) -> RunConfig:
     """A RunConfig from a JSON object of its fields; a built-in domain
-    without vertices starts from its example configuration."""
+    without vertices starts from its example configuration.  Pairs, points
+    and vertices stay JSON lists: RunConfig.validate checks each row."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -71,17 +72,11 @@ def _config_from_json(path: str) -> RunConfig:
         raise ConfigError(f"unknown config JSON fields: {unknown}")
     if raw.get("domain") is None:
         raise ConfigError("config JSON needs a 'domain' field")
-    sol = raw.get("solution")
-    if "solution" in raw and not (isinstance(sol, dict) and isinstance(sol.get("name"), str)):
-        raise ConfigError("config field 'solution' must be an object with a string 'name'")
-    try:
-        if "solution" in raw:
-            raw["solution"] = make_exact_solution(**sol)
-        for key in ("pairs", "points", "vertices"):  # validate checks each row
-            if key in raw:
-                raw[key] = tuple(map(tuple, raw[key]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config JSON: {exc}") from None
+    if "solution" in raw:
+        sol = raw["solution"]
+        if not (isinstance(sol, dict) and isinstance(sol.get("name"), str)):
+            raise ConfigError("config field 'solution' must be an object with a string 'name'")
+        raw["solution"] = make_exact_solution(**sol)
     if raw["domain"] in EXAMPLE_NAMES and not raw.get("vertices"):
         return example_config(raw.pop("domain"), **raw)
     raw.setdefault("phi", None)  # polygons have no angle parameter

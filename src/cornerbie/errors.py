@@ -46,7 +46,8 @@ class SolveError(CornerBieError):
 
 
 class ExteriorDomainError(CornerBieError, ValueError):
-    """An evaluation point is inside the domain or too close to it."""
+    """A field value at an evaluation point is not finite; a point inside
+    the domain or too close to it is a ConfigError, before any row runs."""
 
 
 class ConfigError(CornerBieError, ValueError):

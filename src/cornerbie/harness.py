@@ -73,15 +73,11 @@ def _log_pair(q1, q2) -> ExactSolution:
 
 
 def _arctan_pair() -> ExactSolution:
-    # angle difference about a = 0.8 + 0.2i and b = 0.8; the principal log of
-    # (z - a) / (z - b) gives the branch that is continuous on the exterior
-    def F(z):
-        return -1j * np.log((z - (0.8 + 0.2j)) / (z - 0.8))
-
-    def dF(z):
-        return -1j * (1 / (z - (0.8 + 0.2j)) - 1 / (z - 0.8))
-
-    return ExactSolution("arctan_pair", F, dF, ((0.8, 0.2), (0.8, 0.0)))
+    # the angle difference about a = 0.8 + 0.2i and b = 0.8, -i times their
+    # log pair: the principal log gives the branch continuous on the exterior
+    pair = _log_pair((0.8, 0.2), (0.8, 0.0))
+    return ExactSolution("arctan_pair", lambda z: -1j * pair.F(z), lambda z: -1j * pair.dF(z),
+                         pair.singular_points)
 
 
 def _dipole() -> ExactSolution:
@@ -152,25 +148,40 @@ class RunConfig:
         return make_example_domain(self.domain, self.phi)
 
     def rule_orders(self, nu: int) -> Tuple[int, int]:
-        """(M, N) of a row with central rule order nu."""
+        """(M, N) of a row with central rule order nu, and their one check: a
+        ConfigError unless they are integers, 1 <= M <= 512 and 1 <= N <= 4096."""
         m_rhs = self.M if self.M is not None else nu // 2
-        if self.N == -1:
-            return m_rhs, nu
-        return m_rhs, self.N if self.N is not None else nu // 2
+        n_outer = nu if self.N == -1 else nu // 2 if self.N is None else self.N
+        orders = ((m_rhs, MAX_MOMENTS), (n_outer, MAX_RULE_ORDER))
+        if not all(_is_number(k, Integral) and 1 <= k <= top for k, top in orders):
+            raise ConfigError(f"rows with nu = {nu} need integers 1 <= M <= {MAX_MOMENTS} "
+                              f"and 1 <= N <= {MAX_RULE_ORDER}, got M={m_rhs}, N={n_outer}")
+        return m_rhs, n_outer
 
     def validate(self) -> None:
-        """Check what needs no geometry: the domain name, that only an angle
-        family has a phi, the number fields, the solution, the pairs, the
-        rule orders, that points and vertices are lists, and that each point
-        is an (x, y) pair of numbers."""
+        """Check every run input that needs no geometry but M and N, which
+        rule_orders checks for the runs that read them: the domain; phi, None
+        for a polygon and else in its family's open range (check_angle); the
+        number fields; the solution; each pair through DiscretizationParams;
+        and each vertex, singular and evaluation point, named by index."""
         if not isinstance(self.domain, str):
             raise ConfigError(f"config field 'domain' must be a string, got {self.domain!r}")
-        if self.phi is not None and (self.vertices is not None or self.domain == "triangle"):
-            raise ConfigError(f"config field 'phi' must be None for a polygon, got {self.phi!r}")
-        for key in ("phi", "c", "eps", "delta"):
+        if self.vertices is not None or self.domain == "triangle":
+            if self.phi is not None:
+                raise ConfigError(f"config field 'phi' must be None for a polygon, "
+                                  f"got {self.phi!r}")
+        elif self.domain not in _EXAMPLES:
+            raise ConfigError(f"config field 'domain' must name a built-in domain "
+                              f"{EXAMPLE_NAMES} or come with 'vertices', got {self.domain!r}")
+        elif not _is_number(self.phi, Real):
+            raise ConfigError(f"config field 'phi' must be a number, got {self.phi!r}")
+        else:
+            try:
+                check_angle(self.domain, float(self.phi))
+            except ParameterError as exc:
+                raise ConfigError(f"config field 'phi': {exc}") from None
+        for key in ("c", "eps", "delta"):
             value = getattr(self, key)
-            if key == "phi" and value is None:
-                continue  # polygons have no angle parameter
             if not _is_number(value, Real):
                 raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
         if not isinstance(self.solution, ExactSolution):
@@ -193,13 +204,6 @@ class RunConfig:
                 DiscretizationParams(mu=mu, nu=nu, c=self.c, eps=self.eps)
             except ParameterError as exc:
                 raise ConfigError(f"pair ({mu}, {nu}): {exc}") from None
-            m_rhs, n_outer = self.rule_orders(nu)
-            orders = ((m_rhs, MAX_MOMENTS), (n_outer, MAX_RULE_ORDER))
-            if not all(_is_number(k, Integral) and 1 <= k <= top for k, top in orders):
-                raise ConfigError(
-                    f"pair ({mu}, {nu}): need integers 1 <= M <= {MAX_MOMENTS} and "
-                    f"1 <= N <= {MAX_RULE_ORDER}, got M={m_rhs}, N={n_outer}"
-                )
         for kind, rows in (("polygon vertex", self.vertices or ()),
                            ("singular point", self.solution.singular_points),
                            ("evaluation point", self.points)):
@@ -288,9 +292,8 @@ class RowResult:
         return self.error_message is not None
 
 
-def _run_row(dec, datum, cfg: RunConfig, exact: np.ndarray, mu: int, nu: int) -> RowResult:
+def _run_row(dec, datum, cfg: RunConfig, exact, mu, nu, m_rhs, n_outer) -> RowResult:
     params = DiscretizationParams(mu=mu, nu=nu, c=cfg.c, eps=cfg.eps)
-    m_rhs, n_outer = cfg.rule_orders(nu)
     system = build_system(dec, params)
     cond = cond_inf(system)
     rhs_rule = datum.sources(m_rhs)  # one datum rule per distinct order of the row
@@ -303,6 +306,7 @@ def _run_row(dec, datum, cfg: RunConfig, exact: np.ndarray, mu: int, nu: int) ->
 def run_example(cfg: RunConfig) -> List[RowResult]:
     """Full sweep over cfg.pairs; a failing row is recorded, not fatal."""
     cfg.validate()
+    orders = [cfg.rule_orders(nu) for _, nu in cfg.pairs]
     boundary = cfg.build_boundary()
     _check_locations(cfg, boundary)
     dec = decompose(boundary, cfg.delta)
@@ -314,9 +318,9 @@ def run_example(cfg: RunConfig) -> List[RowResult]:
         raise ConfigError(f"exact solution {cfg.solution.name!r} is not finite at "
                           f"evaluation point {bad}")
     rows: List[RowResult] = []
-    for mu, nu in cfg.pairs:
+    for (mu, nu), (m_rhs, n_outer) in zip(cfg.pairs, orders):
         try:
-            rows.append(_run_row(dec, datum, cfg, exact, mu, nu))
+            rows.append(_run_row(dec, datum, cfg, exact, mu, nu, m_rhs, n_outer))
         except CornerBieError as exc:
             nan_cells = [math.nan] * len(cfg.points)
             rows.append(RowResult(mu, nu, nan_cells, list(nan_cells), math.nan,
@@ -331,18 +335,17 @@ class SweepPoint:
     error_message: Optional[str] = None
 
 
-def _sweep_cond(family: str, phi: float, params: DiscretizationParams,
-                delta: float) -> float:
+def _sweep_cond(cfg: RunConfig, params: DiscretizationParams) -> float:
     # the system and its inverse are local here, so neither outlives its angle
-    dec = decompose(make_example_domain(family, phi), delta)
+    dec = decompose(cfg.build_boundary(), cfg.delta)
     return cond_inf(build_system(dec, params))
 
 
-def _check_sweep_delta(family: str, delta: float) -> None:
-    """Raise ConfigError if delta cannot decompose the family's example
-    angle either: then an angle's GeometryError is the input's fault."""
+def _check_sweep_delta(cfg: RunConfig) -> None:
+    """Raise ConfigError if cfg.delta fails at cfg's own (example) angle too:
+    then an angle's GeometryError is the input's fault."""
     try:
-        decompose(make_example_domain(family, _EXAMPLES[family]["phi"]), delta)
+        decompose(cfg.build_boundary(), cfg.delta)
     except GeometryError as exc:
         raise ConfigError(f"sweep field 'delta': {exc}") from None
 
@@ -352,42 +355,37 @@ def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
                 delta: Optional[float] = None) -> List[SweepPoint]:
     """Condition number of the collocation matrix across corner angles.
 
-    c defaults to the family's sweep value, eps and delta to its example's;
-    the inputs are checked once, through the family's example_config and
-    each angle against the family's range, before any angle runs.  Only
-    the matrix is needed, so the sweep builds no right-hand side; per-angle
-    failures are recorded and the sweep continues, except that the first
-    GeometryError checks delta at the family's example angle, and if that
-    fails too the sweep stops with a ConfigError.
+    c defaults to the family's sweep value, eps and delta to its example's.
+    Every angle's config, the family's example_config with the sweep's c,
+    eps, delta, pair and that angle, is checked by RunConfig.validate before
+    any angle runs.  Only the matrix is needed, so the sweep builds no
+    right-hand side and never reads M or N.  Per-angle failures are recorded
+    and the sweep continues, except that the first GeometryError checks
+    delta at the family's example angle, and if that fails too the sweep
+    stops with a ConfigError.
     """
     if "sweep_c" not in _EXAMPLES.get(family, {}):
         raise ConfigError(f"angle sweeps need a parametric family, got {family!r}")
-    try:
-        phis = list(phis)
-    except TypeError:
-        raise ConfigError(f"sweep field 'phis' must be a list of angles, got {phis!r}") from None
-    for phi in phis:
-        if not _is_number(phi, Real):
-            raise ConfigError(f"sweep field 'phis' holds {phi!r}, which is not a number")
-        try:
-            check_angle(family, float(phi))
-        except ParameterError as exc:
-            raise ConfigError(f"sweep field 'phis': {exc}") from None
     given = dict(c=_EXAMPLES[family]["sweep_c"] if c is None else c, eps=eps, delta=delta)
     cfg = example_config(family, pairs=((mu, nu),),
                          **{key: value for key, value in given.items() if value is not None})
-    cfg.validate()
+    try:
+        angles = [replace(cfg, phi=phi) for phi in phis]
+    except TypeError:  # phis is not iterable
+        raise ConfigError(f"sweep field 'phis' must be a list of angles, got {phis!r}") from None
+    for angle in angles:
+        angle.validate()
     params = DiscretizationParams(mu=mu, nu=nu, c=cfg.c, eps=cfg.eps)
     out: List[SweepPoint] = []
     delta_checked = False
-    for phi in phis:
+    for angle in angles:
         try:
-            out.append(SweepPoint(float(phi), _sweep_cond(family, float(phi), params, cfg.delta)))
+            out.append(SweepPoint(float(angle.phi), _sweep_cond(angle, params)))
         except CornerBieError as exc:
             if isinstance(exc, GeometryError) and not delta_checked:
-                _check_sweep_delta(family, cfg.delta)
+                _check_sweep_delta(cfg)
                 delta_checked = True
-            out.append(SweepPoint(float(phi), math.nan,
+            out.append(SweepPoint(float(angle.phi), math.nan,
                                   error_message=f"{type(exc).__name__}: {exc}"))
     return out
 

@@ -36,9 +36,12 @@ def test_params_validation():
 
 
 def test_corner_runs_require_strict_order():
-    # DiscretizationParams is the one home of 1 <= mu < nu
-    with pytest.raises(ParameterError, match="need 1 <= mu < nu, got mu=8, nu=8"):
+    # DiscretizationParams is the one home of 1 <= mu < nu <= 4096, the
+    # largest rule order that quadrature builds
+    with pytest.raises(ParameterError, match="need 1 <= mu < nu <= 4096, got mu=8, nu=8"):
         DiscretizationParams(mu=8, nu=8, c=100.0, eps=1e-3)
+    with pytest.raises(ParameterError, match="got mu=8, nu=4097"):
+        DiscretizationParams(mu=8, nu=4097, c=100.0, eps=1e-3)
 
 
 def test_collocation_points(heart_dec):

@@ -85,9 +85,10 @@ def test_config_validation_catches_bad_points():
     cfg = example_config("heart", pairs=((32, 16),))
     with pytest.raises(ConfigError):
         cfg.validate()
-    # a rule order from a JSON config can be a float
-    with pytest.raises(ConfigError):
-        example_config("heart", M=3.5).validate()
+    # a rule order from a JSON config can be a float; rule_orders checks it
+    # for every pair before any row
+    with pytest.raises(ConfigError, match="got M=3.5"):
+        run_example(example_config("heart", M=3.5))
     # singular points of the solution must be inside the domain
     bad_sol = make_exact_solution("log_pair", q1=(5.0, 5.0), q2=(0.2, 0.0))
     cfg = example_config("heart", solution=bad_sol)
@@ -308,21 +309,27 @@ def test_angle_sweep_checks_delta_only_after_an_angle_fails_to_decompose(monkeyp
 ], ids=["heart-pi", "heart-half-pi", "teardrop-pi", "boomerang-2pi", "heart-nan"])
 def test_angle_sweep_rejects_an_angle_out_of_range_before_any_runs(monkeypatch, family,
                                                                    phis, named):
+    # every angle's config goes through RunConfig.validate before any runs
     built = []
     monkeypatch.setattr(harness, "build_system", lambda *args: built.append(args))
     with pytest.raises(ConfigError, match=re.escape(f"got {named}")) as err:
         angle_sweep(family, phis, 4, 16)
-    assert "'phis'" in str(err.value) and not built
+    assert str(err.value).startswith(f"config field 'phi': {family} angle must be in ")
+    assert not built
 
 
 @pytest.mark.parametrize("phis, named", [(["x"], "'x'"), ([None], "None"),
                                           ([1.5 * math.pi, "y"], "'y'"), (5, "got 5"),
                                           pytest.param([_BEYOND_FLOAT], str(_BEYOND_FLOAT),
                                                        id="beyond-float-range")])
-def test_angle_sweep_names_a_malformed_angle(phis, named):
+def test_angle_sweep_names_a_malformed_angle(monkeypatch, phis, named):
+    built = []
+    monkeypatch.setattr(harness, "build_system", lambda *args: built.append(args))
     with pytest.raises(ConfigError, match=re.escape(named)) as err:
         angle_sweep("heart", phis, 8, 32)
-    assert "'phis'" in str(err.value)
+    # an angle that is no number is validate's; phis that is no list, the sweep's
+    want = "sweep field 'phis' must be" if phis == 5 else "config field 'phi' must be a number"
+    assert str(err.value).startswith(want) and not built
 
 
 def test_angle_sweep_rejects_triangle():
@@ -683,6 +690,62 @@ def test_cli_table_on_malformed_json_configs(tmp_path_factory, changes):
     assert code in (0, 2, 3)
     if code == 0:
         assert not re.search(r"\b(nan|inf)\b", out.getvalue()), out.getvalue()
+
+
+@pytest.mark.parametrize("config, twin", [
+    (_HEART_JSON, example_config("heart", pairs=((8, 32),))),
+    ({"domain": "polygon", "vertices": [list(v) for v in TRIANGLE_VERTICES],
+      "solution": {"name": "dipole"}, "pairs": [[8, 32], [16, 64]], "c": 100.0, "eps": 1e-6,
+      "delta": 1e-6, "points": [[-1.5, 1.5], [2.0, 2.0], [10.0, 20.0], [100.0, 100.0]]},
+     example_config("triangle", domain="polygon", vertices=TRIANGLE_VERTICES,
+                    pairs=((8, 32), (16, 64)))),
+], ids=["heart", "polygon"])
+def test_json_config_rows_are_bit_identical_to_its_tuple_twin(tmp_path, config, twin):
+    # the JSON reader keeps pairs, points and vertices as lists, which
+    # validate checks row by row; the rows are those of the tuple config
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    cfg = cli._config_from_json(str(path))
+    assert isinstance(cfg.pairs[0], list) and isinstance(cfg.points[0], list)
+    for row, want in zip(run_example(cfg), run_example(twin), strict=True):
+        assert not row.failed and (row.mu, row.nu) == (want.mu, want.nu)
+        for got, ref in ((row.values, want.values), (row.errors, want.errors),
+                         ([row.cond], [want.cond])):
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+_BEYOND_RADAU = ["--mu", "4097", "--nu", "4098"]  # rule orders above MAX_RULE_ORDER = 4096
+_PAIR_NAMED = "pair (4097, 4098): need 1 <= mu < nu <= 4096"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["solve", "--example", "heart", *_BEYOND_RADAU, "--rhs-M", "8", "--outer-N", "8"],
+     _PAIR_NAMED),
+    (["table", "--example", "heart", *_BEYOND_RADAU], _PAIR_NAMED),
+    (["angle-sweep", "--example", "heart", *_BEYOND_RADAU, "--phi-grid", "1.5pi"], _PAIR_NAMED),
+    # solve reads M = nu/2 = 513, above the moment limit: rule_orders names it
+    (["solve", "--example", "heart", "--mu", "8", "--nu", "1026"], "got M=513, N=513"),
+], ids=["solve", "table", "angle-sweep", "solve-M-513"])
+def test_cli_rule_order_that_cannot_be_built_exits_2(monkeypatch, capsys, argv, named):
+    # the input's fault: a ConfigError that names it before any matrix,
+    # not a failed row
+    built = []
+    monkeypatch.setattr(harness, "build_system", lambda *args: built.append(args))
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named in err
+    assert not built
+
+
+def test_angle_sweep_runs_beyond_the_rhs_rule_order_limit(capsys):
+    # a sweep builds no right-hand side, so nu/2 > 512 does not stop it:
+    # one angle at n = 2 mu + nu + 2 = 1044 unknowns
+    (point,) = angle_sweep("heart", [1.5 * math.pi], 8, 1026)
+    assert point.error_message is None and math.isfinite(point.cond)
+    argv = ["angle-sweep", "--example", "heart", "--mu", "8", "--nu", "1026",
+            "--phi-grid", "1.5pi"]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == f"phi={point.phi:.6f} cond={point.cond:.4f}\n"
 
 
 def test_cli_empty_config_points_exits_2(tmp_path, capsys):

@@ -87,12 +87,7 @@ def _config_from_json(path: str) -> RunConfig:
 
 
 def _resolve_config(args) -> RunConfig:
-    if args.config:
-        cfg = _config_from_json(args.config)
-    elif args.example:
-        cfg = example_config(args.example)
-    else:
-        raise ConfigError("provide --example or --config")
+    cfg = example_config(args.example) if args.example else _config_from_json(args.config)
     given = (("c", args.c), ("eps", args.epsilon), ("delta", args.delta),
              ("M", args.rhs_M), ("N", args.outer_N))
     overrides = {key: value for key, value in given if value is not None}
@@ -124,17 +119,23 @@ def _build_parser() -> argparse.ArgumentParser:
         # each subcommand registers only the flags it reads, and takes no
         # abbreviation, which would read angle-sweep's --phi as --phi-grid
         sub = subs.add_parser(name, help=desc, description=desc, allow_abbrev=False)
-        sub.add_argument("--example", choices=EXAMPLE_NAMES)
-        sub.add_argument("--mu", type=int)
-        sub.add_argument("--nu", type=int)
+        sweep = name == "angle-sweep"
+        # solve and table read exactly one of --example and --config
+        source = sub if sweep else sub.add_mutually_exclusive_group(required=True)
+        source.add_argument("--example", choices=EXAMPLE_NAMES, required=sweep)
+        if sweep:
+            sub.add_argument("--phi-grid", required=True,
+                             help="comma-separated angle list, e.g. '1.1pi,1.2pi'")
+        else:
+            source.add_argument("--config", help="JSON run configuration")
+        sub.add_argument("--mu", type=int, default=16 if sweep else None)
+        sub.add_argument("--nu", type=int, default=64 if sweep else None)
         sub.add_argument("--c", type=float)
         sub.add_argument("--epsilon", type=float)
         sub.add_argument("--delta", type=float)
         sub.add_argument("--out", help="output CSV path")
-        if name == "angle-sweep":
-            sub.add_argument("--phi-grid", help="comma-separated angle list, e.g. '1.1pi,1.2pi'")
+        if sweep:
             continue
-        sub.add_argument("--config", help="JSON run configuration")
         sub.add_argument("--phi", help="corner angle (e.g. '5pi/3' or 5.235987)")
         sub.add_argument("--rhs-M", dest="rhs_M", type=int)
         sub.add_argument("--outer-N", dest="outer_N", type=int,
@@ -143,62 +144,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(args, results, line, write_csv, label="row (mu={mu}, nu={nu})") -> int:
+    """Print each result's line, or its failure on stderr after label, a
+    format string of its fields; write the CSV when --out is given; and
+    return 3 only when every result failed."""
+    for res in results:
+        if res.error_message:
+            print(f"{label.format(**vars(res))} failed: {res.error_message}", file=sys.stderr)
+        else:
+            print(line(res))
+    if args.out:
+        write_csv(results, args.out)
+    return 3 if all(res.error_message for res in results) else 0
+
+
 def _cmd_solve(args) -> int:
     cfg = _resolve_config(args)
-    if len(cfg.pairs) != 1:
+    if isinstance(cfg.pairs, (list, tuple)):  # else validate raises the ConfigError
         cfg = replace(cfg, pairs=cfg.pairs[-1:])
-    rows = run_example(cfg)
-    row = rows[0]
-    if row.failed:
-        print(f"row (mu={row.mu}, nu={row.nu}) failed: {row.error_message}", file=sys.stderr)
-        return 3
-    print(f"domain={cfg.domain} mu={row.mu} nu={row.nu} cond={row.cond:.4f}")
-    for p, e in zip(cfg.points, row.errors):
-        print(f"  point ({p[0]:g}, {p[1]:g}): |u - u_mN| = {e:.6e}")
-    if args.out:
-        write_table_csv(rows, args.out)
-    return 0
+
+    def line(row):
+        return "\n".join([f"domain={cfg.domain} mu={row.mu} nu={row.nu} cond={row.cond:.4f}"]
+                         + [f"  point ({p[0]:g}, {p[1]:g}): |u - u_mN| = {e:.6e}"
+                            for p, e in zip(cfg.points, row.errors)])
+
+    return _report(args, run_example(cfg), line, write_table_csv)
 
 
 def _cmd_table(args) -> int:
-    cfg = _resolve_config(args)
-    rows = run_example(cfg)
-    for row in rows:
-        if row.failed:
-            print(f"row (mu={row.mu}, nu={row.nu}) failed: {row.error_message}",
-                  file=sys.stderr)
-        else:
-            cells = " ".join(f"{e:.3e}" for e in row.errors)
-            print(f"mu={row.mu:4d} nu={row.nu:4d} errors: {cells} cond={row.cond:.4f}")
-    if args.out:
-        write_table_csv(rows, args.out)
-    if all(row.failed for row in rows):
-        return 3
-    return 0
+    def line(row):
+        cells = " ".join(f"{e:.3e}" for e in row.errors)
+        return f"mu={row.mu:4d} nu={row.nu:4d} errors: {cells} cond={row.cond:.4f}"
+
+    return _report(args, run_example(_resolve_config(args)), line, write_table_csv)
 
 
 def _cmd_angle_sweep(args) -> int:
-    if not args.example:
-        raise ConfigError("angle-sweep needs --example")
-    if not args.phi_grid:
-        raise ConfigError("angle-sweep needs --phi-grid")
     phis = [_parse_phi(tok) for tok in args.phi_grid.split(",") if tok.strip()]
     if not phis:
         raise ConfigError(f"no angles found in --phi-grid {args.phi_grid!r}")
-    mu = args.mu if args.mu is not None else 16
-    nu = args.nu if args.nu is not None else 64
-    points = angle_sweep(args.example, phis, mu, nu, c=args.c, eps=args.epsilon,
+    points = angle_sweep(args.example, phis, args.mu, args.nu, c=args.c, eps=args.epsilon,
                          delta=args.delta)
-    for pt in points:
-        if pt.error_message:
-            print(f"phi={pt.phi:.6f}: failed: {pt.error_message}", file=sys.stderr)
-        else:
-            print(f"phi={pt.phi:.6f} cond={pt.cond:.4f}")
-    if args.out:
-        write_sweep_csv(points, args.out)
-    if all(pt.error_message for pt in points):
-        return 3
-    return 0
+    return _report(args, points, lambda pt: f"phi={pt.phi:.6f} cond={pt.cond:.4f}",
+                   write_sweep_csv, label="phi={phi:.6f}:")
 
 
 def main(argv: Optional[list] = None) -> int:

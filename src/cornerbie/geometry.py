@@ -85,11 +85,13 @@ class MacroArc:
         p = np.asarray(self.position(t), float)
         d = np.asarray(self.first_derivative(t), float)
         dd = np.asarray(self.second_derivative(t), float)
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(d)) and np.all(np.isfinite(dd))):
-            raise GeometryError("arc position/derivatives must be finite on [0, 1]")
+        for name, values in (("position", p), ("first derivative", d), ("second derivative", dd)):
+            if not np.all(np.isfinite(values)):
+                raise GeometryError(f"arc {name} must be finite on [0, 1]")
         speed = np.linalg.norm(d, axis=-1)
         if speed.min() <= 0.0:
-            raise GeometryError("arc parametrization speed vanishes")
+            raise GeometryError(f"arc parametrization speed vanishes at "
+                                f"t = {t[speed.argmin()]:.6g}")
         # the kernel's diagonal and corner values come from the derivatives
         # alone: check them against central differences of the position and
         # of the first derivative, relative to the largest derivative, plus
@@ -183,7 +185,7 @@ def make_boundary(arcs: Sequence[MacroArc]) -> Boundary:
     """
     n = len(arcs)
     if n < 1:
-        raise GeometryError("need n >= 1 arcs")
+        raise GeometryError(f"a boundary needs at least 1 arc, got {n}")
     gap_tol = _CLOSURE_RTOL * max(arc.validate() for arc in arcs)
     corners = []
     for k in range(n):
@@ -199,10 +201,10 @@ def make_boundary(arcs: Sequence[MacroArc]) -> Boundary:
 def make_smooth_boundary(arc: MacroArc) -> Boundary:
     """Boundary consisting of a single smooth closed curve, no corners."""
     size = arc.validate()
-    p0 = np.asarray(arc.position(0.0), float)
-    p1 = np.asarray(arc.position(1.0), float)
-    if np.linalg.norm(p1 - p0) > _CLOSURE_RTOL * size:
-        raise GeometryError("smooth boundary curve must close up")
+    gap = np.linalg.norm(np.asarray(arc.position(1.0), float)
+                         - np.asarray(arc.position(0.0), float))
+    if gap > _CLOSURE_RTOL * size:
+        raise GeometryError(f"smooth boundary curve must close up: gap {gap:.3e}")
     return _counterclockwise(Boundary((arc,), ()))
 
 
@@ -258,7 +260,9 @@ class _CornerSides:
 
     def deviations(self, e_head, e_tail) -> np.ndarray:
         """Maximum perpendicular distance of each side's samples from its
-        tangent line at the fractions e_head and e_tail, head then tail."""
+        tangent line at the fractions e_head and e_tail, head then tail;
+        infinite on a side whose far end is the corner point in floating
+        point, a collapsed arc however close to its line."""
         lo, hi = np.array((0.0, 1.0 - e_tail)), np.array((e_head, 1.0))
         t = _SAMPLE_INDEX * ((hi - lo) / (_N_DEVIATION_SAMPLES - 1))[:, None] + lo[:, None]
         t[:, -1] = hi
@@ -269,7 +273,11 @@ class _CornerSides:
                                 for arc, tk in zip(self.arcs, t)])
         x = (p[:, 0] - self.corner[0]).reshape(t.shape)
         y = (p[:, 1] - self.corner[1]).reshape(t.shape)
-        return np.abs(x * self.units[:, 1:] - y * self.units[:, :1]).max(axis=1)
+        dev = np.abs(x * self.units[:, 1:] - y * self.units[:, :1]).max(axis=1)
+        for side, far in enumerate((-1, 0)):  # the head side's last sample, the tail's first
+            if x[side, far] == 0.0 and y[side, far] == 0.0:
+                dev[side] = np.inf
+        return dev
 
     def largest_fractions(self, delta: float) -> np.ndarray:
         """Per side, the largest fraction up to _FRACTION_CAP whose deviation
@@ -331,7 +339,8 @@ def decompose(boundary: Boundary, delta: float) -> Decomposition:
             e_tail_m *= 1.0 - 1e-9
             got = sides.deviations(e_head_m, e_tail_m).max()
         else:
-            raise GeometryError(f"corner {k}: could not meet the deviation bound")
+            raise GeometryError(f"corner {k}: could not meet the deviation bound "
+                                f"delta = {delta}")
         head[k], tail[k] = e_head_m, e_tail_m
         speed[k] = e_head_m * v_head
         achieved[k] = got
@@ -433,7 +442,7 @@ def make_polygon(vertices: Sequence) -> Boundary:
     a = np.array(vertices, float)
     b, n = np.roll(a, -1, axis=0), len(a)
     if n < 3:
-        raise GeometryError("polygon needs at least 3 vertices")
+        raise GeometryError(f"polygon needs at least 3 vertices, got {n}")
     e = b - a
     # edges i and j meet when each has its two ends on both sides of (or on)
     # the other's line and their bounding boxes overlap

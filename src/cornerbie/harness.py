@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -370,6 +371,8 @@ def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
     cfg = example_config(family, pairs=((mu, nu),),
                          **{key: value for key, value in given.items() if value is not None})
     try:
+        if isinstance(phis, (str, bytes, Mapping)):  # iterable, but not over angles
+            raise TypeError
         angles = [replace(cfg, phi=phi) for phi in phis]
     except TypeError:  # phis is not iterable
         raise ConfigError(f"sweep field 'phis' must be a list of angles, got {phis!r}") from None
@@ -390,6 +393,11 @@ def angle_sweep(family: str, phis: Sequence[float], mu: int, nu: int,
     return out
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
 def write_table_csv(rows: Sequence[RowResult], path) -> None:
     """Table CSV with columns mu,nu,err_p1..err_p4,cond in sweep order.
 
@@ -397,17 +405,10 @@ def write_table_csv(rows: Sequence[RowResult], path) -> None:
     (four for the built-in benchmark tables).
     """
     n_points = len(rows[0].errors) if rows else 4
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mu", "nu"] + [f"err_p{k + 1}" for k in range(n_points)] + ["cond"])
-        for row in rows:
-            writer.writerow([row.mu, row.nu] + [f"{e:.6e}" for e in row.errors]
-                            + [f"{row.cond:.6e}"])
+    _write_csv(path, ["mu", "nu"] + [f"err_p{k + 1}" for k in range(n_points)] + ["cond"],
+               ([row.mu, row.nu] + [f"{e:.6e}" for e in row.errors] + [f"{row.cond:.6e}"]
+                for row in rows))
 
 
 def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi", "cond"])
-        for pt in points:
-            writer.writerow([f"{pt.phi:.12g}", f"{pt.cond:.6e}"])
+    _write_csv(path, ["phi", "cond"], ([f"{pt.phi:.12g}", f"{pt.cond:.6e}"] for pt in points))

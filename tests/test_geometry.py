@@ -150,6 +150,29 @@ def test_make_boundary_rejects_open_curve():
         make_boundary(arcs)
 
 
+_LINE = line_arc((0.0, 0.0), (1.0, 2.0))
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: make_polygon([(0, 0), (1, 0)]), "polygon needs at least 3 vertices, got 2"),
+    (lambda: make_boundary([]), "a boundary needs at least 1 arc, got 0"),
+    (lambda: MacroArc(lambda t: _LINE.position(t) + np.inf, _LINE.first_derivative,
+                      _LINE.second_derivative).validate(), "arc position must be finite"),
+    (lambda: MacroArc(_LINE.position, _LINE.first_derivative,
+                      lambda t: _LINE.second_derivative(t) + np.inf).validate(),
+     "arc second derivative must be finite on [0, 1]"),
+    (lambda: MacroArc(_LINE.position,
+                      lambda t: np.asarray(t, float)[..., None] * _LINE.first_derivative(t),
+                      _LINE.second_derivative).validate(),
+     "arc parametrization speed vanishes at t = 0"),
+    (lambda: make_smooth_boundary(_LINE), "smooth boundary curve must close up: gap 2.236e+00"),
+], ids=["two-vertex-polygon", "no-arcs", "infinite-position", "infinite-second-derivative",
+        "zero-speed", "open-smooth-curve"])
+def test_degenerate_boundaries_are_geometry_errors(build, named):
+    with pytest.raises(GeometryError, match=re.escape(named)):
+        build()
+
+
 def test_make_boundary_takes_only_arcs():
     # each corner is measured from its arcs; no angle is stated
     assert list(inspect.signature(make_boundary).parameters) == ["arcs"]
@@ -318,6 +341,20 @@ def test_decompose_errors(heart_boundary):
     # a NaN deviation bound would let every bisection step fail
     with pytest.raises(ParameterError, match="delta must be positive, got nan"):
         decompose(heart_boundary, math.nan)
+
+
+def test_collapsed_corner_arcs_are_geometry_errors():
+    # scaled by 1e12, the coordinates round at 1.2e-4, far above delta =
+    # 1e-12: a corner arc within delta of its tangent line has collapsed,
+    # its far end rounding to the corner point, so there is no corner arc
+    with pytest.raises(GeometryError, match=re.escape(
+            "corner 0: no corner arc stays within delta = 1e-12 of its tangent line")):
+        decompose(make_polygon(_QUADRILATERAL * 1e12), 1e-12)
+    # scaled by 1e6, the bisection finds arcs whose rounding stays within
+    # delta, and the speed match moves them off it
+    with pytest.raises(GeometryError, match=re.escape(
+            "corner 0: could not meet the deviation bound delta = 1e-12")):
+        decompose(make_polygon(_QUADRILATERAL * 1e6), 1e-12)
 
 
 def test_infinite_delta_takes_the_fraction_cap(heart_boundary):

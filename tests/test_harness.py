@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from cornerbie import ConfigError, SingularMatrixError, cli, harness
 from cornerbie.cli import main as cli_main
 from cornerbie.geometry import TRIANGLE_VERTICES, PointLocator
-from cornerbie.harness import angle_sweep, example_config, make_exact_solution, run_example
+from cornerbie.harness import (DEFAULT_PAIRS, angle_sweep, example_config, make_exact_solution,
+                               run_example)
 
 from conftest import COND_WINDOW, ERROR_WINDOW, frozen_errors, load_frozen
 
@@ -147,17 +148,21 @@ def test_non_finite_points_are_config_errors(point):
     dict(vertices=((-1.25, -0.75), (0.75, -0.75), (0.75, 1.25, 0.0))), dict(M=True),
     dict(domain=[1]), dict(domain=5), dict(pairs=()), dict(pairs=np.array([[8, 32]])),
     dict(solution=None), dict(points=None), dict(points=5), dict(phi=None, vertices=5),
+    dict(domain="lens"),
 ], ids=["string-c", "string-delta", "none-eps", "string-phi", "bool-c", "string-point",
         "tau-underflow", "nan-c", "float-pair", "string-pair", "three-value-pair",
         "bool-pair", "bool-point", "three-value-point", "three-coordinate-vertex", "bool-M",
         "list-domain", "int-domain", "empty-pairs", "array-pairs", "none-solution",
-        "none-points", "int-points", "int-vertices"])
-def test_config_field_errors_are_config_errors(override):
+        "none-points", "int-points", "int-vertices", "unknown-domain"])
+def test_config_field_errors_are_config_errors(request, override):
     # at c = 1e-300 and nu = 32, tau^2 underflows to 0 and the wedge
     # kernel at (0, tau) is undefined; c = nan would run as tau = 1; a pair
     # or point is never truncated or converted to fit
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         run_example(example_config("heart", **{"pairs": ((8, 32),), **override}))
+    if request.node.callspec.id == "unknown-domain":  # no built-in domain and no vertices
+        assert str(err.value).startswith("config field 'domain' must name a built-in domain")
+        assert str(err.value).endswith("or come with 'vertices', got 'lens'")
 
 
 def test_huge_evaluation_point_is_config_error(tmp_path, capsys):
@@ -321,14 +326,18 @@ def test_angle_sweep_rejects_an_angle_out_of_range_before_any_runs(monkeypatch, 
 @pytest.mark.parametrize("phis, named", [(["x"], "'x'"), ([None], "None"),
                                           ([1.5 * math.pi, "y"], "'y'"), (5, "got 5"),
                                           pytest.param([_BEYOND_FLOAT], str(_BEYOND_FLOAT),
-                                                       id="beyond-float-range")])
+                                                       id="beyond-float-range"),
+                                          # iterable, but over characters, bytes or keys
+                                          ("4.7", "got '4.7'"), (b"47", "got b'47'"),
+                                          ({4.7: 1}, "got {4.7: 1}")])
 def test_angle_sweep_names_a_malformed_angle(monkeypatch, phis, named):
     built = []
     monkeypatch.setattr(harness, "build_system", lambda *args: built.append(args))
     with pytest.raises(ConfigError, match=re.escape(named)) as err:
         angle_sweep("heart", phis, 8, 32)
     # an angle that is no number is validate's; phis that is no list, the sweep's
-    want = "sweep field 'phis' must be" if phis == 5 else "config field 'phi' must be a number"
+    want = ("config field 'phi' must be a number" if isinstance(phis, list)
+            else "sweep field 'phis' must be a list of angles")
     assert str(err.value).startswith(want) and not built
 
 
@@ -413,6 +422,70 @@ def test_cli_wedge_kernel_error_names_the_zero_denominator(capsys):
         "zero denominator\n")
 
 
+_WEDGE_FAILS = "1.999999999pi"  # every heart row and angle fails in the wedge kernel
+_PAIR = ["--mu", "8", "--nu", "32"]
+
+
+@pytest.mark.parametrize("argv, code, succeeded, failed", [
+    (["table", "--example", "heart", "--phi", _WEDGE_FAILS], 3, 0,
+     [f"row (mu={mu}, nu={nu})" for mu, nu in DEFAULT_PAIRS]),
+    (["solve", "--example", "heart", *_PAIR, "--phi", _WEDGE_FAILS], 3, 0, ["row (mu=8, nu=32)"]),
+    (["angle-sweep", "--example", "heart", *_PAIR, "--phi-grid", _WEDGE_FAILS], 3, 0,
+     ["phi=6.283185:"]),
+    (["angle-sweep", "--example", "heart", *_PAIR, "--phi-grid", f"1.5pi,{_WEDGE_FAILS}"], 0, 1,
+     ["phi=6.283185:"]),
+], ids=["table-every-row", "solve", "angle-sweep-every-angle", "angle-sweep-one-angle"])
+def test_cli_reports_each_failure_on_stderr_and_in_the_csv(tmp_path, capsys, argv, code,
+                                                           succeeded, failed):
+    # one report path for the three commands: a line per success on stdout,
+    # one per failure on stderr, every result in the CSV (a failure as nan),
+    # and exit 3 only when every result failed
+    out = tmp_path / "out.csv"
+    assert cli_main(argv + ["--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == succeeded
+    errs = captured.err.splitlines()
+    assert len(errs) == len(failed)
+    for line, label in zip(errs, failed):
+        assert line.startswith(f"{label} failed: ParameterError: mellin kernel undefined at ")
+    conds = [row["cond"] for row in csv.DictReader(open(out, newline=""))]
+    assert len(conds) == succeeded + len(failed) and conds.count("nan") == len(failed)
+
+
+def test_cli_numerical_failure_outside_a_row_exits_3(monkeypatch, capsys):
+    def singular(cfg):
+        raise SingularMatrixError("numerically singular pivot")
+
+    monkeypatch.setattr(cli, "run_example", singular)
+    assert cli_main(["solve", "--example", "heart", *_PAIR]) == 3
+    assert capsys.readouterr().err == ("numerical failure: SingularMatrixError: "
+                                       "numerically singular pivot\n")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["table"], "one of the arguments --example --config is required"),
+    (["solve", *_PAIR], "one of the arguments --example --config is required"),
+    (["solve", "--example", "heart", "--config", "TRIANGLE"],
+     "argument --config: not allowed with argument --example"),
+    (["table", "--config", "TRIANGLE", "--example", "heart"],
+     "argument --example: not allowed with argument --config"),
+    (["angle-sweep", "--phi-grid", "1.5pi"], "the following arguments are required: --example"),
+    (["angle-sweep", "--example", "heart"], "the following arguments are required: --phi-grid"),
+], ids=["table-no-source", "solve-no-source", "example-then-config", "config-then-example",
+        "sweep-no-example", "sweep-no-grid"])
+def test_cli_source_flags_are_usage_errors(tmp_path, capsys, argv, named):
+    # solve and table read exactly one of --example and --config, and
+    # angle-sweep needs --example and --phi-grid; argparse exits 2 on any
+    # other use, so a config is never silently dropped for an example
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"domain": "triangle", "pairs": [[8, 32]]}))
+    with pytest.raises(SystemExit) as exc:
+        cli_main([str(path) if arg == "TRIANGLE" else arg for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: cornerbie {argv[0]} ") and err.endswith(f": {named}\n")
+
+
 def test_cli_table_and_angle_sweep(tmp_path):
     table = tmp_path / "table.csv"
     code = cli_main(["table", "--example", "teardrop", "--mu", "8", "--nu", "32",
@@ -460,6 +533,26 @@ def test_cli_angle_sweep_delta_too_small_for_the_example_exits_2(delta, capsys):
         f"within delta = {float(delta)} of its tangent line\n")
 
 
+def test_cli_collapsed_corner_arcs_exit_2_before_any_row(tmp_path, monkeypatch, capsys):
+    # a quadrilateral and its log_pair sources scaled by 1e12, with delta
+    # below the rounding of the coordinates: every corner arc within delta
+    # collapses onto its corner, a configuration error before any row
+    scale, quad = 1e12, [(0.601, 0.224), (0.235, 0.957), (-0.690, 0.636), (0.411, -0.478)]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "domain": "polygon", "vertices": [[scale * x, scale * y] for x, y in quad],
+        "solution": {"name": "log_pair", "q1": [0.05 * scale, 0.0],
+                     "q2": [-0.05 * scale, 0.02 * scale]},
+        "pairs": [[8, 32]], "c": 100.0, "eps": 1e-6, "delta": 1e-12,
+        "points": [[3 * scale, 3 * scale]]}))
+    built = []
+    monkeypatch.setattr(harness, "build_system", lambda *args: built.append(args))
+    assert cli_main(["solve", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == ("configuration error: corner 0: no corner arc stays "
+                                       "within delta = 1e-12 of its tangent line\n")
+    assert not built
+
+
 _RUN_FLAGS = ["--example", "--config", "--phi", "--mu", "--nu", "--c", "--epsilon", "--delta",
               "--rhs-M", "--outer-N", "--points", "--out"]
 _SWEEP_FLAGS = ["--example", "--phi-grid", "--mu", "--nu", "--c", "--epsilon", "--delta", "--out"]
@@ -497,7 +590,6 @@ def test_cli_json_config(tmp_path):
 
 
 def test_cli_config_errors_exit_2(tmp_path):
-    assert cli_main(["table"]) == 2  # neither --example nor --config
     assert cli_main(["solve", "--example", "heart", "--mu", "32", "--nu", "16"]) == 2
     assert cli_main(["table", "--config", str(tmp_path / "missing.json")]) == 2
     bad_points = tmp_path / "pts.json"
@@ -581,7 +673,9 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, args, points_text):
 _NAMED_FIELD = {"string-solution": "'solution'", "solution-without-name": "'solution'",
                 "non-string-solution-name": "'solution'", "list-domain": "'domain'",
                 "int-domain": "'domain'", "empty-pairs": "'pairs'", "triangle-phi": "'phi'",
-                "vertices-phi": "'phi'", "crossing-edges": "polygon edges 0 and 2 cross"}
+                "vertices-phi": "'phi'", "crossing-edges": "polygon edges 0 and 2 cross",
+                "missing-fields": "missing fields: ['solution', 'c', 'eps', 'delta', 'points']",
+                "int-pairs": "'pairs'", "null-pairs": "'pairs'"}
 _TRIANGLE_RUN = {"solution": {"name": "log_pair", "q1": [0.5, 0.5], "q2": [0.3, 0.3]},
                  "pairs": [[8, 32]], "c": 100.0, "eps": 1e-6, "delta": 1e-6,
                  "points": [[2.0, 2.0]]}
@@ -625,6 +719,9 @@ _TRIANGLE_RUN = {"solution": {"name": "log_pair", "q1": [0.5, 0.5], "q2": [0.3, 
     {"domain": "heart", "solution": {"name": "log_pair", "q1": [0.5, _BEYOND_FLOAT],
                                      "q2": [0.2, 0]}},
     {"domain": "heart", "pairs": [[8, _BEYOND_FLOAT]]},
+    {"domain": "polygon", "vertices": [list(v) for v in TRIANGLE_VERTICES], "pairs": [[8, 32]]},
+    {"domain": "heart", "pairs": 5},
+    {"domain": "heart", "pairs": None},
 ], ids=["short-point", "string-point", "short-pair", "string-phi", "top-level-list",
         "string-solution", "ragged-singular-points", "unknown-keys", "float-pair",
         "three-value-pair", "three-value-point", "bool-point", "three-coordinate-vertex",
@@ -632,7 +729,8 @@ _TRIANGLE_RUN = {"solution": {"name": "log_pair", "q1": [0.5, 0.5], "q2": [0.3, 
         "unknown-solution-parameter", "solution-without-name", "non-string-solution-name",
         "list-domain", "int-domain", "empty-pairs", "triangle-phi", "vertices-phi",
         "crossing-edges", "huge-int-c", "huge-int-delta", "huge-int-evaluation-point",
-        "huge-int-polygon-vertex", "huge-int-log-pair-source", "huge-int-pair-nu"])
+        "huge-int-polygon-vertex", "huge-int-log-pair-source", "huge-int-pair-nu",
+        "missing-fields", "int-pairs", "null-pairs"])
 def test_cli_malformed_config_json_exits_2(request, tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
